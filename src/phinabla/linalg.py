@@ -4,6 +4,12 @@ Two flavours live here: plain Fraction matrices (used by the Weil-Deligne
 layer and by the brute-force oracles) and generic Gaussian elimination over
 any exact field element type exposing +, -, *, inverse() and is_zero()
 (used for p-adic coefficient solves).  Matrices are tuples/lists of rows.
+
+The generic elimination takes and returns dense lists but works on sparse
+rows internally: the nabla-coefficient systems it solves are banded, with a
+few non-zeros per row.  Zero-at-precision input entries count as absent,
+as in LaurentElement, and non-zero returned entries never carry less
+precision than a dense elimination with the same pivots gives.
 """
 
 from __future__ import annotations
@@ -36,10 +42,6 @@ def mat_mul(A, B):
                 for j in range(m):
                     row[j] += a * Bl[j]
     return out
-
-
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_scale(A, c):
@@ -218,87 +220,95 @@ def is_nilpotent(A):
 # ---------------------------------------------------------------------------
 # generic exact-field elimination (p-adic coefficients)
 
+def _eliminate(rows, ncols):
+    """Sparse Gauss-Jordan elimination on the first ``ncols`` columns.
+
+    Rows are compacted to ``{col: element}`` dicts; input entries that are
+    zero at precision count as absent.  An entry that cancels to zero
+    during elimination stays, with its precision bound, so later updates
+    cannot claim digits the inputs do not determine; it is never a pivot.
+    The eliminated entry in a pivot column is zero by construction and is
+    removed.  The pivot in each column has minimal valuation, the first row
+    in current order winning ties.  Returns the reduced rows (pivot rows
+    first, in pivot order) and the pivot columns.
+    """
+    R = [{c: x for c, x in enumerate(row) if not x.is_zero()}
+         for row in rows]
+    nrows = len(R)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        best = None
+        for i in range(r, nrows):
+            x = R[i].get(c)
+            if x is None or x.is_zero():
+                continue
+            key = x.valuation() if hasattr(x, "valuation") else 0
+            if best is None or key < best[1]:
+                best = (i, key)
+        if best is None:
+            continue
+        i = best[0]
+        R[r], R[i] = R[i], R[r]
+        inv = R[r][c].inverse()
+        prow = R[r] = {j: x * inv for j, x in R[r].items()}
+        for i, row in enumerate(R):
+            f = row.get(c)
+            if i == r or f is None or f.is_zero():
+                continue
+            del row[c]
+            for j, y in prow.items():
+                if j != c:
+                    x = row.get(j)
+                    row[j] = -(f * y) if x is None else x - f * y
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return R, pivots
+
+
 def field_kernel(rows, zero, one):
     """Right-kernel basis for a matrix over an exact field.
 
     ``rows`` is a list of lists of field elements supporting the arithmetic
     protocol of PadicNumber.  Pivots are chosen by minimal valuation when a
     ``valuation`` method exists (p-adically largest pivot first).
+
+    Elimination is sparse: zero-at-precision input entries count as absent,
+    as in LaurentElement, and only the entries a row operation reaches are
+    stored and updated.  Absent entries of a basis vector are returned as
+    ``zero``.  Since no entry is ever combined with a zero placeholder,
+    non-zero entries carry at least the precision a dense elimination with
+    the same pivots gives.
     """
-    R = [list(r) for r in rows]
-    nrows = len(R)
-    ncols = len(R[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        best = None
-        for i in range(r, nrows):
-            x = R[i][c]
-            if x.is_zero():
-                continue
-            key = x.valuation() if hasattr(x, "valuation") else 0
-            if best is None or key < best[1]:
-                best = (i, key)
-        if best is None:
-            continue
-        i = best[0]
-        R[r], R[i] = R[i], R[r]
-        inv = R[r][c].inverse()
-        R[r] = [x * inv for x in R[r]]
-        for i in range(nrows):
-            if i != r and not R[i][c].is_zero():
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+    ncols = len(rows[0]) if rows else 0
+    R, pivots = _eliminate(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         v = [zero] * ncols
         v[fc] = one
         for rr, pc in enumerate(pivots):
-            v[pc] = -R[rr][fc]
+            x = R[rr].get(fc)
+            if x is not None:
+                v[pc] = -x
         basis.append(v)
     return basis
 
 
 def field_solve(rows, rhs, zero):
-    """One solution of (rows) x = rhs over an exact field, or None."""
+    """One solution of (rows) x = rhs over an exact field, or None.
+
+    Eliminates sparsely, as ``field_kernel`` does; unknowns without a
+    pivot are set to ``zero``.
+    """
     ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    R = aug
-    nrows = len(R)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        best = None
-        for i in range(r, nrows):
-            x = R[i][c]
-            if x.is_zero():
-                continue
-            key = x.valuation() if hasattr(x, "valuation") else 0
-            if best is None or key < best[1]:
-                best = (i, key)
-        if best is None:
-            continue
-        i = best[0]
-        R[r], R[i] = R[i], R[r]
-        inv = R[r][c].inverse()
-        R[r] = [x * inv for x in R[r]]
-        for i in range(nrows):
-            if i != r and not R[i][c].is_zero():
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if not R[i][ncols].is_zero():
-            return None
+    R, pivots = _eliminate([list(r) + [b] for r, b in zip(rows, rhs)],
+                           ncols)
+    if any(not row.get(ncols, zero).is_zero() for row in R[len(pivots):]):
+        return None
     x = [zero] * ncols
     for rr, pc in enumerate(pivots):
-        x[pc] = R[rr][ncols]
+        x[pc] = R[rr].get(ncols, zero)
     return x

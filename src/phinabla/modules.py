@@ -264,12 +264,6 @@ def check_compatibility(m: PhiNablaModule) -> CompatibilityReport:
                                min(vals) if vals else None)
 
 
-def frobenius_invertible(m: PhiNablaModule) -> bool:
-    m._require(frobenius=True)
-    det = lmat_det(m.A)
-    return det is not None and not det.is_zero() and det.is_unit()
-
-
 # -- functorial operations --------------------------------------------------
 
 def tensor(m1: PhiNablaModule, m2: PhiNablaModule) -> PhiNablaModule:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import isqrt
 
 from .errors import MismatchedParams, NonInvertible
 
@@ -80,13 +80,6 @@ class RingParams:
     def window_hi(self) -> int:
         return self.t_window[1]
 
-    def rescaled(self, factor: int) -> "RingParams":
-        """Same ring at precision and window scaled by ``factor``."""
-        m_neg, m_pos = self.t_window
-        return RingParams(self.p, self.N * factor,
-                          (m_neg * factor, m_pos * factor),
-                          self.ring_mode, self.a, self.modulus)
-
     def with_mode(self, mode: RingMode) -> "RingParams":
         m_neg, m_pos = self.t_window
         if mode is RingMode.LAURENT and m_neg == 0:
@@ -114,14 +107,6 @@ def _poly_mul(u, v, modulus, pk):
             for j in range(a + 1):
                 out[i - a + j] = (out[i - a + j] - c * modulus[j]) % pk
     return tuple(c % pk for c in out[:a]) + (0,) * max(0, a - len(out))
-
-
-def _poly_add(u, v, pk):
-    return tuple((x + y) % pk for x, y in zip(u, v))
-
-
-def _poly_scale(u, c, pk):
-    return tuple((c * x) % pk for x in u)
 
 
 def _poly_inv(u, modulus, p, k):
@@ -327,17 +312,6 @@ class PadicNumber:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _abs_tuple(self, abs_prec):
-        """Value as coefficient tuple modulo p^abs_prec (absolute)."""
-        p, a = self.params.p, self.params.a
-        pk = p ** max(abs_prec, 0)
-        if self.is_zero_at_precision or abs_prec <= (self.v or 0):
-            return (0,) * a
-        if self.v >= 0:
-            scale = p ** self.v
-            return tuple((c * scale) % pk for c in self._unit_tuple())
-        raise ValueError("negative valuation has no integral residue")
-
     def __add__(self, other):
         if not isinstance(other, PadicNumber):
             other = PadicNumber.from_rational(self.params, other)
@@ -514,7 +488,7 @@ class PadicNumber:
         m = p ** k
         u = self._unit_tuple()[0] % m
         # lattice reduction on (m, 0), (u, 1)
-        bound = int(m ** 0.5) // 2 or 1
+        bound = isqrt(m) // 2 or 1
         r0, s0 = m, 0
         r1, s1 = u, 1
         while r1 > bound:

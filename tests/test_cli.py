@@ -57,6 +57,19 @@ def test_wd_wild_is_domain_error(capsys):
     assert obj["error"] == "NotTame"
 
 
+def test_wd_high_precision_matches_default(capsys):
+    # p^500 overflows a float square root in rational reconstruction
+    path = str(CORPUS / "kummer_tate.json")
+    code, out, err = run(capsys, "--precision", "500", "--t-window", "64",
+                         "wd", path)
+    assert code == 0, err
+    _, default_out, _ = run(capsys, "wd", path)
+
+    def result(text):
+        return [ln for ln in text.splitlines() if ln.startswith("result:")]
+    assert result(out) and result(out) == result(default_out)
+
+
 def test_reduction_verdicts(capsys):
     for name, verdict in (("good_elliptic.json", "GOOD"),
                           ("tate_abelian.json", "SEMISTABLE_NOT_GOOD"),

@@ -9,11 +9,13 @@ from phinabla.errors import NotLevelTwo, NotTame
 from phinabla.extraction import (key2_normal_form, log_solution_basis,
                                  wd_extract, wd_of_cohomology)
 from phinabla.modules import (GaugeChange, PhiNablaModule,
-                              check_compatibility, direct_sum, tate_twist)
+                              check_compatibility, direct_sum, tate_twist,
+                              tensor)
 from phinabla.padic import RingMode, RingParams
 from phinabla.series import LaurentElement
-from phinabla.weil_deligne import (compatibility_family, purity_check,
-                                   quasi_purity_check)
+from phinabla.weil_deligne import (WeilDeligneRep, compatibility_family,
+                                   purity_check, quasi_purity_check,
+                                   trace_table)
 
 
 P = corpus.ring()
@@ -112,6 +114,24 @@ def test_gauge_invariance_via_trace_tables():
     rep_a, _ = wd_extract(m)
     rep_b, _ = wd_extract(scrambled)
     assert compatibility_family([rep_a, rep_b], 6).compatible
+
+
+def test_rank_eight_tensor_cube_of_kt():
+    # Sp(2)^(x3): Phi = diag(1, 5)^(x3), N the Kronecker sum of three N0
+    def kron(A, B):
+        return [[a * b for a in ra for b in rb] for ra in A for rb in B]
+
+    I2 = [[F(1), F(0)], [F(0), F(1)]]
+    N0 = [[F(0), F(1)], [F(0), F(0)]]
+    phi1 = [[F(1), F(0)], [F(0), F(5)]]
+    terms = [kron(kron(N0, I2), I2), kron(kron(I2, N0), I2),
+             kron(kron(I2, I2), N0)]
+    N = [[a + b + c for a, b, c in zip(*rows)] for rows in zip(*terms)]
+    ref = WeilDeligneRep(5, kron(kron(phi1, phi1), phi1), N)
+    kt = corpus.kummer_tate(P)
+    rep, _ = wd_extract(tensor(kt, tensor(kt, kt)))
+    assert rep.dim == 8
+    assert trace_table(rep, 4) == trace_table(ref, 4)
 
 
 def test_nilpotency_index_bounded_by_level():

@@ -22,9 +22,9 @@ from .weil_deligne import (FrobeniusKind, WeilDeligneRep,
                            compatibility_family, quasi_purity_check,
                            _weights_of)
 from .extraction import wd_extract
-from .diagnostics import (abelian_datum_from_json, excision_weight_filtration,
-                          open_curve_from_json, rank_profile, reduction_type)
-from .errors import MissingPairing
+from .diagnostics import (_reduction, abelian_datum_from_json,
+                          excision_weight_filtration, open_curve_from_json,
+                          rank_profile, reduction_type)
 
 
 def _build_parser():
@@ -75,7 +75,11 @@ def _load_json(path):
 
 
 def _params_from(obj, args):
+    if not isinstance(obj, dict):
+        raise TypeError("module input must be a JSON object")
     pr = obj.get("params", {})
+    if not isinstance(pr, dict):
+        raise TypeError('"params" must be a JSON object')
     mode = (RingMode.POWER_SERIES if pr.get("ring_mode") == "power_series"
             else RingMode.LAURENT)
     return RingParams(pr["p"], args.precision,
@@ -179,20 +183,21 @@ def cmd_reduction(args) -> int:
     obj = _load_json(args.path)
     params = _params_from(obj["module"], args)
     datum = abelian_datum_from_json(obj, params)
-    verdict = reduction_type(datum)
-    report = {"verdict": verdict.value, "convention": args.convention,
+    red = _reduction(datum)
+    report = {"verdict": red.verdict.value, "convention": args.convention,
               "version": __version__}
     lines = _banner(args, params)
     lines.append(f"input: {datum.module.label or args.path}")
-    lines.append(f"verdict: {verdict.value}")
-    try:
-        profile = rank_profile(datum)
+    lines.append(f"verdict: {red.verdict.value}")
+    profile = red.profile
+    if profile is None:
+        # the profile needs the pairing once D(A) has horizontal sections
+        lines.append("ranks: unavailable (no pairing)")
+    else:
         report["ranks"] = {"n": profile.n, "mu": profile.mu,
                           "alpha": profile.alpha, "lambda": profile.lam}
         lines.append(f"ranks: n={profile.n} mu={profile.mu} "
                      f"alpha={profile.alpha} lambda={profile.lam}")
-    except MissingPairing:
-        lines.append("ranks: unavailable (no pairing)")
     _emit(args, lines, report)
     return 0
 

@@ -9,7 +9,7 @@ convention in force.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -17,15 +17,15 @@ from .errors import (DiagnosticConflict, InconsistentRanks, MissingPairing,
                      NotEquivariant, PurityFailure)
 from .extraction import wd_extract
 from .linalg import field_kernel
-from .modules import (PhiNablaModule, SOLVE_WINDOW_CAP, check_compatibility,
-                      horizontal_sections, largest_constant_submodule,
-                      lmat_add, lmat_ddt, lmat_det, lmat_mul, lmat_sigma,
-                      lmat_sub, module_from_json, unipotent_filtration)
+from .modules import (PhiNablaModule, SOLVE_WINDOW_CAP, UnipotentFiltration,
+                      _constant_frobenius, horizontal_sections, lmat_add,
+                      lmat_ddt, lmat_det, lmat_mul, lmat_sigma,
+                      lmat_transpose, module_from_json, unipotent_filtration)
 from .padic import PadicNumber
 from .series import LaurentElement
 from .weil_deligne import (FrobeniusKind, WeilDeligneRep,
                            compatibility_family, monodromy_filtration,
-                           purity_check, quasi_purity_check, _weights_of)
+                           quasi_purity_check, _weights_of)
 
 
 class ReductionType(enum.Enum):
@@ -69,7 +69,7 @@ class AbelianVarietyDatum:
             raise MissingPairing("pairing is not perfect at precision")
         q = m.params.q
         if m.has_frobenius and md.has_frobenius:
-            lhs = lmat_mul(_transpose(m.A), lmat_mul(P, md.A))
+            lhs = lmat_mul(lmat_transpose(m.A), lmat_mul(P, md.A))
             qinv = LaurentElement.constant(m.params, Fraction(1, q))
             rhs = [[x.sigma() * qinv for x in row] for row in P]
             if not _lmat_eq(lhs, rhs):
@@ -77,13 +77,9 @@ class AbelianVarietyDatum:
                                      "q^-1 sigma<x, y>")
         if m.has_connection and md.has_connection:
             lhs = lmat_ddt(P)
-            rhs = lmat_add(lmat_mul(_transpose(m.G), P), lmat_mul(P, md.G))
+            rhs = lmat_add(lmat_mul(lmat_transpose(m.G), P), lmat_mul(P, md.G))
             if not _lmat_eq(lhs, rhs):
                 raise MissingPairing("pairing is not horizontal")
-
-
-def _transpose(M):
-    return [list(col) for col in zip(*M)]
 
 
 def _lmat_eq(A, B):
@@ -105,8 +101,7 @@ class RankProfile:
                 f"{self.alpha + self.mu + self.lam}")
 
 
-def _fixed_part_kernel(datum: AbelianVarietyDatum, sections, dual_sections,
-                       cap=SOLVE_WINDOW_CAP):
+def _fixed_part_kernel(datum: AbelianVarietyDatum, sections, dual_sections):
     """Constant combinations of `sections` pairing to zero with every dual
     section: coordinates of D^t inside D^f."""
     params = datum.module.params
@@ -138,18 +133,17 @@ def _fixed_part_kernel(datum: AbelianVarietyDatum, sections, dual_sections,
     return field_kernel(rows, zero, one)
 
 
-def rank_profile(datum: AbelianVarietyDatum,
-                 cap=SOLVE_WINDOW_CAP) -> RankProfile:
-    m = datum.module
+def _rank_profile(datum: AbelianVarietyDatum, sections, cap):
+    """The rank profile from the horizontal sections of D(A), with the
+    D^t coordinates inside D^f (empty when there are no sections)."""
     n = datum.n
-    sections = horizontal_sections(m, cap)
     rk_f = len(sections)
     if rk_f == 0:
-        return RankProfile(n, 0, 0, n)
+        return RankProfile(n, 0, 0, n), []
     if datum.pairing is None:
         raise MissingPairing("mu/alpha split requires the Weil pairing")
-    dual_sections = horizontal_sections(datum.dual, cap)
-    ker = _fixed_part_kernel(datum, sections, dual_sections, cap)
+    ker = _fixed_part_kernel(datum, sections,
+                             horizontal_sections(datum.dual, cap))
     mu = len(ker)
     if (rk_f - mu) % 2 != 0:
         raise InconsistentRanks(
@@ -158,28 +152,41 @@ def rank_profile(datum: AbelianVarietyDatum,
     lam = n - alpha - mu
     if lam < 0:
         raise InconsistentRanks("negative unipotent rank; invalid datum")
-    return RankProfile(n, mu, alpha, lam)
+    return RankProfile(n, mu, alpha, lam), ker
 
 
-def reduction_type(datum: AbelianVarietyDatum,
-                   cap=SOLVE_WINDOW_CAP) -> ReductionType:
-    """Module-theoretic verdict, cross-checked against the rank profile
-    when the pairing permits computing one."""
+def rank_profile(datum: AbelianVarietyDatum,
+                 cap=SOLVE_WINDOW_CAP) -> RankProfile:
+    return _rank_profile(datum,
+                         horizontal_sections(datum.module, cap), cap)[0]
+
+
+@dataclass
+class _Reduction:
+    """A reduction verdict with the solves behind it, for reuse."""
+    verdict: ReductionType
+    sections: list                  # horizontal sections of D(A)
+    filtration: UnipotentFiltration | None  # solved unless GOOD or no sections
+    profile: RankProfile | None     # None without a pairing, given sections
+    torus: list                     # D^t coordinates inside D^f
+
+
+def _reduction(datum: AbelianVarietyDatum,
+               cap=SOLVE_WINDOW_CAP) -> _Reduction:
     m = datum.module
     sections = horizontal_sections(m, cap)
+    fil = None
     if len(sections) == m.rank:
         verdict = ReductionType.GOOD
     else:
-        fil = unipotent_filtration(m, cap)
-        verdict = (ReductionType.SEMISTABLE_NOT_GOOD if fil.unipotent
+        # without a single section the filtration cannot start
+        fil = unipotent_filtration(m, cap) if sections else None
+        verdict = (ReductionType.SEMISTABLE_NOT_GOOD
+                   if fil is not None and fil.unipotent
                    else ReductionType.NOT_SEMISTABLE)
-    profile = None
+    profile, torus = None, []
     if datum.pairing is not None or len(sections) == 0:
-        try:
-            profile = rank_profile(datum, cap)
-        except MissingPairing:
-            profile = None
-    if profile is not None:
+        profile, torus = _rank_profile(datum, sections, cap)
         if verdict is ReductionType.GOOD and not (profile.mu == 0
                                                   and profile.lam == 0):
             raise DiagnosticConflict("GOOD but mu or lambda nonzero")
@@ -188,7 +195,14 @@ def reduction_type(datum: AbelianVarietyDatum,
             raise DiagnosticConflict("semistable but lambda nonzero")
         if verdict is ReductionType.NOT_SEMISTABLE and profile.lam == 0:
             raise DiagnosticConflict("not semistable but lambda zero")
-    return verdict
+    return _Reduction(verdict, sections, fil, profile, torus)
+
+
+def reduction_type(datum: AbelianVarietyDatum,
+                   cap=SOLVE_WINDOW_CAP) -> ReductionType:
+    """Module-theoretic verdict, cross-checked against the rank profile
+    when the pairing permits computing one."""
+    return _reduction(datum, cap).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -256,29 +270,24 @@ def _restrict_and_quotient(phi, sub):
 
 def semistable_weight_filtration(datum: AbelianVarietyDatum,
                                  cap=SOLVE_WINDOW_CAP) -> WeightFiltration:
-    verdict = reduction_type(datum, cap)
-    if verdict is ReductionType.NOT_SEMISTABLE:
+    red = _reduction(datum, cap)
+    if red.verdict is ReductionType.NOT_SEMISTABLE:
         raise DiagnosticConflict("weight filtration needs semistability")
     m = datum.module
     if m.rank == 0:
         return WeightFiltration({-2: 0, -1: 0, 0: 0}, [], [], [])
     q = m.params.q
-    cs = largest_constant_submodule(m, cap)
-    sections = cs.basis
+    sections = red.sections
+    frobenius = _constant_frobenius(m, sections)
     rk_f = len(sections)
     if rk_f and datum.pairing is None:
         raise MissingPairing("W_-2 requires the Weil pairing")
-    torus = []
-    if rk_f:
-        dual_sections = horizontal_sections(datum.dual, cap)
-        ker = _fixed_part_kernel(datum, sections, dual_sections, cap)
-        torus = [_constant_matrix([v], "D^t coordinates")[0] for v in ker]
+    torus = [_constant_matrix([v], "D^t coordinates")[0] for v in red.torus]
     mu = len(torus)
     ranks = {-2: mu, -1: rk_f, 0: m.rank}
 
     graded = []
-    phi_f = _constant_matrix(cs.frobenius, "Frobenius on D^f") \
-        if rk_f else []
+    phi_f = _constant_matrix(frobenius, "Frobenius on D^f") if rk_f else []
     # split phi_f along D^t
     if mu:
         restr, quot = _restrict_and_quotient(phi_f, torus)
@@ -306,8 +315,7 @@ def semistable_weight_filtration(datum: AbelianVarietyDatum,
     # Gr_0 = D / D^f: constant Frobenius on the top block of the gauged
     # unipotent filtration
     if m.rank > rk_f:
-        fil = unipotent_filtration(m, cap)
-        g = fil.gauged_module
+        g = red.filtration.gauged_module
         top = [[g.A[i][j] for j in range(rk_f, m.rank)]
                for i in range(rk_f, m.rank)]
         r = report(0, _constant_matrix(top, "Frobenius on Gr_0"))
@@ -324,38 +332,21 @@ def wd_weight_filtration_flags(datum: AbelianVarietyDatum, m_max: int = 24,
     Returns (flags, fil, rep) where flags maps k in {-2, -1, 0} to a basis
     of WD(W_k) in solution coordinates; Thm-shape expectation is
     WD(W_k) = M_{k+1}."""
-    from .extraction import log_solution_basis, _tame_cover_degree
-    from .modules import kummer_pullback
-
     wf = semistable_weight_filtration(datum, cap)
     m = datum.module
-    rep, _trace = wd_extract(m, m_max, cap=cap)
-    e, _ = _tame_cover_degree(m, m_max)
-    pulled = kummer_pullback(m, e)
-    sols = log_solution_basis(pulled, e, cap).solutions
+    rep, trace = wd_extract(m, m_max, cap=cap)
+    sols = trace.solutions
     params = m.params
 
-    def sub_flag(section_subset):
+    def sub_flag(span):
         """Solutions lying in the R-span of the given module vectors."""
-        if not section_subset:
+        if not span:
             return []
-        span = [[x.rebase(pulled.params) for x in vec]
-                for vec in section_subset]
-        # c in Q^r with sum c_b s_b supported in span: solve per coordinate
-        # not in the span's column space
+        # Unknowns: constants c_b for the solutions and, per log degree d,
+        # series coefficients a_{w,d,n} for each span vector w; require
+        # sum c_b s_b minus the R-linear combination of span to vanish.
         zero = PadicNumber.zero(params)
         one = PadicNumber.from_rational(params, 1)
-        rows = []
-        coords = set()
-        for sol in sols:
-            for d, vec in enumerate(sol.components):
-                for i, x in enumerate(vec):
-                    coords.update((d, i, n) for n in x.coeffs)
-        # span membership: residual after eliminating span directions;
-        # build combined system [solutions | -span-multiples] and project
-        # instead: require combo minus R-linear combination of span = 0.
-        # Unknowns: c_b (constants) and, per log degree d, series
-        # coefficients a_{w,d,n} for each span vector w.
         r = len(sols)
         nspan = len(span)
         lo = max(params.window_lo, -cap)
@@ -363,9 +354,7 @@ def wd_weight_filtration_flags(datum: AbelianVarietyDatum, m_max: int = 24,
         exps = list(range(lo, hi + 1))
         pos = {n: t for t, n in enumerate(exps)}
         width = len(exps)
-        rmax = max((d for sol in sols
-                    for d, vec in enumerate(sol.components)
-                    if any(not x.is_zero() for x in vec)), default=0) + 1
+        rmax = max(trace.log_degrees, default=0) + 1
         ncols = r + nspan * rmax * width
 
         def aidx(w, d, n):

@@ -4,7 +4,9 @@ The pipeline: residue exponents pick the tame cover degree e; after Kummer
 pullback the module is unipotent and its log-horizontal solutions
 (coefficients in K, finitely many powers of log t) carry a constant
 Frobenius, the log-derivative monodromy N, and a mu_e inertia action read
-off the t-exponent residue classes.
+off the t-exponent residue classes.  The log basis comes from the solver in
+`modules` (horizontal sections are its log-depth-1 case) and is kept on the
+ExtractionTrace, so callers reuse it instead of solving again.
 """
 
 from __future__ import annotations
@@ -14,150 +16,42 @@ from fractions import Fraction
 
 from .errors import (NonConstantFrobenius, NotLevelTwo, NotTame,
                      WindowTooSmall)
-from .linalg import field_kernel, field_solve
-from .modules import (GaugeChange, PhiNablaModule, SOLVE_WINDOW_CAP,
-                      kummer_pullback, lmat_identity, residue_exponents,
-                      unipotent_filtration)
-from .padic import PadicNumber, RingMode
+from .modules import (GaugeChange, LogSolution, PhiNablaModule,
+                      SOLVE_WINDOW_CAP, _frobenius_image,
+                      _solution_coordinates, _solve_nabla, kummer_pullback,
+                      lmat_identity, residue_exponents, unipotent_filtration)
+from .padic import RingMode
 from .series import LaurentElement
 from .weil_deligne import FrobeniusKind, WeilDeligneRep
 
 
 @dataclass
-class LogSolution:
-    """One horizontal section sum_d v_d (log t)^d; v_d are Laurent vectors."""
-    components: list        # index d -> tuple of LaurentElement
-    residue_class: int      # exponent class mod e (inertia character)
-
-    @property
-    def log_degree(self):
-        return max((d for d, v in enumerate(self.components)
-                    if any(not x.is_zero() for x in v)), default=0)
-
-
-@dataclass
 class LogSolutionBasis:
-    solutions: list
+    solutions: list[LogSolution]
     cover_degree: int
 
 
 @dataclass
 class ExtractionTrace:
-    """Human-readable derivation record surfaced by the CLI."""
+    """Human-readable derivation record surfaced by the CLI, with the log
+    basis the extraction solved for."""
     exponents: list
     cover_degree: int
-    log_degrees: list
-    residue_classes: list
+    solutions: list[LogSolution]    # log basis of the pulled-back module
 
+    @property
+    def log_degrees(self):
+        return [s.log_degree for s in self.solutions]
 
-# ---------------------------------------------------------------------------
-# log-horizontal solving
-
-def _log_kernel(m: PhiNablaModule, residue_class: int, e: int,
-                lo: int, hi: int):
-    """Solutions sum_d v_d (log)^d of D v_d + (tG) v_d + (d+1) v_{d+1} = 0
-    with all exponents congruent to residue_class mod e, supported on
-    [lo, hi]."""
-    params = m.params
-    r = m.rank
-    exps = [n for n in range(lo, hi + 1) if (n - residue_class) % e == 0]
-    if not exps:
-        return []
-    pos = {n: i for i, n in enumerate(exps)}
-    ncols = r * r * len(exps)
-
-    def idx(d, j, n):
-        return (d * r + j) * len(exps) + pos[n]
-
-    zero = PadicNumber.zero(params)
-    one = PadicNumber.from_rational(params, 1)
-    tG = [[g.shift(1) for g in row] for row in m.G]
-    tg_exps = [k for row in tG for x in row for k in x.coeffs]
-    shift_lo = min([0] + tg_exps)
-    shift_hi = max([0] + tg_exps)
-
-    rows = []
-    for d in range(r):
-        for i in range(r):
-            for mexp in range(lo + shift_lo, hi + shift_hi + 1):
-                if (mexp - residue_class) % e != 0:
-                    continue
-                row = [zero] * ncols
-                nontrivial = False
-                if mexp in pos and mexp != 0:
-                    row[idx(d, i, mexp)] = PadicNumber.from_rational(
-                        params, mexp)
-                    nontrivial = True
-                for j in range(r):
-                    for k, c in tG[i][j].coeffs.items():
-                        n = mexp - k
-                        if n in pos:
-                            col = idx(d, j, n)
-                            row[col] = row[col] + c
-                            nontrivial = True
-                if d + 1 < r and mexp in pos:
-                    row[idx(d + 1, i, mexp)] = PadicNumber.from_rational(
-                        params, d + 1)
-                    nontrivial = True
-                if nontrivial:
-                    rows.append(row)
-    basis = field_kernel(rows, zero, one)
-    out = []
-    for v in basis:
-        comps = []
-        for d in range(r):
-            vec = []
-            for j in range(r):
-                terms = [(n, v[idx(d, j, n)]) for n in exps
-                         if not v[idx(d, j, n)].is_zero()]
-                vec.append(LaurentElement.from_terms(params, terms))
-            comps.append(tuple(vec))
-        out.append(LogSolution(comps, residue_class))
-    return out
-
-
-def _log_residual(m: PhiNablaModule, sol: LogSolution):
-    """The vector coefficients of D(sol) + (t G)(sol), per log degree."""
-    r = m.rank
-    tG = [[g.shift(1) for g in row] for row in m.G]
-    out = []
-    for d in range(r):
-        vd = sol.components[d]
-        vd1 = sol.components[d + 1] if d + 1 < r else None
-        res = []
-        for i in range(r):
-            acc = vd[i].D()
-            for j in range(r):
-                acc = acc + tG[i][j] * vd[j]
-            if vd1 is not None:
-                acc = acc + vd1[i].scale(d + 1)
-            res.append(acc)
-        out.append(res)
-    return out
-
-
-def _log_verify(m: PhiNablaModule, sol: LogSolution) -> bool:
-    return all(x.is_zero() for res in _log_residual(m, sol) for x in res)
+    @property
+    def residue_classes(self):
+        return [s.residue_class for s in self.solutions]
 
 
 def log_solution_basis(m: PhiNablaModule, e: int = 1,
                        cap: int = SOLVE_WINDOW_CAP) -> LogSolutionBasis:
     """Full basis of log-horizontal sections, solved per residue class."""
-    m._require(connection=True)
-    if any(x.has_tail() for row in m.G for x in row):
-        raise WindowTooSmall("connection matrix truncated")
-    lo = max(m.params.window_lo, -cap)
-    hi = min(m.params.window_hi, cap)
-    sols = []
-    for rcls in range(e):
-        found = _log_kernel(m, rcls, e, lo, hi)
-        half = _log_kernel(m, rcls, e, -((-lo) // 2), max(1, hi // 2))
-        if len(half) != len(found):
-            raise WindowTooSmall("log-solution space is window-sensitive")
-        for s in found:
-            if not _log_verify(m, s):
-                raise WindowTooSmall("log solution fails full-window check")
-        sols.extend(found)
+    sols = _solve_nabla(m, m.rank, e, cap)
     if len(sols) != m.rank:
         raise WindowTooSmall(
             f"found {len(sols)} log solutions, expected {m.rank}")
@@ -166,57 +60,15 @@ def log_solution_basis(m: PhiNablaModule, e: int = 1,
     return LogSolutionBasis(sols, e)
 
 
-# ---------------------------------------------------------------------------
-# expressing vectors in the solution span
-
-def _solution_coordinates(basis, target_components, params):
-    coords = set()
-    for sol in basis:
-        for d, vec in enumerate(sol.components):
-            for i, x in enumerate(vec):
-                coords.update((d, i, n) for n in x.coeffs)
-    for d, vec in enumerate(target_components):
-        for i, x in enumerate(vec):
-            coords.update((d, i, n) for n in x.coeffs)
-    coords = sorted(coords)
-    zero = PadicNumber.zero(params)
-    rows = []
-    rhs = []
-    for (d, i, n) in coords:
-        rows.append([sol.components[d][i].coefficient(n) for sol in basis])
-        rhs.append(target_components[d][i].coefficient(n))
-    return field_solve(rows, rhs, zero)
-
-
-def _frobenius_image(m: PhiNablaModule, sol: LogSolution):
-    """phi applied to a log solution: A sigma(v_d) p^d at log degree d,
-    since phi(log t) = p log t."""
-    p = m.params.p
-    r = m.rank
-    out = []
-    for d in range(r):
-        svec = [x.sigma() for x in sol.components[d]]
-        vec = []
-        for i in range(r):
-            acc = None
-            for j in range(r):
-                term = m.A[i][j] * svec[j]
-                acc = term if acc is None else acc + term
-            vec.append(acc.scale(Fraction(p) ** d))
-        out.append(tuple(vec))
-    return out
-
-
-def _log_derivative(sol: LogSolution, params):
-    """d/d(log t) of the solution: degree d picks up (d+1) v_{d+1}."""
-    r = len(sol.components)
+def _log_derivative(comps, params):
+    """d/d(log t) of sum_d v_d (log t)^d: degree d picks up (d+1) v_{d+1}."""
+    r = len(comps)
     out = []
     for d in range(r):
         if d + 1 < r:
-            out.append(tuple(x.scale(d + 1) for x in sol.components[d + 1]))
+            out.append(tuple(x.scale(d + 1) for x in comps[d + 1]))
         else:
-            out.append(tuple(LaurentElement.zero(params)
-                             for _ in sol.components[d]))
+            out.append(tuple(LaurentElement.zero(params) for _ in comps[d]))
     return out
 
 
@@ -288,10 +140,10 @@ def wd_extract(m: PhiNablaModule, m_max: int = 24,
     r = m.rank
     params = m.params
 
+    comps = [s.components for s in sols]
     phi_cols = []
-    for sol in sols:
-        img = _frobenius_image(pulled, sol)
-        x = _solution_coordinates(sols, img, params)
+    for c in comps:
+        x = _solution_coordinates(comps, _frobenius_image(pulled, c), params)
         if x is None:
             raise NonConstantFrobenius(
                 "phi image leaves the solution span at precision")
@@ -300,9 +152,8 @@ def wd_extract(m: PhiNablaModule, m_max: int = 24,
     phi = linalg.transpose(phi_cols)
 
     N_cols = []
-    for sol in sols:
-        der = _log_derivative(sol, params)
-        x = _solution_coordinates(sols, der, params)
+    for c in comps:
+        x = _solution_coordinates(comps, _log_derivative(c, params), params)
         if x is None:
             raise NonConstantFrobenius("log derivative leaves the span")
         N_cols.append(_rational_vector(x, NonConstantFrobenius,
@@ -331,8 +182,7 @@ def wd_extract(m: PhiNablaModule, m_max: int = 24,
 
     rep = WeilDeligneRep(params.q, phi, N, e, inertia_matrix,
                          frobenius_kind, m.label)
-    trace = ExtractionTrace([str(x) for x in exponents], e,
-                            [s.log_degree for s in sols], classes)
+    trace = ExtractionTrace([str(x) for x in exponents], e, sols)
     return rep, trace
 
 

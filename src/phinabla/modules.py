@@ -4,6 +4,12 @@ A module of rank r is given by a Frobenius matrix A (phi(e_j) = sum A_ij e_i,
 sigma-semilinear) and a connection matrix G (nabla(e_j) = sum G_ij e_i dt).
 Both structures are optional; when both are present the compatibility
 residual  dA/dt + G A - p t^(p-1) A sigma(G)  must vanish at precision.
+
+One solver serves horizontal sections and the log-horizontal solutions
+sum_d v_d (log t)^d that extraction needs: it solves the coefficient
+equations of D + tG (D = t d/dt) at a given log depth, per exponent class
+mod a cover degree e, on a capped window checked against its half.  A
+horizontal section is a solution of log depth 1 with e = 1.
 """
 
 from __future__ import annotations
@@ -321,93 +327,175 @@ def direct_sum(m1: PhiNablaModule, m2: PhiNablaModule) -> PhiNablaModule:
                           else "")
 
 
-# -- horizontal sections ----------------------------------------------------
+# -- log-horizontal solutions ----------------------------------------------
 
-def _solve_window(params: RingParams, cap: int):
-    lo = max(params.window_lo, -cap)
-    hi = min(params.window_hi, cap)
-    return lo, hi
+@dataclass
+class LogSolution:
+    """One solution sum_d v_d (log t)^d of nabla; v_d are Laurent vectors.
+    A horizontal section is the solution of log depth 1 (no log t)."""
+    components: list        # index d -> tuple of LaurentElement
+    residue_class: int      # exponent class mod e (inertia character)
+
+    @property
+    def log_degree(self):
+        return max((d for d, v in enumerate(self.components)
+                    if any(not x.is_zero() for x in v)), default=0)
 
 
-def _horizontal_kernel(m: PhiNablaModule, lo: int, hi: int):
-    """Kernel of nabla on vectors with entries supported on [lo, hi].
+def _nabla_kernel(m: PhiNablaModule, tG, depth: int, residue_class: int,
+                  e: int, lo: int, hi: int):
+    """Solutions sum_{d < depth} v_d (log)^d of
+    D v_d + (tG) v_d + (d+1) v_{d+1} = 0 with all exponents congruent to
+    residue_class mod e, supported on [lo, hi].
 
-    Unknowns are the coefficients c[j, n]; equations come from every
-    exponent of  df/dt + G f  that the window determines exactly.
+    Unknowns are the coefficients c[d, j, n]; equations come from every
+    exponent of the D-form operator that the window determines exactly.
     """
     params = m.params
     r = m.rank
-    exps = list(range(lo, hi + 1))
-    idx = {(j, n): j * len(exps) + (n - lo) for j in range(r) for n in exps}
-    ncols = r * len(exps)
+    exps = [n for n in range(lo, hi + 1) if (n - residue_class) % e == 0]
+    if not exps:
+        return []
+    pos = {n: i for i, n in enumerate(exps)}
+    ncols = depth * r * len(exps)
+
+    def idx(d, j, n):
+        return (d * r + j) * len(exps) + pos[n]
+
     zero = PadicNumber.zero(params)
     one = PadicNumber.from_rational(params, 1)
-
     # the operator in D-form: D f + (tG) f, so exponents shift by +1 from G
-    tG = [[g.shift(1) for g in row] for row in m.G]
-    tg_exps = [e for row in tG for x in row for e in x.coeffs]
+    tg_exps = [k for row in tG for x in row for k in x.coeffs]
     shift_lo = min([0] + tg_exps)
     shift_hi = max([0] + tg_exps)
 
     rows = []
-    for i in range(r):
-        for mexp in range(lo + shift_lo, hi + shift_hi + 1):
-            row = [zero] * ncols
-            nontrivial = False
-            if lo <= mexp <= hi and mexp != 0:
-                row[idx[(i, mexp)]] = PadicNumber.from_rational(params, mexp)
-                nontrivial = True
-            for j in range(r):
-                for k, c in tG[i][j].coeffs.items():
-                    n = mexp - k
-                    if lo <= n <= hi:
-                        col = idx[(j, n)]
-                        row[col] = row[col] + c
-                        nontrivial = True
-            if nontrivial:
-                rows.append(row)
-    basis = field_kernel(rows, zero, one)
+    for d in range(depth):
+        for i in range(r):
+            for mexp in range(lo + shift_lo, hi + shift_hi + 1):
+                if (mexp - residue_class) % e != 0:
+                    continue
+                row = [zero] * ncols
+                nontrivial = False
+                if mexp in pos and mexp != 0:
+                    row[idx(d, i, mexp)] = PadicNumber.from_rational(
+                        params, mexp)
+                    nontrivial = True
+                for j in range(r):
+                    for k, c in tG[i][j].coeffs.items():
+                        n = mexp - k
+                        if n in pos:
+                            col = idx(d, j, n)
+                            row[col] = row[col] + c
+                            nontrivial = True
+                if d + 1 < depth and mexp in pos:
+                    row[idx(d + 1, i, mexp)] = PadicNumber.from_rational(
+                        params, d + 1)
+                    nontrivial = True
+                if nontrivial:
+                    rows.append(row)
     out = []
-    for v in basis:
-        vec = []
-        for j in range(r):
-            terms = [(n, v[idx[(j, n)]]) for n in exps
-                     if not v[idx[(j, n)]].is_zero()]
-            vec.append(LaurentElement.from_terms(params, terms))
-        out.append(tuple(vec))
+    for v in field_kernel(rows, zero, one):
+        comps = []
+        for d in range(depth):
+            vec = []
+            for j in range(r):
+                terms = [(n, v[idx(d, j, n)]) for n in exps
+                         if not v[idx(d, j, n)].is_zero()]
+                vec.append(LaurentElement.from_terms(params, terms))
+            comps.append(tuple(vec))
+        out.append(LogSolution(comps, residue_class))
     return out
 
 
-def _verify_horizontal(m: PhiNablaModule, vec) -> bool:
-    for i in range(m.rank):
-        acc = vec[i].d_dt()
-        for j in range(m.rank):
-            acc = acc + m.G[i][j] * vec[j]
-        if not acc.is_zero():
-            return False
+def _satisfies(tG, sol: LogSolution) -> bool:
+    """Whether sol solves the D-form equations at every log degree."""
+    comps = sol.components
+    r = len(tG)
+    for d, vd in enumerate(comps):
+        for i in range(r):
+            acc = vd[i].D()
+            for j in range(r):
+                acc = acc + tG[i][j] * vd[j]
+            if d + 1 < len(comps):
+                acc = acc + comps[d + 1][i].scale(d + 1)
+            if not acc.is_zero():
+                return False
     return True
 
 
-def horizontal_sections(m: PhiNablaModule, cap: int = SOLVE_WINDOW_CAP):
-    """K-basis of ker(nabla) with window-supported entries.
+def _solve_nabla(m: PhiNablaModule, depth: int, e: int, cap: int):
+    """Log solutions of depth `depth`, solved per residue class mod e.
 
-    Raises WindowTooSmall when the answer changes between the working
-    exponent window and its half, or when G itself is truncated.
+    Each class is solved on the working exponent window (capped to
+    [-cap, cap]) and again on its half; WindowTooSmall is raised when the
+    two disagree, when a solution fails the full equations, or when G
+    itself is truncated.
     """
     m._require(connection=True)
     if any(x.has_tail() for row in m.G for x in row):
         raise WindowTooSmall("connection matrix truncated; cannot trust "
                              "the coefficient equations")
-    lo, hi = _solve_window(m.params, cap)
-    basis = _horizontal_kernel(m, lo, hi)
-    half = _horizontal_kernel(m, -((-lo) // 2), max(1, hi // 2))
-    if len(half) != len(basis):
-        raise WindowTooSmall("solution space is window-boundary sensitive")
-    for vec in basis:
-        if not _verify_horizontal(m, vec):
-            raise WindowTooSmall("candidate section fails the full-window "
-                                 "equations")
-    return basis
+    tG = [[g.shift(1) for g in row] for row in m.G]
+    lo = max(m.params.window_lo, -cap)
+    hi = min(m.params.window_hi, cap)
+    sols = []
+    for rcls in range(e):
+        found = _nabla_kernel(m, tG, depth, rcls, e, lo, hi)
+        half = _nabla_kernel(m, tG, depth, rcls, e, -((-lo) // 2),
+                             max(1, hi // 2))
+        if len(half) != len(found):
+            raise WindowTooSmall("solution space is window-boundary "
+                                 "sensitive")
+        if not all(_satisfies(tG, s) for s in found):
+            raise WindowTooSmall("candidate solution fails the "
+                                 "full-window equations")
+        sols.extend(found)
+    return sols
+
+
+def horizontal_sections(m: PhiNablaModule, cap: int = SOLVE_WINDOW_CAP):
+    """K-basis of ker(nabla) with window-supported entries: the log
+    solutions of depth 1.
+
+    Raises WindowTooSmall when the answer changes between the working
+    exponent window and its half, or when G itself is truncated.
+    """
+    return [s.components[0] for s in _solve_nabla(m, 1, 1, cap)]
+
+
+def _solution_coordinates(basis, target, params):
+    """Constants x with sum_k x_k basis_k = target, or None.  Each basis
+    element and the target are lists of vectors, one per log degree."""
+    coords = set()
+    for comps in list(basis) + [target]:
+        for d, vec in enumerate(comps):
+            for i, x in enumerate(vec):
+                coords.update((d, i, n) for n in x.coeffs)
+    rows = []
+    rhs = []
+    for (d, i, n) in sorted(coords):
+        rows.append([b[d][i].coefficient(n) for b in basis])
+        rhs.append(target[d][i].coefficient(n))
+    return field_solve(rows, rhs, PadicNumber.zero(params))
+
+
+def _frobenius_image(m: PhiNablaModule, comps):
+    """phi applied to sum_d v_d (log t)^d: A sigma(v_d) p^d at log degree
+    d, since phi(log t) = p log t."""
+    p = m.params.p
+    out = []
+    for d, vd in enumerate(comps):
+        svec = [x.sigma() for x in vd]
+        vec = []
+        for i in range(m.rank):
+            acc = None
+            for j in range(m.rank):
+                term = m.A[i][j] * svec[j]
+                acc = term if acc is None else acc + term
+            vec.append(acc.scale(Fraction(p) ** d))
+        out.append(tuple(vec))
+    return out
 
 
 # -- constant part and unipotence -------------------------------------------
@@ -419,54 +507,28 @@ class ConstantSubmodule:
     rank: int
 
 
-def _span_coordinates(vectors):
-    """Occupied (row, exponent) coordinates of a family of Laurent vectors."""
-    coords = set()
-    for vec in vectors:
-        for i, x in enumerate(vec):
-            coords.update((i, e) for e in x.coeffs)
-    return sorted(coords)
-
-
-def _express_in_span(target, basis, params):
-    """Constants x with sum x_k basis_k = target, or None."""
-    coords = _span_coordinates(list(basis) + [target])
-    zero = PadicNumber.zero(params)
-    rows = []
-    rhs = []
-    for (i, e) in coords:
-        rows.append([b[i].coefficient(e) for b in basis])
-        rhs.append(target[i].coefficient(e))
-    return field_solve(rows, rhs, zero)
-
-
-def _apply_frobenius(m: PhiNablaModule, vec):
-    svec = [x.sigma() for x in vec]
-    out = []
-    for i in range(m.rank):
-        acc = None
-        for j in range(m.rank):
-            term = m.A[i][j] * svec[j]
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return tuple(out)
-
-
 def largest_constant_submodule(m: PhiNablaModule,
                                cap: int = SOLVE_WINDOW_CAP):
     """Span of ker(nabla) with the induced (constant) Frobenius."""
     basis = horizontal_sections(m, cap)
-    frob = None
-    if m.has_frobenius and basis:
-        frob = []
-        for b in basis:
-            x = _express_in_span(_apply_frobenius(m, b), basis, m.params)
-            if x is None:
-                raise DiagnosticConflict(
-                    "phi does not stabilise ker(nabla) at precision")
-            frob.append(x)
-        frob = [list(col) for col in zip(*frob)]  # column j = phi(b_j)
-    return ConstantSubmodule(basis, frob, len(basis))
+    return ConstantSubmodule(basis, _constant_frobenius(m, basis),
+                             len(basis))
+
+
+def _constant_frobenius(m: PhiNablaModule, basis):
+    """Matrix of phi on the span of the horizontal sections `basis`
+    (column j = phi(b_j)), or None without Frobenius or sections."""
+    if not (m.has_frobenius and basis):
+        return None
+    comps = [[b] for b in basis]
+    frob = []
+    for c in comps:
+        x = _solution_coordinates(comps, _frobenius_image(m, c), m.params)
+        if x is None:
+            raise DiagnosticConflict(
+                "phi does not stabilise ker(nabla) at precision")
+        frob.append(x)
+    return [list(col) for col in zip(*frob)]
 
 
 @dataclass

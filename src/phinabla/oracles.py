@@ -508,20 +508,20 @@ def algebraic_weight(poly, q: int):
         return sorted(weights + [w, w])
     # numeric with certification
     import mpmath
-    mpmath.mp.dps = 50
-    roots, err = mpmath.polyroots(
-        [mpmath.mpf(c.numerator) / c.denominator for c in reversed(rem)],
-        maxsteps=100, extraprec=100, error=True)
-    sep = mpmath.mpf(q) ** Fraction(1, 4) - 1
-    for root in roots:
-        mod = abs(root)
-        w2 = 2 * mpmath.log(mod) / mpmath.log(q)
-        w = Fraction(round(float(w2 * f)), f)
-        target = mpmath.mpf(q) ** (mpmath.mpf(w.numerator)
-                                   / (2 * w.denominator))
-        if abs(mod - target) > err + mpmath.mpf("1e-30"):
-            if abs(mod - target) < sep / 4:
-                raise Uncertifiable("interval overlaps decision boundary")
-            raise NotWeil("root modulus is not q^(w/2)")
-        weights.append(w)
+    with mpmath.workdps(50):
+        roots, err = mpmath.polyroots(
+            [mpmath.mpf(c.numerator) / c.denominator for c in reversed(rem)],
+            maxsteps=100, extraprec=100, error=True)
+        sep = mpmath.mpf(q) ** Fraction(1, 4) - 1
+        for root in roots:
+            mod = abs(root)
+            w2 = 2 * mpmath.log(mod) / mpmath.log(q)
+            w = Fraction(round(float(w2 * f)), f)
+            target = mpmath.mpf(q) ** (mpmath.mpf(w.numerator)
+                                       / (2 * w.denominator))
+            if abs(mod - target) > err + mpmath.mpf("1e-30"):
+                if abs(mod - target) < sep / 4:
+                    raise Uncertifiable("interval overlaps decision boundary")
+                raise NotWeil("root modulus is not q^(w/2)")
+            weights.append(w)
     return sorted(weights)

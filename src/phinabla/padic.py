@@ -10,7 +10,7 @@ fixed generator modulo a user-supplied irreducible polynomial.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 

@@ -271,7 +271,12 @@ class LaurentElement:
                 c = PadicNumber.from_rational(
                     params, Fraction(int(upart)) * Fraction(params.p) ** int(vpart))
             else:
-                c = PadicNumber.from_rational(params, Fraction(s))
+                try:
+                    value = Fraction(s)
+                except ZeroDivisionError:
+                    raise ValueError(f"coefficient {s!r} has a zero "
+                                     "denominator") from None
+                c = PadicNumber.from_rational(params, value)
             terms.append((int(e), c))
         return cls.from_terms(params, terms)
 
@@ -296,22 +301,3 @@ class LaurentElement:
             tails += " + O(t^-big)"
         return body + tails
 
-
-def add(x: LaurentElement, y: LaurentElement) -> LaurentElement:
-    return x + y
-
-
-def mul(x: LaurentElement, y: LaurentElement) -> LaurentElement:
-    return x * y
-
-
-def sigma(x: LaurentElement) -> LaurentElement:
-    return x.sigma()
-
-
-def d_dt(x: LaurentElement) -> LaurentElement:
-    return x.d_dt()
-
-
-def D(x: LaurentElement) -> LaurentElement:
-    return x.D()

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .errors import (IrrationalTrace, NonInvertible, NotNilpotent, NotWeil,
-                     PurityFailure)
+from .errors import IrrationalTrace, NonInvertible, NotNilpotent, NotWeil
 
 
 class FrobeniusKind(enum.Enum):
@@ -351,24 +350,25 @@ def _numeric_weight(coeffs, p, f, q):
     norm identity |prod roots| = q^(w deg / 2)."""
     import mpmath
 
-    mpmath.mp.dps = 60
-    roots = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
-                              for c in reversed(coeffs)], maxsteps=200,
-                             extraprec=200)
-    moduli = [abs(r) for r in roots]
-    lo, hi = min(moduli), max(moduli)
-    if hi == 0:
-        raise NotWeil("zero eigenvalue")
-    if (hi - lo) / hi > mpmath.mpf("1e-30"):
-        raise NotWeil("embeddings have different absolute values")
-    w2 = 2 * mpmath.log(lo) / mpmath.log(q)  # candidate weight
-    w = Fraction(round(float(w2 * f)), f)
-    deg = len(coeffs) - 1
-    norm = abs(coeffs[0] / coeffs[-1])  # |prod of roots|
-    if _weight_from_modulus_squared(norm ** 2, p, f) != w * deg:
-        raise NotWeil("norm identity fails for the candidate weight")
-    if abs(w2 - mpmath.mpf(w.numerator) / w.denominator) > mpmath.mpf("1e-25"):
-        raise NotWeil("candidate weight fails numerical certification")
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
+                                  for c in reversed(coeffs)], maxsteps=200,
+                                 extraprec=200)
+        moduli = [abs(r) for r in roots]
+        lo, hi = min(moduli), max(moduli)
+        if hi == 0:
+            raise NotWeil("zero eigenvalue")
+        if (hi - lo) / hi > mpmath.mpf("1e-30"):
+            raise NotWeil("embeddings have different absolute values")
+        w2 = 2 * mpmath.log(lo) / mpmath.log(q)  # candidate weight
+        w = Fraction(round(float(w2 * f)), f)
+        deg = len(coeffs) - 1
+        norm = abs(coeffs[0] / coeffs[-1])  # |prod of roots|
+        if _weight_from_modulus_squared(norm ** 2, p, f) != w * deg:
+            raise NotWeil("norm identity fails for the candidate weight")
+        if (abs(w2 - mpmath.mpf(w.numerator) / w.denominator)
+                > mpmath.mpf("1e-25")):
+            raise NotWeil("candidate weight fails numerical certification")
     return w
 
 

@@ -135,6 +135,21 @@ def test_malformed_json_is_parse_error(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("text", [
+    "[]",
+    '{"params": "x", "rank": 1, "connection": [[0]]}',
+    '{"params": {"p": 5}, "rank": 1, '
+    '"connection": [[{"terms": [[-1, "1/0"]]}]]}',
+])
+def test_malformed_module_is_input_error(capsys, tmp_path, text):
+    path = tmp_path / "module.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert json.loads(err)["error"] == "input"
+    assert "Traceback" not in err and out == ""
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -1,11 +1,12 @@
 """Diagnostics: rank profiles, reduction types, weight filtrations,
 excision, ell-independence."""
 
+import pathlib
 from fractions import Fraction
 
 import pytest
 
-from phinabla import corpus, linalg
+from phinabla import cli, corpus, linalg, modules
 from phinabla.diagnostics import (AbelianVarietyDatum, OpenCurveDatum,
                                   ReductionType, check_weight_monodromy,
                                   ell_independence_check,
@@ -130,6 +131,50 @@ def test_wd_filtration_matches_monodromy_shifted():
         corpus.tate_abelian_datum(P))
     for k in (-2, -1, 0):
         assert linalg.same_space(flags[k], fil.basis(k + 1)), k
+
+
+# -- each solve once per call ----------------------------------------------
+
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+
+
+def _kernel_calls(monkeypatch, run):
+    """Calls of the one nabla-kernel solver made by run()."""
+    calls = 0
+    solve = modules._nabla_kernel
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(modules, "_nabla_kernel", counted)
+    run()
+    return calls
+
+
+@pytest.mark.parametrize("run, solves", [
+    # sections of D(A) and of its dual, and the two steps of the unipotent
+    # filtration, each solved on the window and on its half
+    pytest.param(lambda: semistable_weight_filtration(
+        corpus.tate_abelian_datum(P)), 8, id="weight-filtration"),
+    # the same, plus the log basis of wd_extract
+    pytest.param(lambda: wd_weight_filtration_flags(
+        corpus.tate_abelian_datum(P)), 10, id="wd-flags"),
+    pytest.param(lambda: cli.main(
+        ["reduction", str(CORPUS / "tate_abelian.json")]), 8,
+        id="cli-tate"),
+    # GOOD: sections of D(A) and of the dual, no filtration
+    pytest.param(lambda: cli.main(
+        ["reduction", str(CORPUS / "good_elliptic.json")]), 4,
+        id="cli-good"),
+    # no section: neither the filtration nor the dual is solved
+    pytest.param(lambda: cli.main(
+        ["reduction", str(CORPUS / "bad_reduction.json")]), 2,
+        id="cli-bad"),
+])
+def test_each_solve_runs_once(run, solves, monkeypatch, capsys):
+    assert _kernel_calls(monkeypatch, run) == solves
 
 
 # -- weight monodromy -------------------------------------------------------

@@ -3,9 +3,10 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from phinabla import linalg
+from phinabla import linalg, oracles
 from phinabla.errors import NotNilpotent, NotWeil
 from phinabla.weil_deligne import (FrobeniusKind, WeilDeligneRep,
                                    compatibility_family,
@@ -207,3 +208,12 @@ def test_json_roundtrip():
     assert back.phi == rep.phi
     assert back.N == rep.N
     assert back.frobenius_kind is rep.frobenius_kind
+
+
+@pytest.mark.parametrize("weigh", [weight_of_eigenvalue,
+                                   oracles.algebraic_weight])
+def test_numeric_weights_keep_mpmath_precision(weigh):
+    # T^4 + 25 has no rational root, so both take the numeric path
+    before = mpmath.mp.dps
+    weigh([25, 0, 0, 0, 1], 5)
+    assert mpmath.mp.dps == before

@@ -24,7 +24,7 @@ from .weil_deligne import (FrobeniusKind, WeilDeligneRep,
 from .extraction import wd_extract
 from .diagnostics import (_reduction, abelian_datum_from_json,
                           excision_weight_filtration, open_curve_from_json,
-                          rank_profile, reduction_type)
+                          reduction_type)
 
 
 def _build_parser():
@@ -64,22 +64,43 @@ def _kind(args):
             else FrobeniusKind.ARITHMETIC)
 
 
-def _load_json(path):
+# JSON paths each subcommand reads without a default
+_REQUIRED = {
+    "analyze": ("params.p", "rank"),
+    "wd": ("params.p", "rank"),
+    "reduction": ("module.params.p", "module.rank"),
+    # the other modules of an open curve share the ring of h1_compact
+    "excision": ("h1_compact.params.p", "h1_compact.rank",
+                 "h0_boundary_twisted.rank", "h2_compact.rank",
+                 "boundary_map"),
+    "compat": ("members",),
+}
+
+
+def _load_json(args):
+    """The input file of a subcommand, with every path it needs."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(args.path) as fh:
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": "parse", "detail": str(exc)}),
               file=sys.stderr)
         raise SystemExit(2)
+    for path in _REQUIRED[args.command]:
+        node, keys = obj, path.split(".")
+        for depth, key in enumerate(keys):
+            if not isinstance(node, dict):
+                where = ".".join(keys[:depth])
+                raise TypeError(f'"{where}" must be a JSON object' if where
+                                else "input must be a JSON object")
+            if key not in node:
+                raise ValueError(f'missing "{path}"')
+            node = node[key]
+    return obj
 
 
 def _params_from(obj, args):
-    if not isinstance(obj, dict):
-        raise TypeError("module input must be a JSON object")
-    pr = obj.get("params", {})
-    if not isinstance(pr, dict):
-        raise TypeError('"params" must be a JSON object')
+    pr = obj["params"]
     mode = (RingMode.POWER_SERIES if pr.get("ring_mode") == "power_series"
             else RingMode.LAURENT)
     return RingParams(pr["p"], args.precision,
@@ -106,7 +127,7 @@ def _emit(args, text_lines, json_obj):
 
 
 def cmd_analyze(args) -> int:
-    obj = _load_json(args.path)
+    obj = _load_json(args)
     params = _params_from(obj, args)
     m = module_from_json(obj, params)
     report = {"input": m.label or args.path, "precision": params.N,
@@ -163,7 +184,7 @@ def _matrix_rank(M):
 
 
 def cmd_wd(args) -> int:
-    obj = _load_json(args.path)
+    obj = _load_json(args)
     params = _params_from(obj, args)
     m = module_from_json(obj, params)
     rep, trace = wd_extract(m, args.mmax, _kind(args))
@@ -180,7 +201,7 @@ def cmd_wd(args) -> int:
 
 
 def cmd_reduction(args) -> int:
-    obj = _load_json(args.path)
+    obj = _load_json(args)
     params = _params_from(obj["module"], args)
     datum = abelian_datum_from_json(obj, params)
     red = _reduction(datum)
@@ -203,7 +224,7 @@ def cmd_reduction(args) -> int:
 
 
 def cmd_excision(args) -> int:
-    obj = _load_json(args.path)
+    obj = _load_json(args)
     params = _params_from(obj["h1_compact"], args)
     datum = open_curve_from_json(obj, params)
     rep = excision_weight_filtration(datum, args.mmax)
@@ -233,7 +254,7 @@ def cmd_excision(args) -> int:
 
 
 def cmd_compat(args) -> int:
-    obj = _load_json(args.path)
+    obj = _load_json(args)
     members = [WeilDeligneRep.from_json(x) for x in obj["members"]]
     fam = compatibility_family(members, args.nmax)
     report = {"verdict": "COMPATIBLE" if fam.compatible else "INCOMPATIBLE",
@@ -349,10 +370,10 @@ def _corpus_invariants(precision, window):
     half = corpus.half_twist(prm)
     rep2, tr2 = wd_extract(half)
     out["half"] = (rep2.dim, rep2.inertia_order, tr2.cover_degree)
-    datum = corpus.tate_abelian_datum(prm)
-    out["tate_reduction"] = reduction_type(datum).value
-    prof = rank_profile(datum)
-    out["tate_ranks"] = (prof.mu, prof.alpha, prof.lam)
+    tate = _reduction(corpus.tate_abelian_datum(prm))
+    out["tate_reduction"] = tate.verdict.value
+    out["tate_ranks"] = (tate.profile.mu, tate.profile.alpha,
+                         tate.profile.lam)
     good = corpus.good_elliptic_datum(prm)
     out["good_reduction"] = reduction_type(good).value
     bad = corpus.bad_reduction_datum(prm)

@@ -18,9 +18,9 @@ from .errors import (DiagnosticConflict, InconsistentRanks, MissingPairing,
 from .extraction import wd_extract
 from .linalg import field_kernel
 from .modules import (PhiNablaModule, SOLVE_WINDOW_CAP, UnipotentFiltration,
-                      _constant_frobenius, horizontal_sections, lmat_add,
-                      lmat_ddt, lmat_det, lmat_mul, lmat_sigma,
-                      lmat_transpose, module_from_json, unipotent_filtration)
+                      _constant_frobenius, _unipotent_filtration,
+                      horizontal_sections, lmat_add, lmat_ddt, lmat_det,
+                      lmat_mul, lmat_sigma, lmat_transpose, module_from_json)
 from .padic import PadicNumber
 from .series import LaurentElement
 from .weil_deligne import (FrobeniusKind, WeilDeligneRep,
@@ -180,7 +180,7 @@ def _reduction(datum: AbelianVarietyDatum,
         verdict = ReductionType.GOOD
     else:
         # without a single section the filtration cannot start
-        fil = unipotent_filtration(m, cap) if sections else None
+        fil = _unipotent_filtration(m, cap, sections) if sections else None
         verdict = (ReductionType.SEMISTABLE_NOT_GOOD
                    if fil is not None and fil.unipotent
                    else ReductionType.NOT_SEMISTABLE)

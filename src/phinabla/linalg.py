@@ -15,6 +15,7 @@ precision than a dense elimination with the same pivots gives.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +216,67 @@ def charpoly(A):
 def is_nilpotent(A):
     n = len(A)
     return all(x == 0 for row in mat_pow(A, n) for x in row)
+
+
+def _rational_roots(coeffs, p=None):
+    """Rational roots (with multiplicity) of a Fraction polynomial given
+    low-to-high, or with a prime ``p`` only its roots +-p^k; returns (roots,
+    remaining factor), the factor with integer coefficients and None when
+    it is constant.
+
+    Candidates are a/b with a | a_0 and b | a_n (rational root theorem),
+    a and b powers of p when ``p`` is given.
+    """
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    poly = [int(c * den) for c in coeffs]
+    while poly and poly[-1] == 0:
+        poly.pop()
+    roots = []
+    while poly and poly[0] == 0:
+        roots.append(Fraction(0))
+        poly = poly[1:]
+
+    def divisors(n):
+        n = abs(n)
+        if p is not None:
+            out = [1]
+            while n % (out[-1] * p) == 0:
+                out.append(out[-1] * p)
+            return out
+        out = set()
+        for d in range(1, isqrt(n) + 1):
+            if n % d == 0:
+                out.update((d, n // d))
+        return sorted(out)
+
+    def root(poly):
+        for num in divisors(poly[0]):
+            for den in divisors(poly[-1]):
+                for sign in (1, -1):
+                    r = Fraction(sign * num, den)
+                    acc = Fraction(0)
+                    for c in reversed(poly):
+                        acc = acc * r + c
+                    if acc == 0:
+                        return r
+        return None
+
+    while len(poly) > 1:
+        r = root(poly)
+        if r is None:
+            break
+        roots.append(r)
+        # deflate by synthetic division; the quotient stays integral
+        quotient = [Fraction(0)] * (len(poly) - 1)
+        carry = Fraction(0)
+        for i in range(len(poly) - 1, 0, -1):
+            carry = poly[i] + carry * r
+            quotient[i - 1] = carry
+        poly = [int(c) for c in quotient]
+    remaining = [Fraction(c) for c in poly] if len(poly) > 1 else None
+    return roots, remaining
 
 
 # ---------------------------------------------------------------------------

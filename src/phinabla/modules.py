@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import (DiagnosticConflict, IrregularSingularity,
                      MismatchedParams, MissingStructure, NonInvertible,
                      WildCover, WindowTooSmall)
-from .linalg import field_kernel, field_solve
+from .linalg import _rational_roots, field_kernel, field_solve
 from .padic import PadicNumber, RingMode, RingParams
 from .series import LaurentElement
 
@@ -597,15 +597,23 @@ def unipotent_filtration(m: PhiNablaModule,
     diagonal blocks.
     """
     m._require(connection=True)
-    params = m.params
     if m.rank == 0:
         return UnipotentFiltration(True, 0, GaugeChange([]), [], m)
+    return _unipotent_filtration(m, cap, horizontal_sections(m, cap))
+
+
+def _unipotent_filtration(m: PhiNablaModule, cap: int,
+                          sections: list) -> UnipotentFiltration:
+    """``unipotent_filtration`` of a module of positive rank whose
+    horizontal sections are already solved."""
+    params = m.params
     total_U = lmat_identity(params, m.rank)
     current = m
     offset = 0
     block_sizes = []
     while current.rank > 0:
-        sections = horizontal_sections(current, cap)
+        if current is not m:
+            sections = horizontal_sections(current, cap)
         if not sections:
             return UnipotentFiltration(False)
         U, _ = _complete_basis(params, sections, current.rank)
@@ -666,69 +674,6 @@ def _rational_matrix(M, description="matrix"):
                     f"{description}: entry fails rational recognition")
         out.append(orow)
     return out
-
-
-def _rational_roots(coeffs):
-    """Rational roots (with multiplicity) of a Fraction polynomial given
-    low-to-high; returns (roots, remaining factor)."""
-    from math import gcd as _gcd
-
-    # clear denominators to integers
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
-    poly = [int(c * den) for c in coeffs]
-    while poly and poly[-1] == 0:
-        poly.pop()
-    roots = []
-    # strip root 0
-    while poly and poly[0] == 0:
-        roots.append(Fraction(0))
-        poly = poly[1:]
-
-    def divisors(n):
-        n = abs(n)
-        out = set()
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.add(d)
-                out.add(n // d)
-            d += 1
-        return out
-
-    changed = True
-    while changed and len(poly) > 1:
-        changed = False
-        for pnum in sorted(divisors(poly[0])):
-            for pden in sorted(divisors(poly[-1])):
-                for sign in (1, -1):
-                    r = Fraction(sign * pnum, pden)
-                    # synthetic division check
-                    acc = Fraction(0)
-                    for c in reversed(poly):
-                        acc = acc * r + c
-                    if acc == 0:
-                        roots.append(r)
-                        # deflate by synthetic division, clear denominators
-                        q = [Fraction(0)] * (len(poly) - 1)
-                        carry = Fraction(0)
-                        for i in range(len(poly) - 1, 0, -1):
-                            carry = Fraction(poly[i]) + carry * r
-                            q[i - 1] = carry
-                        den2 = 1
-                        for c in q:
-                            den2 = den2 * c.denominator // _gcd(
-                                den2, c.denominator)
-                        poly = [int(c * den2) for c in q]
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
-                break
-    remaining = [Fraction(c) for c in poly] if len(poly) > 1 else None
-    return roots, remaining
 
 
 def residue_exponents(m: PhiNablaModule) -> ResidueReport:

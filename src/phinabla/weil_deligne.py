@@ -9,6 +9,7 @@ machinery (purity, quasi-purity, trace-table compatibility of families).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -288,11 +289,35 @@ def _sqrt_fraction(c: Fraction):
     """Exact square root of a non-negative rational, or None."""
     if c < 0:
         return None
-    from math import isqrt
-    rn, rd = isqrt(c.numerator), isqrt(c.denominator)
+    rn, rd = math.isqrt(c.numerator), math.isqrt(c.denominator)
     if rn * rn == c.numerator and rd * rd == c.denominator:
         return Fraction(rn, rd)
     return None
+
+
+def _rational_weight(a: Fraction, p: int, f: int) -> Fraction:
+    if a == 0:
+        raise NotWeil("zero eigenvalue")
+    return _weight_from_modulus_squared(a * a, p, f)
+
+
+def _quadratic_weight(b: Fraction, c: Fraction, p: int, f: int) -> Fraction:
+    """Weight of both roots of T^2 + bT + c; NotWeil unless they agree."""
+    disc = b * b - 4 * c
+    sq = _sqrt_fraction(disc) if disc >= 0 else None
+    if sq is not None:
+        w1 = _rational_weight((-b + sq) / 2, p, f)
+        w2 = _rational_weight((-b - sq) / 2, p, f)
+        if w1 != w2:
+            raise NotWeil("rational conjugates of different size")
+        return w1
+    if disc < 0:
+        # complex conjugate pair: |alpha|^2 = c
+        return _weight_from_modulus_squared(c, p, f)
+    # distinct real irrational embeddings: equal size forces b = 0
+    if b != 0:
+        raise NotWeil("real embeddings of different absolute value")
+    return _weight_from_modulus_squared(-c, p, f)
 
 
 def weight_of_eigenvalue(alpha, q: int,
@@ -301,93 +326,219 @@ def weight_of_eigenvalue(alpha, q: int,
 
     ``alpha`` is a rational number or a list of rational polynomial
     coefficients (low-to-high) whose roots are the conjugates of alpha.
-    Exact for rational and quadratic alpha; degree >= 3 inputs use
-    high-precision numerics with an exact norm cross-check.
+    Exact in every degree (``_root_weights``): degree >= 3 is certified
+    by exact root counts on the circles |alpha|^2 = p^k, not by numerics.
     Raises NotWeil when embeddings have different absolute values.
     """
     p, f = _prime_power(q)
-
-    def geom_weight(a):
-        if isinstance(a, (int, Fraction)):
-            a = Fraction(a)
-            if a == 0:
-                raise NotWeil("zero eigenvalue")
-            return _weight_from_modulus_squared(a * a, p, f)
-        coeffs = [Fraction(x) for x in a]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        deg = len(coeffs) - 1
-        if deg <= 0:
+    if isinstance(alpha, (int, Fraction)):
+        w = _rational_weight(Fraction(alpha), p, f)
+    else:
+        coeffs = _trim([Fraction(x) for x in alpha])
+        if len(coeffs) < 2:
             raise NotWeil("constant polynomial has no roots")
-        if deg == 1:
-            return geom_weight(-coeffs[0] / coeffs[1])
-        if deg == 2:
-            b = coeffs[1] / coeffs[2]
-            c = coeffs[0] / coeffs[2]
-            disc = b * b - 4 * c
-            sq = _sqrt_fraction(disc) if disc >= 0 else None
-            if sq is not None:
-                w1 = geom_weight((-b + sq) / 2)
-                w2 = geom_weight((-b - sq) / 2)
-                if w1 != w2:
-                    raise NotWeil("rational conjugates of different size")
-                return w1
-            if disc < 0:
-                # complex conjugate pair: |alpha|^2 = c
-                return _weight_from_modulus_squared(c, p, f)
-            # distinct real irrational embeddings: equal size forces b = 0
-            if b != 0:
-                raise NotWeil("real embeddings of different absolute value")
-            return _weight_from_modulus_squared(-c, p, f)
-        return _numeric_weight(coeffs, p, f, q)
-
-    w = geom_weight(alpha)
+        weights = _root_weights(coeffs, p, f)
+        if len(weights) != 1:
+            raise NotWeil("embeddings have different absolute values")
+        w = weights[0]
     return w if frobenius_kind is FrobeniusKind.GEOMETRIC else -w
 
 
-def _numeric_weight(coeffs, p, f, q):
-    """Degree >= 3: numeric moduli with a margin, certified by the exact
-    norm identity |prod roots| = q^(w deg / 2)."""
-    import mpmath
+# Polynomials over Fraction are coefficient lists, low-to-high, without
+# trailing zeros; [] is the zero polynomial.
 
-    with mpmath.workdps(60):
-        roots = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator
-                                  for c in reversed(coeffs)], maxsteps=200,
-                                 extraprec=200)
-        moduli = [abs(r) for r in roots]
-        lo, hi = min(moduli), max(moduli)
-        if hi == 0:
-            raise NotWeil("zero eigenvalue")
-        if (hi - lo) / hi > mpmath.mpf("1e-30"):
-            raise NotWeil("embeddings have different absolute values")
-        w2 = 2 * mpmath.log(lo) / mpmath.log(q)  # candidate weight
-        w = Fraction(round(float(w2 * f)), f)
-        deg = len(coeffs) - 1
-        norm = abs(coeffs[0] / coeffs[-1])  # |prod of roots|
-        if _weight_from_modulus_squared(norm ** 2, p, f) != w * deg:
-            raise NotWeil("norm identity fails for the candidate weight")
-        if (abs(w2 - mpmath.mpf(w.numerator) / w.denominator)
-                > mpmath.mpf("1e-25")):
-            raise NotWeil("candidate weight fails numerical certification")
-    return w
+def _trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
-def _eigen_factors(M):
-    """Irreducible rational factors of the characteristic polynomial,
-    as (coeff-list low-to-high, multiplicity)."""
-    import sympy
+def _monic(a):
+    lead = a[-1]
+    return [x / lead for x in a]
 
-    cp = linalg.charpoly(M)
-    T = sympy.Symbol("T")
-    poly = sum(sympy.Rational(c.numerator, c.denominator) * T ** i
-               for i, c in enumerate(cp))
-    content, factors = sympy.factor_list(sympy.Poly(poly, T))
-    out = []
-    for fac, mult in factors:
-        fp = sympy.Poly(fac, T)
-        coeffs = [Fraction(str(c)) for c in reversed(fp.all_coeffs())]
-        out.append((coeffs, mult))
-    return out
+
+def _derivative(a):
+    return [i * a[i] for i in range(1, len(a))]
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder of a by a non-zero b."""
+    a = list(a)
+    db = len(b) - 1
+    quotient = [Fraction(0)] * max(len(a) - db, 0)
+    for i in range(len(a) - 1 - db, -1, -1):
+        coef = a[i + db] / b[-1]
+        quotient[i] = coef
+        if coef:
+            for j in range(db):
+                a[i + j] -= coef * b[j]
+    return quotient, _trim(a[:db])
+
+
+def _poly_gcd(a, b):
+    """Monic gcd of two polynomials, not both zero."""
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+        if b:
+            b = _monic(b)
+    return _monic(a)
+
+
+def _real_root_count(a):
+    """Number of distinct real roots, by Sturm's theorem."""
+    if len(a) < 2:
+        return 0
+    chain = [a, _derivative(a)]
+    while len(chain[-1]) > 1:
+        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append([-x for x in rem])
+
+    def variations(signs):
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    at_plus = [P[-1] > 0 for P in chain]
+    at_minus = [(P[-1] > 0) == (len(P) % 2 == 1) for P in chain]
+    return variations(at_minus) - variations(at_plus)
+
+
+def _root_weights(coeffs, p: int, f: int) -> list:
+    """Distinct weights k/f, |alpha|^2 = p^k, of the roots of a non-constant
+    rational polynomial (low-to-high); NotWeil unless every root has one.
+
+    Only distinct roots matter, so the square-free part is read: its roots
+    0 and +-p^k exactly, a rest of degree <= 2 in closed form, a longer
+    rest circle by circle (``_circles``).
+    """
+    poly = _monic(coeffs)
+    square_free = _poly_divmod(poly, _poly_gcd(poly, _derivative(poly)))[0]
+    roots, rest = linalg._rational_roots(square_free, p)
+    weights = {_rational_weight(r, p, f) for r in roots}
+    if rest is not None:
+        rest = _monic(rest)
+        if len(rest) == 2:
+            weights.add(_rational_weight(-rest[0], p, f))
+        elif len(rest) == 3:
+            weights.add(_quadratic_weight(rest[1], rest[0], p, f))
+        else:
+            weights.update(Fraction(k, f) for k in _circles(rest, p))
+    return sorted(weights)
+
+
+def _circles(poly, p: int) -> list:
+    """The k for which a root of ``poly`` lies on |T|^2 = p^k.
+
+    ``poly`` is monic and square-free, without roots 0 and +-p^k.  Floating
+    point root estimates only propose circles; ``_on_circle`` counts the
+    roots on each exactly.  When the counts fall short of the degree, every
+    circle allowed by the root bounds is counted too, and a root still
+    unaccounted for lies on no such circle: NotWeil.
+    """
+    n = len(poly) - 1
+    found = {k: _on_circle(poly, Fraction(p) ** k)
+             for k in _guess_circles(poly, p)}
+    if sum(found.values()) < n:
+        lo, hi = _circle_range(poly, p)
+        for k in range(lo, hi + 1):
+            if k not in found and sum(found.values()) < n:
+                found[k] = _on_circle(poly, Fraction(p) ** k)
+        if sum(found.values()) < n:
+            raise NotWeil("an eigenvalue has |alpha|^2 that is not an "
+                          f"integral power of p = {p}")
+    return sorted(k for k, count in found.items() if count)
+
+
+def _on_circle(poly, c: Fraction) -> int:
+    """Number of roots of ``poly`` (monic, square-free, no root +-sqrt(c)
+    in Q) with |alpha|^2 = c.
+
+    A root on the circle has conj(alpha) = c/alpha, so it is a root of
+    g = gcd(poly, T^n poly(c/T)), whose roots are closed under
+    alpha -> c/alpha.  Apart from the fixed points +-sqrt(c),
+    g(T) = T^m G(T + c/T): a real root x of G with x^2 < 4c gives a
+    conjugate pair on the circle, one with x^2 > 4c two real roots off it,
+    a non-real x two non-real roots off it.  Hence the count
+    2 (real roots of G) - (real roots of g), plus 2 when T^2 - c divides g.
+    """
+    n = len(poly) - 1
+    g = _poly_gcd(poly, [poly[n - i] * c ** (n - i) for i in range(n + 1)])
+    count = 0
+    if len(g) >= 3:
+        quotient, rem = _poly_divmod(g, [-c, Fraction(0), Fraction(1)])
+        if not rem:
+            g, count = quotient, 2
+    return count + 2 * _real_root_count(_fold(g, c)) - _real_root_count(g)
+
+
+def _fold(h, c: Fraction):
+    """G with h(T) = T^m G(T + c/T), for h of degree 2m whose roots are
+    closed under alpha -> c/alpha."""
+    h = list(h)
+    m = (len(h) - 1) // 2
+    G = [Fraction(0)] * (m + 1)
+    for k in range(m, -1, -1):
+        a = G[k] = h[m + k]
+        if a:
+            # subtract a T^m (T + c/T)^k
+            for i in range(k + 1):
+                h[m + 2 * i - k] -= a * math.comb(k, i) * c ** (k - i)
+    if any(h):
+        raise AssertionError("divisor is not closed under alpha -> c/alpha")
+    return G
+
+
+def _guess_circles(poly, p: int) -> list:
+    """Circles |T|^2 = p^k nearest the roots of a monic polynomial, from a
+    complex Durand-Kerner iteration in floating point: proposals only."""
+    n = len(poly) - 1
+    try:
+        a = [complex(x) for x in poly]
+    except OverflowError:
+        return []
+    # start on the circle of the roots' geometric mean modulus
+    radius = abs(a[0]) ** (1 / n) or 1.0
+    z = [radius * complex(math.cos(t), math.sin(t))
+         for t in (2 * math.pi * k / n + 0.4 for k in range(n))]
+    for _ in range(500):
+        worst = 0.0
+        for k in range(n):
+            zk = z[k]
+            value = 0j
+            for x in reversed(a):
+                value = value * zk + x
+            den = 1 + 0j
+            for j in range(n):
+                if j != k:
+                    den *= zk - z[j]
+            if den == 0:
+                continue
+            step = value / den
+            z[k] = zk - step
+            worst = max(worst, abs(step) / (abs(z[k]) or 1.0))
+        if not worst > 1e-12:
+            break
+    logp = math.log(p)
+    return sorted({round(2 * math.log(abs(r)) / logp) for r in z
+                   if r != 0 and math.isfinite(abs(r))})
+
+
+def _circle_range(poly, p: int):
+    """k range holding every |alpha|^2 = p^k of a root of ``poly`` (monic,
+    no root 0), from Fujiwara's bound on the roots and on their inverses,
+    widened by one on each side."""
+    def log_bound(a):
+        n = len(a) - 1
+        return math.log(2) + max(
+            (math.log(abs(x.numerator)) - math.log(x.denominator)) / (n - i)
+            for i, x in enumerate(a[:-1]) if x)
+
+    hi = log_bound(poly)
+    lo = -log_bound(_monic(poly[::-1]))
+    logp = math.log(p)
+    return math.floor(2 * lo / logp) - 1, math.ceil(2 * hi / logp) + 1
 
 
 @dataclass
@@ -410,12 +561,10 @@ class PurityReport:
 
 def _weights_of(M, q, kind):
     """Distinct weights of the eigenvalues of a rational matrix."""
-    out = []
-    for coeffs, _mult in _eigen_factors(M):
-        w = weight_of_eigenvalue(coeffs, q, kind)
-        if w not in out:
-            out.append(w)
-    return sorted(out)
+    p, f = _prime_power(q)
+    weights = _root_weights(linalg.charpoly(M), p, f)
+    return weights if kind is FrobeniusKind.GEOMETRIC else \
+        sorted(-w for w in weights)
 
 
 def purity_check(rep: WeilDeligneRep, i) -> PurityReport:

@@ -1,7 +1,10 @@
 """CLI behaviour: exit codes, determinism, JSON output."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -148,6 +151,54 @@ def test_malformed_module_is_input_error(capsys, tmp_path, text):
     assert code == 2
     assert json.loads(err)["error"] == "input"
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("sub, stem, path", [
+    # a datum where a module is expected
+    ("analyze", "tate_abelian", "params.p"),
+    ("wd", "open_tate_curve", "params.p"),
+    # a module where a datum is expected
+    ("reduction", "kummer_tate", "module.params.p"),
+    ("excision", "kummer_tate", "h1_compact.params.p"),
+    ("compat", "kummer_tate", "members"),
+])
+def test_wrong_shape_names_missing_path(capsys, sub, stem, path):
+    code, out, err = run(capsys, sub, str(CORPUS / f"{stem}.json"))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "input",
+                               "detail": f'missing "{path}"'}
+
+
+@pytest.mark.parametrize("key, path", [
+    ("rank", "rank"),
+    ("params", "params.p"),
+])
+def test_missing_module_key_is_named(capsys, tmp_path, key, path):
+    obj = json.loads((CORPUS / "kummer_tate.json").read_text())
+    del obj[key]
+    bad = tmp_path / "module.json"
+    bad.write_text(json.dumps(obj))
+    code, _out, err = run(capsys, "wd", str(bad))
+    assert code == 2
+    assert json.loads(err)["detail"] == f'missing "{path}"'
+
+
+def test_cli_never_imports_sympy():
+    # the eigen-weights of analyze and excision are the only place sympy
+    # was ever used; a fresh interpreter shows what the CLI loads
+    script = (
+        "import sys; from phinabla.cli import main; "
+        "assert main(['analyze', 'corpus/kummer_tate.json']) == 0; "
+        "assert main(['excision', 'corpus/open_tate_curve.json']) == 0; "
+        "print('sympy' in sys.modules)")
+    src = str(CORPUS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script], cwd=CORPUS.parent,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -154,15 +154,16 @@ def _kernel_calls(monkeypatch, run):
 
 
 @pytest.mark.parametrize("run, solves", [
-    # sections of D(A) and of its dual, and the two steps of the unipotent
-    # filtration, each solved on the window and on its half
+    # sections of D(A), which are also the first step of the unipotent
+    # filtration, of its dual and of the filtration's second step, each
+    # solved on the window and on its half
     pytest.param(lambda: semistable_weight_filtration(
-        corpus.tate_abelian_datum(P)), 8, id="weight-filtration"),
+        corpus.tate_abelian_datum(P)), 6, id="weight-filtration"),
     # the same, plus the log basis of wd_extract
     pytest.param(lambda: wd_weight_filtration_flags(
-        corpus.tate_abelian_datum(P)), 10, id="wd-flags"),
+        corpus.tate_abelian_datum(P)), 8, id="wd-flags"),
     pytest.param(lambda: cli.main(
-        ["reduction", str(CORPUS / "tate_abelian.json")]), 8,
+        ["reduction", str(CORPUS / "tate_abelian.json")]), 6,
         id="cli-tate"),
     # GOOD: sections of D(A) and of the dual, no filtration
     pytest.param(lambda: cli.main(
@@ -172,6 +173,10 @@ def _kernel_calls(monkeypatch, run):
     pytest.param(lambda: cli.main(
         ["reduction", str(CORPUS / "bad_reduction.json")]), 2,
         id="cli-bad"),
+    # the selftest's precision-stability record: kummer_tate and half_twist
+    # extractions, one reduction record per datum and the excision
+    pytest.param(lambda: cli._corpus_invariants(20, 32), 20,
+                 id="selftest-invariants"),
 ])
 def test_each_solve_runs_once(run, solves, monkeypatch, capsys):
     assert _kernel_calls(monkeypatch, run) == solves

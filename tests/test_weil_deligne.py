@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from phinabla import linalg, oracles
 from phinabla.errors import NotNilpotent, NotWeil
 from phinabla.weil_deligne import (FrobeniusKind, WeilDeligneRep,
-                                   compatibility_family,
+                                   _weights_of, compatibility_family,
                                    monodromy_filtration, purity_check,
                                    quasi_purity_check, special_rep,
                                    trace_table, twist, weight_of_eigenvalue)
@@ -115,6 +116,126 @@ def test_numeric_weight_degree_four():
     assert weight_of_eigenvalue([4, -4, 4, -2, 1], 2) == 1
 
 
+@pytest.mark.parametrize("poly, q, weight", [
+    ([8, 0, 0, 1], 2, 2),                   # T^3 + 8: -2 and 2 e^(+-i pi/3)
+    ([-4, 0, 0, 0, 1], 2, 1),               # T^4 - 4: +-sqrt(2) and +-i sqrt(2)
+    ([1, 1, 1, 1, 1], 3, 0),                # fifth roots of unity but 1
+    ([F(1, 9), 0, 0, 0, 1], 3, -1),         # T^4 + q^-2
+])
+def test_weight_degree_three_and_up(poly, q, weight):
+    assert weight_of_eigenvalue(poly, q) == weight
+
+
+@pytest.mark.parametrize("poly, q", [
+    ([-1, -1, 0, 1], 2),                    # T^3 - T - 1: moduli differ
+    ([-2, 0, 0, 1], 2),                     # T^3 - 2: |alpha|^2 = 2^(2/3)
+    ([2, 0, -3, 0, 1], 2),                  # (T^2 - 1)(T^2 - 2): weights 0, 1
+])
+def test_degree_three_and_up_not_weil(poly, q):
+    with pytest.raises(NotWeil):
+        weight_of_eigenvalue(poly, q)
+
+
+# -- eigen-weights against the oracle ---------------------------------------
+
+def _companion(coeffs):
+    d = len(coeffs) - 1
+    M = [[F(0)] * d for _ in range(d)]
+    for i in range(1, d):
+        M[i][i - 1] = F(1)
+    for i in range(d):
+        M[i][d - 1] = -F(coeffs[i]) / coeffs[-1]
+    return M
+
+
+def _block_diag(blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[F(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(row)] = row
+        at += len(b)
+    return out
+
+
+@st.composite
+def eigen_factors(draw, q):
+    """One factor of a characteristic polynomial, low-to-high."""
+    kind = draw(st.sampled_from(["weil", "weil", "rational", "sqrt",
+                                 "quartic", "complex-bad", "real-bad",
+                                 "rational-bad", "cubic-bad"]))
+    if kind == "weil":
+        a = draw(st.sampled_from([a for a in range(-2 * q, 2 * q + 1)
+                                  if a * a < 4 * q]))
+        f = [F(q), F(-a), F(1)]
+    elif kind == "rational":                # T -+ q^k
+        f = [draw(st.sampled_from([-1, 1])) * F(q) ** draw(
+            st.integers(-2, 2)), F(1)]
+    elif kind == "sqrt":                    # roots +-q^(k/2)
+        f = [-F(q) ** draw(st.integers(-1, 3)), F(0), F(1)]
+    elif kind == "quartic":                 # T^4 + q^2
+        f = [F(q * q), F(0), F(0), F(0), F(1)]
+    elif kind == "complex-bad":             # |alpha|^2 = b, not a q-power
+        b = draw(st.sampled_from([6, 7, 10, 11]))
+        f = [F(b), F(draw(st.integers(-2, 2))), F(1)]
+    elif kind == "real-bad":                # real roots of unequal size
+        a = draw(st.integers(1, 4))
+        f = draw(st.sampled_from([[F(-1), F(a), F(1)],
+                                  [F(q), F(-a - 2 * q), F(1)]]))
+    elif kind == "rational-bad":
+        f = [F(-draw(st.sampled_from([6, -10, F(1, 6)]))), F(1)]
+    else:
+        # irreducible cubics with roots of two sizes that the oracle decides
+        # at every q drawn (T^3 - T - 1 is Uncertifiable to it at q = 4)
+        f = [F(x) for x in draw(st.sampled_from(
+            [(-5, 0, -2, 1), (-6, 0, 1, 1), (-4, -3, -1, 1)]))]
+    if kind != "cubic-bad" and draw(st.booleans()):
+        # Tate twist: roots times q^-n
+        c = F(1, q) ** draw(st.sampled_from([-1, 1, 2]))
+        d = len(f) - 1
+        f = [x * c ** (d - i) for i, x in enumerate(f)]
+    return f
+
+
+@st.composite
+def eigen_problems(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 9]))
+    factors = draw(st.lists(eigen_factors(q), min_size=1, max_size=3))
+    # repeated factors
+    factors += draw(st.lists(st.sampled_from(factors), max_size=2))
+    return q, factors
+
+
+def test_circle_scan_alone_gives_the_weights(monkeypatch):
+    # floating point only proposes circles: without any proposal the
+    # exact scan over the root bounds finds the same weights
+    from phinabla import weil_deligne
+    # (T^2 - T + 2)(T^2 + 1/2)(T^2 + 4): weights 1, -1, 2 over q = 2
+    poly = [F(x) for x in (4, -2, 11, F(-9, 2), F(13, 2), -1, 1)]
+    expected = weil_deligne._root_weights(poly, 2, 1)
+    monkeypatch.setattr(weil_deligne, "_guess_circles", lambda poly, p: [])
+    assert weil_deligne._root_weights(poly, 2, 1) == expected == [-1, 1, 2]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(eigen_problems())
+def test_weights_of_matches_oracle(problem):
+    q, factors = problem
+    M = _block_diag([_companion(f) for f in factors])
+    try:
+        expected = sorted({w for f in factors
+                           for w in oracles.algebraic_weight(f, q)})
+    except NotWeil:
+        with pytest.raises(NotWeil):
+            _weights_of(M, q, FrobeniusKind.GEOMETRIC)
+        return
+    assert _weights_of(M, q, FrobeniusKind.GEOMETRIC) == expected
+    assert _weights_of(M, q, FrobeniusKind.ARITHMETIC) == \
+        sorted(-w for w in expected)
+
+
 # -- representations and purity ---------------------------------------------
 
 def test_constructor_enforces_equivariance():
@@ -213,7 +334,7 @@ def test_json_roundtrip():
 @pytest.mark.parametrize("weigh", [weight_of_eigenvalue,
                                    oracles.algebraic_weight])
 def test_numeric_weights_keep_mpmath_precision(weigh):
-    # T^4 + 25 has no rational root, so both take the numeric path
+    # T^4 + 25 has no rational root: the oracle takes its numeric path
     before = mpmath.mp.dps
     weigh([25, 0, 0, 0, 1], 5)
     assert mpmath.mp.dps == before

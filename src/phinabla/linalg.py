@@ -15,7 +15,7 @@ precision than a dense elimination with the same pivots gives.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import lcm
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +50,8 @@ def mat_scale(A, c):
 
 
 def mat_vec(A, v):
-    return [sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in A]
+    return [sum((a * x for a, x in zip(row, v) if a and x), Fraction(0))
+            for row in A]
 
 
 def transpose(A):
@@ -86,11 +87,11 @@ def rref(A):
             continue
         R[r], R[pivot] = R[pivot], R[r]
         inv = 1 / R[r][c]
-        R[r] = [x * inv for x in R[r]]
+        R[r] = [x * inv if x else x for x in R[r]]
         for i in range(rows):
             if i != r and R[i][c] != 0:
                 f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+                R[i] = [x - f * y if y else x for x, y in zip(R[i], R[r])]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -158,29 +159,6 @@ def span_basis(vectors):
     return [R[i] for i in range(len(pivots))]
 
 
-def sum_spaces(basis1, basis2):
-    return span_basis(list(basis1) + list(basis2))
-
-
-def intersect_spaces(basis1, basis2):
-    """Basis of the intersection of two spans (vectors as lists)."""
-    if not basis1 or not basis2:
-        return []
-    # x in both spans: x = B1 a = B2 b; solve [B1 | -B2] (a,b)^T = 0
-    B1 = transpose(basis1)
-    B2 = transpose(basis2)
-    stacked = [r1 + [-x for x in r2] for r1, r2 in zip(B1, B2)]
-    k1 = len(basis1)
-    out = []
-    for v in nullspace(stacked):
-        a = v[:k1]
-        x = [sum(ai * basis1[i][j] for i, ai in enumerate(a))
-             for j in range(len(basis1[0]))]
-        if any(x):
-            out.append(x)
-    return span_basis(out)
-
-
 def same_space(basis1, basis2):
     return (rank(list(basis1) + list(basis2)) == rank(basis1) == rank(basis2)) \
         if (basis1 or basis2) else True
@@ -218,18 +196,82 @@ def is_nilpotent(A):
     return all(x == 0 for row in mat_pow(A, n) for x in row)
 
 
+# Polynomials over Fraction are coefficient lists, low-to-high, without
+# trailing zeros; [] is the zero polynomial.
+
+def _trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _derivative(a):
+    return [i * a[i] for i in range(1, len(a))]
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder of a by a non-zero b."""
+    a = list(a)
+    db = len(b) - 1
+    quotient = [Fraction(0)] * max(len(a) - db, 0)
+    for i in range(len(a) - 1 - db, -1, -1):
+        coef = a[i + db] / b[-1]
+        quotient[i] = coef
+        if coef:
+            for j in range(db):
+                a[i + j] -= coef * b[j]
+    return quotient, _trim(a[:db])
+
+
+def _evaluate(a, x):
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _sturm_chain(a):
+    """Sturm chain of a polynomial; [] when it is constant."""
+    if len(a) < 2:
+        return []
+    chain = [a, _derivative(a)]
+    while len(chain[-1]) > 1:
+        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append([-x for x in rem])
+    return chain
+
+
+def _sturm_count(chain, lo=None, hi=None):
+    """Number of distinct real roots in (lo, hi] of the polynomial with
+    Sturm chain ``chain``, None standing for -infinity and +infinity (zero
+    values are skipped, so an endpoint may be a root)."""
+    def variations(x, minus):
+        if x is None:
+            signs = [(P[-1] > 0) == (not minus or len(P) % 2 == 1)
+                     for P in chain]
+        else:
+            signs = [v > 0 for v in (_evaluate(P, x) for P in chain) if v]
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    return variations(lo, True) - variations(hi, False)
+
+
 def _rational_roots(coeffs, p=None):
     """Rational roots (with multiplicity) of a Fraction polynomial given
     low-to-high, or with a prime ``p`` only its roots +-p^k; returns (roots,
     remaining factor), the factor with integer coefficients and None when
     it is constant.
 
-    Candidates are a/b with a | a_0 and b | a_n (rational root theorem),
-    a and b powers of p when ``p`` is given.
+    With ``p`` the candidates are +-a/b, a | a_0 and b | a_n powers of p.
+    Without it, y = L x (L the lcm of the denominators of the monic
+    polynomial) gives a monic integer polynomial, whose rational roots are
+    integers: its real roots are isolated inside the Cauchy bound by Sturm
+    bisection down to width 1 and the integers among them tested.
     """
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in coeffs))
     poly = [int(c * den) for c in coeffs]
     while poly and poly[-1] == 0:
         poly.pop()
@@ -238,43 +280,39 @@ def _rational_roots(coeffs, p=None):
         roots.append(Fraction(0))
         poly = poly[1:]
 
-    def divisors(n):
-        n = abs(n)
-        if p is not None:
+    candidates = []
+    if len(poly) > 1 and p is None:
+        n = len(poly) - 1
+        monic = [Fraction(c, poly[-1]) for c in poly]
+        L = lcm(*(c.denominator for c in monic))
+        g = [c * L ** (n - i) for i, c in enumerate(monic)]
+        # scaled by positive integers: same signs, integer arithmetic
+        chain = [[int(x * lcm(*(y.denominator for y in P))) for x in P]
+                 for P in _sturm_chain(g)]
+        bound = 1 + int(max(abs(c) for c in g[:-1]))
+        todo = [(-bound, bound)]
+        while todo:
+            lo, hi = todo.pop()
+            if not _sturm_count(chain, lo, hi):
+                continue
+            if hi - lo > 1:
+                todo += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]
+            elif _evaluate(g, hi) == 0:
+                candidates.append(Fraction(hi, L))
+    elif len(poly) > 1:
+        def powers(n):
             out = [1]
             while n % (out[-1] * p) == 0:
                 out.append(out[-1] * p)
             return out
-        out = set()
-        for d in range(1, isqrt(n) + 1):
-            if n % d == 0:
-                out.update((d, n // d))
-        return sorted(out)
+        candidates = [Fraction(sign * a, b) for a in powers(poly[0])
+                      for b in powers(poly[-1]) for sign in (1, -1)]
 
-    def root(poly):
-        for num in divisors(poly[0]):
-            for den in divisors(poly[-1]):
-                for sign in (1, -1):
-                    r = Fraction(sign * num, den)
-                    acc = Fraction(0)
-                    for c in reversed(poly):
-                        acc = acc * r + c
-                    if acc == 0:
-                        return r
-        return None
-
-    while len(poly) > 1:
-        r = root(poly)
-        if r is None:
-            break
-        roots.append(r)
-        # deflate by synthetic division; the quotient stays integral
-        quotient = [Fraction(0)] * (len(poly) - 1)
-        carry = Fraction(0)
-        for i in range(len(poly) - 1, 0, -1):
-            carry = poly[i] + carry * r
-            quotient[i - 1] = carry
-        poly = [int(c) for c in quotient]
+    for r in candidates:
+        while len(poly) > 1 and _evaluate(poly, r) == 0:
+            roots.append(r)
+            # the quotient by T - r stays integral
+            poly = [int(c) for c in _poly_divmod(poly, [-r, Fraction(1)])[0]]
     remaining = [Fraction(c) for c in poly] if len(poly) > 1 else None
     return roots, remaining
 

@@ -31,11 +31,12 @@ def _rref(rows):
         if hit is None:
             continue
         R[r], R[hit] = R[hit], R[r]
-        R[r] = [x / R[r][c] for x in R[r]]
+        lead = R[r][c]
+        R[r] = [x / lead if x else x for x in R[r]]
         for i in range(nr):
             if i != r and R[i][c] != 0:
                 f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+                R[i] = [x - f * y if y else x for x, y in zip(R[i], R[r])]
         piv.append(c)
         r += 1
     return R, piv
@@ -54,7 +55,8 @@ def _in_span(v, vectors):
 
 
 def _matvec(M, v):
-    return [sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in M]
+    return [sum((a * x for a, x in zip(row, v) if a and x), Fraction(0))
+            for row in M]
 
 
 def _matpow(M, k):

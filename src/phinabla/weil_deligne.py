@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
+from .linalg import _derivative, _poly_divmod, _trim
 from .errors import IrrationalTrace, NonInvertible, NotNilpotent, NotWeil
 
 
@@ -165,37 +166,40 @@ class MonodromyFiltration:
 
 def monodromy_filtration(N) -> MonodromyFiltration:
     """The unique filtration with N M_k in M_{k-2} and
-    N^k : Gr_k ~ Gr_{-k}, by the kernel/image convolution."""
+    N^k : Gr_k ~ Gr_{-k}, from Jordan chains (Deligne, Weil II 1.6).
+
+    With K_m = ker N^m, heads of chains of length l are picked from the top
+    down, independent of K_{l-1} and of the height-l vectors of the longer
+    chains; then M_k = span{N^j v : l(v) - 1 - 2j <= k}.
+    """
     N = _fracs(N)
     d = len(N)
     if not linalg.is_nilpotent(N):
         raise NotNilpotent("monodromy filtration needs a nilpotent input")
-    powers = [linalg.identity(d)]
-    for _ in range(d + 1):
-        powers.append(linalg.mat_mul(N, powers[-1]))
-    full = linalg.identity(d)
-
-    def ker(m):
-        if m <= 0:
-            return []
-        if m > d:
-            return full
-        return linalg.span_basis(linalg.nullspace(powers[m]))
-
-    def im(j):
-        if j <= 0:
-            return full
-        if j > d:
-            return []
-        return linalg.column_space(powers[j])
-
-    bases = {}
+    kernels = [[]]                      # kernels[m] is a basis of ker N^m
+    power = linalg.identity(d)
+    while len(kernels[-1]) < d:
+        power = linalg.mat_mul(N, power)
+        kernels.append(linalg.nullspace(power))
+    chains = []                         # [N^j v for j < l(v)], longest first
+    for length in range(len(kernels) - 1, 0, -1):
+        known = kernels[length - 1] + [chain[-length] for chain in chains]
+        cand = kernels[length]
+        _, pivots = linalg.rref(linalg.transpose(known + cand))
+        for col in pivots[len(known):]:
+            chain = [cand[col - len(known)]]
+            for _ in range(length - 1):
+                chain.append(linalg.mat_vec(N, chain[-1]))
+            chains.append(chain)
+    by_index = {}
+    for chain in chains:
+        for j, v in enumerate(chain):
+            by_index.setdefault(len(chain) - 1 - 2 * j, []).append(v)
+    bases, vectors = {}, []
     for k in range(-d - 1, d + 1):
-        acc = []
-        for j in range(max(0, -k), d + 1):
-            piece = linalg.intersect_spaces(ker(k + j + 1), im(j))
-            acc = linalg.sum_spaces(acc, piece)
-        bases[k] = acc
+        new = by_index.get(k, [])
+        vectors += new
+        bases[k] = linalg.span_basis(vectors) if new else bases.get(k - 1, [])
     s = 0
     while not (len(bases.get(-s - 1, [])) == 0
                and len(bases.get(s, [])) == d):
@@ -344,37 +348,9 @@ def weight_of_eigenvalue(alpha, q: int,
     return w if frobenius_kind is FrobeniusKind.GEOMETRIC else -w
 
 
-# Polynomials over Fraction are coefficient lists, low-to-high, without
-# trailing zeros; [] is the zero polynomial.
-
-def _trim(a):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _monic(a):
     lead = a[-1]
     return [x / lead for x in a]
-
-
-def _derivative(a):
-    return [i * a[i] for i in range(1, len(a))]
-
-
-def _poly_divmod(a, b):
-    """Quotient and remainder of a by a non-zero b."""
-    a = list(a)
-    db = len(b) - 1
-    quotient = [Fraction(0)] * max(len(a) - db, 0)
-    for i in range(len(a) - 1 - db, -1, -1):
-        coef = a[i + db] / b[-1]
-        quotient[i] = coef
-        if coef:
-            for j in range(db):
-                a[i + j] -= coef * b[j]
-    return quotient, _trim(a[:db])
 
 
 def _poly_gcd(a, b):
@@ -384,25 +360,6 @@ def _poly_gcd(a, b):
         if b:
             b = _monic(b)
     return _monic(a)
-
-
-def _real_root_count(a):
-    """Number of distinct real roots, by Sturm's theorem."""
-    if len(a) < 2:
-        return 0
-    chain = [a, _derivative(a)]
-    while len(chain[-1]) > 1:
-        rem = _poly_divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append([-x for x in rem])
-
-    def variations(signs):
-        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-    at_plus = [P[-1] > 0 for P in chain]
-    at_minus = [(P[-1] > 0) == (len(P) % 2 == 1) for P in chain]
-    return variations(at_minus) - variations(at_plus)
 
 
 def _root_weights(coeffs, p: int, f: int) -> list:
@@ -470,7 +427,8 @@ def _on_circle(poly, c: Fraction) -> int:
         quotient, rem = _poly_divmod(g, [-c, Fraction(0), Fraction(1)])
         if not rem:
             g, count = quotient, 2
-    return count + 2 * _real_root_count(_fold(g, c)) - _real_root_count(g)
+    real_roots = lambda h: linalg._sturm_count(linalg._sturm_chain(h))
+    return count + 2 * real_roots(_fold(g, c)) - real_roots(g)
 
 
 def _fold(h, c: Fraction):

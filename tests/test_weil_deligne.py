@@ -75,6 +75,91 @@ def test_random_nilpotents_satisfy_axioms():
         assert ok, witness
 
 
+
+def _convolution_filtration(N):
+    """The kernel/image convolution that monodromy_filtration replaced:
+    M_k = sum over j of (ker N^(k+j+1) & im N^j), for k in [-d-1, d]."""
+    d = len(N)
+    powers = [linalg.identity(d)]
+    for _ in range(d + 1):
+        powers.append(linalg.mat_mul(N, powers[-1]))
+    full = linalg.identity(d)
+
+    def ker(m):
+        if m <= 0:
+            return []
+        return full if m > d else linalg.span_basis(linalg.nullspace(powers[m]))
+
+    def im(j):
+        if j <= 0:
+            return full
+        return [] if j > d else linalg.column_space(powers[j])
+
+    def intersect(B1, B2):
+        if not B1 or not B2:
+            return []
+        stacked = [r1 + [-x for x in r2] for r1, r2 in
+                   zip(linalg.transpose(B1), linalg.transpose(B2))]
+        out = []
+        for v in linalg.nullspace(stacked):
+            x = [sum(a * B1[i][j] for i, a in enumerate(v[:len(B1)]))
+                 for j in range(d)]
+            if any(x):
+                out.append(x)
+        return linalg.span_basis(out)
+
+    bases = {}
+    for k in range(-d - 1, d + 1):
+        acc = []
+        for j in range(max(0, -k), d + 1):
+            acc = linalg.span_basis(acc + intersect(ker(k + j + 1), im(j)))
+        bases[k] = acc
+    s = 0
+    while not (not bases[-s - 1] and len(bases[s]) == d):
+        s += 1
+    return s, {k: bases[k] for k in range(-s, s + 1)}
+
+
+def _jordan(blocks):
+    d = sum(blocks)
+    N = [[F(0)] * d for _ in range(d)]
+    at = 0
+    for b in blocks:
+        for i in range(b - 1):
+            N[at + i][at + i + 1] = F(1)
+        at += b
+    return N
+
+
+def _unimodular(rng, d):
+    L = [[F(1) if i == j else F(rng.randint(-2, 2)) if j < i else F(0)
+          for j in range(d)] for i in range(d)]
+    U = [[F(1) if i == j else F(rng.randint(-2, 2)) if j > i else F(0)
+          for j in range(d)] for i in range(d)]
+    return linalg.mat_mul(L, U)
+
+
+def _filtration_cases():
+    rng = random.Random(5)
+    cases = [[[F(0)]]] + [_jordan(b) for b in
+                          ((8,), (12,), (3, 3, 2, 1), (4, 2, 1))]
+    for _ in range(16):
+        d = rng.randint(1, 7)
+        N = [[F(rng.choice((0, 0, -2, -1, 1, 3))) if j > i else F(0)
+              for j in range(d)] for i in range(d)]
+        cases.append(N)
+        P = _unimodular(rng, d)
+        cases.append(linalg.mat_mul(linalg.mat_inv(P), linalg.mat_mul(N, P)))
+    return cases
+
+
+@pytest.mark.parametrize("N", _filtration_cases())
+def test_jordan_chains_match_the_convolution(N):
+    fil = monodromy_filtration(N)
+    assert (fil.s, fil.bases) == _convolution_filtration(N)
+    assert fil.dim == len(N)
+
+
 # -- weights ----------------------------------------------------------------
 
 def test_weight_of_q_is_two():

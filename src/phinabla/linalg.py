@@ -232,14 +232,16 @@ def _evaluate(a, x):
 
 
 def _sturm_chain(a):
-    """Sturm chain of a polynomial; [] when it is constant."""
+    """Sturm chain of the square-free part of a polynomial, [] when it is
+    constant: the chain of a and a' divided through by gcd(a, a'), so that
+    no two neighbours vanish together, not even at a multiple root."""
     if len(a) < 2:
         return []
     chain = [a, _derivative(a)]
     while len(chain[-1]) > 1:
         rem = _poly_divmod(chain[-2], chain[-1])[1]
         if not rem:
-            break
+            return [_poly_divmod(P, chain[-1])[0] for P in chain]
         chain.append([-x for x in rem])
     return chain
 

@@ -79,9 +79,13 @@ def test_rational_roots_of_large_constant_terms():
     for coeffs, roots in (([-(10**14 + 39), 0, 1], []),
                           ([-(10**7 + 19) ** 2, 0, 1],
                            [-(10**7 + 19), 10**7 + 19])):
-        start = time.perf_counter()
-        got, rest = linalg._rational_roots([F(c) for c in coeffs])
-        assert time.perf_counter() - start < 0.05
+        # best of three, so that one scheduler stall cannot fail the bound
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            got, rest = linalg._rational_roots([F(c) for c in coeffs])
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.05
         assert sorted(got) == roots
         assert rest == ([F(c) for c in coeffs] if not roots else None)
 
@@ -94,8 +98,31 @@ def _mul(a, b):
     return out
 
 
+def test_rational_roots_repeated():
+    # (T-1)^2 (T-2) and (T-1/2)^2 (T-1): every member of the Sturm chain of
+    # a polynomial with a multiple root vanishes there, unless the chain is
+    # taken of its square-free part
+    for roots in ([F(1), F(1), F(2)], [F(1, 2), F(1, 2), F(1)],
+                  [F(0), F(3), F(3), F(3), F(-3, 2)]):
+        poly = [F(1)]
+        for r in roots:
+            poly = _mul(poly, [-r, F(1)])
+        got, rest = linalg._rational_roots(poly)
+        assert sorted(got) == sorted(roots) and rest is None
+
+
+# small roots, each repeated one to three times: bisection midpoints land
+# on them and the multiple ones are where a chain that is not square-free
+# miscounts
+_repeated_roots = st.lists(
+    st.tuples(st.fractions(-6, 6, max_denominator=3), st.integers(1, 3)),
+    max_size=4).map(lambda rs: [r for r, k in rs for _ in range(k)])
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.fractions(-60, 60, max_denominator=12), max_size=5),
+@given(st.one_of(_repeated_roots,
+                 st.lists(st.fractions(-60, 60, max_denominator=12),
+                          max_size=5)),
        st.integers(1, 40), st.integers(-40, 40), st.integers(1, 9))
 def test_rational_roots_of_linear_factors_times_a_quadratic(roots, c, b,
                                                             lead):

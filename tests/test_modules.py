@@ -199,3 +199,14 @@ def test_json_roundtrip():
     for i in range(2):
         for j in range(2):
             assert back.A[i][j].congruent(m.A[i][j].rebase(back.params))
+
+
+def test_residue_exponents_repeated():
+    # diag(1/2, 1/2, 1): the characteristic polynomial has a double root
+    diag = [Fraction(1, 2), Fraction(1, 2), Fraction(1)]
+    m = PhiNablaModule.from_rational_matrices(
+        P, connection=[[{-1: diag[i]} if i == j else {} for j in range(3)]
+                       for i in range(3)])
+    rr = residue_exponents(m)
+    assert sorted(rr.exponents) == diag
+    assert rr.semisimple and rr.unresolved_factor is None

@@ -42,7 +42,9 @@ def _build_parser():
     p.add_argument("--mmax", type=int, default=24,
                    help="largest allowed tame cover degree (default 24)")
     p.add_argument("--nmax", type=int, default=6,
-                   help="trace table depth for compat (default 6)")
+                   help="trace table depth for compat (default 6); "
+                        "each graded piece is read at least to its "
+                        "dimension")
     p.add_argument("--json", action="store_true", dest="as_json",
                    help="emit the report as JSON")
     sub = p.add_subparsers(dest="command", required=True)
@@ -103,8 +105,10 @@ def _params_from(obj, args):
     pr = obj["params"]
     mode = (RingMode.POWER_SERIES if pr.get("ring_mode") == "power_series"
             else RingMode.LAURENT)
+    modulus = pr.get("modulus")
     return RingParams(pr["p"], args.precision,
-                      (args.t_window, args.t_window), mode, pr.get("a", 1))
+                      (args.t_window, args.t_window), mode, pr.get("a", 1),
+                      tuple(modulus) if modulus else None)
 
 
 def _banner(args, params=None):
@@ -258,10 +262,10 @@ def cmd_compat(args) -> int:
     members = [WeilDeligneRep.from_json(x) for x in obj["members"]]
     fam = compatibility_family(members, args.nmax)
     report = {"verdict": "COMPATIBLE" if fam.compatible else "INCOMPATIBLE",
-              "members": len(members), "nmax": args.nmax,
+              "members": len(members), "nmax": fam.depth,
               "version": __version__}
     lines = _banner(args)
-    lines.append(f"members: {len(members)}, depth n <= {args.nmax}")
+    lines.append(f"members: {len(members)}, depth n <= {fam.depth}")
     if fam.compatible:
         lines.append("verdict: COMPATIBLE")
     else:

@@ -17,7 +17,7 @@ from .errors import (DiagnosticConflict, InconsistentRanks, MissingPairing,
                      NotEquivariant, PurityFailure)
 from .extraction import wd_extract
 from .linalg import field_kernel
-from .modules import (PhiNablaModule, SOLVE_WINDOW_CAP, UnipotentFiltration,
+from .modules import (PhiNablaModule, UnipotentFiltration,
                       _constant_frobenius, _unipotent_filtration,
                       horizontal_sections, lmat_add, lmat_ddt, lmat_det,
                       lmat_mul, lmat_sigma, lmat_transpose, module_from_json)
@@ -105,35 +105,20 @@ def _fixed_part_kernel(datum: AbelianVarietyDatum, sections, dual_sections):
     """Constant combinations of `sections` pairing to zero with every dual
     section: coordinates of D^t inside D^f."""
     params = datum.module.params
-    P = datum.pairing
     zero = PadicNumber.zero(params)
     one = PadicNumber.from_rational(params, 1)
     rows = []
     for y in dual_sections:
-        Py = []
-        for i in range(datum.module.rank):
-            acc = None
-            for j in range(datum.module.rank):
-                term = P[i][j] * y[j]
-                acc = term if acc is None else acc + term
-            Py.append(acc)
-        pairings = []
-        exps = set()
-        for b in sections:
-            val = None
-            for i in range(datum.module.rank):
-                term = b[i] * Py[i]
-                val = term if val is None else val + term
-            pairings.append(val)
-            exps.update(val.coeffs)
-        for e in sorted(exps):
+        Py = lmat_mul(datum.pairing, [[x] for x in y])
+        pairings = [lmat_mul([list(b)], Py)[0][0] for b in sections]
+        for e in sorted({e for v in pairings for e in v.coeffs}):
             rows.append([v.coefficient(e) for v in pairings])
     if not rows:
         rows = [[zero] * len(sections)]
     return field_kernel(rows, zero, one)
 
 
-def _rank_profile(datum: AbelianVarietyDatum, sections, cap):
+def _rank_profile(datum: AbelianVarietyDatum, sections):
     """The rank profile from the horizontal sections of D(A), with the
     D^t coordinates inside D^f (empty when there are no sections)."""
     n = datum.n
@@ -143,7 +128,7 @@ def _rank_profile(datum: AbelianVarietyDatum, sections, cap):
     if datum.pairing is None:
         raise MissingPairing("mu/alpha split requires the Weil pairing")
     ker = _fixed_part_kernel(datum, sections,
-                             horizontal_sections(datum.dual, cap))
+                             horizontal_sections(datum.dual))
     mu = len(ker)
     if (rk_f - mu) % 2 != 0:
         raise InconsistentRanks(
@@ -155,10 +140,8 @@ def _rank_profile(datum: AbelianVarietyDatum, sections, cap):
     return RankProfile(n, mu, alpha, lam), ker
 
 
-def rank_profile(datum: AbelianVarietyDatum,
-                 cap=SOLVE_WINDOW_CAP) -> RankProfile:
-    return _rank_profile(datum,
-                         horizontal_sections(datum.module, cap), cap)[0]
+def rank_profile(datum: AbelianVarietyDatum) -> RankProfile:
+    return _rank_profile(datum, horizontal_sections(datum.module))[0]
 
 
 @dataclass
@@ -171,22 +154,21 @@ class _Reduction:
     torus: list                     # D^t coordinates inside D^f
 
 
-def _reduction(datum: AbelianVarietyDatum,
-               cap=SOLVE_WINDOW_CAP) -> _Reduction:
+def _reduction(datum: AbelianVarietyDatum) -> _Reduction:
     m = datum.module
-    sections = horizontal_sections(m, cap)
+    sections = horizontal_sections(m)
     fil = None
     if len(sections) == m.rank:
         verdict = ReductionType.GOOD
     else:
         # without a single section the filtration cannot start
-        fil = _unipotent_filtration(m, cap, sections) if sections else None
+        fil = _unipotent_filtration(m, sections) if sections else None
         verdict = (ReductionType.SEMISTABLE_NOT_GOOD
                    if fil is not None and fil.unipotent
                    else ReductionType.NOT_SEMISTABLE)
     profile, torus = None, []
     if datum.pairing is not None or len(sections) == 0:
-        profile, torus = _rank_profile(datum, sections, cap)
+        profile, torus = _rank_profile(datum, sections)
         if verdict is ReductionType.GOOD and not (profile.mu == 0
                                                   and profile.lam == 0):
             raise DiagnosticConflict("GOOD but mu or lambda nonzero")
@@ -198,11 +180,10 @@ def _reduction(datum: AbelianVarietyDatum,
     return _Reduction(verdict, sections, fil, profile, torus)
 
 
-def reduction_type(datum: AbelianVarietyDatum,
-                   cap=SOLVE_WINDOW_CAP) -> ReductionType:
+def reduction_type(datum: AbelianVarietyDatum) -> ReductionType:
     """Module-theoretic verdict, cross-checked against the rank profile
     when the pairing permits computing one."""
-    return _reduction(datum, cap).verdict
+    return _reduction(datum).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +249,9 @@ def _restrict_and_quotient(phi, sub):
     return restr, quot
 
 
-def semistable_weight_filtration(datum: AbelianVarietyDatum,
-                                 cap=SOLVE_WINDOW_CAP) -> WeightFiltration:
-    red = _reduction(datum, cap)
+def semistable_weight_filtration(datum: AbelianVarietyDatum
+                                 ) -> WeightFiltration:
+    red = _reduction(datum)
     if red.verdict is ReductionType.NOT_SEMISTABLE:
         raise DiagnosticConflict("weight filtration needs semistability")
     m = datum.module
@@ -324,48 +305,35 @@ def semistable_weight_filtration(datum: AbelianVarietyDatum,
     return WeightFiltration(ranks, graded, sections, torus)
 
 
-def wd_weight_filtration_flags(datum: AbelianVarietyDatum, m_max: int = 24,
-                               cap=SOLVE_WINDOW_CAP):
+def wd_weight_filtration_flags(datum: AbelianVarietyDatum, m_max: int = 24):
     """Images WD(W_k) of the weight filtration inside the WD space,
     together with the monodromy filtration of the extracted N.
 
     Returns (flags, fil, rep) where flags maps k in {-2, -1, 0} to a basis
     of WD(W_k) in solution coordinates; Thm-shape expectation is
     WD(W_k) = M_{k+1}."""
-    wf = semistable_weight_filtration(datum, cap)
+    wf = semistable_weight_filtration(datum)
     m = datum.module
-    rep, trace = wd_extract(m, m_max, cap=cap)
+    rep, trace = wd_extract(m, m_max)
     sols = trace.solutions
     params = m.params
 
     def sub_flag(span):
-        """Solutions lying in the R-span of the given module vectors."""
-        if not span:
+        """Solutions lying in the R-span of the given module vectors:
+        constants c_b and Laurent polynomials a_{w,d} with
+        sum_b c_b s_b = sum_w a_{w,d} w at each log degree d, where a_{w,d}
+        ranges over the exponents that can meet a solution term."""
+        sol_exps = {n for sol in sols for vec in sol.components
+                    for x in vec for n in x.coeffs}
+        span_exps = {k for vec in span for x in vec for k in x.coeffs}
+        if not span_exps:
             return []
-        # Unknowns: constants c_b for the solutions and, per log degree d,
-        # series coefficients a_{w,d,n} for each span vector w; require
-        # sum c_b s_b minus the R-linear combination of span to vanish.
-        zero = PadicNumber.zero(params)
-        one = PadicNumber.from_rational(params, 1)
-        r = len(sols)
-        nspan = len(span)
-        lo = max(params.window_lo, -cap)
-        hi = min(params.window_hi, cap)
-        exps = list(range(lo, hi + 1))
-        pos = {n: t for t, n in enumerate(exps)}
-        width = len(exps)
+        exps = range(min(sol_exps) - max(span_exps),
+                     max(sol_exps) - min(span_exps) + 1)
         rmax = max(trace.log_degrees, default=0) + 1
-        ncols = r + nspan * rmax * width
-
-        def aidx(w, d, n):
-            return r + ((w * rmax) + d) * width + pos[n]
-
-        eq = {}
+        eq = {}     # (d, i, exponent) -> {unknown: coefficient}
         for b, sol in enumerate(sols):
-            for d in range(rmax):
-                vec = sol.components[d] if d < len(sol.components) else None
-                if vec is None:
-                    continue
+            for d, vec in enumerate(sol.components[:rmax]):
                 for i, x in enumerate(vec):
                     for n, c in x.coeffs.items():
                         eq.setdefault((d, i, n), {})[b] = c
@@ -374,39 +342,30 @@ def wd_weight_filtration_flags(datum: AbelianVarietyDatum, m_max: int = 24,
                 for k, c in x.coeffs.items():
                     for d in range(rmax):
                         for n in exps:
-                            tot = n + k
-                            if lo <= tot <= hi:
-                                eq.setdefault((d, i, tot), {})[
-                                    aidx(w, d, n)] = -c
-        keys = sorted(eq)
+                            eq.setdefault((d, i, n + k), {})[(w, d, n)] = -c
+        unknowns = list(range(len(sols))) + [
+            (w, d, n) for w in range(len(span)) for d in range(rmax)
+            for n in exps]
+        col = {u: c for c, u in enumerate(unknowns)}
+        zero = PadicNumber.zero(params)
         rows = []
-        for key in keys:
-            row = [zero] * ncols
-            for col, c in eq[key].items():
-                row[col] = row[col] + c
-            rows.append(row)
-        basis = field_kernel(rows, zero, one)
-        out = []
-        for v in basis:
-            c = v[:r]
-            if all(x.is_zero() for x in c):
-                continue
-            out.append([x.to_fraction() for x in c])
-        return linalg.span_basis(out)
+        for key in sorted(eq):
+            rows.append([zero] * len(unknowns))
+            for u, c in eq[key].items():
+                rows[-1][col[u]] = c
+        kernel = field_kernel(rows, zero, PadicNumber.from_rational(params, 1))
+        return linalg.span_basis([[x.to_fraction() for x in v[:len(sols)]]
+                                  for v in kernel
+                                  if any(not x.is_zero()
+                                         for x in v[:len(sols)])])
 
     # module vectors of W_-1 = D^f: the sections themselves; W_-2 = D^t
-    w_m1 = wf.sections
-    w_m2 = []
-    for coords_v in wf.torus_coordinates:
-        vec = None
-        for cb, b in zip(coords_v, wf.sections):
-            scaled = tuple(x.scale(cb) for x in b)
-            vec = scaled if vec is None else tuple(
-                a + bb for a, bb in zip(vec, scaled))
-        w_m2.append(list(vec))
+    S = lmat_transpose([list(v) for v in wf.sections])
+    w_m2 = [[row[0] for row in lmat_mul(S, [[LaurentElement.constant(
+        params, cb)] for cb in coords_v])] for coords_v in wf.torus_coordinates]
     flags = {
         -2: sub_flag(w_m2),
-        -1: sub_flag([list(v) for v in w_m1]),
+        -1: sub_flag([list(v) for v in wf.sections]),
         0: linalg.identity(rep.dim),
     }
     fil = monodromy_filtration(rep.N)
@@ -416,9 +375,8 @@ def wd_weight_filtration_flags(datum: AbelianVarietyDatum, m_max: int = 24,
 # ---------------------------------------------------------------------------
 # weight-monodromy for a single module
 
-def check_weight_monodromy(m: PhiNablaModule, i, m_max: int = 24,
-                           cap=SOLVE_WINDOW_CAP):
-    rep, _trace = wd_extract(m, m_max, cap=cap)
+def check_weight_monodromy(m: PhiNablaModule, i, m_max: int = 24):
+    rep, _trace = wd_extract(m, m_max)
     return quasi_purity_check(rep, i)
 
 
@@ -459,13 +417,13 @@ class ExcisionReport:
     convention: str = "cohomological, geometric weights"
 
 
-def excision_weight_filtration(c: OpenCurveDatum, m_max: int = 24,
-                               cap=SOLVE_WINDOW_CAP) -> ExcisionReport:
+def excision_weight_filtration(c: OpenCurveDatum, m_max: int = 24
+                               ) -> ExcisionReport:
     """^gW_1 = image of H^1(Xbar), ^gW_2 = everything; Gr_2 = ker(boundary)
     inside H^0(D)(-1)."""
     c.validate_equivariance()
     h1 = c.h1_compact
-    rep1, _ = wd_extract(h1, m_max, cap=cap) if h1.rank else (None, None)
+    rep1, _ = wd_extract(h1, m_max) if h1.rank else (None, None)
     gr1 = quasi_purity_check(rep1, 1) if rep1 is not None else None
 
     # kernel of the boundary map: constant by equivariance at desk scale

@@ -4,9 +4,11 @@ The pipeline: residue exponents pick the tame cover degree e; after Kummer
 pullback the module is unipotent and its log-horizontal solutions
 (coefficients in K, finitely many powers of log t) carry a constant
 Frobenius, the log-derivative monodromy N, and a mu_e inertia action read
-off the t-exponent residue classes.  The log basis comes from the solver in
-`modules` (horizontal sections are its log-depth-1 case) and is kept on the
-ExtractionTrace, so callers reuse it instead of solving again.
+off the t-exponent residue classes.  The log basis comes from the
+resonance-driven Frobenius-method solver in `modules` (horizontal sections
+are its log-depth-1 case): linear algebra only where det(nI + R) = 0, one
+back substitution at every other exponent of the window.  It is kept on
+the ExtractionTrace, so callers reuse it instead of solving again.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from fractions import Fraction
 from .errors import (NonConstantFrobenius, NotLevelTwo, NotTame,
                      WindowTooSmall)
 from .modules import (GaugeChange, LogSolution, PhiNablaModule,
-                      SOLVE_WINDOW_CAP, _frobenius_image,
-                      _solution_coordinates, _solve_nabla, kummer_pullback,
-                      lmat_identity, residue_exponents, unipotent_filtration)
+                      _frobenius_image, _solution_coordinates, _solve_nabla,
+                      kummer_pullback, lmat_identity, residue_exponents,
+                      unipotent_filtration)
 from .padic import RingMode
 from .series import LaurentElement
 from .weil_deligne import FrobeniusKind, WeilDeligneRep
@@ -48,10 +50,9 @@ class ExtractionTrace:
         return [s.residue_class for s in self.solutions]
 
 
-def log_solution_basis(m: PhiNablaModule, e: int = 1,
-                       cap: int = SOLVE_WINDOW_CAP) -> LogSolutionBasis:
+def log_solution_basis(m: PhiNablaModule, e: int = 1) -> LogSolutionBasis:
     """Full basis of log-horizontal sections, solved per residue class."""
-    sols = _solve_nabla(m, m.rank, e, cap)
+    sols = _solve_nabla(m, m.rank, e)
     if len(sols) != m.rank:
         raise WindowTooSmall(
             f"found {len(sols)} log solutions, expected {m.rank}")
@@ -127,38 +128,32 @@ def _canonical_sp2(phi, N):
 
 
 def wd_extract(m: PhiNablaModule, m_max: int = 24,
-               frobenius_kind=FrobeniusKind.GEOMETRIC,
-               cap: int = SOLVE_WINDOW_CAP):
+               frobenius_kind=FrobeniusKind.GEOMETRIC):
     """Weil-Deligne representation of a tame quasi-unipotent module."""
     from . import linalg
 
     m._require(frobenius=True, connection=True)
     e, exponents = _tame_cover_degree(m, m_max)
     pulled = kummer_pullback(m, e)
-    basis = log_solution_basis(pulled, e, cap)
-    sols = basis.solutions
+    sols = log_solution_basis(pulled, e).solutions
     r = m.rank
     params = m.params
-
     comps = [s.components for s in sols]
-    phi_cols = []
-    for c in comps:
-        x = _solution_coordinates(comps, _frobenius_image(pulled, c), params)
-        if x is None:
-            raise NonConstantFrobenius(
-                "phi image leaves the solution span at precision")
-        phi_cols.append(_rational_vector(x, NonConstantFrobenius,
-                                         "induced Frobenius"))
-    phi = linalg.transpose(phi_cols)
 
-    N_cols = []
-    for c in comps:
-        x = _solution_coordinates(comps, _log_derivative(c, params), params)
-        if x is None:
-            raise NonConstantFrobenius("log derivative leaves the span")
-        N_cols.append(_rational_vector(x, NonConstantFrobenius,
-                                       "monodromy operator"))
-    N = linalg.transpose(N_cols)
+    def induced(image, what, leaves):
+        """Matrix of an operator on the solution span, column by column."""
+        cols = []
+        for c in comps:
+            x = _solution_coordinates(comps, image(c), params)
+            if x is None:
+                raise NonConstantFrobenius(leaves)
+            cols.append(_rational_vector(x, NonConstantFrobenius, what))
+        return linalg.transpose(cols)
+
+    phi = induced(lambda c: _frobenius_image(pulled, c), "induced Frobenius",
+                  "phi image leaves the solution span at precision")
+    N = induced(lambda c: _log_derivative(c, params), "monodromy operator",
+                "log derivative leaves the span")
 
     classes = [s.residue_class for s in sols]
     inertia_matrix = None
@@ -208,13 +203,12 @@ class NormalForm:
     constants: list     # matrix C over Q with D(g_k) = sum_i C[i][k] e_i
 
 
-def key2_normal_form(m: PhiNablaModule, weight_flag_data=None,
-                     cap: int = SOLVE_WINDOW_CAP) -> NormalForm:
+def key2_normal_form(m: PhiNablaModule, weight_flag_data=None) -> NormalForm:
     """Gauge a level <= 2 unipotent module so that D kills the first two
     basis blocks and maps the third into the constant span of the first."""
     from . import linalg
 
-    fil = unipotent_filtration(m, cap)
+    fil = unipotent_filtration(m)
     if not fil.unipotent:
         raise NotLevelTwo("module is not unipotent")
     if fil.level is not None and fil.level > 2:

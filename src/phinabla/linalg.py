@@ -38,10 +38,10 @@ def mat_mul(A, B):
         for l in range(k):
             a = Ai[l]
             if a:
-                Bl = B[l]
                 row = out[i]
-                for j in range(m):
-                    row[j] += a * Bl[j]
+                for j, b in enumerate(B[l]):
+                    if b:
+                        row[j] += a * b
     return out
 
 

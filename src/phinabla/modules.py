@@ -6,9 +6,12 @@ Both structures are optional; when both are present the compatibility
 residual  dA/dt + G A - p t^(p-1) A sigma(G)  must vanish at precision.
 
 One solver serves horizontal sections and the log-horizontal solutions
-sum_d v_d (log t)^d that extraction needs: it solves the coefficient
-equations of D + tG (D = t d/dt) at a given log depth, per exponent class
-mod a cover degree e, on a capped window checked against its half.  A
+sum_d v_d (log t)^d that extraction needs.  For a regular-singular
+connection (t G a power series with residue R) it runs the Frobenius
+method: the coefficient blocks obey a recurrence that needs linear algebra
+only at the resonances, the integers n with det(nI + R) = 0, and one back
+substitution at every other exponent.  It returns the solutions supported
+in the exponent window, per residue class mod a cover degree e.  A
 horizontal section is a solution of log depth 1 with e = 1.
 """
 
@@ -20,14 +23,10 @@ from fractions import Fraction
 from .errors import (DiagnosticConflict, IrregularSingularity,
                      MismatchedParams, MissingStructure, NonInvertible,
                      WildCover, WindowTooSmall)
-from .linalg import _rational_roots, field_kernel, field_solve
+from . import linalg
+from .linalg import _eliminate, _rational_roots, field_kernel, field_solve
 from .padic import PadicNumber, RingMode, RingParams
 from .series import LaurentElement
-
-# horizontal-section solves restrict unknown supports to this many exponents
-# on each side of 0; results are checked against the full-window equations
-SOLVE_WINDOW_CAP = 10
-
 
 # ---------------------------------------------------------------------------
 # Laurent matrix helpers
@@ -138,16 +137,7 @@ def lmat_inverse(A):
 
 
 def kronecker(A, B):
-    n1, n2 = len(A), len(B)
-    out = []
-    for i1 in range(n1):
-        for i2 in range(n2):
-            row = []
-            for j1 in range(n1):
-                for j2 in range(n2):
-                    row.append(A[i1][j1] * B[i2][j2])
-            out.append(row)
-    return out
+    return [[a * b for a in ra for b in rb] for ra in A for rb in B]
 
 
 # ---------------------------------------------------------------------------
@@ -342,81 +332,164 @@ class LogSolution:
                     if any(not x.is_zero() for x in v)), default=0)
 
 
-def _nabla_kernel(m: PhiNablaModule, tG, depth: int, residue_class: int,
-                  e: int, lo: int, hi: int):
-    """Solutions sum_{d < depth} v_d (log)^d of
-    D v_d + (tG) v_d + (d+1) v_{d+1} = 0 with all exponents congruent to
-    residue_class mod e, supported on [lo, hi].
+def _solve_nabla(m: PhiNablaModule, depth: int, e: int):
+    """Log solutions of depth `depth` supported in the window, solved per
+    residue class mod e."""
+    m._require(connection=True)
+    if any(g.shift(1).has_tail() for row in m.G for g in row):
+        raise WindowTooSmall("connection matrix truncated; cannot trust "
+                             "the coefficient equations")
+    tG, R, roots, _ = _residue(m)
+    # det(nI + R) = 0 exactly at the integers n = -lambda
+    resonances = sorted({-int(x) for x in roots if x.denominator == 1})
+    return [sol for rcls in range(e)
+            for sol in _solve_class(m.params, tG, R, resonances, depth,
+                                    rcls, e)]
 
-    Unknowns are the coefficients c[d, j, n]; equations come from every
-    exponent of the D-form operator that the window determines exactly.
-    """
-    params = m.params
-    r = m.rank
-    exps = [n for n in range(lo, hi + 1) if (n - residue_class) % e == 0]
-    if not exps:
+
+def _solve_class(params, tG, R, resonances, depth, rcls, e):
+    """Solutions sum_{d < depth} v_d (log t)^d of
+    D v_d + (tG) v_d + (d+1) v_{d+1} = 0 with exponents = rcls mod e in
+    the window, by the Frobenius method: the blocks w_n = (v_{d,n})_d obey
+    L_n w_n = -sum_{k>0} T_k w_{n-k} (T_k the t^k coefficient of tG, L_n
+    block-triangular with nI + R on the diagonal, (d+1) I beside it).
+    From the lowest resonance (det(nI + R) = 0) in the window, each block
+    of the family {(d r + j, n): x} is the kernel of [L_n | -rhs of the
+    live members]: new parameters and consistency at a resonance, a back
+    substitution elsewhere.  At the window top the live combinations must
+    vanish beyond it; those that cannot are followed as far again, and
+    WindowTooSmall names the window that holds one that ends there."""
+    r, hi = len(tG), params.window_hi
+    res = [n for n in resonances
+           if n >= params.window_lo and (n - rcls) % e == 0]
+    if not r or not res or res[0] > hi:
         return []
-    pos = {n: i for i, n in enumerate(exps)}
-    ncols = depth * r * len(exps)
+    zero, one = PadicNumber.zero(params), PadicNumber.from_rational(params, 1)
+    size = depth * r
+    cols = {}       # (k, j) -> [(i, -T_k[i][j])] for k > 0 inside the class
+    for i, row in enumerate(tG):
+        for j, x in enumerate(row):
+            for k, c in x.coeffs.items():
+                if k > 0 and k % e == 0:
+                    cols.setdefault((k, j), []).append((i, -c))
+    s = max((k for k, _ in cols), default=0)
 
-    def idx(d, j, n):
-        return (d * r + j) * len(exps) + pos[n]
+    def rhs(mem, n):
+        out = {}
+        for (idx, m), x in mem.items():
+            for i, c in cols.get((n - m, idx % r), ()):
+                key = idx - idx % r + i
+                out[key] = out[key] + c * x if key in out else c * x
+        return {key: x for key, x in out.items() if not x.is_zero()}
 
-    zero = PadicNumber.zero(params)
-    one = PadicNumber.from_rational(params, 1)
-    # the operator in D-form: D f + (tG) f, so exponents shift by +1 from G
-    tg_exps = [k for row in tG for x in row for k in x.coeffs]
-    shift_lo = min([0] + tg_exps)
-    shift_hi = max([0] + tg_exps)
+    def live(family, n):
+        return any(m + s >= n for mem in family for _, m in mem)
 
-    rows = []
-    for d in range(depth):
-        for i in range(r):
-            for mexp in range(lo + shift_lo, hi + shift_hi + 1):
-                if (mexp - residue_class) % e != 0:
-                    continue
-                row = [zero] * ncols
-                nontrivial = False
-                if mexp in pos and mexp != 0:
-                    row[idx(d, i, mexp)] = PadicNumber.from_rational(
-                        params, mexp)
-                    nontrivial = True
-                for j in range(r):
-                    for k, c in tG[i][j].coeffs.items():
-                        n = mexp - k
-                        if n in pos:
-                            col = idx(d, j, n)
-                            row[col] = row[col] + c
-                            nontrivial = True
-                if d + 1 < depth and mexp in pos:
-                    row[idx(d + 1, i, mexp)] = PadicNumber.from_rational(
-                        params, d + 1)
-                    nontrivial = True
-                if nontrivial:
-                    rows.append(row)
-    out = []
-    for v in field_kernel(rows, zero, one):
-        comps = []
+    def step(family, n, fresh=True):
+        heads = [(mem, h) for mem in family for h in (rhs(mem, n),) if h]
+        if not heads and n not in res:
+            return family
+        rows = [[zero] * (size + len(heads)) for _ in range(size)]
         for d in range(depth):
-            vec = []
-            for j in range(r):
-                terms = [(n, v[idx(d, j, n)]) for n in exps
-                         if not v[idx(d, j, n)].is_zero()]
-                vec.append(LaurentElement.from_terms(params, terms))
-            comps.append(tuple(vec))
-        out.append(LogSolution(comps, residue_class))
+            for i in range(r):
+                row = rows[d * r + i]
+                for j in range(r):
+                    if R[i][j] or (i == j and n):
+                        row[d * r + j] = PadicNumber.from_rational(
+                            params, R[i][j] + (n if i == j else 0))
+                if d + 1 < depth:
+                    row[(d + 1) * r + i] = PadicNumber.from_rational(
+                        params, d + 1)
+                for b, (_, h) in enumerate(heads):
+                    row[size + b] = -h.get(d * r + i, zero)
+        out = [mem for mem in family if all(mem is not x for x, _ in heads)]
+        for v in field_kernel(rows, zero, one):
+            new = _combine([x for x, _ in heads], v[size:])
+            if fresh or new:
+                new.update(((idx, n), x) for idx, x in enumerate(v[:size])
+                           if not x.is_zero())
+            if new:
+                out.append(new)
+        return out
+
+    def vanishing(family, n):     # the combinations zero from block n on
+        tails = [[rhs(mem, m) for m in range(n, n - e + s + 1, e)]
+                 for mem in family]
+        heads = [b for b, tail in enumerate(tails) if any(tail)]
+        rows = [[tails[b][t].get(key, zero) for b in heads]
+                for t, key in sorted({(t, key) for b in heads
+                                      for t, h in enumerate(tails[b])
+                                      for key in h})]
+        return [mem for b, mem in enumerate(family) if b not in heads] + [
+            new for v in (field_kernel(rows, zero, one) if heads else [])
+            if (new := _combine([family[b] for b in heads], v))]
+
+    family, n, last = [], res[0], max(x for x in res if x <= hi)
+    while n <= hi and (n <= last or live(family, n)):
+        family = step(family, n)
+        n += e
+    kept = vanishing(family, n)
+    if len(kept) < len(family):
+        while n <= 2 * hi - res[0] + s and live(family, n):
+            family = step(family, n, fresh=False)
+            n += e
+        ended = vanishing(family, n)
+        if len(ended) > len(kept):
+            top = max(m for mem in ended for _, m in mem)
+            raise WindowTooSmall(f"a solution runs to t^{top}, past the "
+                                 f"window top t^{hi}; --t-window {top} "
+                                 "holds it")
+    return _reduced_solutions(kept, tG, params, depth, rcls, zero, one)
+
+
+def _combine(members, coeffs):
+    """sum_b coeffs[b] members[b], zero entries dropped."""
+    out = {}
+    for mem, c in zip(members, coeffs):
+        for key, x in mem.items():
+            out[key] = out[key] + x * c if key in out else x * c
+    return {key: x for key, x in out.items() if not x.is_zero()}
+
+
+def _reduced_solutions(family, tG, params, depth, rcls, zero, one):
+    """The reduced basis of the family's span, unknowns ordered by (d, j, n):
+    each solution is 1 at its last coordinate, where the others vanish, and
+    they come in the order of that coordinate."""
+    r = len(tG)
+    coords = sorted({key for mem in family for key in mem}, reverse=True)
+    col = {key: c for c, key in enumerate(coords)}
+    rows = [[zero] * len(coords) for _ in family]
+    for row, mem in zip(rows, family):
+        for key, x in mem.items():
+            row[col[key]] = x
+    reduced, pivots = _eliminate(rows, len(coords))
+    out = []
+    for row, pc in reversed(list(zip(reduced, pivots))):
+        row[pc] = one
+        terms = [[[] for _ in range(r)] for _ in range(depth)]
+        for c, x in row.items():
+            idx, n = coords[c]
+            terms[idx // r][idx % r].append((n, x))
+        sol = LogSolution([tuple(LaurentElement.from_terms(params, t)
+                                 for t in by_j) for by_j in terms], rcls)
+        if not _satisfies(tG, sol):
+            raise WindowTooSmall("candidate solution fails the "
+                                 "full-window equations")
+        out.append(sol)
     return out
 
 
 def _satisfies(tG, sol: LogSolution) -> bool:
-    """Whether sol solves the D-form equations at every log degree."""
+    """Whether sol solves the D-form equations at every log degree (tG
+    without truncated entries)."""
     comps = sol.components
     r = len(tG)
     for d, vd in enumerate(comps):
         for i in range(r):
             acc = vd[i].D()
             for j in range(r):
-                acc = acc + tG[i][j] * vd[j]
+                if not (tG[i][j].is_zero() or vd[j].is_zero()):
+                    acc = acc + tG[i][j] * vd[j]
             if d + 1 < len(comps):
                 acc = acc + comps[d + 1][i].scale(d + 1)
             if not acc.is_zero():
@@ -424,44 +497,11 @@ def _satisfies(tG, sol: LogSolution) -> bool:
     return True
 
 
-def _solve_nabla(m: PhiNablaModule, depth: int, e: int, cap: int):
-    """Log solutions of depth `depth`, solved per residue class mod e.
-
-    Each class is solved on the working exponent window (capped to
-    [-cap, cap]) and again on its half; WindowTooSmall is raised when the
-    two disagree, when a solution fails the full equations, or when G
-    itself is truncated.
-    """
-    m._require(connection=True)
-    if any(x.has_tail() for row in m.G for x in row):
-        raise WindowTooSmall("connection matrix truncated; cannot trust "
-                             "the coefficient equations")
-    tG = [[g.shift(1) for g in row] for row in m.G]
-    lo = max(m.params.window_lo, -cap)
-    hi = min(m.params.window_hi, cap)
-    sols = []
-    for rcls in range(e):
-        found = _nabla_kernel(m, tG, depth, rcls, e, lo, hi)
-        half = _nabla_kernel(m, tG, depth, rcls, e, -((-lo) // 2),
-                             max(1, hi // 2))
-        if len(half) != len(found):
-            raise WindowTooSmall("solution space is window-boundary "
-                                 "sensitive")
-        if not all(_satisfies(tG, s) for s in found):
-            raise WindowTooSmall("candidate solution fails the "
-                                 "full-window equations")
-        sols.extend(found)
-    return sols
-
-
-def horizontal_sections(m: PhiNablaModule, cap: int = SOLVE_WINDOW_CAP):
+def horizontal_sections(m: PhiNablaModule, cap=None):
     """K-basis of ker(nabla) with window-supported entries: the log
-    solutions of depth 1.
-
-    Raises WindowTooSmall when the answer changes between the working
-    exponent window and its half, or when G itself is truncated.
-    """
-    return [s.components[0] for s in _solve_nabla(m, 1, 1, cap)]
+    solutions of depth 1.  The window of m.params is the only bound;
+    `cap`, the former solve-window cap, is accepted and has no effect."""
+    return [s.components[0] for s in _solve_nabla(m, 1, 1)]
 
 
 def _solution_coordinates(basis, target, params):
@@ -489,10 +529,13 @@ def _frobenius_image(m: PhiNablaModule, comps):
         svec = [x.sigma() for x in vd]
         vec = []
         for i in range(m.rank):
-            acc = None
+            acc = LaurentElement.zero(m.params)
             for j in range(m.rank):
-                term = m.A[i][j] * svec[j]
-                acc = term if acc is None else acc + term
+                a = m.A[i][j]
+                # an exact zero (no tail) adds nothing
+                if not ((a.is_zero() and not a.has_tail())
+                        or (svec[j].is_zero() and not svec[j].has_tail())):
+                    acc = acc + a * svec[j]
             vec.append(acc.scale(Fraction(p) ** d))
         out.append(tuple(vec))
     return out
@@ -507,10 +550,9 @@ class ConstantSubmodule:
     rank: int
 
 
-def largest_constant_submodule(m: PhiNablaModule,
-                               cap: int = SOLVE_WINDOW_CAP):
+def largest_constant_submodule(m: PhiNablaModule):
     """Span of ker(nabla) with the induced (constant) Frobenius."""
-    basis = horizontal_sections(m, cap)
+    basis = horizontal_sections(m)
     return ConstantSubmodule(basis, _constant_frobenius(m, basis),
                              len(basis))
 
@@ -543,17 +585,9 @@ class UnipotentFiltration:
 def _complete_basis(params, vectors, rank):
     """Invertible matrix whose first columns are the given vectors."""
     if not vectors:
-        return lmat_identity(params, rank), []
-    # normalise by unit monomials so pivots are order-zero (LAURENT only)
-    normed = []
-    for vec in vectors:
-        exps = [x.min_exponent() for x in vec if not x.is_zero()]
-        shift = min(exps)
-        if params.ring_mode is RingMode.LAURENT and shift != 0:
-            vec = tuple(x.shift(-shift) for x in vec)
-        normed.append(vec)
+        return lmat_identity(params, rank)
     # greedy pivot selection with elimination on a scratch copy
-    scratch = [list(vec) for vec in normed]
+    scratch = [list(vec) for vec in vectors]
     pivot_rows = []
     for cidx, col in enumerate(scratch):
         choice = None
@@ -577,19 +611,18 @@ def _complete_basis(params, vectors, rank):
                     later[i] = later[i] - col[i] * f
     others = [i for i in range(rank) if i not in pivot_rows]
     U = lmat_zero(params, rank)
-    for j, vec in enumerate(normed):
+    for j, vec in enumerate(vectors):
         for i in range(rank):
             U[i][j] = vec[i]
     for j, i in enumerate(others):
-        U[i][len(normed) + j] = LaurentElement.one(params)
+        U[i][len(vectors) + j] = LaurentElement.one(params)
     det = lmat_det(U)
     if det.is_zero() or not det.is_unit():
         raise WindowTooSmall("completed basis is not invertible at precision")
-    return U, normed
+    return U
 
 
-def unipotent_filtration(m: PhiNablaModule,
-                         cap: int = SOLVE_WINDOW_CAP) -> UnipotentFiltration:
+def unipotent_filtration(m: PhiNablaModule) -> UnipotentFiltration:
     """Flag with constant graded pieces, or NOT_UNIPOTENT.
 
     Iterates the largest constant submodule on successive quotients and
@@ -599,10 +632,10 @@ def unipotent_filtration(m: PhiNablaModule,
     m._require(connection=True)
     if m.rank == 0:
         return UnipotentFiltration(True, 0, GaugeChange([]), [], m)
-    return _unipotent_filtration(m, cap, horizontal_sections(m, cap))
+    return _unipotent_filtration(m, horizontal_sections(m))
 
 
-def _unipotent_filtration(m: PhiNablaModule, cap: int,
+def _unipotent_filtration(m: PhiNablaModule,
                           sections: list) -> UnipotentFiltration:
     """``unipotent_filtration`` of a module of positive rank whose
     horizontal sections are already solved."""
@@ -613,24 +646,22 @@ def _unipotent_filtration(m: PhiNablaModule, cap: int,
     block_sizes = []
     while current.rank > 0:
         if current is not m:
-            sections = horizontal_sections(current, cap)
+            sections = horizontal_sections(current)
         if not sections:
             return UnipotentFiltration(False)
-        U, _ = _complete_basis(params, sections, current.rank)
+        U = _complete_basis(params, sections, current.rank)
         gauged = GaugeChange(U).apply(current)
         k = len(sections)
         # sub-basis columns of G must vanish; phi must stabilise the span
-        for j in range(k):
-            for i in range(current.rank):
-                if not gauged.G[i][j].is_zero():
-                    raise DiagnosticConflict("gauge failed to flatten the "
-                                             "constant sub-basis")
-        if gauged.has_frobenius:
-            for i in range(k, current.rank):
-                for j in range(k):
-                    if not gauged.A[i][j].is_zero():
-                        raise DiagnosticConflict("constant submodule not "
-                                                 "phi-stable at precision")
+        if any(not gauged.G[i][j].is_zero()
+               for i in range(current.rank) for j in range(k)):
+            raise DiagnosticConflict("gauge failed to flatten the constant "
+                                     "sub-basis")
+        if gauged.has_frobenius and any(
+                not gauged.A[i][j].is_zero()
+                for i in range(k, current.rank) for j in range(k)):
+            raise DiagnosticConflict("constant submodule not phi-stable at "
+                                     "precision")
         # embed U into the total gauge
         r = m.rank
         emb = lmat_identity(params, r)
@@ -676,12 +707,10 @@ def _rational_matrix(M, description="matrix"):
     return out
 
 
-def residue_exponents(m: PhiNablaModule) -> ResidueReport:
-    """Eigenvalues of the residue matrix R = (t G)|_{t=0}."""
-    from . import linalg
-
+def _residue(m: PhiNablaModule):
+    """t G, its residue R = (t G)|_{t=0} over Q, and the rational roots
+    of det(T I - R) with the factor left over (see _rational_roots)."""
     m._require(connection=True)
-    params = m.params
     tG = [[g.shift(1) for g in row] for row in m.G]
     for row in tG:
         for x in row:
@@ -690,10 +719,14 @@ def residue_exponents(m: PhiNablaModule) -> ResidueReport:
                     "connection has a pole of order > 1 at t = 0")
             if x.tail_neg:
                 raise IrregularSingularity("negative tail in t*G")
-    R_p = [[x.coefficient(0) for x in row] for row in tG]
-    R = _rational_matrix(R_p, "residue matrix")
-    cp = linalg.charpoly(R)
-    roots, remaining = _rational_roots(cp)
+    R = _rational_matrix([[x.coefficient(0) for x in row] for row in tG],
+                         "residue matrix")
+    return (tG, R) + _rational_roots(linalg.charpoly(R))
+
+
+def residue_exponents(m: PhiNablaModule) -> ResidueReport:
+    """Eigenvalues of the residue matrix R = (t G)|_{t=0}."""
+    _, R, roots, remaining = _residue(m)
     # semisimple on the recognised part: product of (R - lambda) vanishes
     if remaining is None:
         prod = linalg.identity(m.rank)
@@ -750,6 +783,8 @@ def module_to_json(m: PhiNablaModule) -> dict:
         "rank": m.rank,
         "label": m.label,
     }
+    if m.params.modulus is not None:
+        obj["params"]["modulus"] = list(m.params.modulus)
     if m.has_frobenius:
         obj["frobenius"] = [[x.to_json() for x in row] for row in m.A]
     if m.has_connection:

@@ -257,7 +257,10 @@ class LaurentElement:
             try:
                 s = str(c.to_fraction())
             except ValueError:
-                s = f"p^{c.v}*{c.unit}"
+                # a unit of an extension is written by its coordinates
+                s = f"p^{c.v}*" + (f"[{','.join(map(str, c.unit))}]"
+                                   if isinstance(c.unit, tuple)
+                                   else str(c.unit))
             terms.append([e, s])
         return {"terms": terms}
 
@@ -268,8 +271,9 @@ class LaurentElement:
             s = str(s)
             if s.startswith("p^"):
                 vpart, upart = s[2:].split("*")
-                c = PadicNumber.from_rational(
-                    params, Fraction(int(upart)) * Fraction(params.p) ** int(vpart))
+                scale = Fraction(params.p) ** int(vpart)
+                c = PadicNumber.from_poly(params, [
+                    int(u) * scale for u in upart.strip("[]").split(",")])
             else:
                 try:
                     value = Fraction(s)

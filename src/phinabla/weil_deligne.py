@@ -574,10 +574,13 @@ class FamilyReport:
     compatible: bool
     tables: list            # one {key: Fraction} per member
     witness: tuple | None   # (member index, key, value, reference value)
+    depth: int              # largest n read on any graded piece
 
 
 def trace_table(rep: WeilDeligneRep, n_max: int) -> dict:
-    """(k, n) -> Tr(Phi^n | Gr_k^M), plus inertia traces when present."""
+    """(k, n) -> Tr(Phi^n | Gr_k^M) for n <= max(n_max, dim Gr_k), where
+    the traces fix the characteristic polynomial of Phi on Gr_k (Newton's
+    identities), plus inertia traces when present."""
     fil = monodromy_filtration(rep.N)
     table = {}
     for k in range(-fil.s, fil.s + 1):
@@ -588,7 +591,7 @@ def trace_table(rep: WeilDeligneRep, n_max: int) -> dict:
             raise IrrationalTrace("Phi does not respect the monodromy "
                                   "filtration")
         P = linalg.identity(len(Mk))
-        for n in range(1, n_max + 1):
+        for n in range(1, max(n_max, len(Mk)) + 1):
             P = linalg.mat_mul(P, Mk)
             table[(k, n)] = linalg.trace(P)
     if rep.inertia_order > 1 and rep.inertia_matrix is not None:
@@ -600,15 +603,16 @@ def trace_table(rep: WeilDeligneRep, n_max: int) -> dict:
 
 
 def compatibility_family(reps, n_max: int = 6) -> FamilyReport:
-    """COMPATIBLE iff every member has the identical trace table."""
+    """COMPATIBLE iff every member has the identical trace table, each
+    graded piece read deep enough to fix its characteristic polynomial."""
     tables = [trace_table(r, n_max) for r in reps]
-    if not tables:
-        return FamilyReport(True, [], None)
-    ref = tables[0]
+    depth = max([n_max] + [key[1] for tab in tables for key in tab
+                           if key[0] != "inertia"])
+    ref = tables[0] if tables else {}
     for idx, tab in enumerate(tables[1:], start=1):
         keys = sorted(set(ref) | set(tab), key=str)
         for key in keys:
             a, b = ref.get(key), tab.get(key)
             if a != b:
-                return FamilyReport(False, tables, (idx, key, b, a))
-    return FamilyReport(True, tables, None)
+                return FamilyReport(False, tables, (idx, key, b, a), depth)
+    return FamilyReport(True, tables, None, depth)

@@ -122,6 +122,35 @@ def test_compat_mismatch(capsys, tmp_path):
     assert "INCOMPATIBLE" in out
 
 
+def test_compat_reads_each_piece_to_its_dimension(capsys, tmp_path):
+    # T^7 - 128 and T^7 + 128 at q = 4 agree in Tr(Phi^n) for n < 7
+    def member(c):      # companion matrix of T^7 + c, N = 0
+        phi = [[str(int(i == j + 1)) for j in range(6)]
+               + [str(-c if i == 0 else 0)] for i in range(7)]
+        return {"q": 4, "phi": phi, "N": [["0"] * 7 for _ in range(7)]}
+    path = tmp_path / "roots_of_128.json"
+    path.write_text(json.dumps({"members": [member(-128), member(128)]}))
+    code, out, _ = run(capsys, "compat", str(path))
+    assert code == 0
+    assert "members: 2, depth n <= 7" in out
+    assert "INCOMPATIBLE at member 1, entry (0, 7)" in out
+    code, out, _ = run(capsys, "--json", "compat", str(path))
+    assert json.loads(out)["nmax"] == 7
+
+
+def test_unramified_input_is_read(capsys, tmp_path):
+    from phinabla.modules import PhiNablaModule, module_to_json
+    from phinabla.padic import RingMode, RingParams
+    params = RingParams(5, 20, (32, 32), RingMode.LAURENT, 2, (2, 0, 1))
+    m = PhiNablaModule.from_rational_matrices(
+        params, connection=[[0, {-1: 1}], [0, 0]], label="kt_a2")
+    path = tmp_path / "kt_a2.json"
+    path.write_text(json.dumps(module_to_json(m)))
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert "unipotence level: 2" in out
+
+
 def test_missing_file_is_parse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "/nonexistent/nope.json"])

@@ -139,43 +139,42 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _kernel_calls(monkeypatch, run):
-    """Calls of the one nabla-kernel solver made by run()."""
+    """Per-class calls of the one nabla solver made by run()."""
     calls = 0
-    solve = modules._nabla_kernel
+    solve = modules._solve_class
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(modules, "_nabla_kernel", counted)
+    monkeypatch.setattr(modules, "_solve_class", counted)
     run()
     return calls
 
 
 @pytest.mark.parametrize("run, solves", [
     # sections of D(A), which are also the first step of the unipotent
-    # filtration, of its dual and of the filtration's second step, each
-    # solved on the window and on its half
+    # filtration, of its dual and of the filtration's second step
     pytest.param(lambda: semistable_weight_filtration(
-        corpus.tate_abelian_datum(P)), 6, id="weight-filtration"),
+        corpus.tate_abelian_datum(P)), 3, id="weight-filtration"),
     # the same, plus the log basis of wd_extract
     pytest.param(lambda: wd_weight_filtration_flags(
-        corpus.tate_abelian_datum(P)), 8, id="wd-flags"),
+        corpus.tate_abelian_datum(P)), 4, id="wd-flags"),
     pytest.param(lambda: cli.main(
-        ["reduction", str(CORPUS / "tate_abelian.json")]), 6,
+        ["reduction", str(CORPUS / "tate_abelian.json")]), 3,
         id="cli-tate"),
     # GOOD: sections of D(A) and of the dual, no filtration
     pytest.param(lambda: cli.main(
-        ["reduction", str(CORPUS / "good_elliptic.json")]), 4,
+        ["reduction", str(CORPUS / "good_elliptic.json")]), 2,
         id="cli-good"),
     # no section: neither the filtration nor the dual is solved
     pytest.param(lambda: cli.main(
-        ["reduction", str(CORPUS / "bad_reduction.json")]), 2,
+        ["reduction", str(CORPUS / "bad_reduction.json")]), 1,
         id="cli-bad"),
     # the selftest's precision-stability record: kummer_tate and half_twist
     # extractions, one reduction record per datum and the excision
-    pytest.param(lambda: cli._corpus_invariants(20, 32), 20,
+    pytest.param(lambda: cli._corpus_invariants(20, 32), 10,
                  id="selftest-invariants"),
 ])
 def test_each_solve_runs_once(run, solves, monkeypatch, capsys):

@@ -116,22 +116,41 @@ def test_gauge_invariance_via_trace_tables():
     assert compatibility_family([rep_a, rep_b], 6).compatible
 
 
-def test_rank_eight_tensor_cube_of_kt():
-    # Sp(2)^(x3): Phi = diag(1, 5)^(x3), N the Kronecker sum of three N0
-    def kron(A, B):
-        return [[a * b for a in ra for b in rb] for ra in A for rb in B]
+def _kron(A, B):
+    return [[a * b for a in ra for b in rb] for ra in A for rb in B]
 
+
+def _sp2_power(k):
+    """Sp(2)^(xk): Phi = diag(1, 5)^(xk), N the Kronecker sum of k N0."""
     I2 = [[F(1), F(0)], [F(0), F(1)]]
     N0 = [[F(0), F(1)], [F(0), F(0)]]
     phi1 = [[F(1), F(0)], [F(0), F(5)]]
-    terms = [kron(kron(N0, I2), I2), kron(kron(I2, N0), I2),
-             kron(kron(I2, I2), N0)]
-    N = [[a + b + c for a, b, c in zip(*rows)] for rows in zip(*terms)]
-    ref = WeilDeligneRep(5, kron(kron(phi1, phi1), phi1), N)
+    phi, N, I = phi1, N0, I2
+    for _ in range(k - 1):
+        N = [[a + b for a, b in zip(ra, rb)]
+             for ra, rb in zip(_kron(N, I2), _kron(I, N0))]
+        phi, I = _kron(phi, phi1), _kron(I, I2)
+    return WeilDeligneRep(5, phi, N)
+
+
+def test_rank_eight_tensor_cube_of_kt():
     kt = corpus.kummer_tate(P)
     rep, _ = wd_extract(tensor(kt, tensor(kt, kt)))
     assert rep.dim == 8
-    assert trace_table(rep, 4) == trace_table(ref, 4)
+    assert trace_table(rep, 4) == trace_table(_sp2_power(3), 4)
+
+
+def test_rank_sixteen_tensor_power_of_kt():
+    import time
+    kt = corpus.kummer_tate(P)
+    m = tensor(tensor(kt, kt), tensor(kt, kt))
+    start = time.perf_counter()
+    rep, trace = wd_extract(m)
+    assert time.perf_counter() - start < 3.0
+    assert rep.dim == 16
+    # the Kronecker sum of four N0 has Jordan type (5, 3, 3, 3, 1, 1)
+    assert sorted(trace.log_degrees) == [0] * 6 + [1] * 4 + [2] * 4 + [3, 4]
+    assert trace_table(rep, 4) == trace_table(_sp2_power(4), 4)
 
 
 def test_nilpotency_index_bounded_by_level():

@@ -1,11 +1,14 @@
 """The (phi, nabla)-module layer."""
 
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from phinabla.errors import (IrregularSingularity, MissingStructure,
-                             WildCover)
+                             WildCover, WindowTooSmall)
 from phinabla.modules import (GaugeChange, PhiNablaModule,
                               check_compatibility, direct_sum, dual,
                               horizontal_sections, kummer_pullback,
@@ -14,7 +17,8 @@ from phinabla.modules import (GaugeChange, PhiNablaModule,
                               module_from_json, module_to_json,
                               residue_exponents, tate_twist, tensor,
                               unipotent_filtration)
-from phinabla.padic import RingMode, RingParams
+from phinabla.oracles import ode_recurrence_solutions
+from phinabla.padic import PadicNumber, RingMode, RingParams
 from phinabla.series import LaurentElement
 
 
@@ -210,3 +214,192 @@ def test_residue_exponents_repeated():
     rr = residue_exponents(m)
     assert sorted(rr.exponents) == diag
     assert rr.semisimple and rr.unresolved_factor is None
+
+
+# -- the resonance-driven solver --------------------------------------------
+
+def _scalar(c, window=32):
+    return PhiNablaModule.from_rational_matrices(
+        RingParams(5, 20, (window, window), RingMode.LAURENT),
+        connection=[[{-1: c}]])
+
+
+def _exponents(sections):
+    """Each section as ((exponent, coefficient), ...) per entry."""
+    return [tuple(tuple(sorted((n, c.to_fraction())
+                               for n, c in x.coeffs.items())) for x in v)
+            for v in sections]
+
+
+@pytest.mark.parametrize("c, window", [(-12, 32), (-9, 32), (-11, 32),
+                                       (-11, 64), (-10, 32), (-10, 64)])
+def test_resonant_section_beyond_ten(c, window):
+    # D t^n = n t^n, so G = c/t has the section t^-c
+    assert _exponents(horizontal_sections(_scalar(c, window))) == \
+        [(((-c, 1),),)]
+
+
+@pytest.mark.parametrize("window", [8, 16, 32, 64])
+def test_scalar_window_sweep(window):
+    for c in range(-13, 14):
+        expected = [(((-c, 1),),)] if -window <= -c <= window else []
+        assert _exponents(horizontal_sections(_scalar(c, window))) == \
+            expected, c
+
+
+def _sheared(m, shape):
+    params = m.params
+    U = lmat_identity(params, m.rank)
+    for i, j, k, c in shape:
+        U[i][j] = LaurentElement.monomial(params, k, c)
+    return GaugeChange(U).apply(m)
+
+
+def _gauged_inputs(window):
+    params = RingParams(5, 20, (window, window), RingMode.LAURENT)
+    kt_w = PhiNablaModule.from_rational_matrices(
+        params, frobenius=[[1, 0], [0, 5]],
+        connection=[[0, {-1: 1}], [0, 0]])
+    h1 = PhiNablaModule.from_rational_matrices(
+        params, frobenius=[[0, -5], [1, 2]], connection=[[0, 0], [0, 0]])
+    return {
+        "kt": _sheared(kt_w, [(1, 0, 1, Fraction(-7, 3))]),
+        "kt t^3": _sheared(kt_w, [(0, 1, 3, Fraction(2, 3))]),
+        "kt+h1": _sheared(direct_sum(kt_w, h1), [(0, 3, 1, Fraction(5, 4)),
+                                                 (2, 1, 2, -3)]),
+    }
+
+
+def test_gauged_sections_do_not_depend_on_window():
+    from phinabla.extraction import log_solution_basis
+
+    def solved(window):
+        out = {}
+        for name, m in _gauged_inputs(window).items():
+            out[name] = (_exponents(horizontal_sections(m)),
+                         [(s.residue_class,
+                           [_exponents([v])[0] for v in s.components])
+                          for s in log_solution_basis(m).solutions])
+        return out
+
+    ref = solved(8)
+    assert [len(ref[k][0]) for k in ("kt", "kt t^3", "kt+h1")] == [1, 1, 3]
+    for window in (11, 16, 32, 64):
+        assert solved(window) == ref, window
+
+
+def test_section_past_the_window_top_names_the_window():
+    # diag(-30/t, 0) sheared by t^5: the section (t^30, -3 t^35), scaled
+    # to 1 at its last coordinate
+    for window, expected in ((32, None),
+                             (40, [((), ((0, 1),)),
+                                   (((30, Fraction(-1, 3)),), ((35, 1),))])):
+        params = RingParams(5, 20, (window, window), RingMode.LAURENT)
+        m = PhiNablaModule.from_rational_matrices(
+            params, connection=[[{-1: -30}, 0], [0, 0]])
+        g = _sheared(m, [(1, 0, 5, 3)])
+        if expected is None:
+            with pytest.raises(WindowTooSmall, match="t-window 35"):
+                horizontal_sections(g)
+        else:
+            assert _exponents(horizontal_sections(g)) == expected
+
+
+def test_irregular_connection_is_refused():
+    m = PhiNablaModule.from_rational_matrices(P, connection=[[{-2: 1}]])
+    with pytest.raises(IrregularSingularity):
+        horizontal_sections(m)
+
+
+def test_non_terminating_solution_is_not_a_section():
+    # G = 1: the solution exp(-t) never ends, so no window holds it
+    m = PhiNablaModule.from_rational_matrices(P, connection=[[{0: 1}]])
+    assert horizontal_sections(m) == []
+
+
+def test_unipotent_filtration_of_a_monomial_section():
+    # G = -3/t: the section t^3 is a unit of the Laurent ring
+    fil = unipotent_filtration(_scalar(-3))
+    assert fil.unipotent and fil.level == 1
+    assert fil.gauged_module.G[0][0].is_zero()
+
+
+@st.composite
+def regular_connections(draw):
+    """t G as {k: rank x rank Fraction matrix}: an integer upper
+    triangular residue (so resonances occur) and terms up to t^2."""
+    rank = draw(st.integers(1, 3))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    tg = {0: [[Fraction(draw(st.integers(-4, 4))) if i == j else
+               (draw(small) if j > i else Fraction(0))
+               for j in range(rank)] for i in range(rank)]}
+    for k in range(1, draw(st.integers(0, 2)) + 1):
+        tg[k] = [[draw(st.just(Fraction(0)) | small) for _ in range(rank)]
+                 for _ in range(rank)]
+    return rank, tg, draw(st.integers(2, 6))
+
+
+def _as_module(rank, tg, window):
+    params = RingParams(5, 60, (window, window), RingMode.LAURENT)
+    G = [[{k - 1: tg[k][i][j] for k in tg if tg[k][i][j]}
+          for j in range(rank)] for i in range(rank)]
+    return PhiNablaModule.from_rational_matrices(params, connection=G)
+
+
+def _oracle_vectors(rank, tg, lo, hi):
+    sols = ode_recurrence_solutions(tg, rank, (lo, hi)).solutions
+    return [tuple(tuple(sorted((n, vec[j]) for n, vec in s.items()
+                               if vec[j])) for j in range(rank))
+            for s in sols]
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(regular_connections())
+def test_sections_match_the_ode_recurrence_oracle(problem):
+    rank, tg, window = problem
+    try:
+        sections = horizontal_sections(_as_module(rank, tg, window))
+    except WindowTooSmall:
+        # only when a solution starts inside the window and ends past it,
+        # within the one more window width the solver follows
+        top = 3 * window + max(tg)
+        both = len(_oracle_vectors(rank, tg, -window, top))
+        beyond = len(_oracle_vectors(rank, tg, window + 1, top))
+        inside = len(_oracle_vectors(rank, tg, -window, window))
+        assert both - beyond > inside
+        return
+    # both are the reduced basis of the same coefficient system
+    assert _exponents(sections) == _oracle_vectors(rank, tg, -window,
+                                                   window)
+
+
+def test_oracle_shares_no_code_with_the_solver():
+    import ast
+    import phinabla.oracles as oracles
+    tree = ast.parse(pathlib.Path(oracles.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    imported |= {a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for a in node.names}
+    assert not any(name and name.split(".")[-1] in ("modules", "linalg")
+                   for name in imported), imported
+
+
+@pytest.mark.parametrize("a, modulus", [(1, None), (2, (2, 0, 1))])
+def test_json_roundtrip_unramified(a, modulus):
+    # x^2 + 2 is irreducible mod 5; the generator makes units that are not
+    # rational, so the JSON carries their coordinates
+    params = RingParams(5, 20, (8, 8), RingMode.LAURENT, a, modulus)
+    g = PadicNumber.from_poly(params, [Fraction(1, 3), 2])
+    zero, one = LaurentElement.zero(params), LaurentElement.one(params)
+    m = PhiNablaModule(params, 2,
+                       [[LaurentElement(params, {0: g}), zero], [zero, one]],
+                       [[zero, LaurentElement(params, {-1: g, 2: g})],
+                        [zero, zero]], "unramified")
+    back = module_from_json(json.loads(json.dumps(module_to_json(m))))
+    assert back.params == params
+    for M, N in ((m.A, back.A), (m.G, back.G)):
+        for row_m, row_b in zip(M, N):
+            for x, y in zip(row_m, row_b):
+                assert x.congruent(y)

@@ -423,3 +423,87 @@ def test_numeric_weights_keep_mpmath_precision(weigh):
     before = mpmath.mp.dps
     weigh([25, 0, 0, 0, 1], 5)
     assert mpmath.mp.dps == before
+
+
+# -- families read deep enough to decide -------------------------------------
+
+def _companion(charpoly):
+    """Companion matrix of the monic polynomial given low-to-high."""
+    d = len(charpoly) - 1
+    return [[F(1) if i == j + 1 else F(0) for j in range(d - 1)]
+            + [-F(charpoly[i])] for i in range(d)]
+
+
+def test_seventh_roots_of_128_are_told_apart():
+    # T^7 - 128 and T^7 + 128 at q = 4: pure of weight 1, N = 0; their
+    # power sums agree for n < 7
+    zero = [[F(0)] * 7 for _ in range(7)]
+    minus = WeilDeligneRep(4, _companion([-128] + [0] * 6 + [1]), zero)
+    plus = WeilDeligneRep(4, _companion([128] + [0] * 6 + [1]), zero)
+    assert [trace_table(minus, 6)[(0, n)] for n in range(1, 7)] == \
+        [trace_table(plus, 6)[(0, n)] for n in range(1, 7)]
+    fam = compatibility_family([minus, plus])
+    assert not fam.compatible
+    assert fam.witness[1] == (0, 7)
+    assert fam.depth == 7
+
+
+def _unimodular(draw, d):
+    """A random integer matrix of determinant 1, as a product of shears."""
+    U = linalg.identity(d)
+    for _ in range(draw(st.integers(0, d))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        if i != j:
+            c = draw(st.sampled_from([-1, 1]))
+            U = [[U[r][k] + (c * U[j][k] if r == i else 0)
+                  for k in range(d)] for r in range(d)]
+    return U
+
+
+def _rep_of(charpoly, with_sp2, q, U):
+    """Unramified Phi = companion(charpoly), tensored with Sp(2) when
+    asked (graded pieces Gr_-1, Gr_1 of the charpoly's degree), conjugated
+    by U."""
+    C = _companion(charpoly)
+    d = len(C)
+    if with_sp2:
+        C = [[a * b for a in ra for b in rb]
+             for ra in C for rb in [[F(1), F(0)], [F(0), F(q)]]]
+        N = [[a * b for a in ra for b in rb]
+             for ra in linalg.identity(d) for rb in [[F(0), F(1)],
+                                                     [F(0), F(0)]]]
+    else:
+        N = [[F(0)] * d for _ in range(d)]
+    Ui = linalg.mat_inv(U)
+    conj = lambda M: linalg.mat_mul(Ui, linalg.mat_mul(M, U))
+    return WeilDeligneRep(q, conj(C), conj(N))
+
+
+@st.composite
+def family_problems(draw):
+    d = draw(st.integers(1, 10))
+    lower = [draw(st.integers(-3, 3)) for _ in range(d)]
+    if lower[0] == 0:
+        lower[0] = draw(st.sampled_from([-2, -1, 1, 2]))
+    with_sp2 = draw(st.booleans())
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    size = 2 * d if with_sp2 else d
+    return (lower + [1], with_sp2, q, _unimodular(draw, size),
+            _unimodular(draw, size), draw(st.integers(0, d - 1)),
+            draw(st.sampled_from([-2, -1, 1, 2])))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(family_problems())
+def test_family_verdict_is_exact_up_to_dimension_ten(problem):
+    charpoly, with_sp2, q, U, V, i, delta = problem
+    base = _rep_of(charpoly, with_sp2, q, U)
+    assert compatibility_family([base, _rep_of(charpoly, with_sp2, q,
+                                                V)]).compatible
+    changed = list(charpoly)
+    changed[i] += delta
+    if changed[0] == 0:     # Phi must stay invertible
+        changed[0] = 2 * delta
+    fam = compatibility_family([base, _rep_of(changed, with_sp2, q, V)])
+    assert not fam.compatible and fam.witness[0] == 1

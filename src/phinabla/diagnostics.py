@@ -229,13 +229,7 @@ def _restrict_and_quotient(phi, sub):
     """phi restricted to span(sub) and induced on the quotient, where sub
     is a list of coordinate vectors; raises if not invariant."""
     dim = len(phi)
-    comp = []
-    acc = [list(v) for v in sub]
-    for i in range(dim):
-        cand = [Fraction(int(i == j)) for j in range(dim)]
-        if not linalg.in_span(cand, acc):
-            comp.append(cand)
-            acc.append(cand)
+    comp = linalg._completion(sub, linalg.identity(dim))
     B = linalg.transpose(list(sub) + comp)
     Binv = linalg.mat_inv(B)
     conj = linalg.mat_mul(Binv, linalg.mat_mul(phi, B))

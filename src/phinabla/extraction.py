@@ -141,17 +141,19 @@ def wd_extract(m: PhiNablaModule, m_max: int = 24,
     comps = [s.components for s in sols]
 
     def induced(image, what, leaves):
-        """Matrix of an operator on the solution span, column by column."""
-        cols = []
-        for c in comps:
-            x = _solution_coordinates(comps, image(c), params)
-            if x is None:
-                raise NonConstantFrobenius(leaves)
-            cols.append(_rational_vector(x, NonConstantFrobenius, what))
-        return linalg.transpose(cols)
+        """Matrix of an operator on the solution span, from one solve."""
+        cols = _solution_coordinates(comps, [image(c) for c in comps],
+                                     params)
+        if cols is None:
+            raise NonConstantFrobenius(leaves)
+        return linalg.transpose([_rational_vector(x, NonConstantFrobenius,
+                                                  what) for x in cols])
 
-    phi = induced(lambda c: _frobenius_image(pulled, c), "induced Frobenius",
-                  "phi image leaves the solution span at precision")
+    # sigma fixes Q, so the a-th power of the p-power Frobenius read on the
+    # rational solution coordinates is the linear (q-power) Frobenius
+    phi = linalg.mat_pow(
+        induced(lambda c: _frobenius_image(pulled, c), "induced Frobenius",
+                "phi image leaves the solution span at precision"), params.a)
     N = induced(lambda c: _log_derivative(c, params), "monodromy operator",
                 "log derivative leaves the span")
 
@@ -248,12 +250,8 @@ def key2_normal_form(m: PhiNablaModule, weight_flag_data=None) -> NormalForm:
     col_rank = linalg.rank(C) if k1 and k2 else 0
     if 0 < col_rank < k1:
         img = linalg.column_space(C)
-        cols = list(img)
-        for i in range(k1):
-            cand = [Fraction(int(i == j)) for j in range(k1)]
-            if not linalg.in_span(cand, cols):
-                cols.append(cand)
-        E = linalg.transpose(cols)
+        E = linalg.transpose(
+            img + linalg._completion(img, linalg.identity(k1)))
         U3 = lmat_identity(params, k1 + k2)
         for i in range(k1):
             for j in range(k1):

@@ -1,21 +1,27 @@
 """Small exact linear algebra kernels.
 
-Two flavours live here: plain Fraction matrices (used by the Weil-Deligne
-layer and by the brute-force oracles) and generic Gaussian elimination over
-any exact field element type exposing +, -, *, inverse() and is_zero()
-(used for p-adic coefficient solves).  Matrices are tuples/lists of rows.
+Matrices are lists of rows.  Fraction matrices serve the Weil-Deligne layer
+(products, powers, characteristic polynomials, and the rational polynomial
+helpers at the end); PadicNumber matrices are the coefficient systems of
+the nabla solver.
 
-The generic elimination takes and returns dense lists but works on sparse
-rows internally: the nabla-coefficient systems it solves are banded, with a
-few non-zeros per row.  Zero-at-precision input entries count as absent,
-as in LaurentElement, and non-zero returned entries never carry less
-precision than a dense elimination with the same pivots gives.
+All exact elimination runs through one sparse Gauss-Jordan loop,
+``_eliminate``, parametrised by the coefficient type's zero test, inverse
+and pivot rule: over Fraction the first row with a non-zero entry, over
+PadicNumber the entry of smallest valuation.  ``rref``, ``rank``,
+``nullspace``, ``column_space``, ``span_basis``, ``solve`` and ``mat_inv``
+are Fraction views of its result (with Fraction entries even for int
+input), ``field_kernel`` and ``field_solve`` the p-adic ones.  The systems
+it solves are mostly sparse: zero input entries count as absent, as in
+LaurentElement, and non-zero p-adic entries never carry less precision
+than a dense elimination with the same pivots gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import methodcaller, not_
 
 
 # ---------------------------------------------------------------------------
@@ -76,79 +82,32 @@ def trace(A):
 
 def rref(A):
     """Reduced row echelon form; returns (R, pivot column list)."""
-    R = [[Fraction(x) for x in row] for row in A]
-    rows = len(R)
-    cols = len(R[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if R[i][c] != 0), None)
-        if pivot is None:
-            continue
-        R[r], R[pivot] = R[pivot], R[r]
-        inv = 1 / R[r][c]
-        R[r] = [x * inv if x else x for x in R[r]]
-        for i in range(rows):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [x - f * y if y else x for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return R, pivots
+    ncols = len(A[0]) if A else 0
+    R, pivots = _eliminate(_fractions(A), ncols, _FRACTION)
+    zero = Fraction(0)
+    return [[row.get(c, zero) for c in range(ncols)] for row in R], pivots
 
 
 def rank(A):
     if not A or not A[0]:
         return 0
-    return len(rref(A)[1])
+    return len(_eliminate(_fractions(A), len(A[0]), _FRACTION)[1])
 
 
 def nullspace(A):
     """Basis of the right kernel (list of column vectors as lists)."""
     if not A:
         return []
-    cols = len(A[0])
-    R, pivots = rref(A)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][fc]
-        basis.append(v)
-    return basis
+    ncols = len(A[0])
+    R, pivots = _eliminate(_fractions(A), ncols, _FRACTION)
+    return _kernel(R, pivots, ncols, Fraction(0), Fraction(1))
 
 
 def column_space(A):
     """Basis of the column space, as a list of column vectors."""
     if not A or not A[0]:
         return []
-    R, pivots = rref(transpose(A))
-    return [list(R[i]) for i in range(len(pivots))]
-
-
-def solve(A, b):
-    """One solution of A x = b, or None if inconsistent."""
-    if not A:
-        return [] if all(x == 0 for x in b) else None
-    cols = len(A[0])
-    aug = [row + [bi] for row, bi in zip(A, b)]
-    R, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r][cols]
-    return x
-
-
-def in_span(v, basis):
-    if not basis:
-        return all(x == 0 for x in v)
-    return solve(transpose(basis), v) is not None
+    return span_basis(transpose(A))
 
 
 def span_basis(vectors):
@@ -156,7 +115,30 @@ def span_basis(vectors):
     if not vectors:
         return []
     R, pivots = rref(vectors)
-    return [R[i] for i in range(len(pivots))]
+    return R[:len(pivots)]
+
+
+def solve(A, rhs):
+    """Solutions x_j of A x_j = rhs[j], one per right-hand side column, or
+    None if one of them is inconsistent."""
+    return _solve(_fractions(A), _fractions(rhs), Fraction(0), _FRACTION)
+
+
+def _pivot_columns(vectors):
+    """Pivot columns of the matrix with columns ``vectors``: the positions
+    of the vectors outside the span of the ones before them."""
+    if not vectors:
+        return []
+    return _eliminate(_fractions(transpose(vectors)), len(vectors),
+                      _FRACTION)[1]
+
+
+def _completion(known, cand):
+    """The vectors of ``cand`` outside the span of ``known`` and of the
+    candidates before them, in order (one elimination of [known | cand])."""
+    n = len(known)
+    return [cand[c - n] for c in _pivot_columns(list(known) + list(cand))
+            if c >= n]
 
 
 def same_space(basis1, basis2):
@@ -165,13 +147,8 @@ def same_space(basis1, basis2):
 
 
 def mat_inv(A):
-    n = len(A)
-    aug = [[Fraction(x) for x in row] + identity(n)[i]
-           for i, row in enumerate(A)]
-    R, pivots = rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in R]
+    cols = solve(A, identity(len(A)))
+    return None if cols is None else transpose(cols)
 
 
 def charpoly(A):
@@ -320,22 +297,38 @@ def _rational_roots(coeffs, p=None):
 
 
 # ---------------------------------------------------------------------------
-# generic exact-field elimination (p-adic coefficients)
+# exact elimination
 
-def _eliminate(rows, ncols):
-    """Sparse Gauss-Jordan elimination on the first ``ncols`` columns.
+# (zero test, inverse, pivot key) of a coefficient type.  Fraction takes the
+# first row with a non-zero entry; PadicNumber the smallest valuation, the
+# p-adically largest pivot, so that a division loses the fewest digits.
+_FRACTION = (not_, lambda x: 1 / x, None)
+_PADIC = (methodcaller("is_zero"), methodcaller("inverse"),
+          methodcaller("valuation"))
 
-    Rows are compacted to ``{col: element}`` dicts; input entries that are
-    zero at precision count as absent.  An entry that cancels to zero
-    during elimination stays, with its precision bound, so later updates
-    cannot claim digits the inputs do not determine; it is never a pivot.
-    The eliminated entry in a pivot column is zero by construction and is
-    removed.  The pivot in each column has minimal valuation, the first row
-    in current order winning ties.  Returns the reduced rows (pivot rows
-    first, in pivot order) and the pivot columns.
+
+def _fractions(A):
+    return [[Fraction(x) for x in row] for row in A]
+
+
+def _eliminate(rows, ncols, rule):
+    """Sparse Gauss-Jordan elimination on the first ``ncols`` columns, the
+    one elimination loop of the package.
+
+    ``rule`` is the coefficient type's (zero test, inverse, pivot key).
+    Rows are compacted to ``{col: element}`` dicts; input entries that pass
+    the zero test count as absent.  An entry that cancels to zero during
+    elimination stays (a p-adic one with its precision bound, so later
+    updates cannot claim digits the inputs do not determine); it is never a
+    pivot.  The eliminated entry in a pivot column is zero by construction
+    and is removed.  The pivot in each column has the smallest key, the
+    first row in current order winning ties; without a key it is the first
+    row with a non-zero entry.  Returns the reduced rows (pivot rows first,
+    in pivot order) and the pivot columns.  Over a field the pivot rows are
+    the unique reduced row echelon form whatever the pivot rule.
     """
-    R = [{c: x for c, x in enumerate(row) if not x.is_zero()}
-         for row in rows]
+    is_zero, inverse, key = rule
+    R = [{c: x for c, x in enumerate(row) if not is_zero(x)} for row in rows]
     nrows = len(R)
     pivots = []
     r = 0
@@ -343,20 +336,22 @@ def _eliminate(rows, ncols):
         best = None
         for i in range(r, nrows):
             x = R[i].get(c)
-            if x is None or x.is_zero():
+            if x is None or is_zero(x):
                 continue
-            key = x.valuation() if hasattr(x, "valuation") else 0
-            if best is None or key < best[1]:
-                best = (i, key)
+            if key is None:
+                best = i
+                break
+            k = key(x)
+            if best is None or k < best_key:
+                best, best_key = i, k
         if best is None:
             continue
-        i = best[0]
-        R[r], R[i] = R[i], R[r]
-        inv = R[r][c].inverse()
+        R[r], R[best] = R[best], R[r]
+        inv = inverse(R[r][c])
         prow = R[r] = {j: x * inv for j, x in R[r].items()}
         for i, row in enumerate(R):
             f = row.get(c)
-            if i == r or f is None or f.is_zero():
+            if i == r or f is None or is_zero(f):
                 continue
             del row[c]
             for j, y in prow.items():
@@ -370,25 +365,14 @@ def _eliminate(rows, ncols):
     return R, pivots
 
 
-def field_kernel(rows, zero, one):
-    """Right-kernel basis for a matrix over an exact field.
-
-    ``rows`` is a list of lists of field elements supporting the arithmetic
-    protocol of PadicNumber.  Pivots are chosen by minimal valuation when a
-    ``valuation`` method exists (p-adically largest pivot first).
-
-    Elimination is sparse: zero-at-precision input entries count as absent,
-    as in LaurentElement, and only the entries a row operation reaches are
-    stored and updated.  Absent entries of a basis vector are returned as
-    ``zero``.  Since no entry is ever combined with a zero placeholder,
-    non-zero entries carry at least the precision a dense elimination with
-    the same pivots gives.
-    """
-    ncols = len(rows[0]) if rows else 0
-    R, pivots = _eliminate(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+def _kernel(R, pivots, ncols, zero, one):
+    """Right-kernel basis read off reduced rows, one vector per free
+    column; absent entries are ``zero``."""
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
         v = [zero] * ncols
         v[fc] = one
         for rr, pc in enumerate(pivots):
@@ -399,18 +383,45 @@ def field_kernel(rows, zero, one):
     return basis
 
 
-def field_solve(rows, rhs, zero):
-    """One solution of (rows) x = rhs over an exact field, or None.
+def _solve(rows, rhs, zero, rule):
+    """Solutions x_j of (rows) x_j = rhs[j], one per right-hand side column,
+    from one elimination of [rows | rhs]; None if one of them is
+    inconsistent.  Unknowns without a pivot are set to ``zero``."""
+    ncols = len(rows[0]) if rows else 0
+    R, pivots = _eliminate([list(row) + [b[i] for b in rhs]
+                            for i, row in enumerate(rows)], ncols, rule)
+    is_zero = rule[0]
+    if any(not is_zero(x) for row in R[len(pivots):] for x in row.values()):
+        return None
+    out = []
+    for j in range(ncols, ncols + len(rhs)):
+        x = [zero] * ncols
+        for rr, pc in enumerate(pivots):
+            x[pc] = R[rr].get(j, zero)
+        out.append(x)
+    return out
 
-    Eliminates sparsely, as ``field_kernel`` does; unknowns without a
-    pivot are set to ``zero``.
+
+def field_kernel(rows, zero, one):
+    """Right-kernel basis for a matrix of PadicNumber entries.
+
+    Pivots have minimal valuation.  Elimination is sparse: zero-at-precision
+    input entries count as absent, as in LaurentElement, and only the
+    entries a row operation reaches are stored and updated.  Absent entries
+    of a basis vector are returned as ``zero``.  Since no entry is ever
+    combined with a zero placeholder, non-zero entries carry at least the
+    precision a dense elimination with the same pivots gives.
     """
     ncols = len(rows[0]) if rows else 0
-    R, pivots = _eliminate([list(r) + [b] for r, b in zip(rows, rhs)],
-                           ncols)
-    if any(not row.get(ncols, zero).is_zero() for row in R[len(pivots):]):
-        return None
-    x = [zero] * ncols
-    for rr, pc in enumerate(pivots):
-        x[pc] = R[rr].get(ncols, zero)
-    return x
+    R, pivots = _eliminate(rows, ncols, _PADIC)
+    return _kernel(R, pivots, ncols, zero, one)
+
+
+def field_solve(rows, rhs, zero):
+    """Solutions x_j of (rows) x_j = rhs[j] over PadicNumber, one per
+    right-hand side column in ``rhs``, or None if one is inconsistent.
+
+    One sparse elimination, as in ``field_kernel``, serves every column;
+    unknowns without a pivot are set to ``zero``.
+    """
+    return _solve(rows, rhs, zero, _PADIC)

@@ -24,7 +24,8 @@ from .errors import (DiagnosticConflict, IrregularSingularity,
                      MismatchedParams, MissingStructure, NonInvertible,
                      WildCover, WindowTooSmall)
 from . import linalg
-from .linalg import _eliminate, _rational_roots, field_kernel, field_solve
+from .linalg import (_PADIC, _eliminate, _rational_roots, field_kernel,
+                     field_solve)
 from .padic import PadicNumber, RingMode, RingParams
 from .series import LaurentElement
 
@@ -462,7 +463,7 @@ def _reduced_solutions(family, tG, params, depth, rcls, zero, one):
     for row, mem in zip(rows, family):
         for key, x in mem.items():
             row[col[key]] = x
-    reduced, pivots = _eliminate(rows, len(coords))
+    reduced, pivots = _eliminate(rows, len(coords), _PADIC)
     out = []
     for row, pc in reversed(list(zip(reduced, pivots))):
         row[pc] = one
@@ -504,19 +505,18 @@ def horizontal_sections(m: PhiNablaModule, cap=None):
     return [s.components[0] for s in _solve_nabla(m, 1, 1)]
 
 
-def _solution_coordinates(basis, target, params):
-    """Constants x with sum_k x_k basis_k = target, or None.  Each basis
-    element and the target are lists of vectors, one per log degree."""
+def _solution_coordinates(basis, targets, params):
+    """Constants x_t with sum_k x_t[k] basis_k = t for every target t, from
+    one elimination, or None if a target leaves the span.  Each basis
+    element and target is a list of vectors, one per log degree."""
     coords = set()
-    for comps in list(basis) + [target]:
+    for comps in list(basis) + list(targets):
         for d, vec in enumerate(comps):
             for i, x in enumerate(vec):
                 coords.update((d, i, n) for n in x.coeffs)
-    rows = []
-    rhs = []
-    for (d, i, n) in sorted(coords):
-        rows.append([b[d][i].coefficient(n) for b in basis])
-        rhs.append(target[d][i].coefficient(n))
+    coords = sorted(coords)
+    rows = [[b[d][i].coefficient(n) for b in basis] for (d, i, n) in coords]
+    rhs = [[t[d][i].coefficient(n) for (d, i, n) in coords] for t in targets]
     return field_solve(rows, rhs, PadicNumber.zero(params))
 
 
@@ -563,13 +563,11 @@ def _constant_frobenius(m: PhiNablaModule, basis):
     if not (m.has_frobenius and basis):
         return None
     comps = [[b] for b in basis]
-    frob = []
-    for c in comps:
-        x = _solution_coordinates(comps, _frobenius_image(m, c), m.params)
-        if x is None:
-            raise DiagnosticConflict(
-                "phi does not stabilise ker(nabla) at precision")
-        frob.append(x)
+    frob = _solution_coordinates(
+        comps, [_frobenius_image(m, c) for c in comps], m.params)
+    if frob is None:
+        raise DiagnosticConflict(
+            "phi does not stabilise ker(nabla) at precision")
     return [list(col) for col in zip(*frob)]
 
 

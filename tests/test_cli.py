@@ -151,6 +151,19 @@ def test_unramified_input_is_read(capsys, tmp_path):
     assert "unipotence level: 2" in out
 
 
+def test_unramified_kt_is_analyzed(capsys, tmp_path):
+    from phinabla import corpus
+    from phinabla.modules import module_to_json
+    from phinabla.padic import RingParams
+    params = RingParams(5, 20, (32, 32), a=2, modulus=(2, 0, 1))
+    path = tmp_path / "kt_a2.json"
+    path.write_text(json.dumps(module_to_json(corpus.kummer_tate(params))))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 0, err
+    assert "compatibility: OK" in out
+    assert "quasi-purity at weight 1: PASS" in out
+
+
 def test_missing_file_is_parse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "/nonexistent/nope.json"])

@@ -43,6 +43,16 @@ def test_kt_extracts_to_sp2_exactly():
     assert trace.cover_degree == 1
 
 
+def test_unramified_kt_extracts_the_linear_frobenius():
+    # over a = 2 the solution-space action of the p-power Frobenius is read
+    # first; its square is the linear Frobenius of q = 25
+    params = RingParams(5, 20, (32, 32), a=2, modulus=(2, 0, 1))
+    rep, _ = wd_extract(corpus.kummer_tate(params))
+    assert rep.q == 25
+    assert rep.phi == [[F(1), F(0)], [F(0), F(25)]]
+    assert rep.N == [[F(0), F(1)], [F(0), F(0)]]
+
+
 def test_constant_module_extracts_frobenius_at_zero():
     m = PhiNablaModule.from_rational_matrices(
         P, frobenius=[[0, -5], [1, 2]], connection=[[0, 0], [0, 0]])

@@ -147,11 +147,31 @@ def test_kernel_matches_dense_reference(system):
 @given(systems())
 def test_solve_matches_dense_reference(system):
     rows, rhs, ncols, zero, _one = system
-    got = field_solve(rows, rhs, zero)
+    got = field_solve(rows, [rhs], zero)
     ref = dense_solve(rows, rhs, ncols, zero)
     assert (got is None) == (ref is None)
     if ref is not None:
-        assert_vectors_agree(got, ref)
+        assert_vectors_agree(got[0], ref)
+
+
+def _bits(x):
+    return (x.v, x.unit, x.abs_prec)
+
+
+@SETTINGS
+@given(systems())
+def test_solve_columns_match_one_at_a_time(system):
+    # every right-hand side column sees the same row operations, so a joint
+    # solve gives each column the exact digits and bounds of a lone solve
+    rows, rhs, _ncols, zero, _one = system
+    columns = [rhs, rhs[::-1], [x * x for x in rhs]]
+    alone = [field_solve(rows, [b], zero) for b in columns]
+    joint = field_solve(rows, columns, zero)
+    if any(x is None for x in alone):
+        assert joint is None
+        return
+    assert [[_bits(x) for x in v] for v in joint] == \
+        [[_bits(x) for x in v[0]] for v in alone]
 
 
 def test_inconsistent_solve_returns_none():
@@ -163,10 +183,11 @@ def test_inconsistent_solve_returns_none():
     # x + 2y = 1 and 5x + 10y = 3: the second row is 5 times the first
     rows = [[q(1), q(2)], [q(5), q(10)]]
     rhs = [q(1), q(3)]
-    assert field_solve(rows, rhs, zero) is None
+    assert field_solve(rows, [rhs], zero) is None
     assert dense_solve(rows, rhs, 2, zero) is None
-    x = field_solve(rows, [q(1), q(5)], zero)
-    assert x is not None
+    # one inconsistent column makes the whole solve fail
+    assert field_solve(rows, [[q(1), q(5)], rhs], zero) is None
+    (x,) = field_solve(rows, [[q(1), q(5)]], zero)
     assert (x[0] + q(2) * x[1]).congruent(q(1))
 
 

@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from phinabla import linalg, oracles
 from phinabla.errors import NotNilpotent, NotWeil
-from phinabla.weil_deligne import (FrobeniusKind, WeilDeligneRep,
+from phinabla.weil_deligne import (FrobeniusKind, MonodromyFiltration,
+                                   WeilDeligneRep, _axioms_hold,
                                    _weights_of, compatibility_family,
                                    monodromy_filtration, purity_check,
                                    quasi_purity_check, special_rep,
@@ -158,6 +159,122 @@ def test_jordan_chains_match_the_convolution(N):
     fil = monodromy_filtration(N)
     assert (fil.s, fil.bases) == _convolution_filtration(N)
     assert fil.dim == len(N)
+
+
+def _changed(N, change):
+    """The monodromy filtration of N with change(bases) applied."""
+    fil = monodromy_filtration(N)
+    bases = {k: [list(v) for v in b] for k, b in fil.bases.items()}
+    change(bases)
+    return MonodromyFiltration(fil.s, bases, fil.dim)
+
+
+def _e(*xs):
+    return [F(x) for x in xs]
+
+
+def _replace(k, i, v):
+    def change(bases):
+        bases[k][i] = v
+    return change
+
+
+def _drop(k, i):
+    def change(bases):
+        del bases[k][i]
+    return change
+
+
+def _set_to_next(k):
+    def change(bases):
+        bases[k] = list(bases[k + 1])
+    return change
+
+
+J3 = _jordan((3,))              # M_-2 = M_-1 = <e1>, M_0 = M_1 = <e1, e2>
+J2J1 = _jordan((2, 1))          # M_-1 = <e1>, M_0 = <e1, e3>
+J2J1J1 = _jordan((2, 1, 1))
+
+
+@pytest.mark.parametrize("N, fil, axiom", [
+    (J3, _changed(J3, lambda bases: None), None),
+    (J3, _changed(J3, _replace(0, 0, _e(1, 1, 0))), None),
+    (J3, _changed(J3, _replace(0, 0, _e(0, 0, 1))), "not increasing"),
+    (J3, _changed(J3, _drop(-2, 0)), "N M_k not in M_{k-2}"),
+    (J3, _changed(J3, _set_to_next(1)), "N M_k not in M_{k-2}"),
+    (J2J1, _changed(J2J1, _set_to_next(-1)), "graded ranks differ"),
+    # a dependent list spanning less than M_0
+    (J3, _changed(J3, _replace(0, 1, _e(1, 0, 0))), "N M_k not in M_{k-2}"),
+    # the filtration of J2 + J2 satisfies every axiom for J2 + J1 + J1
+    # except that N : Gr_1 -> Gr_-1 has rank 1
+    (J2J1J1, _changed(_jordan((2, 2)), lambda bases: None),
+     "N^k not bijective on graded piece"),
+], ids=["intact", "other-basis", "replaced", "dropped", "M1-set-to-M2",
+        "M-1-set-to-M0", "dependent", "other-nilpotent"])
+def test_axioms_hold_rejects_each_broken_axiom(N, fil, axiom):
+    ok, witness = oracles.verify_monodromy_axioms(
+        N, {k: fil.basis(k) for k in range(-fil.s, fil.s + 1)})
+    assert (witness and witness[0]) == axiom
+    assert _axioms_hold(N, fil) is ok
+
+
+@pytest.mark.parametrize("N, change, ok", [
+    # a redundant vector in M_0: the spans are the monodromy filtration
+    (J3, lambda bases: bases[0].append(_e(1, 1, 0)), True),
+    # M_0 = <e1, e3> listed with three vectors: the list lengths give
+    # Gr_1 and Gr_-1 rank 1 each, the spans rank 2 and 1
+    (J2J1J1, _replace(0, 2, _e(1, 0, 1, 0)), False),
+], ids=["redundant", "dependent-with-matching-lengths"])
+def test_axioms_read_the_spans_not_the_list_lengths(N, change, ok):
+    fil = _changed(N, change)
+    assert oracles.verify_monodromy_axioms(
+        N, {k: fil.basis(k) for k in range(-fil.s, fil.s + 1)})[0] is ok
+    assert _axioms_hold(N, fil) is ok
+
+
+def _sp2_squared():
+    sp = special_rep(5)
+    one = [[F(1), F(0)], [F(0), F(1)]]
+
+    def kron(A, B):
+        return [[a * b for a in ra for b in rb] for ra in A for rb in B]
+    N = [[x + y for x, y in zip(r, t)]
+         for r, t in zip(kron(sp.N, one), kron(one, sp.N))]
+    return WeilDeligneRep(5, kron(sp.phi, sp.phi), N)
+
+
+def _seeded_nilpotent():
+    rng = random.Random(6)
+    return [[F(rng.randint(-2, 2)) if j > i else F(0) for j in range(6)]
+            for i in range(6)]
+
+
+@pytest.mark.parametrize("run, eliminations", [
+    # 12 kernels, 12 chain-head choices, 12 span bases and 2 * 23 + 11
+    # axiom eliminations
+    pytest.param(lambda: monodromy_filtration(_jordan((12,))), 93,
+                 id="J12"),
+    pytest.param(lambda: monodromy_filtration(_seeded_nilpotent()), 30,
+                 id="d6"),
+    # the filtration (3 kernels, 3 chain-head choices, 3 span bases, 2 * 5
+    # + 2 axiom eliminations), then a complement and one solve per piece
+    pytest.param(lambda rep=_sp2_squared(): trace_table(rep, 4), 27,
+                 id="trace-table"),
+])
+def test_eliminations_are_pinned(run, eliminations, monkeypatch):
+    # one elimination per subspace question: a per-vector loop would
+    # multiply these counts
+    calls = 0
+    eliminate = linalg._eliminate
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    run()
+    assert calls == eliminations
 
 
 # -- weights ----------------------------------------------------------------

@@ -259,7 +259,14 @@ def cmd_excision(args) -> int:
 
 def cmd_compat(args) -> int:
     obj = _load_json(args)
-    members = [WeilDeligneRep.from_json(x) for x in obj["members"]]
+    if not isinstance(obj["members"], list):
+        raise TypeError('"members" must be a list')
+    members = []
+    for i, member in enumerate(obj["members"]):
+        try:
+            members.append(WeilDeligneRep.from_json(member))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"members[{i}]: {exc}") from None
     fam = compatibility_family(members, args.nmax)
     report = {"verdict": "COMPATIBLE" if fam.compatible else "INCOMPATIBLE",
               "members": len(members), "nmax": fam.depth,

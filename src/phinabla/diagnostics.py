@@ -9,7 +9,6 @@ convention in force.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -34,18 +33,18 @@ class ReductionType(enum.Enum):
     NOT_SEMISTABLE = "NOT_SEMISTABLE"
 
 
-@dataclass
 class AbelianVarietyDatum:
     """D(A) with optional D(A') and Weil pairing into R(1).
 
     The pairing matrix P encodes <x, y> = x^T P y; when dual_module is
     omitted the datum is treated as self-dual (principal polarization)."""
 
-    module: PhiNablaModule
-    dual_module: PhiNablaModule | None = None
-    pairing: list | None = None
-
-    def __post_init__(self):
+    def __init__(self, module: PhiNablaModule,
+                 dual_module: PhiNablaModule | None = None,
+                 pairing: list | None = None):
+        self.module = module
+        self.dual_module = dual_module
+        self.pairing = pairing
         if self.module.rank % 2 != 0:
             raise InconsistentRanks("D(A) must have even rank")
         if self.pairing is not None:
@@ -87,18 +86,21 @@ def _lmat_eq(A, B):
                for x, y in zip(ra, rb))
 
 
-@dataclass
 class RankProfile:
-    n: int
-    mu: int       # reductive (toric) rank
-    alpha: int    # abelian rank
-    lam: int      # unipotent rank
-
-    def __post_init__(self):
-        if self.n != self.alpha + self.mu + self.lam:
+    def __init__(self, n: int, mu: int, alpha: int, lam: int):
+        if n != alpha + mu + lam:
             raise InconsistentRanks(
-                f"n = {self.n} != alpha + mu + lambda = "
-                f"{self.alpha + self.mu + self.lam}")
+                f"n = {n} != alpha + mu + lambda = {alpha + mu + lam}")
+        self.n = n
+        self.mu = mu          # reductive (toric) rank
+        self.alpha = alpha    # abelian rank
+        self.lam = lam        # unipotent rank
+
+    def __eq__(self, other):
+        if not isinstance(other, RankProfile):
+            return NotImplemented
+        return ((self.n, self.mu, self.alpha, self.lam)
+                == (other.n, other.mu, other.alpha, other.lam))
 
 
 def _fixed_part_kernel(datum: AbelianVarietyDatum, sections, dual_sections):
@@ -144,14 +146,18 @@ def rank_profile(datum: AbelianVarietyDatum) -> RankProfile:
     return _rank_profile(datum, horizontal_sections(datum.module))[0]
 
 
-@dataclass
 class _Reduction:
     """A reduction verdict with the solves behind it, for reuse."""
-    verdict: ReductionType
-    sections: list                  # horizontal sections of D(A)
-    filtration: UnipotentFiltration | None  # solved unless GOOD or no sections
-    profile: RankProfile | None     # None without a pairing, given sections
-    torus: list                     # D^t coordinates inside D^f
+
+    def __init__(self, verdict: ReductionType, sections: list,
+                 filtration: UnipotentFiltration | None,
+                 profile: RankProfile | None, torus: list):
+        self.verdict = verdict
+        self.sections = sections        # horizontal sections of D(A)
+        self.filtration = filtration    # solved unless GOOD or no sections
+        # None without a pairing, given sections
+        self.profile = profile
+        self.torus = torus              # D^t coordinates inside D^f
 
 
 def _reduction(datum: AbelianVarietyDatum) -> _Reduction:
@@ -189,23 +195,28 @@ def reduction_type(datum: AbelianVarietyDatum) -> ReductionType:
 # ---------------------------------------------------------------------------
 # semistable weight filtration on D(A)
 
-@dataclass
 class WeightGraded:
-    index: int          # -2, -1, 0
-    rank: int
-    weights: list       # geometric-convention weights found
-    pure: bool
+    def __init__(self, index: int, rank: int, weights: list, pure: bool):
+        self.index = index      # -2, -1, 0
+        self.rank = rank
+        self.weights = weights  # geometric-convention weights found
+        self.pure = pure
 
 
-@dataclass
 class WeightFiltration:
     """W_-2 = D^t, W_-1 = D^f, W_0 = D(A); homological convention
     (graded weights -2, -1, 0), geometric mirror printed alongside."""
-    ranks: dict
-    graded: list
-    sections: list              # basis of D^f as horizontal sections
-    torus_coordinates: list     # D^t in D^f coordinates (Fraction vectors)
-    convention: str = "homological (geometric mirror: w and -w agree)"
+
+    def __init__(self, ranks: dict, graded: list, sections: list,
+                 torus_coordinates: list,
+                 convention: str = "homological (geometric mirror: "
+                                   "w and -w agree)"):
+        self.ranks = ranks
+        self.graded = graded
+        self.sections = sections        # basis of D^f as horizontal sections
+        # D^t in D^f coordinates (Fraction vectors)
+        self.torus_coordinates = torus_coordinates
+        self.convention = convention
 
 
 def _constant_matrix(M, err="matrix"):
@@ -377,12 +388,14 @@ def check_weight_monodromy(m: PhiNablaModule, i, m_max: int = 24):
 # ---------------------------------------------------------------------------
 # excision for open curves
 
-@dataclass
 class OpenCurveDatum:
-    h1_compact: PhiNablaModule
-    h0_boundary_twisted: PhiNablaModule   # H^0(D)(-1)
-    h2_compact: PhiNablaModule
-    boundary_map: list                    # matrix H^0(D)(-1) -> H^2(Xbar)
+    def __init__(self, h1_compact: PhiNablaModule,
+                 h0_boundary_twisted: PhiNablaModule,
+                 h2_compact: PhiNablaModule, boundary_map: list):
+        self.h1_compact = h1_compact
+        self.h0_boundary_twisted = h0_boundary_twisted  # H^0(D)(-1)
+        self.h2_compact = h2_compact
+        self.boundary_map = boundary_map  # matrix H^0(D)(-1) -> H^2(Xbar)
 
     def validate_equivariance(self):
         F = self.boundary_map
@@ -401,14 +414,16 @@ class OpenCurveDatum:
                 raise NotEquivariant("boundary map is not nabla-equivariant")
 
 
-@dataclass
 class ExcisionReport:
-    gr1_rank: int
-    gr2_rank: int
-    gr1_report: object          # PurityReport (quasi-purity at weight 1)
-    gr2_weights: list
-    ok: bool
-    convention: str = "cohomological, geometric weights"
+    def __init__(self, gr1_rank: int, gr2_rank: int, gr1_report: object,
+                 gr2_weights: list, ok: bool,
+                 convention: str = "cohomological, geometric weights"):
+        self.gr1_rank = gr1_rank
+        self.gr2_rank = gr2_rank
+        self.gr1_report = gr1_report    # PurityReport (quasi-purity at 1)
+        self.gr2_weights = gr2_weights
+        self.ok = ok
+        self.convention = convention
 
 
 def excision_weight_filtration(c: OpenCurveDatum, m_max: int = 24

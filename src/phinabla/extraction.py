@@ -13,7 +13,6 @@ the ExtractionTrace, so callers reuse it instead of solving again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (NonConstantFrobenius, NotLevelTwo, NotTame,
@@ -27,19 +26,21 @@ from .series import LaurentElement
 from .weil_deligne import FrobeniusKind, WeilDeligneRep
 
 
-@dataclass
 class LogSolutionBasis:
-    solutions: list[LogSolution]
-    cover_degree: int
+    def __init__(self, solutions: list[LogSolution], cover_degree: int):
+        self.solutions = solutions
+        self.cover_degree = cover_degree
 
 
-@dataclass
 class ExtractionTrace:
     """Human-readable derivation record surfaced by the CLI, with the log
     basis the extraction solved for."""
-    exponents: list
-    cover_degree: int
-    solutions: list[LogSolution]    # log basis of the pulled-back module
+
+    def __init__(self, exponents: list, cover_degree: int,
+                 solutions: list[LogSolution]):
+        self.exponents = exponents
+        self.cover_degree = cover_degree
+        self.solutions = solutions  # log basis of the pulled-back module
 
     @property
     def log_degrees(self):
@@ -196,13 +197,14 @@ def wd_of_cohomology(m: PhiNablaModule, i: int, m_max: int = 24,
 # ---------------------------------------------------------------------------
 # level-2 normal form
 
-@dataclass
 class NormalForm:
-    gauge: GaugeChange
-    e_block: list       # basis indices (in the gauged module) with D = 0
-    f_block: list       # remaining horizontal basis indices
-    g_block: list       # level-2 indices
-    constants: list     # matrix C over Q with D(g_k) = sum_i C[i][k] e_i
+    def __init__(self, gauge: GaugeChange, e_block: list, f_block: list,
+                 g_block: list, constants: list):
+        self.gauge = gauge
+        self.e_block = e_block      # basis indices (gauged module), D = 0
+        self.f_block = f_block      # remaining horizontal basis indices
+        self.g_block = g_block      # level-2 indices
+        self.constants = constants  # C over Q, D(g_k) = sum_i C[i][k] e_i
 
 
 def key2_normal_form(m: PhiNablaModule, weight_flag_data=None) -> NormalForm:

@@ -17,7 +17,6 @@ horizontal section is a solution of log depth 1 with e = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DiagnosticConflict, IrregularSingularity,
@@ -215,19 +214,21 @@ class PhiNablaModule:
                 f"nabla={self.has_connection})")
 
 
-@dataclass
 class CompatibilityReport:
-    residual: list
-    compatible: bool
-    max_residual_valuation: int | None  # None when residual is zero
+    def __init__(self, residual: list, compatible: bool,
+                 max_residual_valuation: int | None):
+        self.residual = residual
+        self.compatible = compatible
+        # None when residual is zero
+        self.max_residual_valuation = max_residual_valuation
 
 
-@dataclass
 class GaugeChange:
     """Basis change e'_j = sum U_ij e_i:  A -> U^-1 A sigma(U),
     G -> U^-1 (G U + dU/dt)."""
 
-    U: list
+    def __init__(self, U: list):
+        self.U = U
 
     def inverse(self) -> "GaugeChange":
         return GaugeChange(lmat_inverse(self.U))
@@ -320,12 +321,13 @@ def direct_sum(m1: PhiNablaModule, m2: PhiNablaModule) -> PhiNablaModule:
 
 # -- log-horizontal solutions ----------------------------------------------
 
-@dataclass
 class LogSolution:
     """One solution sum_d v_d (log t)^d of nabla; v_d are Laurent vectors.
     A horizontal section is the solution of log depth 1 (no log t)."""
-    components: list        # index d -> tuple of LaurentElement
-    residue_class: int      # exponent class mod e (inertia character)
+
+    def __init__(self, components: list, residue_class: int):
+        self.components = components        # d -> tuple of LaurentElement
+        self.residue_class = residue_class  # exponent class mod e (inertia)
 
     @property
     def log_degree(self):
@@ -543,11 +545,11 @@ def _frobenius_image(m: PhiNablaModule, comps):
 
 # -- constant part and unipotence -------------------------------------------
 
-@dataclass
 class ConstantSubmodule:
-    basis: list          # horizontal sections spanning the submodule
-    frobenius: list | None  # induced phi over K (PadicNumber entries)
-    rank: int
+    def __init__(self, basis: list, frobenius: list | None, rank: int):
+        self.basis = basis          # horizontal sections spanning it
+        self.frobenius = frobenius  # induced phi over K (PadicNumber entries)
+        self.rank = rank
 
 
 def largest_constant_submodule(m: PhiNablaModule):
@@ -571,13 +573,16 @@ def _constant_frobenius(m: PhiNablaModule, basis):
     return [list(col) for col in zip(*frob)]
 
 
-@dataclass
 class UnipotentFiltration:
-    unipotent: bool
-    level: int | None = None
-    gauge: GaugeChange | None = None
-    block_sizes: list | None = None
-    gauged_module: PhiNablaModule | None = None
+    def __init__(self, unipotent: bool, level: int | None = None,
+                 gauge: GaugeChange | None = None,
+                 block_sizes: list | None = None,
+                 gauged_module: PhiNablaModule | None = None):
+        self.unipotent = unipotent
+        self.level = level
+        self.gauge = gauge
+        self.block_sizes = block_sizes
+        self.gauged_module = gauged_module
 
 
 def _complete_basis(params, vectors, rank):
@@ -683,12 +688,14 @@ def _unipotent_filtration(m: PhiNablaModule,
 
 # -- residue exponents ------------------------------------------------------
 
-@dataclass
 class ResidueReport:
-    exponents: list            # recognised rational eigenvalues
-    semisimple: bool
-    matrix: list               # residue matrix over Q (Fractions)
-    unresolved_factor: list | None  # charpoly factor without rational roots
+    def __init__(self, exponents: list, semisimple: bool, matrix: list,
+                 unresolved_factor: list | None):
+        self.exponents = exponents  # recognised rational eigenvalues
+        self.semisimple = semisimple
+        self.matrix = matrix        # residue matrix over Q (Fractions)
+        # charpoly factor without rational roots
+        self.unresolved_factor = unresolved_factor
 
 
 def _rational_matrix(M, description="matrix"):

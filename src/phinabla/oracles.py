@@ -9,7 +9,6 @@ Nothing here consults the p-adic layers beyond reading exact coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -91,17 +90,16 @@ def _det(M):
 # ---------------------------------------------------------------------------
 # point counting
 
-@dataclass
 class CurveCount:
-    q: int
-    coeffs: tuple       # (a1, a2, a3, a4, a6)
-    count: int
-    trace: int          # a = q + 1 - #E(F_q)
-    charpoly: tuple     # (1, -a, q) for T^2 - aT + q, low-to-high reversed
-
-    def __post_init__(self):
-        assert self.trace * self.trace <= 4 * self.q, \
-            "Hasse bound violated - counting bug"
+    def __init__(self, q: int, coeffs: tuple, count: int, trace: int,
+                 charpoly: tuple):
+        assert trace * trace <= 4 * q, "Hasse bound violated - counting bug"
+        self.q = q
+        self.coeffs = coeffs        # (a1, a2, a3, a4, a6)
+        self.count = count
+        self.trace = trace          # a = q + 1 - #E(F_q)
+        # (1, -a, q) for T^2 - aT + q, low-to-high reversed
+        self.charpoly = charpoly
 
 
 def _discriminant(a1, a2, a3, a4, a6):
@@ -287,10 +285,11 @@ def brute_force_filtrations(N, candidates_from=None):
 # ---------------------------------------------------------------------------
 # ODE recurrence
 
-@dataclass
 class ODEReport:
-    solutions: list             # dict exponent -> Fraction vector
-    obstruction_exponents: list  # rational roots of det(x I + R)
+    def __init__(self, solutions: list, obstruction_exponents: list):
+        self.solutions = solutions  # dict exponent -> Fraction vector
+        # rational roots of det(x I + R)
+        self.obstruction_exponents = obstruction_exponents
 
 
 def ode_recurrence_solutions(tG_coeffs, rank, window) -> ODEReport:

@@ -10,7 +10,7 @@ fixed generator modulo a user-supplied irreducible polynomial.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
@@ -22,51 +22,72 @@ class RingMode(enum.Enum):
     LAURENT = "laurent"            # E_K^dagger / R_K / E_K truncations
 
 
+# Deterministic Miller-Rabin: these bases decide every n below
+# 3317044064679887385961981 (Sorenson and Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is too large for a deterministic "
+                         "primality test")
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
-@dataclass(frozen=True)
-class RingParams:
+class RingParams(namedtuple(
+        "RingParams", "p N t_window ring_mode a modulus")):
     """Parameters of a truncated coefficient-and-series ring.
 
     p, a determine q = p^a; N is the working coefficient precision (mod p^N);
-    t_window = (M_neg, M_pos) bounds series exponents to [-M_neg, M_pos].
+    t_window = (M_neg, M_pos) bounds series exponents to [-M_neg, M_pos];
+    modulus is monic of degree a and irreducible mod p.  Immutable,
+    hashable and equal by value.
     """
 
-    p: int
-    N: int
-    t_window: tuple[int, int] = (0, 32)
-    ring_mode: RingMode = RingMode.LAURENT
-    a: int = 1
-    modulus: tuple[int, ...] | None = None  # monic, degree a, irreducible mod p
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
-        if self.N < 1:
+    def __new__(cls, p: int, N: int, t_window: tuple[int, int] = (0, 32),
+                ring_mode: RingMode = RingMode.LAURENT, a: int = 1,
+                modulus: tuple[int, ...] | None = None):
+        if not _is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if N < 1:
             raise ValueError("coefficient precision N must be >= 1")
-        m_neg, m_pos = self.t_window
+        m_neg, m_pos = t_window
         if m_neg < 0 or m_pos < 1:
             raise ValueError("t_window must satisfy M_neg >= 0, M_pos >= 1")
-        if self.ring_mode is RingMode.POWER_SERIES and m_neg != 0:
+        if ring_mode is RingMode.POWER_SERIES and m_neg != 0:
             raise ValueError("POWER_SERIES mode requires M_neg = 0")
-        if self.a < 1:
+        if a < 1:
             raise ValueError("residue degree a must be >= 1")
-        if self.a > 1:
-            if self.modulus is None or len(self.modulus) != self.a + 1:
+        if a > 1:
+            if modulus is None or len(modulus) != a + 1:
                 raise ValueError("a > 1 needs a monic modulus of degree a")
-            if self.modulus[-1] != 1:
+            if modulus[-1] != 1:
                 raise ValueError("modulus must be monic")
-        if self.a == 1 and self.modulus is not None:
+        if a == 1 and modulus is not None:
             raise ValueError("modulus only makes sense for a > 1")
+        return super().__new__(cls, p, N, t_window, ring_mode, a, modulus)
 
     @property
     def q(self) -> int:

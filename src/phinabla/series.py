@@ -268,6 +268,8 @@ class LaurentElement:
     def from_json(cls, params, obj):
         terms = []
         for e, s in obj["terms"]:
+            if type(e) is not int:
+                raise ValueError(f"exponent {e!r} is not an integer")
             s = str(s)
             if s.startswith("p^"):
                 vpart, upart = s[2:].split("*")
@@ -281,7 +283,7 @@ class LaurentElement:
                     raise ValueError(f"coefficient {s!r} has a zero "
                                      "denominator") from None
                 c = PadicNumber.from_rational(params, value)
-            terms.append((int(e), c))
+            terms.append((e, c))
         return cls.from_terms(params, terms)
 
     def __repr__(self):

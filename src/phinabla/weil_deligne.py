@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
 from .linalg import _derivative, _poly_divmod, _trim
 from .errors import IrrationalTrace, NonInvertible, NotNilpotent, NotWeil
+from .padic import _is_prime
 
 
 class FrobeniusKind(enum.Enum):
@@ -29,21 +29,22 @@ def _fracs(M):
 
 def _prime_power(q: int):
     """(p, f) with q = p^f, or ValueError."""
-    if q < 2:
-        raise ValueError(f"q = {q} is not a prime power")
-    p = None
-    for d in range(2, q + 1):
-        if q % d == 0:
-            p = d
-            break
-    f = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        f += 1
-    if m != 1:
-        raise ValueError(f"q = {q} is not a prime power")
-    return p, f
+    if isinstance(q, int) and q >= 2:
+        for f in range(q.bit_length() - 1, 0, -1):
+            p = _int_root(q, f)
+            if p ** f == q and _is_prime(p):
+                return p, f
+    raise ValueError(f"q = {q!r} is not a prime power")
+
+
+def _int_root(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 class WeilDeligneRep:
@@ -67,13 +68,13 @@ class WeilDeligneRep:
         self._validate()
 
     def _validate(self):
-        if linalg.mat_inv(self.phi) is None:
+        phi_inv = linalg.mat_inv(self.phi)
+        if phi_inv is None:
             raise NonInvertible("Phi is singular")
         if not linalg.is_nilpotent(self.N):
             raise NotNilpotent("N is not nilpotent")
         eps = -1 if self.frobenius_kind is FrobeniusKind.GEOMETRIC else 1
-        lhs = linalg.mat_mul(self.phi,
-                             linalg.mat_mul(self.N, linalg.mat_inv(self.phi)))
+        lhs = linalg.mat_mul(self.phi, linalg.mat_mul(self.N, phi_inv))
         rhs = linalg.mat_scale(self.N, Fraction(self.q) ** eps)
         if lhs != rhs:
             raise ValueError("Phi N Phi^-1 != q^eps N for the stated "
@@ -111,15 +112,47 @@ class WeilDeligneRep:
 
     @classmethod
     def from_json(cls, obj):
+        """Read what ``to_json`` writes.  Malformed input raises TypeError
+        or ValueError; a singular Phi stays the domain error NonInvertible.
+        """
+        if not isinstance(obj, dict):
+            raise TypeError("must be a JSON object")
+        for key in ("q", "phi"):
+            if key not in obj:
+                raise ValueError(f'missing "{key}"')
         inertia = obj.get("inertia") or {}
+        if not isinstance(inertia, dict):
+            raise TypeError('"inertia" must be a JSON object')
+        order = inertia.get("order", 1)
+        if type(order) is not int or order < 1:
+            raise ValueError(f'"inertia.order" = {order!r} is not a '
+                             "positive integer")
         conv = obj.get("convention", "geometric")
-        kind = (FrobeniusKind.GEOMETRIC if conv == "geometric"
-                else FrobeniusKind.ARITHMETIC)
-        parse = lambda M: None if M is None else \
-            [[Fraction(str(x)) for x in row] for row in M]
-        return cls(obj["q"], parse(obj["phi"]), parse(obj.get("N")),
-                   inertia.get("order", 1), parse(inertia.get("matrix")),
-                   kind, obj.get("label", ""))
+        if conv not in ("geometric", "arithmetic"):
+            raise ValueError(f"unknown convention {conv!r}")
+        phi = _matrix_from_json(obj["phi"], "phi")
+        return cls(obj["q"], phi,
+                   _matrix_from_json(obj.get("N"), "N", len(phi)), order,
+                   _matrix_from_json(inertia.get("matrix"),
+                                     "inertia.matrix", len(phi)),
+                   FrobeniusKind(conv), obj.get("label", ""))
+
+
+def _matrix_from_json(M, name, dim=None):
+    """A dim x dim Fraction matrix (square of any size when dim is None)
+    from rows of integers or rational strings; None stays None."""
+    if M is None:
+        return None
+    if not (isinstance(M, list) and all(isinstance(r, list) for r in M)):
+        raise TypeError(f'"{name}" must be a list of rows')
+    n = len(M) if dim is None else dim
+    if len(M) != n or any(len(row) != n for row in M):
+        raise ValueError(f'"{name}" must be a {n} x {n} matrix')
+    try:
+        return [[Fraction(str(x)) for x in row] for row in M]
+    except ZeroDivisionError:
+        raise ValueError(f'"{name}" has an entry with a zero '
+                         "denominator") from None
 
 
 def special_rep(q: int, kind=FrobeniusKind.GEOMETRIC,
@@ -144,11 +177,11 @@ def twist(rep: WeilDeligneRep, n: int) -> WeilDeligneRep:
 # ---------------------------------------------------------------------------
 # monodromy filtration
 
-@dataclass
 class MonodromyFiltration:
-    s: int                      # indices run over [-s, s]
-    bases: dict                 # k -> list of basis vectors of M_k
-    dim: int
+    def __init__(self, s: int, bases: dict, dim: int):
+        self.s = s              # indices run over [-s, s]
+        self.bases = bases      # k -> list of basis vectors of M_k
+        self.dim = dim
 
     def basis(self, k):
         if k < -self.s:
@@ -251,7 +284,7 @@ def _axioms_hold(N, fil: MonodromyFiltration) -> bool:
         images = [linalg.mat_vec(Nk, v) for v in fil.basis(k)]
         if new_vectors(fil.basis(-k - 1), images)[1] != graded:
             return False
-    return True
+    return ranks[fil.s] == fil.dim
 
 
 # ---------------------------------------------------------------------------
@@ -484,22 +517,25 @@ def _circle_range(poly, p: int):
     return math.floor(2 * lo / logp) - 1, math.ceil(2 * hi / logp) + 1
 
 
-@dataclass
 class GradedReport:
-    index: int
-    rank: int
-    weights: list           # distinct weights found on this piece
-    expected: Fraction | None
-    pure: bool
-    failure: str | None = None
+    def __init__(self, index: int, rank: int, weights: list,
+                 expected: Fraction | None, pure: bool,
+                 failure: str | None = None):
+        self.index = index
+        self.rank = rank
+        self.weights = weights      # distinct weights found on this piece
+        self.expected = expected
+        self.pure = pure
+        self.failure = failure
 
 
-@dataclass
 class PurityReport:
-    pure: bool
-    weight: Fraction | None
-    graded: list = field(default_factory=list)
-    failure: str | None = None
+    def __init__(self, pure: bool, weight: Fraction | None,
+                 graded: list | None = None, failure: str | None = None):
+        self.pure = pure
+        self.weight = weight
+        self.graded = [] if graded is None else graded
+        self.failure = failure
 
 
 def _weights_of(M, q, kind):
@@ -554,12 +590,13 @@ def quasi_purity_check(rep: WeilDeligneRep, i) -> PurityReport:
 # ---------------------------------------------------------------------------
 # family compatibility
 
-@dataclass
 class FamilyReport:
-    compatible: bool
-    tables: list            # one {key: Fraction} per member
-    witness: tuple | None   # (member index, key, value, reference value)
-    depth: int              # largest n read on any graded piece
+    def __init__(self, compatible: bool, tables: list,
+                 witness: tuple | None, depth: int):
+        self.compatible = compatible
+        self.tables = tables        # one {key: Fraction} per member
+        self.witness = witness      # (member index, key, value, reference)
+        self.depth = depth          # largest n read on any graded piece
 
 
 def trace_table(rep: WeilDeligneRep, n_max: int) -> dict:

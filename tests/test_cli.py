@@ -122,6 +122,43 @@ def test_compat_mismatch(capsys, tmp_path):
     assert "INCOMPATIBLE" in out
 
 
+def _set(path, value):
+    def change(fam):
+        node = fam
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return change
+
+
+@pytest.mark.parametrize("change, detail", [
+    (_set(("members", 1, "phi", 1, 1), "1/0"), "zero denominator"),
+    (_set(("members", 1), [1, 2]), "must be a JSON object"),
+    (_set(("members", 1, "convention"), "geometrc"), "unknown convention"),
+    (_set(("members", 1, "phi", 1), ["5"]), '"phi" must be a 2 x 2'),
+    (_set(("members", 1, "N"), [["0", "1"]]), '"N" must be a 2 x 2'),
+    (_set(("members", 1, "q"), "5"), "is not a prime power"),
+    # a prime q is read at once, however large; Phi = diag(1, 5) fails it
+    (_set(("members", 1, "q"), 2 ** 61 - 1), "Phi N Phi^-1 != q^eps N"),
+    (_set(("members", 1, "inertia"), [1]), '"inertia" must be'),
+    (_set(("members", 1, "inertia", "order"), 1.5), '"inertia.order"'),
+    (lambda fam: fam["members"][1].pop("q"), 'missing "q"'),
+], ids=["zero-denominator", "list-member", "unknown-convention",
+        "ragged-phi", "short-N", "string-q", "large-prime-q",
+        "list-inertia", "float-order", "missing-q"])
+def test_malformed_compat_member_names_it(capsys, tmp_path, change, detail):
+    fam = json.loads((CORPUS / "family_tate.json").read_text())
+    change(fam)
+    bad = tmp_path / "bad_family.json"
+    bad.write_text(json.dumps(fam))
+    code, out, err = run(capsys, "compat", str(bad))
+    assert code == 2 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "input"
+    assert error["detail"].startswith("members[1]: ")
+    assert detail in error["detail"]
+
+
 def test_compat_reads_each_piece_to_its_dimension(capsys, tmp_path):
     # T^7 - 128 and T^7 + 128 at q = 4 agree in Tr(Phi^n) for n < 7
     def member(c):      # companion matrix of T^7 + c, N = 0
@@ -185,6 +222,11 @@ def test_malformed_json_is_parse_error(capsys, tmp_path):
     '{"params": "x", "rank": 1, "connection": [[0]]}',
     '{"params": {"p": 5}, "rank": 1, '
     '"connection": [[{"terms": [[-1, "1/0"]]}]]}',
+    # exponents are JSON integers: 0.5 is not t^0, true is not t^1
+    '{"params": {"p": 5}, "rank": 1, '
+    '"connection": [[{"terms": [[0.5, "1"]]}]]}',
+    '{"params": {"p": 5}, "rank": 1, '
+    '"connection": [[{"terms": [[true, "1"]]}]]}',
 ])
 def test_malformed_module_is_input_error(capsys, tmp_path, text):
     path = tmp_path / "module.json"
@@ -225,6 +267,16 @@ def test_missing_module_key_is_named(capsys, tmp_path, key, path):
     assert json.loads(err)["detail"] == f'missing "{path}"'
 
 
+def _fresh_interpreter(*argv):
+    """Run python with src/ on PYTHONPATH from the repository root."""
+    src = str(CORPUS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *argv], cwd=CORPUS.parent,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 def test_cli_never_imports_sympy():
     # the eigen-weights of analyze and excision are the only place sympy
     # was ever used; a fresh interpreter shows what the CLI loads
@@ -233,14 +285,28 @@ def test_cli_never_imports_sympy():
         "assert main(['analyze', 'corpus/kummer_tate.json']) == 0; "
         "assert main(['excision', 'corpus/open_tate_curve.json']) == 0; "
         "print('sympy' in sys.modules)")
-    src = str(CORPUS.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", script], cwd=CORPUS.parent,
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
+    done = _fresh_interpreter("-c", script)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # -S keeps site hooks of the host out of the check
+    done = _fresh_interpreter("-S", "-c", (
+        "import sys, phinabla.cli; print(sorted(m for m in "
+        "('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules))"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_large_prime_is_read_quickly(tmp_path):
+    obj = json.loads((CORPUS / "kummer_tate.json").read_text())
+    obj["params"]["p"] = 2 ** 61 - 1
+    path = tmp_path / "kt_big_p.json"
+    path.write_text(json.dumps(obj))
+    done = _fresh_interpreter("-m", "phinabla.cli", "analyze", str(path))
+    assert done.returncode in (0, 2, 3), done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -1,10 +1,11 @@
 """Scalar layer: p-adic floats and unramified coefficient extensions."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from phinabla.padic import PadicNumber, RingMode, RingParams
+from phinabla.padic import PadicNumber, RingMode, RingParams, _is_prime
 
 
 P5 = RingParams(5, 20, (32, 32), RingMode.LAURENT)
@@ -110,3 +111,27 @@ def test_extension_inverse(f4_params):
     x = PadicNumber.from_poly(f4_params, (1, 1))
     one = PadicNumber.from_rational(f4_params, 1)
     assert (x * x.inverse()).congruent(one)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+    assert [n for n in range(10 ** 4) if _is_prime(n)] == \
+        [n for n in range(10 ** 4) if trial(n)]
+    assert _is_prime(2 ** 61 - 1) and not _is_prime(2 ** 61 + 1)
+    # 399165290221 * 798330580441: a strong pseudoprime to every base
+    # 2..37, caught only by base 41
+    assert not _is_prime(318665857834031151167461)
+    with pytest.raises(ValueError, match="too large"):
+        _is_prime(2 ** 89 - 1)
+
+
+def test_ring_params_are_immutable_values():
+    a = RingParams(5, 20, (32, 32))
+    b = RingParams(5, 20, (32, 32), RingMode.LAURENT, 1, None)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != RingParams(5, 21, (32, 32))
+    with pytest.raises(AttributeError):
+        a.N = 30
+    with pytest.raises(ValueError, match="p = 4 is not prime"):
+        RingParams(4, 20)

@@ -209,8 +209,11 @@ J2J1J1 = _jordan((2, 1, 1))
     # except that N : Gr_1 -> Gr_-1 has rank 1
     (J2J1J1, _changed(_jordan((2, 2)), lambda bases: None),
      "N^k not bijective on graded piece"),
+    # N = 0 with M_0 a line in a plane: every other axiom holds
+    (_jordan((1, 1)), MonodromyFiltration(0, {0: [_e(1, 0)]}, 2),
+     "top is not everything"),
 ], ids=["intact", "other-basis", "replaced", "dropped", "M1-set-to-M2",
-        "M-1-set-to-M0", "dependent", "other-nilpotent"])
+        "M-1-set-to-M0", "dependent", "other-nilpotent", "short-top"])
 def test_axioms_hold_rejects_each_broken_axiom(N, fil, axiom):
     ok, witness = oracles.verify_monodromy_axioms(
         N, {k: fil.basis(k) for k in range(-fil.s, fil.s + 1)})
@@ -260,6 +263,8 @@ def _seeded_nilpotent():
     # + 2 axiom eliminations), then a complement and one solve per piece
     pytest.param(lambda rep=_sp2_squared(): trace_table(rep, 4), 27,
                  id="trace-table"),
+    # Phi is inverted once, for the singularity check and Phi N Phi^-1
+    pytest.param(lambda: special_rep(5), 1, id="special-rep"),
 ])
 def test_eliminations_are_pinned(run, eliminations, monkeypatch):
     # one elimination per subspace question: a per-vector loop would

@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, linalg
 from .errors import PhinablaError
 from .padic import RingMode, RingParams
 from .modules import (check_compatibility, module_from_json,
@@ -166,11 +166,12 @@ def cmd_analyze(args) -> int:
         rep, trace = wd_extract(m, args.mmax, _kind(args))
         weights = sorted(set(_weights_of(rep.phi, rep.q,
                                          rep.frobenius_kind)))
-        report["wd"] = {"dim": rep.dim, "N_rank": _matrix_rank(rep.N),
+        n_rank = linalg.rank(rep.N)
+        report["wd"] = {"dim": rep.dim, "N_rank": n_rank,
                         "inertia_order": rep.inertia_order,
                         "phi_weights": [str(w) for w in weights],
                         "cover_degree": trace.cover_degree}
-        lines.append(f"WD: dim={rep.dim} N-rank={_matrix_rank(rep.N)} "
+        lines.append(f"WD: dim={rep.dim} N-rank={n_rank} "
                      f"inertia order={rep.inertia_order} "
                      f"weights={{{', '.join(str(w) for w in weights)}}}")
         qp = quasi_purity_check(rep, args.weight)
@@ -180,11 +181,6 @@ def cmd_analyze(args) -> int:
                      + ("PASS" if qp.pure else "FAIL"))
     _emit(args, lines, report)
     return 0
-
-
-def _matrix_rank(M):
-    from . import linalg
-    return linalg.rank([[Fraction(x) for x in row] for row in M])
 
 
 def cmd_wd(args) -> int:
@@ -376,7 +372,7 @@ def _corpus_invariants(precision, window):
     out = {}
     m = corpus.kummer_tate(prm)
     rep, trace = wd_extract(m)
-    out["kt"] = (rep.dim, _matrix_rank(rep.N), rep.inertia_order,
+    out["kt"] = (rep.dim, linalg.rank(rep.N), rep.inertia_order,
                  trace.cover_degree, quasi_purity_check(rep, 1).pure)
     half = corpus.half_twist(prm)
     rep2, tr2 = wd_extract(half)

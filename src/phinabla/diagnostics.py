@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import partial
 
 from . import linalg
 from .errors import (DiagnosticConflict, InconsistentRanks, MissingPairing,
@@ -17,14 +18,16 @@ from .errors import (DiagnosticConflict, InconsistentRanks, MissingPairing,
 from .extraction import wd_extract
 from .linalg import field_kernel
 from .modules import (PhiNablaModule, UnipotentFiltration,
-                      _constant_frobenius, _unipotent_filtration,
-                      horizontal_sections, lmat_add, lmat_ddt, lmat_det,
-                      lmat_mul, lmat_sigma, lmat_transpose, module_from_json)
+                      _constant_frobenius, _solution_coordinates,
+                      _unipotent_filtration, horizontal_sections, lmat_add,
+                      lmat_ddt, lmat_det, lmat_mul, lmat_sigma,
+                      module_from_json)
 from .padic import PadicNumber
 from .series import LaurentElement
 from .weil_deligne import (FrobeniusKind, WeilDeligneRep,
                            compatibility_family, monodromy_filtration,
-                           quasi_purity_check, _weights_of)
+                           quasi_purity_check, _induced, _json_matrix,
+                           _weights_of)
 
 
 class ReductionType(enum.Enum):
@@ -68,7 +71,7 @@ class AbelianVarietyDatum:
             raise MissingPairing("pairing is not perfect at precision")
         q = m.params.q
         if m.has_frobenius and md.has_frobenius:
-            lhs = lmat_mul(lmat_transpose(m.A), lmat_mul(P, md.A))
+            lhs = lmat_mul(linalg.transpose(m.A), lmat_mul(P, md.A))
             qinv = LaurentElement.constant(m.params, Fraction(1, q))
             rhs = [[x.sigma() * qinv for x in row] for row in P]
             if not _lmat_eq(lhs, rhs):
@@ -76,7 +79,8 @@ class AbelianVarietyDatum:
                                      "q^-1 sigma<x, y>")
         if m.has_connection and md.has_connection:
             lhs = lmat_ddt(P)
-            rhs = lmat_add(lmat_mul(lmat_transpose(m.G), P), lmat_mul(P, md.G))
+            rhs = lmat_add(lmat_mul(linalg.transpose(m.G), P),
+                           lmat_mul(P, md.G))
             if not _lmat_eq(lhs, rhs):
                 raise MissingPairing("pairing is not horizontal")
 
@@ -236,22 +240,13 @@ def _constant_matrix(M, err="matrix"):
     return out
 
 
-def _restrict_and_quotient(phi, sub):
-    """phi restricted to span(sub) and induced on the quotient, where sub
-    is a list of coordinate vectors; raises if not invariant."""
-    dim = len(phi)
-    comp = linalg._completion(sub, linalg.identity(dim))
-    B = linalg.transpose(list(sub) + comp)
-    Binv = linalg.mat_inv(B)
-    conj = linalg.mat_mul(Binv, linalg.mat_mul(phi, B))
-    k = len(sub)
-    for i in range(k, dim):
-        for j in range(k):
-            if conj[i][j] != 0:
-                raise DiagnosticConflict("subspace is not phi-invariant")
-    restr = [row[:k] for row in conj[:k]]
-    quot = [row[k:] for row in conj[k:]]
-    return restr, quot
+def _restricted(phi, sub):
+    """phi on span(sub), in the vectors of sub; raises unless it is
+    phi-invariant."""
+    restr = _induced(phi, [], sub)
+    if restr is None:
+        raise DiagnosticConflict("subspace is not phi-invariant")
+    return restr
 
 
 def semistable_weight_filtration(datum: AbelianVarietyDatum
@@ -276,7 +271,8 @@ def semistable_weight_filtration(datum: AbelianVarietyDatum
     phi_f = _constant_matrix(frobenius, "Frobenius on D^f") if rk_f else []
     # split phi_f along D^t
     if mu:
-        restr, quot = _restrict_and_quotient(phi_f, torus)
+        restr = _restricted(phi_f, torus)
+        quot = _induced(phi_f, torus, linalg.identity(rk_f))
     else:
         restr, quot = [], phi_f
 
@@ -320,57 +316,21 @@ def wd_weight_filtration_flags(datum: AbelianVarietyDatum, m_max: int = 24):
     wf = semistable_weight_filtration(datum)
     m = datum.module
     rep, trace = wd_extract(m, m_max)
-    sols = trace.solutions
-    params = m.params
-
-    def sub_flag(span):
-        """Solutions lying in the R-span of the given module vectors:
-        constants c_b and Laurent polynomials a_{w,d} with
-        sum_b c_b s_b = sum_w a_{w,d} w at each log degree d, where a_{w,d}
-        ranges over the exponents that can meet a solution term."""
-        sol_exps = {n for sol in sols for vec in sol.components
-                    for x in vec for n in x.coeffs}
-        span_exps = {k for vec in span for x in vec for k in x.coeffs}
-        if not span_exps:
-            return []
-        exps = range(min(sol_exps) - max(span_exps),
-                     max(sol_exps) - min(span_exps) + 1)
-        rmax = max(trace.log_degrees, default=0) + 1
-        eq = {}     # (d, i, exponent) -> {unknown: coefficient}
-        for b, sol in enumerate(sols):
-            for d, vec in enumerate(sol.components[:rmax]):
-                for i, x in enumerate(vec):
-                    for n, c in x.coeffs.items():
-                        eq.setdefault((d, i, n), {})[b] = c
-        for w, vec in enumerate(span):
-            for i, x in enumerate(vec):
-                for k, c in x.coeffs.items():
-                    for d in range(rmax):
-                        for n in exps:
-                            eq.setdefault((d, i, n + k), {})[(w, d, n)] = -c
-        unknowns = list(range(len(sols))) + [
-            (w, d, n) for w in range(len(span)) for d in range(rmax)
-            for n in exps]
-        col = {u: c for c, u in enumerate(unknowns)}
-        zero = PadicNumber.zero(params)
-        rows = []
-        for key in sorted(eq):
-            rows.append([zero] * len(unknowns))
-            for u, c in eq[key].items():
-                rows[-1][col[u]] = c
-        kernel = field_kernel(rows, zero, PadicNumber.from_rational(params, 1))
-        return linalg.span_basis([[x.to_fraction() for x in v[:len(sols)]]
-                                  for v in kernel
-                                  if any(not x.is_zero()
-                                         for x in v[:len(sols)])])
-
-    # module vectors of W_-1 = D^f: the sections themselves; W_-2 = D^t
-    S = lmat_transpose([list(v) for v in wf.sections])
-    w_m2 = [[row[0] for row in lmat_mul(S, [[LaurentElement.constant(
-        params, cb)] for cb in coords_v])] for coords_v in wf.torus_coordinates]
+    # a log solution in the R-span of R-independent horizontal sections has
+    # constant coefficients there: the flags are spanned by the solution
+    # coordinates of the sections (zero at log degree >= 1)
+    comps = [sol.components for sol in trace.solutions]
+    zero = tuple(LaurentElement.zero(m.params) for _ in range(m.rank))
+    coords = _solution_coordinates(
+        comps, [[tuple(v)] + [zero] * (len(comps[0]) - 1)
+                for v in wf.sections], m.params)
+    if coords is None:
+        raise DiagnosticConflict("a horizontal section leaves the log "
+                                 "solution span at precision")
+    coords = _constant_matrix(coords, "solution coordinates of D^f")
     flags = {
-        -2: sub_flag(w_m2),
-        -1: sub_flag([list(v) for v in wf.sections]),
+        -2: linalg.span_basis(linalg.mat_mul(wf.torus_coordinates, coords)),
+        -1: linalg.span_basis(coords),
         0: linalg.identity(rep.dim),
     }
     fil = monodromy_filtration(rep.N)
@@ -447,8 +407,7 @@ def excision_weight_filtration(c: OpenCurveDatum, m_max: int = 24
         if gr2_rank:
             A0 = _constant_matrix(c.h0_boundary_twisted.A,
                                   "H^0(D)(-1) Frobenius")
-            restr, _ = _restrict_and_quotient(A0, ker)
-            gr2_weights = _weights_of(restr, h1.params.q,
+            gr2_weights = _weights_of(_restricted(A0, ker), h1.params.q,
                                       FrobeniusKind.GEOMETRIC)
     ok = (gr1 is None or gr1.pure) and \
         (gr2_rank == 0 or gr2_weights == [Fraction(2)])
@@ -475,8 +434,9 @@ def abelian_datum_from_json(obj, params=None) -> AbelianVarietyDatum:
         if obj.get("dual_module") else None
     pairing = None
     if obj.get("pairing"):
-        pairing = [[LaurentElement.from_json(module.params, x) for x in row]
-                   for row in obj["pairing"]]
+        pairing = _json_matrix(
+            obj["pairing"], "pairing", module.rank, module.rank,
+            partial(LaurentElement.from_json, module.params))
     return AbelianVarietyDatum(module, dual, pairing)
 
 
@@ -484,6 +444,6 @@ def open_curve_from_json(obj, params=None) -> OpenCurveDatum:
     h1 = module_from_json(obj["h1_compact"], params)
     h0 = module_from_json(obj["h0_boundary_twisted"], h1.params)
     h2 = module_from_json(obj["h2_compact"], h1.params)
-    F = [[LaurentElement.from_json(h1.params, x) for x in row]
-         for row in obj["boundary_map"]]
+    F = _json_matrix(obj["boundary_map"], "boundary_map", h2.rank, h0.rank,
+                     partial(LaurentElement.from_json, h1.params))
     return OpenCurveDatum(h1, h0, h2, F)

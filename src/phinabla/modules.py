@@ -83,10 +83,6 @@ def lmat_ddt(A):
     return lmat_map(A, lambda x: x.d_dt())
 
 
-def lmat_transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
 def lmat_is_zero(A):
     return all(x.is_zero() for row in A for x in row)
 
@@ -280,9 +276,9 @@ def tensor(m1: PhiNablaModule, m2: PhiNablaModule) -> PhiNablaModule:
 def dual(m: PhiNablaModule) -> PhiNablaModule:
     A = G = None
     if m.has_frobenius:
-        A = lmat_transpose(lmat_inverse(m.A))
+        A = linalg.transpose(lmat_inverse(m.A))
     if m.has_connection:
-        G = lmat_map(lmat_transpose(m.G), lambda x: -x)
+        G = lmat_map(linalg.transpose(m.G), lambda x: -x)
     return PhiNablaModule(m.params, m.rank, A, G,
                           f"({m.label})^dual" if m.label else "")
 

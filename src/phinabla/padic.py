@@ -85,6 +85,9 @@ class RingParams(namedtuple(
                 raise ValueError("a > 1 needs a monic modulus of degree a")
             if modulus[-1] != 1:
                 raise ValueError("modulus must be monic")
+            if not _irreducible_mod_p(modulus, p):
+                raise ValueError(f"modulus {list(modulus)} is reducible "
+                                 f"mod p = {p}")
         if a == 1 and modulus is not None:
             raise ValueError("modulus only makes sense for a > 1")
         return super().__new__(cls, p, N, t_window, ring_mode, a, modulus)
@@ -130,49 +133,75 @@ def _poly_mul(u, v, modulus, pk):
     return tuple(c % pk for c in out[:a]) + (0,) * max(0, a - len(out))
 
 
+def _poly_pow(u, e, modulus, pk):
+    out = (1,) + (0,) * (len(modulus) - 2)
+    while e:
+        if e & 1:
+            out = _poly_mul(out, u, modulus, pk)
+        u = _poly_mul(u, u, modulus, pk)
+        e >>= 1
+    return out
+
+
+def _fp_divmod(f, g, p):
+    """Quotient and remainder of polynomials over F_p, g non-zero mod p."""
+    f = [c % p for c in f]
+    g = [c % p for c in g]
+    while g[-1] == 0:
+        g.pop()
+    q = [0] * max(1, len(f) - len(g) + 1)
+    inv = pow(g[-1], -1, p)
+    for d in range(len(f) - len(g), -1, -1):
+        q[d] = c = f[d + len(g) - 1] * inv % p
+        for i, gi in enumerate(g):
+            f[i + d] = (f[i + d] - c * gi) % p
+    f = f[:len(g) - 1]
+    while f and f[-1] == 0:
+        f.pop()
+    return q, f or [0]
+
+
+def _fp_euclid(f, u, p):
+    """Extended Euclid over F_p for a monic f: (r, s) with r a gcd of f and
+    u (reduced mod p, possibly with zero high coefficients) and s u = r
+    mod f."""
+    a = len(f) - 1
+    r0, r1 = [c % p for c in f], [c % p for c in u]
+    s0, s1 = (0,) * a, (1,) + (0,) * (a - 1)
+    while any(r1):
+        q, r = _fp_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, tuple((x - y) % p
+                           for x, y in zip(s0, _poly_mul(q, s1, f, p)))
+    return r0, s0
+
+
+def _irreducible_mod_p(f, p) -> bool:
+    """Rabin's test for a monic f of degree a >= 2: x^(p^a) = x mod f, and
+    gcd(x^(p^(a/r)) - x, f) = 1 for each prime r dividing a."""
+    a = len(f) - 1
+    x = (0, 1) + (0,) * (a - 2)
+    frob = [x]                  # frob[j] = x^(p^j) mod (f, p)
+    for _ in range(a):
+        frob.append(_poly_pow(frob[-1], p, f, p))
+    if frob[a] != x:
+        return False
+    for r in range(2, a + 1):
+        if a % r == 0 and _is_prime(r):
+            gcd = _fp_euclid(f, [y - z for y, z in zip(frob[a // r], x)],
+                             p)[0]
+            if any(gcd[1:]):
+                return False
+    return True
+
+
 def _poly_inv(u, modulus, p, k):
     """Invert u in (Z/p^k)[x]/(modulus); u must be a unit mod p."""
-    a = len(modulus) - 1
     # invert mod p by extended Euclid over F_p
-    def polydivmod(f, g):
-        f = [c % p for c in f]
-        g = [c % p for c in g]
-        while g and g[-1] == 0:
-            g.pop()
-        q = [0] * max(1, len(f) - len(g) + 1)
-        inv = pow(g[-1], -1, p)
-        while len(f) >= len(g) and any(f):
-            while f and f[-1] % p == 0:
-                f.pop()
-            if len(f) < len(g):
-                break
-            c = (f[-1] * inv) % p
-            d = len(f) - len(g)
-            q[d] = c
-            for i, gi in enumerate(g):
-                f[i + d] = (f[i + d] - c * gi) % p
-            while f and f[-1] % p == 0:
-                f.pop()
-        return q, f if f else [0]
-
-    r0, r1 = [c % p for c in modulus], [c % p for c in u]
-    s0, s1 = [0], [1]
-    while any(c % p for c in r1):
-        q, r = polydivmod(r0, r1)
-        r0, r1 = r1, r
-        # s0 - q*s1
-        prod = [0] * (len(q) + len(s1) - 1)
-        for i, qi in enumerate(q):
-            for j, sj in enumerate(s1):
-                prod[i + j] = (prod[i + j] + qi * sj) % p
-        new = [(x - y) % p for x, y in
-               zip(s0 + [0] * max(0, len(prod) - len(s0)),
-                   prod + [0] * max(0, len(s0) - len(prod)))]
-        s0, s1 = s1, new
+    r0, s0 = _fp_euclid(modulus, u, p)
     lead = next(c for c in reversed(r0) if c % p)
     inv_lead = pow(lead, -1, p)
-    z = [(c * inv_lead) % p for c in s0]
-    z = tuple(z[:a]) + (0,) * max(0, a - len(z))
+    z = tuple((c * inv_lead) % p for c in s0)
     if not any(z):
         raise NonInvertible("element not invertible mod p")
     # Hensel lift: z <- z(2 - u z) doubling the precision each step
@@ -204,9 +233,7 @@ def _frobenius_generator_image(params: RingParams) -> tuple[int, ...]:
     p, k, f = params.p, params.N, params.modulus
     a = params.a
     x = (0, 1) + (0,) * (a - 2)
-    y = (1,) + (0,) * (a - 1)
-    for _ in range(p):
-        y = _poly_mul(y, x, f, p)
+    y = _poly_pow(x, p, f, p)
     df = [i * f[i] for i in range(1, len(f))]
     prec = 1
     while prec < k:
@@ -486,11 +513,7 @@ class PadicNumber:
         y = _FROB_CACHE[key]
         p, k = self.params.p, self.rel_prec
         pk = p ** k
-        f = self.params.modulus
-        out = (0,) * self.params.a
-        for c in reversed(self._unit_tuple()):
-            out = _poly_mul(out, y, f, pk)
-            out = ((out[0] + c) % pk,) + out[1:]
+        out = _poly_eval(self._unit_tuple(), y, self.params.modulus, pk)
         return PadicNumber._from_mantissa(self.params, self.v, out,
                                           self.abs_prec)
 

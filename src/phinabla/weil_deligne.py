@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .linalg import _derivative, _poly_divmod, _trim
+from .linalg import _derivative, _fractions, _poly_divmod, _trim
 from .errors import IrrationalTrace, NonInvertible, NotNilpotent, NotWeil
 from .padic import _is_prime
 
@@ -21,10 +21,6 @@ from .padic import _is_prime
 class FrobeniusKind(enum.Enum):
     ARITHMETIC = "arithmetic"
     GEOMETRIC = "geometric"
-
-
-def _fracs(M):
-    return [[Fraction(x) for x in row] for row in M]
 
 
 def _prime_power(q: int):
@@ -56,13 +52,13 @@ class WeilDeligneRep:
                  label: str = ""):
         self.q = q
         self.p, self.f = _prime_power(q)
-        self.phi = _fracs(phi)
+        self.phi = _fractions(phi)
         self.dim = len(self.phi)
-        self.N = _fracs(N) if N is not None else linalg.zeros(self.dim,
-                                                              self.dim)
+        self.N = (_fractions(N) if N is not None
+                  else linalg.zeros(self.dim, self.dim))
         self.frobenius_kind = frobenius_kind
         self.inertia_order = inertia_order
-        self.inertia_matrix = (_fracs(inertia_matrix)
+        self.inertia_matrix = (_fractions(inertia_matrix)
                                if inertia_matrix is not None else None)
         self.label = label
         self._validate()
@@ -143,16 +139,22 @@ def _matrix_from_json(M, name, dim=None):
     from rows of integers or rational strings; None stays None."""
     if M is None:
         return None
-    if not (isinstance(M, list) and all(isinstance(r, list) for r in M)):
-        raise TypeError(f'"{name}" must be a list of rows')
-    n = len(M) if dim is None else dim
-    if len(M) != n or any(len(row) != n for row in M):
-        raise ValueError(f'"{name}" must be a {n} x {n} matrix')
+    n = len(M) if dim is None and isinstance(M, list) else dim
     try:
-        return [[Fraction(str(x)) for x in row] for row in M]
+        return _json_matrix(M, name, n, n, lambda x: Fraction(str(x)))
     except ZeroDivisionError:
         raise ValueError(f'"{name}" has an entry with a zero '
                          "denominator") from None
+
+
+def _json_matrix(M, name, rows, cols, entry):
+    """[[entry(x) for x in row] for row in M] for a rows x cols list of
+    lists M; TypeError or ValueError naming the member otherwise."""
+    if not (isinstance(M, list) and all(isinstance(r, list) for r in M)):
+        raise TypeError(f'"{name}" must be a list of rows')
+    if len(M) != rows or any(len(row) != cols for row in M):
+        raise ValueError(f'"{name}" must be a {rows} x {cols} matrix')
+    return [[entry(x) for x in row] for row in M]
 
 
 def special_rep(q: int, kind=FrobeniusKind.GEOMETRIC,
@@ -205,7 +207,7 @@ def monodromy_filtration(N) -> MonodromyFiltration:
     down, independent of K_{l-1} and of the height-l vectors of the longer
     chains; then M_k = span{N^j v : l(v) - 1 - 2j <= k}.
     """
-    N = _fracs(N)
+    N = _fractions(N)
     d = len(N)
     if not linalg.is_nilpotent(N):
         raise NotNilpotent("monodromy filtration needs a nilpotent input")
@@ -243,18 +245,18 @@ def monodromy_filtration(N) -> MonodromyFiltration:
     return out
 
 
-def _induced_on_graded(mat, fil: MonodromyFiltration, k):
-    """Matrix of `mat` on Gr_k in the basis vectors of M_k that complete
-    M_{k-1}; None if mat does not map M_k into itself."""
-    prev = list(fil.basis(k - 1))
-    comp = linalg._completion(prev, fil.basis(k))
+def _induced(mat, lower, upper):
+    """Matrix of ``mat`` on span(upper) / span(lower), for span(lower) in
+    span(upper), in the vectors of ``upper`` that complete ``lower`` (both
+    lists); None if mat does not map span(upper) into itself."""
+    comp = linalg._completion(lower, upper)
     if not comp:
         return []
-    coords = linalg.solve(linalg.transpose(prev + comp),
+    coords = linalg.solve(linalg.transpose(lower + comp),
                           [linalg.mat_vec(mat, v) for v in comp])
     if coords is None:
         return None
-    return linalg.transpose([x[len(prev):] for x in coords])
+    return linalg.transpose([x[len(lower):] for x in coords])
 
 
 def _axioms_hold(N, fil: MonodromyFiltration) -> bool:
@@ -406,24 +408,30 @@ def _root_weights(coeffs, p: int, f: int) -> list:
 def _circles(poly, p: int) -> list:
     """The k for which a root of ``poly`` lies on |T|^2 = p^k.
 
-    ``poly`` is monic and square-free, without roots 0 and +-p^k.  Floating
-    point root estimates only propose circles; ``_on_circle`` counts the
-    roots on each exactly.  When the counts fall short of the degree, every
-    circle allowed by the root bounds is counted too, and a root still
-    unaccounted for lies on no such circle: NotWeil.
+    ``poly`` is monic and square-free, without roots 0 and +-p^k.  The
+    circles allowed by the root bounds are counted exactly by
+    ``_on_circle``, nearest k0 = 2 log|a_0| / (n log p) first (for roots of
+    one weight k0 is that weight, so one count places them all), until
+    every root is placed; a root still unaccounted for lies on no such
+    circle: NotWeil.  Floating point only orders the circles.
     """
     n = len(poly) - 1
-    found = {k: _on_circle(poly, Fraction(p) ** k)
-             for k in _guess_circles(poly, p)}
-    if sum(found.values()) < n:
-        lo, hi = _circle_range(poly, p)
-        for k in range(lo, hi + 1):
-            if k not in found and sum(found.values()) < n:
-                found[k] = _on_circle(poly, Fraction(p) ** k)
-        if sum(found.values()) < n:
-            raise NotWeil("an eigenvalue has |alpha|^2 that is not an "
-                          f"integral power of p = {p}")
-    return sorted(k for k, count in found.items() if count)
+    a0 = abs(poly[0])
+    k0 = 2 * (math.log(a0.numerator) - math.log(a0.denominator)) / (
+        n * math.log(p))
+    lo, hi = _circle_range(poly, p)
+    found, placed = [], 0
+    for k in sorted(range(lo, hi + 1), key=lambda k: (abs(k - k0), k)):
+        if placed == n:
+            break
+        count = _on_circle(poly, Fraction(p) ** k)
+        if count:
+            found.append(k)
+            placed += count
+    if placed < n:
+        raise NotWeil("an eigenvalue has |alpha|^2 that is not an "
+                      f"integral power of p = {p}")
+    return sorted(found)
 
 
 def _on_circle(poly, c: Fraction) -> int:
@@ -464,41 +472,6 @@ def _fold(h, c: Fraction):
     if any(h):
         raise AssertionError("divisor is not closed under alpha -> c/alpha")
     return G
-
-
-def _guess_circles(poly, p: int) -> list:
-    """Circles |T|^2 = p^k nearest the roots of a monic polynomial, from a
-    complex Durand-Kerner iteration in floating point: proposals only."""
-    n = len(poly) - 1
-    try:
-        a = [complex(x) for x in poly]
-    except OverflowError:
-        return []
-    # start on the circle of the roots' geometric mean modulus
-    radius = abs(a[0]) ** (1 / n) or 1.0
-    z = [radius * complex(math.cos(t), math.sin(t))
-         for t in (2 * math.pi * k / n + 0.4 for k in range(n))]
-    for _ in range(500):
-        worst = 0.0
-        for k in range(n):
-            zk = z[k]
-            value = 0j
-            for x in reversed(a):
-                value = value * zk + x
-            den = 1 + 0j
-            for j in range(n):
-                if j != k:
-                    den *= zk - z[j]
-            if den == 0:
-                continue
-            step = value / den
-            z[k] = zk - step
-            worst = max(worst, abs(step) / (abs(z[k]) or 1.0))
-        if not worst > 1e-12:
-            break
-    logp = math.log(p)
-    return sorted({round(2 * math.log(abs(r)) / logp) for r in z
-                   if r != 0 and math.isfinite(abs(r))})
 
 
 def _circle_range(poly, p: int):
@@ -568,7 +541,7 @@ def quasi_purity_check(rep: WeilDeligneRep, i) -> PurityReport:
         r = fil.graded_rank(k)
         if r == 0:
             continue
-        Mk = _induced_on_graded(rep.phi, fil, k)
+        Mk = _induced(rep.phi, fil.basis(k - 1), fil.basis(k))
         if Mk is None:
             graded.append(GradedReport(k, r, [], i + k, False,
                                        "Phi does not respect M_*"))
@@ -608,7 +581,7 @@ def trace_table(rep: WeilDeligneRep, n_max: int) -> dict:
     for k in range(-fil.s, fil.s + 1):
         if fil.graded_rank(k) == 0:
             continue
-        Mk = _induced_on_graded(rep.phi, fil, k)
+        Mk = _induced(rep.phi, fil.basis(k - 1), fil.basis(k))
         if Mk is None:
             raise IrrationalTrace("Phi does not respect the monodromy "
                                   "filtration")

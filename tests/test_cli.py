@@ -1,5 +1,7 @@
 """CLI behaviour: exit codes, determinism, JSON output."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -7,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from phinabla.cli import main
 
@@ -159,6 +162,40 @@ def test_malformed_compat_member_names_it(capsys, tmp_path, change, detail):
     assert detail in error["detail"]
 
 
+@pytest.mark.parametrize("sub, stem, change, detail", [
+    ("reduction", "tate_abelian", _set(("pairing",), [[]]),
+     '"pairing" must be a 2 x 2 matrix'),
+    ("reduction", "tate_abelian", _set(("pairing", 0), []),
+     '"pairing" must be a 2 x 2 matrix'),
+    ("reduction", "tate_abelian", _set(("pairing", 1), {}),
+     '"pairing" must be a list of rows'),
+    ("reduction", "good_elliptic", lambda obj: obj["pairing"][1].pop(),
+     '"pairing" must be a 2 x 2 matrix'),
+    ("excision", "open_tate_curve", _set(("boundary_map",), [[]]),
+     '"boundary_map" must be a 1 x 2 matrix'),
+    ("excision", "open_tate_curve", _set(("boundary_map", 0), []),
+     '"boundary_map" must be a 1 x 2 matrix'),
+    ("excision", "open_tate_curve", _set(("boundary_map", 0), {}),
+     '"boundary_map" must be a list of rows'),
+    ("excision", "open_tate_curve", lambda obj: obj["boundary_map"][0].pop(),
+     '"boundary_map" must be a 1 x 2 matrix'),
+    # an empty map is not the zero map from H^0(D)(-1) of rank 2
+    ("excision", "open_tate_curve", _set(("boundary_map",), []),
+     '"boundary_map" must be a 1 x 2 matrix'),
+], ids=["pairing-empty-row", "pairing-row-empty", "pairing-row-object",
+        "pairing-entry-dropped", "boundary-empty-row", "boundary-row-empty",
+        "boundary-row-object", "boundary-entry-dropped", "boundary-empty"])
+def test_ragged_matrix_is_input_error(capsys, tmp_path, sub, stem, change,
+                                      detail):
+    obj = json.loads((CORPUS / f"{stem}.json").read_text())
+    change(obj)
+    bad = tmp_path / f"{stem}.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, sub, str(bad))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "input", "detail": detail}
+
+
 def test_compat_reads_each_piece_to_its_dimension(capsys, tmp_path):
     # T^7 - 128 and T^7 + 128 at q = 4 agree in Tr(Phi^n) for n < 7
     def member(c):      # companion matrix of T^7 + c, N = 0
@@ -227,6 +264,9 @@ def test_malformed_json_is_parse_error(capsys, tmp_path):
     '"connection": [[{"terms": [[0.5, "1"]]}]]}',
     '{"params": {"p": 5}, "rank": 1, '
     '"connection": [[{"terms": [[true, "1"]]}]]}',
+    # x^2 + 4 = (x - 1)(x + 1) mod 5 defines no field
+    '{"params": {"p": 5, "a": 2, "modulus": [4, 0, 1]}, "rank": 1, '
+    '"connection": [[{"terms": []}]]}',
 ])
 def test_malformed_module_is_input_error(capsys, tmp_path, text):
     path = tmp_path / "module.json"
@@ -265,6 +305,66 @@ def test_missing_module_key_is_named(capsys, tmp_path, key, path):
     code, _out, err = run(capsys, "wd", str(bad))
     assert code == 2
     assert json.loads(err)["detail"] == f'missing "{path}"'
+
+
+# every (subcommand, corpus file) the CLI answers, and the values the
+# fuzz test puts in place of one JSON value
+FUZZ_CALLS = [
+    ("analyze", "constant_trivial"), ("analyze", "good_elliptic_h1"),
+    ("wd", "half_twist"), ("analyze", "kummer_tate"), ("wd", "wild"),
+    ("reduction", "bad_reduction"), ("reduction", "good_elliptic"),
+    ("reduction", "tate_abelian"), ("excision", "open_tate_curve"),
+    ("excision", "proper_tate_curve"), ("compat", "family_tate")]
+DROP = "<drop>"
+FUZZ_VALUES = [DROP, None, True, False, 0, 1, -1, 2, 3, 37, 2 ** 61 - 1,
+               0.5, "", "x", "1/0", "1/2", [], {}, [[]], [[0, "1"]],
+               {"terms": []}]
+
+
+def _json_paths(node, path=()):
+    """The path of every value inside a JSON object."""
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    out = []
+    for key, value in items:
+        out += [path + (key,)] + _json_paths(value, path + (key,))
+    return out
+
+
+@st.composite
+def corpus_mutations(draw):
+    sub, stem = draw(st.sampled_from(FUZZ_CALLS))
+    obj = json.loads((CORPUS / f"{stem}.json").read_text())
+    return (sub, stem, draw(st.sampled_from(_json_paths(obj))),
+            draw(st.sampled_from(FUZZ_VALUES)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus_mutations())
+@example(("reduction", "tate_abelian", ("pairing",), [[]]))
+@example(("reduction", "tate_abelian", ("pairing", 0), {}))
+@example(("reduction", "good_elliptic", ("pairing", 1, 0), DROP))
+@example(("excision", "open_tate_curve", ("boundary_map", 0), []))
+@example(("excision", "open_tate_curve", ("boundary_map", 0, 1), DROP))
+def test_one_value_mutation_exits_0_2_or_3(tmp_path_factory, mutation):
+    sub, stem, path, value = mutation
+    obj = json.loads((CORPUS / f"{stem}.json").read_text())
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    mutated = tmp_path_factory.getbasetemp() / "mutated.json"
+    mutated.write_text(json.dumps(obj))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(["--t-window", "8", sub, str(mutated)])
+        except SystemExit as exc:     # unreadable JSON exits 2 at once
+            code = exc.code
+    assert code in (0, 2, 3), mutation
 
 
 def _fresh_interpreter(*argv):

@@ -126,11 +126,27 @@ def test_weight_filtration_purity_failure():
         semistable_weight_filtration(datum2)
 
 
+def _gauged_tate():
+    """The Tate datum in the basis e'_j = sum U_ij e_i, U = [[1, 0], [u, 1]]
+    with u = t - 3t^2/2; its section of D^f is not constant there."""
+    d = corpus.tate_abelian_datum(P)
+    one, zero = LaurentElement.one(P), LaurentElement.zero(P)
+    u = LaurentElement.from_terms(P, [(1, F(1)), (2, F(-3, 2))])
+    U = [[one, zero], [u, one]]
+    pairing = modules.lmat_mul(linalg.transpose(U),
+                               modules.lmat_mul(d.pairing, U))
+    return AbelianVarietyDatum(modules.GaugeChange(U).apply(d.module),
+                               pairing=pairing)
+
+
 def test_wd_filtration_matches_monodromy_shifted():
-    flags, fil, _rep = wd_weight_filtration_flags(
-        corpus.tate_abelian_datum(P))
-    for k in (-2, -1, 0):
-        assert linalg.same_space(flags[k], fil.basis(k + 1)), k
+    for datum, constant in ((corpus.tate_abelian_datum(P), True),
+                            (_gauged_tate(), False)):
+        section, = semistable_weight_filtration(datum).sections
+        assert all(x.is_constant() for x in section) is constant
+        flags, fil, _rep = wd_weight_filtration_flags(datum)
+        for k in (-2, -1, 0):
+            assert linalg.same_space(flags[k], fil.basis(k + 1)), k
 
 
 # -- each solve once per call ----------------------------------------------

@@ -1,11 +1,13 @@
 """Scalar layer: p-adic floats and unramified coefficient extensions."""
 
+import itertools
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
-from phinabla.padic import PadicNumber, RingMode, RingParams, _is_prime
+from phinabla.padic import (PadicNumber, RingMode, RingParams,
+                            _irreducible_mod_p, _is_prime)
 
 
 P5 = RingParams(5, 20, (32, 32), RingMode.LAURENT)
@@ -135,3 +137,22 @@ def test_ring_params_are_immutable_values():
         a.N = 30
     with pytest.raises(ValueError, match="p = 4 is not prime"):
         RingParams(4, 20)
+
+
+@pytest.mark.parametrize("p, modulus", [
+    (5, (2, 0, 1)), (2, (1, 1, 1)), (3, (1, 0, 1)), (3, (1, 2, 0, 1))])
+def test_irreducible_moduli_are_accepted(p, modulus):
+    RingParams(p, 20, a=len(modulus) - 1, modulus=modulus)
+
+
+def test_reducible_modulus_is_refused():
+    # x^2 + 4 = (x - 1)(x + 1) mod 5: x - 1 would get a false inverse
+    with pytest.raises(ValueError, match=r"modulus \[4, 0, 1\] is reducible"):
+        RingParams(5, 20, a=2, modulus=(4, 0, 1))
+    # Rabin's test against the root search, which decides degrees 2 and 3
+    for p, a in itertools.product((2, 3, 5), (2, 3)):
+        for low in itertools.product(range(p), repeat=a):
+            f = low + (1,)
+            rooted = any(sum(c * x ** i for i, c in enumerate(f)) % p == 0
+                         for x in range(p))
+            assert _irreducible_mod_p(f, p) is not rooted, (f, p)

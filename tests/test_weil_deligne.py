@@ -415,14 +415,19 @@ def eigen_problems(draw):
 
 
 def test_circle_scan_alone_gives_the_weights(monkeypatch):
-    # floating point only proposes circles: without any proposal the
-    # exact scan over the root bounds finds the same weights
+    # the exact scan over the root bounds is the only circle finder
     from phinabla import weil_deligne
-    # (T^2 - T + 2)(T^2 + 1/2)(T^2 + 4): weights 1, -1, 2 over q = 2
+    # (T^2 - T + 2)(T^2 + 1/2)(T^2 + 4): weights 1, -1, 2 over q = 2, and
+    # k0 = 2 log|a_0| / (n log p) = 2/3 is the weight of no root
     poly = [F(x) for x in (4, -2, 11, F(-9, 2), F(13, 2), -1, 1)]
-    expected = weil_deligne._root_weights(poly, 2, 1)
-    monkeypatch.setattr(weil_deligne, "_guess_circles", lambda poly, p: [])
-    assert weil_deligne._root_weights(poly, 2, 1) == expected == [-1, 1, 2]
+    assert weil_deligne._root_weights(poly, 2, 1) == [-1, 1, 2]
+    # one weight: the k0 circle holds every root, one count places them
+    counts = []
+    on_circle = weil_deligne._on_circle
+    monkeypatch.setattr(weil_deligne, "_on_circle",
+                        lambda poly, c: counts.append(c) or on_circle(poly, c))
+    assert weil_deligne._root_weights([F(4), 0, 0, 0, F(1)], 2, 1) == [1]
+    assert counts == [2]
 
 
 @settings(max_examples=200, deadline=None,

@@ -56,8 +56,16 @@ def mat_scale(A, c):
 
 
 def mat_vec(A, v):
-    return [sum((a * x for a, x in zip(row, v) if a and x), Fraction(0))
-            for row in A]
+    nz = [(j, x) for j, x in enumerate(v) if x]
+    out = []
+    for row in A:
+        acc = Fraction(0)
+        for j, x in nz:
+            a = row[j]
+            if a:
+                acc += a * x
+        out.append(acc)
+    return out
 
 
 def transpose(A):
@@ -308,7 +316,10 @@ _PADIC = (methodcaller("is_zero"), methodcaller("inverse"),
 
 
 def _fractions(A):
-    return [[Fraction(x) for x in row] for row in A]
+    """Fresh row lists of Fractions; Fraction entries are kept as they are
+    (immutable, so sharing them is safe), others converted."""
+    return [[x if type(x) is Fraction else Fraction(x) for x in row]
+            for row in A]
 
 
 def _eliminate(rows, ncols, rule):

@@ -804,6 +804,8 @@ def module_from_json(obj: dict, params: RingParams | None = None
                             pr.get("a", 1),
                             tuple(pr["modulus"]) if pr.get("modulus") else None)
     rank = obj["rank"]
+    if type(rank) is not int:
+        raise TypeError(f'"rank" = {rank!r} is not an integer')
     conv = lambda M: [[LaurentElement.from_json(params, x) for x in row]
                       for row in M]
     A = conv(obj["frobenius"]) if "frobenius" in obj else None

@@ -69,11 +69,15 @@ class RingParams(namedtuple(
     def __new__(cls, p: int, N: int, t_window: tuple[int, int] = (0, 32),
                 ring_mode: RingMode = RingMode.LAURENT, a: int = 1,
                 modulus: tuple[int, ...] | None = None):
+        m_neg, m_pos = t_window
+        for name, x in (("p", p), ("N", N), ("t_window[0]", m_neg),
+                        ("t_window[1]", m_pos), ("a", a)):
+            if type(x) is not int:
+                raise TypeError(f"{name} = {x!r} is not an integer")
         if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if N < 1:
             raise ValueError("coefficient precision N must be >= 1")
-        m_neg, m_pos = t_window
         if m_neg < 0 or m_pos < 1:
             raise ValueError("t_window must satisfy M_neg >= 0, M_pos >= 1")
         if ring_mode is RingMode.POWER_SERIES and m_neg != 0:
@@ -83,6 +87,9 @@ class RingParams(namedtuple(
         if a > 1:
             if modulus is None or len(modulus) != a + 1:
                 raise ValueError("a > 1 needs a monic modulus of degree a")
+            if any(type(c) is not int for c in modulus):
+                raise TypeError(f"modulus {list(modulus)} has a non-integer "
+                                "entry")
             if modulus[-1] != 1:
                 raise ValueError("modulus must be monic")
             if not _irreducible_mod_p(modulus, p):

@@ -81,9 +81,6 @@ class LaurentElement:
     def min_exponent(self):
         return min(self.coeffs) if self.coeffs else None
 
-    def max_exponent(self):
-        return max(self.coeffs) if self.coeffs else None
-
     def is_constant(self):
         return all(e == 0 for e in self.coeffs)
 

@@ -209,13 +209,15 @@ def monodromy_filtration(N) -> MonodromyFiltration:
     """
     N = _fractions(N)
     d = len(N)
-    if not linalg.is_nilpotent(N):
-        raise NotNilpotent("monodromy filtration needs a nilpotent input")
     kernels = [[]]                      # kernels[m] is a basis of ker N^m
     power = linalg.identity(d)
     while len(kernels[-1]) < d:
         power = linalg.mat_mul(N, power)
         kernels.append(linalg.nullspace(power))
+        # ker N^(m+1) = ker N^m: the chain never grows again, short of d
+        if len(kernels[-1]) == len(kernels[-2]):
+            raise NotNilpotent("monodromy filtration needs a nilpotent "
+                               "input")
     chains = []                         # [N^j v for j < l(v)], longest first
     for length in range(len(kernels) - 1, 0, -1):
         known = kernels[length - 1] + [chain[-length] for chain in chains]
@@ -598,11 +600,19 @@ def trace_table(rep: WeilDeligneRep, n_max: int) -> dict:
 
 
 def compatibility_family(reps, n_max: int = 6) -> FamilyReport:
-    """COMPATIBLE iff every member has the identical trace table, each
-    graded piece read deep enough to fix its characteristic polynomial."""
+    """COMPATIBLE iff every member has the inertia order of the first and
+    the identical trace table, each graded piece read deep enough to fix
+    its characteristic polynomial.  The order is compared on its own, as
+    a member may state it without an inertia matrix."""
     tables = [trace_table(r, n_max) for r in reps]
     depth = max([n_max] + [key[1] for tab in tables for key in tab
                            if key[0] != "inertia"])
+    for idx, rep in enumerate(reps[1:], start=1):
+        if rep.inertia_order != reps[0].inertia_order:
+            return FamilyReport(False, tables,
+                                (idx, ("inertia", "order"),
+                                 rep.inertia_order, reps[0].inertia_order),
+                                depth)
     ref = tables[0] if tables else {}
     for idx, tab in enumerate(tables[1:], start=1):
         keys = sorted(set(ref) | set(tab), key=str)

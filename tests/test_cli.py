@@ -196,6 +196,43 @@ def test_ragged_matrix_is_input_error(capsys, tmp_path, sub, stem, change,
     assert json.loads(err) == {"error": "input", "detail": detail}
 
 
+@pytest.mark.parametrize("stem, path, value, detail", [
+    ("constant_trivial", ("rank",), True, '"rank" = True is not an integer'),
+    ("kummer_tate", ("rank",), 2.0, '"rank" = 2.0 is not an integer'),
+    ("kummer_tate", ("params", "a"), True, "a = True is not an integer"),
+    ("kummer_tate", ("params", "p"), 5.0, "p = 5.0 is not an integer"),
+    ("kummer_tate", ("params",), {"p": 5, "a": 2, "modulus": [2, 0, True]},
+     "modulus [2, 0, True] has a non-integer entry"),
+], ids=["rank-true", "rank-float", "a-true", "p-float", "modulus-true"])
+def test_non_integer_json_value_is_input_error(capsys, tmp_path, stem, path,
+                                               value, detail):
+    # JSON true is not the integer 1, nor 2.0 the integer 2
+    obj = json.loads((CORPUS / f"{stem}.json").read_text())
+    _set(path, value)(obj)
+    bad = tmp_path / f"{stem}.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "input", "detail": detail}
+
+
+def test_inertia_order_without_matrix_is_compared(capsys, tmp_path):
+    fam = json.loads((CORPUS / "family_tate.json").read_text())
+    fam["members"][1]["inertia"] = {"order": 37, "matrix": None}
+    bad = tmp_path / "family_order_37.json"
+    bad.write_text(json.dumps(fam))
+    code, out, _ = run(capsys, "compat", str(bad))
+    assert code == 0
+    assert ("verdict: INCOMPATIBLE at member 1, entry ('inertia', 'order'): "
+            "37 != 1") in out
+    code, out, _ = run(capsys, "--json", "compat", str(bad))
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "INCOMPATIBLE"
+    assert report["witness"] == {"member": 1, "entry": "('inertia', 'order')",
+                                 "value": "37", "reference": "1"}
+
+
 def test_compat_reads_each_piece_to_its_dimension(capsys, tmp_path):
     # T^7 - 128 and T^7 + 128 at q = 4 agree in Tr(Phi^n) for n < 7
     def member(c):      # companion matrix of T^7 + c, N = 0

@@ -44,21 +44,27 @@ def dense_mat_vec(A, v):
     return [sum((a * x for a, x in zip(row, v)), F(0)) for row in A]
 
 
-entries = st.one_of(st.just(F(0)),
-                    st.fractions(-6, 6, max_denominator=5))
+fraction_entries = st.one_of(st.just(F(0)),
+                             st.fractions(-6, 6, max_denominator=5))
+int_entries = st.one_of(st.just(0), st.integers(-6, 6))
 
 
 @st.composite
 def sparse_matrices(draw):
     """About half the entries zero, plus a row combining two others (so
-    the rank is deficient) and an all-zero row."""
+    the rank is deficient) and an all-zero row; all entries Fractions,
+    all ints, or a mix of both."""
+    entries = draw(st.sampled_from([
+        fraction_entries, int_entries,
+        st.one_of(fraction_entries, int_entries)]))
     rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
     A = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
     s, t = draw(entries), draw(entries)
     u, w = draw(st.sampled_from(A)), draw(st.sampled_from(A))
     A.insert(draw(st.integers(0, rows)),
              [s * x + t * y for x, y in zip(u, w)])
-    A.insert(draw(st.integers(0, rows + 1)), [F(0)] * cols)
+    A.insert(draw(st.integers(0, rows + 1)),
+             [0 if entries is int_entries else F(0)] * cols)
     v = [draw(entries) for _ in range(cols)]
     return A, v
 
@@ -71,8 +77,21 @@ def test_zero_skipping_kernels_match_dense(problem):
     R, pivots = linalg.rref(A)
     assert (R, pivots) == dense_rref(A)
     assert all(type(x) is F for row in R for x in row)
-    assert linalg.mat_vec(A, v) == dense_mat_vec(A, v)
+    Av = linalg.mat_vec(A, v)
+    assert Av == dense_mat_vec(A, v)
+    assert all(type(x) is F for x in Av)
     assert len(pivots) < len(A)
+
+
+def test_fractions_returns_new_rows():
+    A = [[F(1, 2), 3], [0, F(-2)]]
+    B = linalg._fractions(A)
+    assert B == A and all(type(x) is F for row in B for x in row)
+    # Fraction entries are shared (immutable), the row lists are not
+    assert B[0][0] is A[0][0] and B[1][1] is A[1][1]
+    B[0][0] = F(7)
+    B[1].append(F(1))
+    assert A == [[F(1, 2), 3], [0, F(-2)]]
 
 
 def test_rational_roots_of_large_constant_terms():

@@ -139,6 +139,21 @@ def test_ring_params_are_immutable_values():
         RingParams(4, 20)
 
 
+@pytest.mark.parametrize("args, kwargs, name", [
+    ((True, 20), {}, "p = True"),
+    ((5, True), {}, "N = True"),
+    ((5, 20.0), {}, "N = 20.0"),
+    ((5, 20, (True, 32)), {}, r"t_window\[0\] = True"),
+    ((5, 20, (0, 32.0)), {}, r"t_window\[1\] = 32.0"),
+    ((5, 20), {"a": True}, "a = True"),
+    ((5, 20), {"a": 2, "modulus": (2, 0, True)}, r"modulus \[2, 0, True\]"),
+], ids=["p-bool", "N-bool", "N-float", "window-bool", "window-float",
+        "a-bool", "modulus-bool"])
+def test_ring_params_refuse_non_integers(args, kwargs, name):
+    with pytest.raises(TypeError, match=name):
+        RingParams(*args, **kwargs)
+
+
 @pytest.mark.parametrize("p, modulus", [
     (5, (2, 0, 1)), (2, (1, 1, 1)), (3, (1, 0, 1)), (3, (1, 2, 0, 1))])
 def test_irreducible_moduli_are_accepted(p, modulus):

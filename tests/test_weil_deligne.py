@@ -52,6 +52,43 @@ def test_non_nilpotent_rejected():
         monodromy_filtration([[F(1)]])
 
 
+def _count_eliminations(monkeypatch):
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("N, kernels", [
+    # invertible: ker N = ker N^0 = 0
+    ([[F(2), F(1)], [F(1), F(1)]], 1),
+    # ker N = ker N^2 of dimension 1 < 2
+    ([[F(0), F(0)], [F(0), F(1)]], 2),
+    # J3 beside 1/2: dim ker N^m = 1, 2, 3, 3 stalls at m = 4, short of 4
+    ([[F(0), F(1), F(0), F(0)], [F(0), F(0), F(1), F(0)],
+      [F(0), F(0), F(0), F(0)], [F(0), F(0), F(0), F(1, 2)]], 4),
+], ids=["invertible", "diag(0,1)", "J3+corner"])
+def test_stalled_kernel_chain_is_not_nilpotent(N, kernels, monkeypatch):
+    # nilpotency is read from the kernel chain: it stops at the first
+    # ker N^(m+1) = ker N^m, after one elimination per kernel
+    calls = _count_eliminations(monkeypatch)
+    with pytest.raises(NotNilpotent,
+                       match="^monodromy filtration needs a nilpotent "
+                             "input$"):
+        monodromy_filtration(N)
+    assert len(calls) == kernels
+
+
+def test_empty_operator_filtration():
+    fil = monodromy_filtration([])
+    assert (fil.s, fil.dim, fil.rank(0), fil.basis(0)) == (0, 0, 0, [])
+
+
 def test_filtration_conjugation_covariance():
     N = [[F(0), F(1), F(0)], [F(0), F(0), F(0)], [F(0), F(0), F(0)]]
     U = [[F(1), F(2), F(0)], [F(0), F(1), F(1)], [F(0), F(0), F(1)]]
@@ -269,17 +306,9 @@ def _seeded_nilpotent():
 def test_eliminations_are_pinned(run, eliminations, monkeypatch):
     # one elimination per subspace question: a per-vector loop would
     # multiply these counts
-    calls = 0
-    eliminate = linalg._eliminate
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return eliminate(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "_eliminate", counted)
+    calls = _count_eliminations(monkeypatch)
     run()
-    assert calls == eliminations
+    assert len(calls) == eliminations
 
 
 # -- weights ----------------------------------------------------------------
@@ -513,6 +542,17 @@ def test_sp2_vs_unramified_incompatible():
     assert not fam.compatible
     idx, key, _got, _ref = fam.witness
     assert idx == 1
+
+
+def test_inertia_order_alone_is_compared():
+    # orders 2 and 4 with no inertia matrix leave the trace tables equal
+    base = WeilDeligneRep(5, [[F(1), F(0)], [F(0), F(5)]], inertia_order=2)
+    other = WeilDeligneRep(5, base.phi, inertia_order=4)
+    assert trace_table(base, 6) == trace_table(other, 6)
+    fam = compatibility_family([base, base, other], 6)
+    assert not fam.compatible
+    assert fam.witness == (2, ("inertia", "order"), 4, 2)
+    assert compatibility_family([base, base], 6).compatible
 
 
 def test_trace_table_shape():

@@ -133,8 +133,10 @@ def _rank_profile(datum: AbelianVarietyDatum, sections):
         return RankProfile(n, 0, 0, n), []
     if datum.pairing is None:
         raise MissingPairing("mu/alpha split requires the Weil pairing")
-    ker = _fixed_part_kernel(datum, sections,
-                             horizontal_sections(datum.dual))
+    # a self-dual datum pairs D(A) with itself: its sections serve twice
+    dual_sections = (sections if datum.dual is datum.module
+                     else horizontal_sections(datum.dual))
+    ker = _fixed_part_kernel(datum, sections, dual_sections)
     mu = len(ker)
     if (rk_f - mu) % 2 != 0:
         raise InconsistentRanks(

@@ -246,17 +246,15 @@ def _sturm_count(chain, lo=None, hi=None):
     return variations(lo, True) - variations(hi, False)
 
 
-def _rational_roots(coeffs, p=None):
+def _rational_roots(coeffs):
     """Rational roots (with multiplicity) of a Fraction polynomial given
-    low-to-high, or with a prime ``p`` only its roots +-p^k; returns (roots,
-    remaining factor), the factor with integer coefficients and None when
-    it is constant.
+    low-to-high; returns (roots, remaining factor), the factor with integer
+    coefficients and None when it is constant.
 
-    With ``p`` the candidates are +-a/b, a | a_0 and b | a_n powers of p.
-    Without it, y = L x (L the lcm of the denominators of the monic
-    polynomial) gives a monic integer polynomial, whose rational roots are
-    integers: its real roots are isolated inside the Cauchy bound by Sturm
-    bisection down to width 1 and the integers among them tested.
+    y = L x (L the lcm of the denominators of the monic polynomial) gives a
+    monic integer polynomial, whose rational roots are integers: its real
+    roots are isolated inside the Cauchy bound by Sturm bisection down to
+    width 1 and the integers among them tested.
     """
     den = lcm(*(c.denominator for c in coeffs))
     poly = [int(c * den) for c in coeffs]
@@ -268,7 +266,7 @@ def _rational_roots(coeffs, p=None):
         poly = poly[1:]
 
     candidates = []
-    if len(poly) > 1 and p is None:
+    if len(poly) > 1:
         n = len(poly) - 1
         monic = [Fraction(c, poly[-1]) for c in poly]
         L = lcm(*(c.denominator for c in monic))
@@ -286,14 +284,6 @@ def _rational_roots(coeffs, p=None):
                 todo += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]
             elif _evaluate(g, hi) == 0:
                 candidates.append(Fraction(hi, L))
-    elif len(poly) > 1:
-        def powers(n):
-            out = [1]
-            while n % (out[-1] * p) == 0:
-                out.append(out[-1] * p)
-            return out
-        candidates = [Fraction(sign * a, b) for a in powers(poly[0])
-                      for b in powers(poly[-1]) for sign in (1, -1)]
 
     for r in candidates:
         while len(poly) > 1 and _evaluate(poly, r) == 0:

@@ -64,6 +64,10 @@ class WeilDeligneRep:
         self._validate()
 
     def _validate(self):
+        for name, M in (("phi", self.phi), ("N", self.N),
+                        ("inertia_matrix", self.inertia_matrix)):
+            if M is not None:
+                _check_shape(M, name, self.dim, self.dim)
         phi_inv = linalg.mat_inv(self.phi)
         if phi_inv is None:
             raise NonInvertible("Phi is singular")
@@ -152,9 +156,15 @@ def _json_matrix(M, name, rows, cols, entry):
     lists M; TypeError or ValueError naming the member otherwise."""
     if not (isinstance(M, list) and all(isinstance(r, list) for r in M)):
         raise TypeError(f'"{name}" must be a list of rows')
+    _check_shape(M, name, rows, cols)
+    return [[entry(x) for x in row] for row in M]
+
+
+def _check_shape(M, name, rows, cols):
+    """ValueError naming the matrix unless M has rows rows of cols
+    entries each."""
     if len(M) != rows or any(len(row) != cols for row in M):
         raise ValueError(f'"{name}" must be a {rows} x {cols} matrix')
-    return [[entry(x) for x in row] for row in M]
 
 
 def special_rep(q: int, kind=FrobeniusKind.GEOMETRIC,
@@ -209,6 +219,7 @@ def monodromy_filtration(N) -> MonodromyFiltration:
     """
     N = _fractions(N)
     d = len(N)
+    _check_shape(N, "N", d, d)
     kernels = [[]]                      # kernels[m] is a basis of ker N^m
     power = linalg.identity(d)
     while len(kernels[-1]) < d:
@@ -294,79 +305,27 @@ def _axioms_hold(N, fil: MonodromyFiltration) -> bool:
 # ---------------------------------------------------------------------------
 # weights
 
-def _weight_from_modulus_squared(c: Fraction, p: int, f: int) -> Fraction:
-    """w with c = q^w = p^(f w), for positive rational c; NotWeil else."""
-    if c <= 0:
-        raise NotWeil(f"modulus squared {c} is not positive")
-    num, den = c.numerator, c.denominator
-    k = 0
-    while num % p == 0:
-        num //= p
-        k += 1
-    while den % p == 0:
-        den //= p
-        k -= 1
-    if num != 1 or den != 1:
-        raise NotWeil(f"|alpha|^2 = {c} is not a power of p = {p}")
-    return Fraction(k, f)
-
-
-def _sqrt_fraction(c: Fraction):
-    """Exact square root of a non-negative rational, or None."""
-    if c < 0:
-        return None
-    rn, rd = math.isqrt(c.numerator), math.isqrt(c.denominator)
-    if rn * rn == c.numerator and rd * rd == c.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
-def _rational_weight(a: Fraction, p: int, f: int) -> Fraction:
-    if a == 0:
-        raise NotWeil("zero eigenvalue")
-    return _weight_from_modulus_squared(a * a, p, f)
-
-
-def _quadratic_weight(b: Fraction, c: Fraction, p: int, f: int) -> Fraction:
-    """Weight of both roots of T^2 + bT + c; NotWeil unless they agree."""
-    disc = b * b - 4 * c
-    sq = _sqrt_fraction(disc) if disc >= 0 else None
-    if sq is not None:
-        w1 = _rational_weight((-b + sq) / 2, p, f)
-        w2 = _rational_weight((-b - sq) / 2, p, f)
-        if w1 != w2:
-            raise NotWeil("rational conjugates of different size")
-        return w1
-    if disc < 0:
-        # complex conjugate pair: |alpha|^2 = c
-        return _weight_from_modulus_squared(c, p, f)
-    # distinct real irrational embeddings: equal size forces b = 0
-    if b != 0:
-        raise NotWeil("real embeddings of different absolute value")
-    return _weight_from_modulus_squared(-c, p, f)
-
-
 def weight_of_eigenvalue(alpha, q: int,
                          frobenius_kind=FrobeniusKind.GEOMETRIC) -> Fraction:
     """Weight w with |iota(alpha)| = q^(w/2) for every embedding iota.
 
-    ``alpha`` is a rational number or a list of rational polynomial
-    coefficients (low-to-high) whose roots are the conjugates of alpha.
-    Exact in every degree (``_root_weights``): degree >= 3 is certified
-    by exact root counts on the circles |alpha|^2 = p^k, not by numerics.
-    Raises NotWeil when embeddings have different absolute values.
+    ``alpha`` is a rational number, read as the root of T - alpha, or a
+    list of rational polynomial coefficients (low-to-high) whose roots are
+    the conjugates of alpha.  Exact in every degree: each root is placed
+    by exact root counts on the circles |alpha|^2 = p^k
+    (``_root_weights``), not by numerics.  Raises NotWeil for a zero root
+    and when embeddings have different absolute values.
     """
     p, f = _prime_power(q)
     if isinstance(alpha, (int, Fraction)):
-        w = _rational_weight(Fraction(alpha), p, f)
-    else:
-        coeffs = _trim([Fraction(x) for x in alpha])
-        if len(coeffs) < 2:
-            raise NotWeil("constant polynomial has no roots")
-        weights = _root_weights(coeffs, p, f)
-        if len(weights) != 1:
-            raise NotWeil("embeddings have different absolute values")
-        w = weights[0]
+        alpha = [-alpha, 1]
+    coeffs = _trim([Fraction(x) for x in alpha])
+    if len(coeffs) < 2:
+        raise NotWeil("constant polynomial has no roots")
+    weights = _root_weights(coeffs, p, f)
+    if len(weights) != 1:
+        raise NotWeil("embeddings have different absolute values")
+    w = weights[0]
     return w if frobenius_kind is FrobeniusKind.GEOMETRIC else -w
 
 
@@ -388,34 +347,25 @@ def _root_weights(coeffs, p: int, f: int) -> list:
     """Distinct weights k/f, |alpha|^2 = p^k, of the roots of a non-constant
     rational polynomial (low-to-high); NotWeil unless every root has one.
 
-    Only distinct roots matter, so the square-free part is read: its roots
-    0 and +-p^k exactly, a rest of degree <= 2 in closed form, a longer
-    rest circle by circle (``_circles``).
+    Only distinct roots matter, so the square-free part is read, circle by
+    circle (``_circles``), whatever its degree; a root 0 has no weight.
     """
     poly = _monic(coeffs)
     square_free = _poly_divmod(poly, _poly_gcd(poly, _derivative(poly)))[0]
-    roots, rest = linalg._rational_roots(square_free, p)
-    weights = {_rational_weight(r, p, f) for r in roots}
-    if rest is not None:
-        rest = _monic(rest)
-        if len(rest) == 2:
-            weights.add(_rational_weight(-rest[0], p, f))
-        elif len(rest) == 3:
-            weights.add(_quadratic_weight(rest[1], rest[0], p, f))
-        else:
-            weights.update(Fraction(k, f) for k in _circles(rest, p))
-    return sorted(weights)
+    if not square_free[0]:
+        raise NotWeil("zero eigenvalue")
+    return [Fraction(k, f) for k in _circles(square_free, p)]
 
 
 def _circles(poly, p: int) -> list:
     """The k for which a root of ``poly`` lies on |T|^2 = p^k.
 
-    ``poly`` is monic and square-free, without roots 0 and +-p^k.  The
-    circles allowed by the root bounds are counted exactly by
-    ``_on_circle``, nearest k0 = 2 log|a_0| / (n log p) first (for roots of
-    one weight k0 is that weight, so one count places them all), until
-    every root is placed; a root still unaccounted for lies on no such
-    circle: NotWeil.  Floating point only orders the circles.
+    ``poly`` is monic and square-free, without root 0.  The circles
+    allowed by the root bounds are counted exactly by ``_on_circle``,
+    nearest k0 = 2 log|a_0| / (n log p) first (for roots of one weight k0
+    is that weight, so one count places them all), until every root is
+    placed; a root still unaccounted for lies on no such circle: NotWeil.
+    Floating point only orders the circles.
     """
     n = len(poly) - 1
     a0 = abs(poly[0])
@@ -437,24 +387,28 @@ def _circles(poly, p: int) -> list:
 
 
 def _on_circle(poly, c: Fraction) -> int:
-    """Number of roots of ``poly`` (monic, square-free, no root +-sqrt(c)
-    in Q) with |alpha|^2 = c.
+    """Number of roots of ``poly`` (monic, square-free) with
+    |alpha|^2 = c, for c > 0.
 
     A root on the circle has conj(alpha) = c/alpha, so it is a root of
     g = gcd(poly, T^n poly(c/T)), whose roots are closed under
-    alpha -> c/alpha.  Apart from the fixed points +-sqrt(c),
+    alpha -> c/alpha.  The fixed points +-sqrt(c) lie on the circle; those
+    that divide g are counted and divided out, each alone when sqrt(c) is
+    rational, else both at once as T^2 - c.  What is left is
     g(T) = T^m G(T + c/T): a real root x of G with x^2 < 4c gives a
     conjugate pair on the circle, one with x^2 > 4c two real roots off it,
     a non-real x two non-real roots off it.  Hence the count
-    2 (real roots of G) - (real roots of g), plus 2 when T^2 - c divides g.
+    2 (real roots of G) - (real roots of g), plus the fixed points.
     """
     n = len(poly) - 1
     g = _poly_gcd(poly, [poly[n - i] * c ** (n - i) for i in range(n + 1)])
     count = 0
-    if len(g) >= 3:
-        quotient, rem = _poly_divmod(g, [-c, Fraction(0), Fraction(1)])
+    root = Fraction(math.isqrt(c.numerator), math.isqrt(c.denominator))
+    fixed = [[-root, 1], [root, 1]] if root * root == c else [[-c, 0, 1]]
+    for factor in fixed:
+        quotient, rem = _poly_divmod(g, factor)
         if not rem:
-            g, count = quotient, 2
+            g, count = quotient, count + len(factor) - 1
     real_roots = lambda h: linalg._sturm_count(linalg._sturm_chain(h))
     return count + 2 * real_roots(_fold(g, c)) - real_roots(g)
 

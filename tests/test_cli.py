@@ -416,15 +416,16 @@ def _fresh_interpreter(*argv):
 
 def test_cli_never_imports_sympy():
     # the eigen-weights of analyze and excision are the only place sympy
-    # was ever used; a fresh interpreter shows what the CLI loads
+    # was ever used, and the weight oracle the only user of mpmath; a fresh
+    # interpreter shows what the CLI loads
     script = (
         "import sys; from phinabla.cli import main; "
         "assert main(['analyze', 'corpus/kummer_tate.json']) == 0; "
         "assert main(['excision', 'corpus/open_tate_curve.json']) == 0; "
-        "print('sympy' in sys.modules)")
+        "print('sympy' in sys.modules, 'mpmath' in sys.modules)")
     done = _fresh_interpreter("-c", script)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-1] == "False False"
 
 
 def test_cli_import_skips_dataclasses_and_inspect():

@@ -89,6 +89,16 @@ def test_empty_operator_filtration():
     assert (fil.s, fil.dim, fil.rank(0), fil.basis(0)) == (0, 0, 0, [])
 
 
+@pytest.mark.parametrize("N", [
+    [[0, 1, 0], [0, 0, 0]],
+    [[0, 1], [0]],
+    [[]],
+], ids=["2x3", "ragged", "empty-row"])
+def test_filtration_refuses_non_square(N):
+    with pytest.raises(ValueError, match='^"N" must be a '):
+        monodromy_filtration(N)
+
+
 def test_filtration_conjugation_covariance():
     N = [[F(0), F(1), F(0)], [F(0), F(0), F(0)], [F(0), F(0), F(0)]]
     U = [[F(1), F(2), F(0)], [F(0), F(1), F(1)], [F(0), F(0), F(1)]]
@@ -336,6 +346,8 @@ def test_non_weil_real_quadratic():
 def test_non_weil_rational():
     with pytest.raises(NotWeil):
         weight_of_eigenvalue(3, 5)
+    with pytest.raises(NotWeil, match="^zero eigenvalue$"):
+        weight_of_eigenvalue(0, 5)
 
 
 def test_arithmetic_convention_negates():
@@ -357,6 +369,10 @@ def test_numeric_weight_degree_four():
     ([-4, 0, 0, 0, 1], 2, 1),               # T^4 - 4: +-sqrt(2) and +-i sqrt(2)
     ([1, 1, 1, 1, 1], 3, 0),                # fifth roots of unity but 1
     ([F(1, 9), 0, 0, 0, 1], 3, -1),         # T^4 + q^-2
+    # a rational root alone on its circle, beside a pair or by itself
+    ([-125, 25, -5, 1], 5, 2),              # (T - 5)(T^2 + 25)
+    ([F(1, 5), 1], 5, -2),                  # T + 1/5
+    ([-8, 4, -2, 1], 4, 1),                 # (T - 2)(T^2 + 4), q = 2^2
 ])
 def test_weight_degree_three_and_up(poly, q, weight):
     assert weight_of_eigenvalue(poly, q) == weight
@@ -400,7 +416,9 @@ def eigen_factors(draw, q):
     """One factor of a characteristic polynomial, low-to-high."""
     kind = draw(st.sampled_from(["weil", "weil", "rational", "sqrt",
                                  "quartic", "complex-bad", "real-bad",
-                                 "rational-bad", "cubic-bad"]))
+                                 "rational-bad", "cubic-bad", "zero",
+                                 "p-power"]))
+    p = min(d for d in range(2, q + 1) if q % d == 0)
     if kind == "weil":
         a = draw(st.sampled_from([a for a in range(-2 * q, 2 * q + 1)
                                   if a * a < 4 * q]))
@@ -421,6 +439,11 @@ def eigen_factors(draw, q):
                                   [F(q), F(-a - 2 * q), F(1)]]))
     elif kind == "rational-bad":
         f = [F(-draw(st.sampled_from([6, -10, F(1, 6)]))), F(1)]
+    elif kind == "zero":                    # T: no weight
+        f = [F(0), F(1)]
+    elif kind == "p-power":                 # T -+ p^j, weight 2j / f
+        f = [draw(st.sampled_from([-1, 1])) * F(p) ** draw(
+            st.integers(-3, 3)), F(1)]
     else:
         # irreducible cubics with roots of two sizes that the oracle decides
         # at every q drawn (T^3 - T - 1 is Uncertifiable to it at q = 4)
@@ -483,6 +506,17 @@ def test_constructor_enforces_equivariance():
     # Phi = diag(q, 1) with N = E_12 gives the wrong scalar
     with pytest.raises(ValueError):
         WeilDeligneRep(5, [[5, 0], [0, 1]], [[0, 1], [0, 0]])
+
+
+@pytest.mark.parametrize("args, name", [
+    (([[1, 2, 3]],), "phi"),
+    (([[1, 0], [0]],), "phi"),
+    (([[1, 0], [0, 5]], [[0, 1, 0], [0, 0, 0]]), "N"),
+    (([[1]], None, 2, [[-1], [0]]), "inertia_matrix"),
+], ids=["1x3-phi", "ragged-phi", "2x3-N", "2x1-inertia"])
+def test_constructor_refuses_misshapen_matrices(args, name):
+    with pytest.raises(ValueError, match=f'^"{name}" must be a '):
+        WeilDeligneRep(5, *args)
 
 
 def test_constructor_enforces_nilpotence():

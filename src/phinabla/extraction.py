@@ -135,6 +135,9 @@ def wd_extract(m: PhiNablaModule, m_max: int = 24,
 
     m._require(frobenius=True, connection=True)
     e, exponents = _tame_cover_degree(m, m_max)
+    if any(a.has_tail() for row in m.A for a in row):
+        raise WindowTooSmall("Frobenius matrix truncated; cannot trust "
+                             "its image")
     pulled = kummer_pullback(m, e)
     sols = log_solution_basis(pulled, e).solutions
     r = m.rank
@@ -143,8 +146,11 @@ def wd_extract(m: PhiNablaModule, m_max: int = 24,
 
     def induced(image, what, leaves):
         """Matrix of an operator on the solution span, from one solve."""
-        cols = _solution_coordinates(comps, [image(c) for c in comps],
-                                     params)
+        images = [image(c) for c in comps]
+        if any(x.has_tail() for img in images for vec in img for x in vec):
+            raise WindowTooSmall(f"{what}: an image runs past the window; "
+                                 "its coordinates cannot be read")
+        cols = _solution_coordinates(comps, images, params)
         if cols is None:
             raise NonConstantFrobenius(leaves)
         return linalg.transpose([_rational_vector(x, NonConstantFrobenius,

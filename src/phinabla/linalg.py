@@ -149,11 +149,6 @@ def _completion(known, cand):
             if c >= n]
 
 
-def same_space(basis1, basis2):
-    return (rank(list(basis1) + list(basis2)) == rank(basis1) == rank(basis2)) \
-        if (basis1 or basis2) else True
-
-
 def mat_inv(A):
     cols = solve(A, identity(len(A)))
     return None if cols is None else transpose(cols)

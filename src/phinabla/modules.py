@@ -522,19 +522,20 @@ def _frobenius_image(m: PhiNablaModule, comps):
     """phi applied to sum_d v_d (log t)^d: A sigma(v_d) p^d at log degree
     d, since phi(log t) = p log t."""
     p = m.params.p
+    # an exact zero (no tail) adds nothing
+    rows = [[(j, a) for j, a in enumerate(row)
+             if not (a.is_zero() and not a.has_tail())] for row in m.A]
     out = []
     for d, vd in enumerate(comps):
         svec = [x.sigma() for x in vd]
         vec = []
-        for i in range(m.rank):
+        for row in rows:
             acc = LaurentElement.zero(m.params)
-            for j in range(m.rank):
-                a = m.A[i][j]
-                # an exact zero (no tail) adds nothing
-                if not ((a.is_zero() and not a.has_tail())
-                        or (svec[j].is_zero() and not svec[j].has_tail())):
-                    acc = acc + a * svec[j]
-            vec.append(acc.scale(Fraction(p) ** d))
+            for j, a in row:
+                sv = svec[j]
+                if not (sv.is_zero() and not sv.has_tail()):
+                    acc = acc + a * sv
+            vec.append(acc.scale(p ** d))
         out.append(tuple(vec))
     return out
 

@@ -270,26 +270,25 @@ class PadicNumber:
     """Element of K (or its unramified extension) at tracked precision.
 
     Nonzero: value = p^v * unit, with the unit mantissa known modulo
-    p^(abs_prec - v).  Zero-at-precision: only the bound |x| <= p^-abs_prec
-    is known.  Instances are immutable.
+    p^(abs_prec - v): an int for a = 1, a coefficient tuple for a > 1.
+    Zero-at-precision: only the bound |x| <= p^-abs_prec is known.
+    Instances are immutable.
     """
 
     __slots__ = ("params", "v", "unit", "abs_prec", "is_zero_at_precision")
 
     def __init__(self, params: RingParams, v, unit, abs_prec: int,
                  is_zero: bool = False):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "abs_prec", abs_prec)
+        # the slot descriptors, since __setattr__ refuses every write
+        _SET_PARAMS(self, params)
+        _SET_ABS_PREC(self, abs_prec)
+        _SET_ZERO(self, is_zero)
         if is_zero:
-            object.__setattr__(self, "v", None)
-            object.__setattr__(self, "unit", None)
-            object.__setattr__(self, "is_zero_at_precision", True)
-            return
-        object.__setattr__(self, "is_zero_at_precision", False)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "unit", unit)
+            v = unit = None
+        _SET_V(self, v)
+        _SET_UNIT(self, unit)
 
-    def __setattr__(self, *a):  # pragma: no cover
+    def __setattr__(self, *a):
         raise AttributeError("PadicNumber is immutable")
 
     # -- constructors -------------------------------------------------------
@@ -301,13 +300,16 @@ class PadicNumber:
 
     @classmethod
     def from_rational(cls, params: RingParams, value, rel_prec=None):
-        value = Fraction(value)
+        if type(value) is int:
+            num, den = value, 1
+        else:
+            value = Fraction(value)
+            num, den = value.numerator, value.denominator
         N = params.N if rel_prec is None else rel_prec
-        if value == 0:
+        if num == 0:
             # an exact zero: known to arbitrary precision; cap generously
             return cls.zero(params, abs_prec=10 ** 9)
         p = params.p
-        num, den = value.numerator, value.denominator
         if den % p == 0:
             vd = _padic_val(den, p)
             den //= p ** vd
@@ -318,7 +320,7 @@ class PadicNumber:
         if v < 0 and num % p == 0:
             raise ValueError("unreduced fraction")
         pk = p ** N
-        u = (num * pow(den, -1, pk)) % pk
+        u = num % pk if den == 1 else (num * pow(den, -1, pk)) % pk
         if params.a > 1:
             u = (u,) + (0,) * (params.a - 1)
         return cls(params, v, u, v + N)
@@ -357,104 +359,102 @@ class PadicNumber:
             return self.abs_prec  # lower bound
         return self.v
 
-    def _unit_tuple(self):
-        return self.unit if self.params.a > 1 else (self.unit,)
-
     def _check(self, other):
+        if self.params is other.params:
+            return
         if self.params.p != other.params.p or self.params.a != other.params.a \
                 or self.params.modulus != other.params.modulus:
             raise MismatchedParams("coefficient fields differ")
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        """self + other; __sub__ passes sign = -1 for self - other."""
         if not isinstance(other, PadicNumber):
             other = PadicNumber.from_rational(self.params, other)
+        params = self.params
         self._check(other)
-        if self.is_zero_at_precision and other.is_zero_at_precision:
-            return PadicNumber.zero(self.params,
-                                    min(self.abs_prec, other.abs_prec))
-        if self.is_zero_at_precision:
-            return other._truncate_abs(min(self.abs_prec, other.abs_prec))
-        if other.is_zero_at_precision:
-            return self._truncate_abs(min(self.abs_prec, other.abs_prec))
-        p, a = self.params.p, self.params.a
         A = min(self.abs_prec, other.abs_prec)
+        if self.is_zero_at_precision:
+            if other.is_zero_at_precision:
+                return PadicNumber.zero(params, A)
+            return (other if sign == 1 else -other)._truncate_abs(A)
+        if other.is_zero_at_precision:
+            return self._truncate_abs(A)
         vmin = min(self.v, other.v)
         k = A - vmin
         if k <= 0:
-            return PadicNumber.zero(self.params, A)
+            return PadicNumber.zero(params, A)
+        p = params.p
         pk = p ** k
         s1 = p ** (self.v - vmin)
-        s2 = p ** (other.v - vmin)
-        coeffs = tuple((c1 * s1 + c2 * s2) % pk for c1, c2 in
-                       zip(self._unit_tuple(), other._unit_tuple()))
-        return PadicNumber._from_mantissa(self.params, vmin, coeffs, A)
+        s2 = sign * p ** (other.v - vmin)
+        if params.a == 1:
+            unit = (self.unit * s1 + other.unit * s2) % pk
+        else:
+            unit = tuple((c1 * s1 + c2 * s2) % pk
+                         for c1, c2 in zip(self.unit, other.unit))
+        return PadicNumber._from_mantissa(params, vmin, unit, A)
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
 
     @classmethod
-    def _from_mantissa(cls, params, v, coeffs, abs_prec):
-        """Normalise (v, coeffs mod p^(abs_prec - v)) into canonical form."""
-        p = params.p
-        k = abs_prec - v
-        if k <= 0 or not any(coeffs):
-            return cls.zero(params, abs_prec)
-        shift = min(_padic_val(c, p) if c else k for c in coeffs)
-        shift = min(shift, k)
+    def _from_mantissa(cls, params, v, unit, abs_prec):
+        """Canonical form of p^v * unit at abs_prec, the unit (an int for
+        a = 1, a coefficient tuple for a > 1) reduced modulo
+        p^(abs_prec - v): the common power of p moves into v."""
+        p, k = params.p, abs_prec - v
+        if params.a == 1:
+            shift = _padic_val(unit, p) if unit else k
+        else:
+            shift = min(_padic_val(c, p) if c else k for c in unit)
         if shift >= k:
             return cls.zero(params, abs_prec)
         if shift:
-            v += shift
-            k -= shift
-            pk = p ** k
-            coeffs = tuple((c // p ** shift) % pk for c in coeffs)
-        else:
-            pk = p ** k
-            coeffs = tuple(c % pk for c in coeffs)
-        unit = coeffs if params.a > 1 else coeffs[0]
-        return cls(params, v, unit, abs_prec)
+            d = p ** shift
+            unit = unit // d if params.a == 1 else tuple(c // d for c in unit)
+        return cls(params, v + shift, unit, abs_prec)
 
     def _truncate_abs(self, abs_prec):
         if self.is_zero_at_precision:
             return PadicNumber.zero(self.params, min(self.abs_prec, abs_prec))
         if abs_prec >= self.abs_prec:
             return self
-        return PadicNumber._from_mantissa(
-            self.params, self.v, self._unit_tuple(), abs_prec)
+        k = abs_prec - self.v
+        if k <= 0:
+            return PadicNumber.zero(self.params, abs_prec)
+        pk = self.params.p ** k
+        unit = self.unit % pk if self.params.a == 1 else tuple(
+            c % pk for c in self.unit)
+        return PadicNumber._from_mantissa(self.params, self.v, unit, abs_prec)
 
     def __neg__(self):
         if self.is_zero_at_precision:
             return self
-        k = self.rel_prec
-        pk = self.params.p ** k
-        coeffs = tuple((-c) % pk for c in self._unit_tuple())
-        unit = coeffs if self.params.a > 1 else coeffs[0]
+        pk = self.params.p ** (self.abs_prec - self.v)
+        unit = (-self.unit) % pk if self.params.a == 1 else tuple(
+            (-c) % pk for c in self.unit)
         return PadicNumber(self.params, self.v, unit, self.abs_prec)
-
-    def __sub__(self, other):
-        if not isinstance(other, PadicNumber):
-            other = PadicNumber.from_rational(self.params, other)
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, PadicNumber):
             other = PadicNumber.from_rational(self.params, other)
+        params = self.params
         self._check(other)
-        p = self.params.p
         if self.is_zero_at_precision or other.is_zero_at_precision:
             A1 = self.abs_prec if self.is_zero_at_precision else self.v
             A2 = other.abs_prec if other.is_zero_at_precision else other.v
-            return PadicNumber.zero(self.params, min(A1 + A2, 10 ** 9))
-        k = min(self.rel_prec, other.rel_prec)
+            return PadicNumber.zero(params, min(A1 + A2, 10 ** 9))
+        k = min(self.abs_prec - self.v, other.abs_prec - other.v)
         v = self.v + other.v
-        pk = p ** k
-        if self.params.a == 1:
-            unit = (self.unit * other.unit) % pk
+        pk = params.p ** k
+        # a product of units is a unit: no valuation shift
+        if params.a == 1:
+            unit = self.unit * other.unit % pk
         else:
-            unit = _poly_mul(self._unit_tuple(), other._unit_tuple(),
-                             self.params.modulus, pk)
-        return PadicNumber._from_mantissa(
-            self.params, v, unit if isinstance(unit, tuple) else (unit,),
-            v + k)
+            unit = _poly_mul(self.unit, other.unit, params.modulus, pk)
+        return PadicNumber(params, v, unit, v + k)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -470,7 +470,7 @@ class PadicNumber:
         if self.params.a == 1:
             unit = pow(self.unit, -1, pk)
         else:
-            unit = _poly_inv(self._unit_tuple(), self.params.modulus, p, k)
+            unit = _poly_inv(self.unit, self.params.modulus, p, k)
         return PadicNumber(self.params, -self.v, unit, -self.v + k)
 
     def __truediv__(self, other):
@@ -506,7 +506,7 @@ class PadicNumber:
             return self.congruent(other)
         return NotImplemented
 
-    def __hash__(self):  # pragma: no cover
+    def __hash__(self):
         raise TypeError("PadicNumber is not hashable")
 
     def sigma(self):
@@ -518,9 +518,8 @@ class PadicNumber:
         if key not in _FROB_CACHE:
             _FROB_CACHE[key] = _frobenius_generator_image(self.params)
         y = _FROB_CACHE[key]
-        p, k = self.params.p, self.rel_prec
-        pk = p ** k
-        out = _poly_eval(self._unit_tuple(), y, self.params.modulus, pk)
+        pk = self.params.p ** self.rel_prec
+        out = _poly_eval(self.unit, y, self.params.modulus, pk)
         return PadicNumber._from_mantissa(self.params, self.v, out,
                                           self.abs_prec)
 
@@ -532,12 +531,14 @@ class PadicNumber:
         """
         if self.is_zero_at_precision:
             return Fraction(0)
-        if self.params.a > 1 and any(self._unit_tuple()[1:]):
-            raise ValueError("element not in the ground field")
+        u = self.unit
+        if self.params.a > 1:
+            if any(u[1:]):
+                raise ValueError("element not in the ground field")
+            u = u[0]
         p = self.params.p
-        k = self.rel_prec
-        m = p ** k
-        u = self._unit_tuple()[0] % m
+        m = p ** self.rel_prec
+        u %= m
         # lattice reduction on (m, 0), (u, 1)
         bound = isqrt(m) // 2 or 1
         r0, s0 = m, 0
@@ -562,3 +563,8 @@ class PadicNumber:
             return str(self.to_fraction())
         except ValueError:
             return f"p^{self.v}*{self.unit} + O(p^{self.abs_prec})"
+
+
+# in __slots__ order
+_SET_PARAMS, _SET_V, _SET_UNIT, _SET_ABS_PREC, _SET_ZERO = (
+    getattr(PadicNumber, name).__set__ for name in PadicNumber.__slots__)

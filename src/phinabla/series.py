@@ -21,13 +21,14 @@ class LaurentElement:
     def __init__(self, params: RingParams, coeffs: dict[int, PadicNumber],
                  tail_pos: bool = False, tail_neg: bool = False):
         clean = {}
+        lo, hi = params.window_lo, params.window_hi
         for e, c in coeffs.items():
-            if c.is_zero():
+            if c.is_zero_at_precision:
                 continue
-            if e > params.window_hi:
+            if e > hi:
                 tail_pos = True
                 continue
-            if e < params.window_lo:
+            if e < lo:
                 tail_neg = True
                 continue
             clean[e] = c
@@ -85,7 +86,7 @@ class LaurentElement:
         return all(e == 0 for e in self.coeffs)
 
     def _check(self, other):
-        if self.params != other.params:
+        if self.params is not other.params and self.params != other.params:
             raise MismatchedParams("operands over different RingParams")
 
     # -- ring operations ----------------------------------------------------
@@ -118,13 +119,14 @@ class LaurentElement:
         coeffs: dict[int, PadicNumber] = {}
         tail_pos = False
         tail_neg = False
+        lo, hi = self.params.window_lo, self.params.window_hi
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                if e > self.params.window_hi:
+                if e > hi:
                     tail_pos = True
                     continue
-                if e < self.params.window_lo:
+                if e < lo:
                     tail_neg = True
                     continue
                 prod = c1 * c2
@@ -197,13 +199,14 @@ class LaurentElement:
     def sigma(self) -> "LaurentElement":
         """Frobenius: t -> t^p, Witt Frobenius on coefficients."""
         p = self.params.p
+        lo, hi = self.params.window_lo, self.params.window_hi
         coeffs = {}
         tail_pos, tail_neg = self.tail_pos, self.tail_neg
         for e, c in self.coeffs.items():
             ep = p * e
-            if ep > self.params.window_hi:
+            if ep > hi:
                 tail_pos = True
-            elif ep < self.params.window_lo:
+            elif ep < lo:
                 tail_neg = True
             else:
                 coeffs[ep] = c.sigma()

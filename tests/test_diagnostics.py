@@ -20,6 +20,8 @@ from phinabla.modules import PhiNablaModule, dual
 from phinabla.series import LaurentElement
 from phinabla.weil_deligne import WeilDeligneRep, special_rep
 
+from helpers import same_space
+
 
 P = corpus.ring()
 F = Fraction
@@ -146,7 +148,7 @@ def test_wd_filtration_matches_monodromy_shifted():
         assert all(x.is_constant() for x in section) is constant
         flags, fil, _rep = wd_weight_filtration_flags(datum)
         for k in (-2, -1, 0):
-            assert linalg.same_space(flags[k], fil.basis(k + 1)), k
+            assert same_space(flags[k], fil.basis(k + 1)), k
 
 
 # -- each solve once per call ----------------------------------------------

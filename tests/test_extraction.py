@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from phinabla import corpus
-from phinabla.errors import NotLevelTwo, NotTame
+from phinabla.errors import NotLevelTwo, NotTame, WindowTooSmall
 from phinabla.extraction import (key2_normal_form, log_solution_basis,
                                  wd_extract, wd_of_cohomology)
 from phinabla.modules import (GaugeChange, PhiNablaModule,
@@ -74,6 +74,19 @@ def test_half_twist_inertia_of_order_two():
     assert rep.inertia_order == 2
     assert rep.inertia_matrix == [[F(-1)]]
     assert rep.N == [[F(0)]]
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 4, 5])
+def test_truncated_frobenius_raises_window_too_small(window):
+    # A = t^2 leaves the window at 1, A = s^4 after t = s^2 at 2 and 3, and
+    # sigma(s^-1) = s^-5 in the image A sigma(v) at 4: a truncated term is
+    # never read as zero, which made Phi singular
+    m = corpus.half_twist(corpus.ring(window=window))
+    if window <= 4:
+        with pytest.raises(WindowTooSmall):
+            wd_extract(m)
+    else:
+        assert wd_extract(m)[0].phi == [[F(1)]]
 
 
 def test_wild_exponent_raises_not_tame():

@@ -5,7 +5,9 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from phinabla.errors import NonInvertible
 from phinabla.padic import (PadicNumber, RingMode, RingParams,
                             _irreducible_mod_p, _is_prime)
 
@@ -171,3 +173,90 @@ def test_reducible_modulus_is_refused():
             rooted = any(sum(c * x ** i for i, c in enumerate(f)) % p == 0
                          for x in range(p))
             assert _irreducible_mod_p(f, p) is not rooted, (f, p)
+
+
+# an irreducible quadratic modulus per prime, for a = 2
+QUADRATIC = {2: (1, 1, 1), 3: (1, 0, 1), 5: (2, 0, 1), 7: (1, 0, 1),
+             11: (1, 0, 1)}
+_PRIMES = st.sampled_from(sorted(QUADRATIC))
+_PRECISIONS = st.one_of(st.integers(1, 30), st.integers(300, 320))
+
+
+def _params(p, N, a):
+    return RingParams(p, N, a=a, modulus=QUADRATIC[p] if a == 2 else None)
+
+
+def _small_rationals(p):
+    return st.builds(lambda n, d, j: Fraction(n, d) * Fraction(p) ** j,
+                     st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6),
+                     st.integers(-4, 4))
+
+
+def _vp(x, p):
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+@st.composite
+def _operands(draw):
+    p = draw(_PRIMES)
+    params = _params(p, draw(_PRECISIONS), draw(st.sampled_from((1, 2))))
+    return params, draw(_small_rationals(p)), draw(_small_rationals(p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operands())
+def test_arithmetic_agrees_with_fraction(operands):
+    # every result is congruent to the exact rational at the precision it
+    # claims; at N >= 300 it reconstructs to that rational exactly
+    params, x, y = operands
+    X = PadicNumber.from_rational(params, x)
+    Y = PadicNumber.from_rational(params, y)
+    results = [(X + Y, x + y), (X - Y, x - y), (X * Y, x * y),
+               (-X, -x), (X + y, x + y), (x - Y, x - y), (X * y, x * y)]
+    if y:
+        results += [(X / Y, x / y), (Y.inverse(), 1 / y)]
+    else:
+        with pytest.raises(NonInvertible):
+            Y.inverse()
+    for got, exact in results:
+        assert got == exact, (got, exact)
+        if got.is_zero_at_precision:
+            # only |exact| <= p^-abs_prec is claimed
+            assert exact == 0 or _vp(exact, params.p) >= got.abs_prec
+        else:
+            # canonical form: a unit mantissa reduced mod p^rel_prec
+            assert got.v == _vp(exact, params.p)
+            coords = (got.unit,) if params.a == 1 else got.unit
+            assert all(0 <= c < params.p ** got.rel_prec for c in coords)
+            assert any(c % params.p for c in coords)
+        if params.N >= 300:
+            assert got.to_fraction() == exact
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PRIMES, _PRECISIONS, st.sampled_from((1, 2)), st.data())
+def test_from_rational_round_trips_small_heights(p, N, a, data):
+    # |num| and den within the reconstruction bound, and 2 |num| den < p^N
+    # so that the representative is unique (Wang's condition)
+    m = p ** N
+    h = min(isqrt(m) // 2, isqrt((m - 1) // 2))
+    x = Fraction(data.draw(st.integers(-h, h)),
+                 data.draw(st.integers(1, max(h, 1))))
+    assert PadicNumber.from_rational(_params(p, N, a), x).to_fraction() == x
+
+
+def test_instances_are_immutable_and_unhashable():
+    x = PadicNumber.from_rational(P5, Fraction(3, 7))
+    for name in PadicNumber.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+    with pytest.raises(TypeError):
+        hash(x)
+    assert x.v == 0 and x.to_fraction() == Fraction(3, 7)

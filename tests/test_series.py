@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phinabla.errors import NonInvertible
 from phinabla.padic import PadicNumber, RingMode, RingParams
@@ -122,3 +123,78 @@ def test_rebase_across_windows():
     y = x.rebase(wide)
     assert y.coefficient(4).to_fraction() == 1
     assert y.params == wide
+
+
+def _reference_product(x, y):
+    """Product over Q of {exponent: Fraction} dicts, with no window."""
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _reference_sum(x, y):
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def _triples(draw):
+    """Three elements on a small window with exponents on one side of 0
+    (truncating an ideal, so the window is a ring quotient and products
+    run past it) or near 0 (products stay inside)."""
+    mode = draw(st.sampled_from(RingMode))
+    m_pos = draw(st.integers(1, 8))
+    m_neg = 0 if mode is RingMode.POWER_SERIES else draw(st.integers(0, 8))
+    params = RingParams(draw(st.sampled_from((2, 3, 5))), 40, (m_neg, m_pos),
+                        mode)
+    lo, hi = draw(st.sampled_from(
+        [(0, m_pos), (-m_neg, 0), (-(m_neg // 3), m_pos // 3)]
+        if mode is RingMode.LAURENT else [(0, m_pos)]))
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    element = st.dictionaries(st.integers(lo, hi), coeff, max_size=4)
+    return params, [{e: c for e, c in draw(element).items() if c}
+                    for _ in range(3)]
+
+
+def _assert_matches(params, got, ref):
+    """Window coefficients equal the reference's; a tail flag is set
+    exactly when the reference has a term past that end of the window."""
+    lo, hi = params.window_lo, params.window_hi
+    assert set(got.coeffs) == {e for e in ref if lo <= e <= hi}
+    for e, c in got.coeffs.items():
+        assert c == ref[e], (e, c, ref[e])
+    assert got.tail_pos == any(e > hi for e in ref)
+    assert got.tail_neg == any(e < lo for e in ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_triples())
+def test_ring_axioms_against_reference(triple):
+    params, refs = triple
+    x, y, z = (LaurentElement.from_terms(params, r.items()) for r in refs)
+    rx, ry, rz = refs
+    one = LaurentElement.one(params)
+    xy = _reference_product(rx, ry)
+    for got, ref in [
+            (x * y, xy), (y * x, xy),
+            ((x * y) * z, _reference_product(xy, rz)),
+            (x * (y * z), _reference_product(rx, _reference_product(ry, rz))),
+            (x + y, _reference_sum(rx, ry)), (y + x, _reference_sum(rx, ry)),
+            ((x + y) + z, _reference_sum(_reference_sum(rx, ry), rz)),
+            (x + (y + z), _reference_sum(rx, _reference_sum(ry, rz))),
+            (x * one, rx), (one * x, rx)]:
+        _assert_matches(params, got, ref)
+    # distributivity: x y + x z may flag a tail whose terms cancel in
+    # x (y + z), so compare the window and require the flags of the
+    # exact side only
+    left = x * (y + z)
+    right = x * y + x * z
+    _assert_matches(params, left,
+                    _reference_product(rx, _reference_sum(ry, rz)))
+    assert left.congruent(right)
+    assert right.tail_pos >= left.tail_pos
+    assert right.tail_neg >= left.tail_neg

@@ -67,7 +67,7 @@ class AbelianVarietyDatum:
         md = self.dual
         P = self.pairing
         det = lmat_det(P)
-        if det is None or det.is_zero() or not det.is_unit():
+        if det is None or not det.is_unit():
             raise MissingPairing("pairing is not perfect at precision")
         q = m.params.q
         if m.has_frobenius and md.has_frobenius:

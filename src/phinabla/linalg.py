@@ -1,9 +1,9 @@
 """Small exact linear algebra kernels.
 
-Matrices are lists of rows.  Fraction matrices serve the Weil-Deligne layer
-(products, powers, characteristic polynomials, and the rational polynomial
-helpers at the end); PadicNumber matrices are the coefficient systems of
-the nabla solver.
+Matrices are lists of rows: Fraction ones for the Weil-Deligne layer,
+PadicNumber ones for the nabla solver.  ``charpoly`` divides by nothing and
+serves LaurentElement matrices too; every determinant, inverse, nilpotency
+test and trace table of the package is read from it.
 
 All exact elimination runs through one sparse Gauss-Jordan loop,
 ``_eliminate``, parametrised by the coefficient type's zero test, inverse
@@ -84,10 +84,6 @@ def mat_pow(A, k):
     return out
 
 
-def trace(A):
-    return sum((A[i][i] for i in range(len(A))), Fraction(0))
-
-
 def rref(A):
     """Reduced row echelon form; returns (R, pivot column list)."""
     ncols = len(A[0]) if A else 0
@@ -154,26 +150,30 @@ def mat_inv(A):
     return None if cols is None else transpose(cols)
 
 
-def charpoly(A):
-    """Characteristic polynomial det(T*I - A), coefficients low-to-high,
-    by the Faddeev-LeVerrier recursion."""
-    n = len(A)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    M = identity(n)
-    c = Fraction(1)
-    for k in range(1, n + 1):
-        M = mat_mul(A, M)
-        c = -trace(M) / k
-        coeffs[n - k] = c
-        for i in range(n):
-            M[i][i] += c
-    return coeffs
+def charpoly(A, one=Fraction(1), is_zero=not_):
+    """det(T*I - A), low-to-high, over any commutative ring (Fraction by
+    default) by Berkowitz's recursion (1984): ring +, * and negation only,
+    O(n^4), no product with a factor that passes ``is_zero``.  The leading
+    block [[A_k, c], [r, a]] of size k + 1 multiplies the polynomial of A_k
+    by the Toeplitz matrix of 1, -a, -r c, -r A_k c, ..., -r A_k^(k-1) c."""
+    zero = one - one
 
+    def dot(u, v, acc=None):
+        for x, y in zip(u, v):
+            if not (is_zero(x) or is_zero(y)):
+                acc = x * y if acc is None else acc + x * y
+        return zero if acc is None else acc
 
-def is_nilpotent(A):
-    n = len(A)
-    return all(x == 0 for row in mat_pow(A, n) for x in row)
+    chi = []    # coefficients of T^0 .. T^(k-1); the leading 1 is implicit
+    for k in range(len(A)):
+        x = [r[k] for r in A[:k]]
+        t = [zero - A[k][k]]    # zero - a, not -a: Fractions for int input
+        for j in range(k):
+            x = [dot(r, x) for r in A[:k]] if j else x
+            t.append(zero - dot(A[k], x))
+        chi = [dot(t, chi[m:], t[k - m] + chi[m - 1] if m else t[k])
+               for m in range(k + 1)]
+    return chi + [one]
 
 
 # Polynomials over Fraction are coefficient lists, low-to-high, without

@@ -87,49 +87,39 @@ def lmat_is_zero(A):
     return all(x.is_zero() for row in A for x in row)
 
 
+def _charpoly(A):
+    """(det(T I - W), det A, W) for n = len(A) >= 1, W = A over a window n
+    times as wide as its exponents: no product of up to n entries is cut."""
+    params, n = A[0][0].params, len(A)
+    exps = [e for row in A for x in row for e in x.coeffs]
+    window = (max(params.t_window[0], -n * min(exps, default=0)),
+              max(params.t_window[1], n * max(exps, default=0)))
+    wide = params._replace(t_window=window)
+    W = lmat_map(A, lambda x: x.rebase(wide))
+    chi = linalg.charpoly(W, LaurentElement.one(wide),
+                          lambda x: not (x.coeffs or x.has_tail()))
+    return chi, (-chi[0] if n % 2 else chi[0]).rebase(params), W
+
+
 def lmat_det(A):
-    n = len(A)
-    if n == 0:
-        return None
-    if n == 1:
-        return A[0][0]
-    # cofactor expansion along the first row; fine at desk-scale ranks
-    det = None
-    for j in range(n):
-        if A[0][j].is_zero():
-            continue
-        minor = [[A[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = A[0][j] * lmat_det(minor)
-        if j % 2:
-            term = -term
-        det = term if det is None else det + term
-    if det is None:
-        det = LaurentElement.zero(A[0][0].params)
-    return det
+    return _charpoly(A)[1] if A else None
 
 
 def lmat_inverse(A):
-    """Adjugate-over-determinant inverse; exact when det has a terminating
-    inverse (e.g. a monomial times a unit)."""
+    """adj A / det A, exact when det A has a terminating inverse.  The
+    adjugate is (-1)^(n-1) sum_{k=1}^n c_k A^(k-1) (Cayley-Hamilton)."""
     n = len(A)
-    det = lmat_det(A)
-    if det is None or det.is_zero() or not det.is_unit():
+    chi, det, W = _charpoly(A) if A else (None, None, None)
+    if det is None or not det.is_unit():
         raise NonInvertible("matrix determinant is not a unit at precision")
-    det_inv = det.inverse()
-    if n == 1:
-        return [[det_inv]]
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [[A[r][c] for c in range(n) if c != i]
-                     for r in range(n) if r != j]
-            cof = lmat_det(minor)
-            if (i + j) % 2:
-                cof = -cof
-            row.append(cof * det_inv)
-        adj.append(row)
-    return adj
+    adj = lmat_identity(W[0][0].params, n)  # Horner from c_n = 1 down
+    for c in chi[n - 1:0:-1]:
+        adj = lmat_mul(W, adj)
+        for i in range(n):
+            adj[i][i] = adj[i][i] + c
+    # times det^-1 in the wide window: it may bring adj terms back inside
+    s = (det.inverse() if n % 2 else -det.inverse()).rebase(W[0][0].params)
+    return lmat_map(adj, lambda x: (x * s).rebase(det.params))
 
 
 def kronecker(A, B):
@@ -617,7 +607,7 @@ def _complete_basis(params, vectors, rank):
     for j, i in enumerate(others):
         U[i][len(vectors) + j] = LaurentElement.one(params)
     det = lmat_det(U)
-    if det.is_zero() or not det.is_unit():
+    if not det.is_unit():
         raise WindowTooSmall("completed basis is not invertible at precision")
     return U
 

@@ -300,12 +300,14 @@ class PadicNumber:
 
     @classmethod
     def from_rational(cls, params: RingParams, value, rel_prec=None):
+        N = params.N if rel_prec is None else rel_prec
+        if N < 1:
+            raise ValueError(f"relative precision {N} must be >= 1")
         if type(value) is int:
             num, den = value, 1
         else:
             value = Fraction(value)
             num, den = value.numerator, value.denominator
-        N = params.N if rel_prec is None else rel_prec
         if num == 0:
             # an exact zero: known to arbitrary precision; cap generously
             return cls.zero(params, abs_prec=10 ** 9)
@@ -331,6 +333,8 @@ class PadicNumber:
         if params.a == 1:
             return cls.from_rational(params, coeffs[0], rel_prec)
         N = params.N if rel_prec is None else rel_prec
+        if N < 1:
+            raise ValueError(f"relative precision {N} must be >= 1")
         p = params.p
         fracs = [Fraction(c) for c in coeffs]
         if all(c == 0 for c in fracs):

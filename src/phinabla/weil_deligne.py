@@ -71,7 +71,7 @@ class WeilDeligneRep:
         phi_inv = linalg.mat_inv(self.phi)
         if phi_inv is None:
             raise NonInvertible("Phi is singular")
-        if not linalg.is_nilpotent(self.N):
+        if any(linalg.charpoly(self.N)[:-1]):
             raise NotNilpotent("N is not nilpotent")
         eps = -1 if self.frobenius_kind is FrobeniusKind.GEOMETRIC else 1
         lhs = linalg.mat_mul(self.phi, linalg.mat_mul(self.N, phi_inv))
@@ -541,16 +541,20 @@ def trace_table(rep: WeilDeligneRep, n_max: int) -> dict:
         if Mk is None:
             raise IrrationalTrace("Phi does not respect the monodromy "
                                   "filtration")
-        P = linalg.identity(len(Mk))
-        for n in range(1, max(n_max, len(Mk)) + 1):
-            P = linalg.mat_mul(P, Mk)
-            table[(k, n)] = linalg.trace(P)
+        _add_traces(table, k, Mk, max(n_max, len(Mk)))
     if rep.inertia_order > 1 and rep.inertia_matrix is not None:
-        T = linalg.identity(rep.dim)
-        for j in range(1, rep.inertia_order):
-            T = linalg.mat_mul(T, rep.inertia_matrix)
-            table[("inertia", j)] = linalg.trace(T)
+        _add_traces(table, "inertia", rep.inertia_matrix,
+                    rep.inertia_order - 1)
     return table
+
+
+def _add_traces(table, key, M, n_max):
+    """table[key, n] = Tr M^n for n = 1..n_max by Newton's identities, a_i
+    being the coefficient of T^(d-i) in det(T I - M) (0 for i > d)."""
+    a = linalg.charpoly(M)[::-1] + [Fraction(0)] * n_max
+    for n in range(1, n_max + 1):
+        table[key, n] = -n * a[n] - sum(a[i] * table[key, n - i]
+                                        for i in range(1, n))
 
 
 def compatibility_family(reps, n_max: int = 6) -> FamilyReport:

@@ -18,47 +18,21 @@ from phinabla.diagnostics import (ReductionType, excision_weight_filtration,
                                   wd_weight_filtration_flags)
 from phinabla.errors import NotTame
 from phinabla.extraction import wd_extract
-from phinabla.modules import (GaugeChange, PhiNablaModule,
-                              check_compatibility, horizontal_sections,
-                              kummer_pullback, lmat_is_zero)
+from phinabla.modules import (PhiNablaModule, check_compatibility,
+                              horizontal_sections, kummer_pullback,
+                              lmat_is_zero)
 from phinabla.oracles import (brute_force_filtrations,
                               count_points_weierstrass,
                               verify_monodromy_axioms, _rank)
-from phinabla.series import LaurentElement
 from phinabla.weil_deligne import (WeilDeligneRep, compatibility_family,
                                    monodromy_filtration, purity_check,
                                    quasi_purity_check)
 
-from helpers import same_space
+from helpers import random_shear_gauge, same_space
 
 
 F = Fraction
 P = corpus.ring()
-
-
-def random_shear_gauge(rng, params, rank):
-    """Product of elementary shears with series entries: the determinant
-    is a constant unit, so the inverse is exact."""
-    U = [[LaurentElement.one(params) if i == j else
-          LaurentElement.zero(params) for j in range(rank)] for i in
-         range(rank)]
-    for _ in range(3):
-        i = rng.randrange(rank)
-        j = rng.randrange(rank)
-        if i == j:
-            continue
-        # keep exponents small: sigma multiplies them by p, and exact
-        # residual cancellation must happen inside the Laurent window
-        terms = [(rng.randint(-2, 3), F(rng.randint(-4, 4),
-                                        rng.randint(1, 3)))
-                 for _ in range(rng.randint(1, 3))]
-        E = [[LaurentElement.one(params) if a == b else
-              LaurentElement.zero(params) for b in range(rank)]
-             for a in range(rank)]
-        E[i][j] = LaurentElement.from_terms(params, terms)
-        from phinabla.modules import lmat_mul
-        U = lmat_mul(U, E)
-    return GaugeChange(U)
 
 
 def random_nilpotent(rng, d):

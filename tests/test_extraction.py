@@ -1,8 +1,10 @@
 """Extraction: log solutions, normal form, WD functor properties."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from phinabla import corpus
 from phinabla.errors import NotLevelTwo, NotTame, WindowTooSmall
@@ -16,6 +18,8 @@ from phinabla.series import LaurentElement
 from phinabla.weil_deligne import (WeilDeligneRep, compatibility_family,
                                    purity_check, quasi_purity_check,
                                    trace_table)
+
+from helpers import kron, random_shear_gauge
 
 
 P = corpus.ring()
@@ -139,8 +143,19 @@ def test_gauge_invariance_via_trace_tables():
     assert compatibility_family([rep_a, rep_b], 6).compatible
 
 
-def _kron(A, B):
-    return [[a * b for a in ra for b in rb] for ra in A for rb in B]
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["kt", "kt+h1"]), st.integers(0, 2 ** 32))
+def test_trace_tables_are_invariant_under_random_shear_gauges(which, seed):
+    # gauging runs the Cayley-Hamilton inverse, the tables Newton's
+    # identities on each graded piece
+    wide = corpus.ring(window=64)
+    m = corpus.kummer_tate(wide)
+    if which == "kt+h1":
+        m = direct_sum(m, corpus.good_elliptic_h1(wide))
+    g = random_shear_gauge(random.Random(seed), wide, m.rank, lowest=0)
+    expected = trace_table(wd_extract(m)[0], 6)
+    assert trace_table(wd_extract(g.apply(m))[0], 6) == expected
 
 
 def _sp2_power(k):
@@ -151,8 +166,8 @@ def _sp2_power(k):
     phi, N, I = phi1, N0, I2
     for _ in range(k - 1):
         N = [[a + b for a, b in zip(ra, rb)]
-             for ra, rb in zip(_kron(N, I2), _kron(I, N0))]
-        phi, I = _kron(phi, phi1), _kron(I, I2)
+             for ra, rb in zip(kron(N, I2), kron(I, N0))]
+        phi, I = kron(phi, phi1), kron(I, I2)
     return WeilDeligneRep(5, phi, N)
 
 

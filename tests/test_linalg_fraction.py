@@ -1,5 +1,6 @@
 """Fraction kernels of ``linalg``: zero-skipping rref and mat_vec against
-dense references, and the rational-root search of ``residue_exponents``.
+dense references, ``charpoly`` against interpolated determinants, and the
+rational-root search of ``residue_exponents``.
 
 The references below multiply every entry, zeros included, exactly as the
 kernels did before they learned to skip zero terms; they share no code
@@ -12,6 +13,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from phinabla import linalg
+from phinabla.oracles import _det, _interpolate
 
 
 F = Fraction
@@ -154,3 +156,31 @@ def test_rational_roots_of_linear_factors_times_a_quadratic(roots, c, b,
     assert sorted(got) == sorted(roots)
     assert rest is not None and len(rest) == 3
     assert rest[1] * c == rest[0] * b and rest[2] * c == rest[0]
+
+
+@st.composite
+def square_matrices(draw):
+    """Rank 0-7, about half the entries zero; Fractions, ints or both."""
+    entries = draw(st.sampled_from([
+        fraction_entries, int_entries,
+        st.one_of(fraction_entries, int_entries)]))
+    n = draw(st.integers(0, 7))
+    return [[draw(entries) for _ in range(n)] for _ in range(n)]
+
+
+def charpoly_by_interpolation(A):
+    """det(x I - A) at x = 0..n by the oracle's elimination, interpolated."""
+    n = len(A)
+    return _interpolate([
+        (F(x), _det([[F(x) * (i == j) - F(A[i][j]) for j in range(n)]
+                     for i in range(n)]))
+        for x in range(n + 1)])
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(square_matrices())
+def test_charpoly_matches_interpolated_determinants(A):
+    chi = linalg.charpoly(A)
+    assert chi == charpoly_by_interpolation(A)
+    assert chi[-1] == 1 and all(type(c) is F for c in chi)

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,14 +13,16 @@ from phinabla.errors import (IrregularSingularity, MissingStructure,
 from phinabla.modules import (GaugeChange, PhiNablaModule,
                               check_compatibility, direct_sum, dual,
                               horizontal_sections, kummer_pullback,
-                              largest_constant_submodule, lmat_identity,
-                              lmat_inverse, lmat_is_zero, lmat_mul,
-                              module_from_json, module_to_json,
+                              largest_constant_submodule, lmat_det,
+                              lmat_identity, lmat_inverse, lmat_is_zero,
+                              lmat_mul, module_from_json, module_to_json,
                               residue_exponents, tate_twist, tensor,
                               unipotent_filtration)
 from phinabla.oracles import ode_recurrence_solutions
 from phinabla.padic import PadicNumber, RingMode, RingParams
 from phinabla.series import LaurentElement
+
+from helpers import dense_unit_matrix
 
 
 P = RingParams(5, 20, (32, 32), RingMode.LAURENT)
@@ -81,14 +84,60 @@ def test_gauge_roundtrip():
 
 
 def test_lmat_inverse_exact_for_unit_det():
-    U = [[LaurentElement.one(P), LaurentElement.monomial(P, -1, 7)],
-         [LaurentElement.zero(P), LaurentElement.monomial(P, 0, 2)]]
+    for params in (P, RingParams(5, 20, (32, 32), a=2, modulus=(2, 0, 1))):
+        U = [[LaurentElement.one(params),
+              LaurentElement.monomial(params, -1, 7)],
+             [LaurentElement.zero(params),
+              LaurentElement.monomial(params, 0, 2)]]
+        cases = [U] + [dense_unit_matrix(params, n) for n in range(1, 9)]
+        for M in cases:
+            n = len(M)
+            start = time.perf_counter()
+            det = lmat_det(M)
+            Mi = lmat_inverse(M)
+            elapsed = time.perf_counter() - start
+            assert det.congruent(2 if M is U else 1) and not det.has_tail()
+            prod = lmat_mul(M, Mi)
+            eye = lmat_identity(params, n)
+            assert all(prod[i][j].congruent(eye[i][j])
+                       and not prod[i][j].has_tail()
+                       for i in range(n) for j in range(n))
+        # the budget is for rank 8, the last case
+        assert elapsed < 5.0
+
+
+def test_lmat_det_exact_when_intermediate_products_leave_the_window():
+    # three shears at window 3: the characteristic polynomial multiplies
+    # entries up to t^-6 and t^9, which the determinant 1 never needs; read
+    # inside the window alone it came out as 1 - 16 t^2 + O(t^big)
+    params = RingParams(5, 20, (3, 3))
+    U = lmat_identity(params, 3)
+    for i, j, e, c in [(0, 1, -2, 1), (0, 2, 3, 2), (2, 0, -2, 2)]:
+        E = lmat_identity(params, 3)
+        E[i][j] = LaurentElement.monomial(params, e, c)
+        U = lmat_mul(U, E)
+    det = lmat_det(U)
+    assert det.congruent(1) and not det.has_tail()
+    # adj_21 = -2 t^-4 leaves the window; the first row stays exact
     Ui = lmat_inverse(U)
-    prod = lmat_mul(U, Ui)
-    eye = lmat_identity(P, 2)
-    for i in range(2):
-        for j in range(2):
-            assert prod[i][j].congruent(eye[i][j])
+    assert Ui[2][1].tail_neg and Ui[2][1].is_zero()
+    expected = [LaurentElement.one(params),
+                LaurentElement.monomial(params, -2, -1),
+                LaurentElement.monomial(params, 3, -2)]
+    assert all(x.congruent(y) and not x.has_tail()
+               for x, y in zip(Ui[0], expected))
+    # det = t^2: adj_02 = t^4 lies beyond the window, det^-1 adj_02 = t^2
+    # inside it
+    t2 = LaurentElement.monomial(params, 2)
+    zero, one = LaurentElement.zero(params), LaurentElement.one(params)
+    V = [[t2, t2, zero], [zero, one, t2], [zero, zero, one]]
+    det = lmat_det(V)
+    assert det.congruent(t2) and not det.has_tail()
+    expected = [[LaurentElement.monomial(params, -2), -one, t2],
+                [zero, one, -t2], [zero, zero, one]]
+    assert all(x.congruent(y) and not x.has_tail()
+               for rx, ry in zip(lmat_inverse(V), expected)
+               for x, y in zip(rx, ry))
 
 
 def test_tensor_and_dual_keep_compatibility():

@@ -260,3 +260,17 @@ def test_instances_are_immutable_and_unhashable():
     with pytest.raises(TypeError):
         hash(x)
     assert x.v == 0 and x.to_fraction() == Fraction(3, 7)
+
+
+@pytest.mark.parametrize("rel_prec", [0, -2])
+@pytest.mark.parametrize("params", [P5, RingParams(5, 20, (32, 32), a=2,
+                                                   modulus=(2, 0, 1))])
+def test_relative_precision_below_one_is_refused(params, rel_prec):
+    # rel_prec = 0 gave a non-zero element with unit 0 and abs_prec 0, and
+    # rel_prec = -2 a float unit
+    for value in (Fraction(1, 5), 25, 0):
+        with pytest.raises(ValueError):
+            PadicNumber.from_rational(params, value, rel_prec)
+        with pytest.raises(ValueError):
+            PadicNumber.from_poly(params, [value, 1], rel_prec)
+    assert PadicNumber.from_rational(params, 3, 1).rel_prec == 1

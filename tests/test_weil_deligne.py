@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from phinabla import linalg, oracles
 from phinabla.errors import NotNilpotent, NotWeil
@@ -16,7 +16,7 @@ from phinabla.weil_deligne import (FrobeniusKind, MonodromyFiltration,
                                    quasi_purity_check, special_rep,
                                    trace_table, twist, weight_of_eigenvalue)
 
-from helpers import same_space
+from helpers import kron, same_space
 
 
 F = Fraction
@@ -287,9 +287,6 @@ def test_axioms_read_the_spans_not_the_list_lengths(N, change, ok):
 def _sp2_squared():
     sp = special_rep(5)
     one = [[F(1), F(0)], [F(0), F(1)]]
-
-    def kron(A, B):
-        return [[a * b for a in ra for b in rb] for ra in A for rb in B]
     N = [[x + y for x, y in zip(r, t)]
          for r, t in zip(kron(sp.N, one), kron(one, sp.N))]
     return WeilDeligneRep(5, kron(sp.phi, sp.phi), N)
@@ -710,3 +707,72 @@ def test_family_verdict_is_exact_up_to_dimension_ten(problem):
         changed[0] = 2 * delta
     fam = compatibility_family([base, _rep_of(changed, with_sp2, q, V)])
     assert not fam.compatible and fam.witness[0] == 1
+
+
+# -- trace tables against explicit powers ------------------------------------
+
+@st.composite
+def traced_reps(draw):
+    """C (x) Sp(m) for a random invertible d x d C with many zero entries,
+    m in 1..3 (Phi = C (x) diag(1, q, .., q^(m-1)), N = I (x) J_m), with
+    an inertia generator P (x) I_m for a permutation matrix P of the C
+    factor when asked, everything conjugated by a unimodular U."""
+    d, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    q = draw(st.sampled_from([2, 3, 5]))
+    entry = st.one_of(st.just(F(0)), st.fractions(-4, 4, max_denominator=3))
+    C = [[draw(entry) for _ in range(d)] for _ in range(d)]
+    assume(linalg.mat_inv(C) is not None)
+    phi = kron(C, [[F(q) ** i if i == j else F(0) for j in range(m)]
+                    for i in range(m)])
+    N = kron(linalg.identity(d), [[F(int(j == i + 1)) for j in range(m)]
+                                   for i in range(m)])
+    order, T = 1, None
+    perm = draw(st.permutations(range(d)))
+    if draw(st.booleans()) and perm != list(range(d)):
+        P = [[F(int(perm[i] == j)) for j in range(d)] for i in range(d)]
+        while linalg.mat_pow(P, order) != linalg.identity(d):
+            order += 1
+        order *= draw(st.sampled_from([1, 2]))
+        T = kron(P, linalg.identity(m))
+    U = _unimodular(draw, d * m)
+    Ui = linalg.mat_inv(U)
+    conj = lambda M: None if M is None else \
+        linalg.mat_mul(Ui, linalg.mat_mul(M, U))
+    return (WeilDeligneRep(q, conj(phi), conj(N), order, conj(T)),
+            draw(st.integers(0, 8)))
+
+
+def _trace_on(P, basis):
+    """Trace of P on the P-stable span of ``basis``: the diagonal of the
+    coordinates of P b in the basis."""
+    if not basis:
+        return F(0)
+    coords = linalg.solve(linalg.transpose(basis),
+                          [linalg.mat_vec(P, b) for b in basis])
+    return sum((x[i] for i, x in enumerate(coords)), F(0))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(traced_reps())
+def test_trace_table_matches_explicit_powers(problem):
+    # Tr(Phi^n | Gr_k) = Tr(Phi^n | M_k) - Tr(Phi^n | M_(k-1)) from mat_pow,
+    # and Tr(T^j) from mat_pow of the inertia generator
+    rep, n_max = problem
+    fil = monodromy_filtration(rep.N)
+    expected = {}
+    for k in range(-fil.s, fil.s + 1):
+        dim = fil.graded_rank(k)
+        for n in range(1, max(n_max, dim) + 1 if dim else 1):
+            P = linalg.mat_pow(rep.phi, n)
+            expected[(k, n)] = (_trace_on(P, fil.basis(k))
+                                - _trace_on(P, fil.basis(k - 1)))
+    if rep.inertia_matrix is not None:
+        for j in range(1, rep.inertia_order):
+            Tj = linalg.mat_pow(rep.inertia_matrix, j)
+            expected[("inertia", j)] = sum(
+                (Tj[i][i] for i in range(rep.dim)), F(0))
+    table = trace_table(rep, n_max)
+    assert table == expected
+    assert all(type(v) is F for v in table.values())

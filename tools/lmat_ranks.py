@@ -1,0 +1,58 @@
+"""Wall time of the Laurent determinant and inverse on dense matrices.
+
+The matrices are the dense U*L ones of ``tests/helpers.dense_unit_matrix``
+(determinant 1, inverse a Laurent polynomial matrix), the ones the rank-8
+budget of ``tests/test_modules.py`` runs.  Run from the root of a checkout:
+
+    PYTHONPATH=src:tests python3 tools/lmat_ranks.py [RANK ...] [--repeat K]
+
+It prints one JSON object per rank: the best of K wall times of
+``lmat_det`` and ``lmat_inverse`` in seconds, and whether det = 1 and
+M * inverse(M) = I hold.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import time
+
+from helpers import dense_unit_matrix
+from phinabla.modules import (lmat_det, lmat_identity, lmat_inverse,
+                              lmat_mul)
+from phinabla.padic import RingParams
+
+
+def best_time(fn, repeat):
+    best, result = None, None
+    for _ in range(repeat):
+        start = time.perf_counter()
+        result = fn()
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return best, result
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("ranks", nargs="*", type=int, default=[6, 7, 8])
+    parser.add_argument("--repeat", type=int, default=1)
+    args = parser.parse_args()
+    params = RingParams(5, 20, (32, 32))
+    for n in args.ranks:
+        M = dense_unit_matrix(params, n)
+        det_s, det = best_time(lambda: lmat_det(M), args.repeat)
+        inv_s, inv = best_time(lambda: lmat_inverse(M), args.repeat)
+        eye = lmat_identity(params, n)
+        exact = all(x.congruent(y) and not x.has_tail()
+                    for ra, rb in zip(lmat_mul(M, inv), eye)
+                    for x, y in zip(ra, rb))
+        print(json.dumps({"rank": n, "det_s": round(det_s, 4),
+                          "inverse_s": round(inv_s, 4),
+                          "det_is_one": det.congruent(1)
+                          and not det.has_tail(),
+                          "inverse_exact": exact}))
+
+
+if __name__ == "__main__":
+    main()

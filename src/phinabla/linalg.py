@@ -1,26 +1,32 @@
 """Small exact linear algebra kernels.
 
-Matrices are lists of rows: Fraction ones for the Weil-Deligne layer,
-PadicNumber ones for the nabla solver.  ``charpoly`` divides by nothing and
-serves LaurentElement matrices too; every determinant, inverse, nilpotency
-test and trace table of the package is read from it.
+Matrices are lists of rows: rational ones (Fraction or int entries) for the
+Weil-Deligne layer, PadicNumber ones for the nabla solver.  ``charpoly``
+divides by nothing and serves LaurentElement matrices too; every
+determinant, inverse, nilpotency test and trace table of the package is
+read from it.
 
 All exact elimination runs through one sparse Gauss-Jordan loop,
-``_eliminate``, parametrised by the coefficient type's zero test, inverse
-and pivot rule: over Fraction the first row with a non-zero entry, over
-PadicNumber the entry of smallest valuation.  ``rref``, ``rank``,
-``nullspace``, ``column_space``, ``span_basis``, ``solve`` and ``mat_inv``
-are Fraction views of its result (with Fraction entries even for int
-input), ``field_kernel`` and ``field_solve`` the p-adic ones.  The systems
-it solves are mostly sparse: zero input entries count as absent, as in
-LaurentElement, and non-zero p-adic entries never carry less precision
-than a dense elimination with the same pivots gives.
+``_eliminate``, parametrised by the coefficient type's rule.  The rational
+rule is fraction-free and integer-preserving, as in Bareiss (1968), with
+gcd steps: each row is scaled to its primitive integer multiple, a row
+update is (p/g) row - (f/g) pivot row with g = gcd(p, f), divided by its
+content, and the pivot is the first row with a non-zero entry.  ``rank``,
+``_pivot_columns`` and ``_completion`` read the pivot columns alone;
+``rref``, ``nullspace``, ``column_space``, ``span_basis``, ``solve`` and
+``mat_inv`` divide each pivot row by its pivot, which gives the unique
+reduced row echelon form with Fraction entries, even for int input.  The
+p-adic rule divides by the pivot of smallest valuation; ``field_kernel``
+and ``field_solve`` are its views.  The systems it solves are mostly
+sparse: zero input entries count as absent, as in LaurentElement, and
+non-zero p-adic entries never carry less precision than a dense
+elimination with the same pivots gives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import methodcaller, not_
 
 
@@ -87,15 +93,16 @@ def mat_pow(A, k):
 def rref(A):
     """Reduced row echelon form; returns (R, pivot column list)."""
     ncols = len(A[0]) if A else 0
-    R, pivots = _eliminate(_fractions(A), ncols, _FRACTION)
+    R, pivots = _eliminate(A, ncols, _INTEGER)
     zero = Fraction(0)
-    return [[row.get(c, zero) for c in range(ncols)] for row in R], pivots
+    return [[row.get(c, zero) for c in range(ncols)]
+            for row in _reduced(R, pivots)], pivots
 
 
 def rank(A):
     if not A or not A[0]:
         return 0
-    return len(_eliminate(_fractions(A), len(A[0]), _FRACTION)[1])
+    return len(_eliminate(A, len(A[0]), _INTEGER)[1])
 
 
 def nullspace(A):
@@ -103,8 +110,9 @@ def nullspace(A):
     if not A:
         return []
     ncols = len(A[0])
-    R, pivots = _eliminate(_fractions(A), ncols, _FRACTION)
-    return _kernel(R, pivots, ncols, Fraction(0), Fraction(1))
+    R, pivots = _eliminate(A, ncols, _INTEGER)
+    return _kernel(_reduced(R, pivots), pivots, ncols, Fraction(0),
+                   Fraction(1))
 
 
 def column_space(A):
@@ -125,7 +133,7 @@ def span_basis(vectors):
 def solve(A, rhs):
     """Solutions x_j of A x_j = rhs[j], one per right-hand side column, or
     None if one of them is inconsistent."""
-    return _solve(_fractions(A), _fractions(rhs), Fraction(0), _FRACTION)
+    return _solve(A, rhs, Fraction(0), _INTEGER)
 
 
 def _pivot_columns(vectors):
@@ -133,8 +141,7 @@ def _pivot_columns(vectors):
     of the vectors outside the span of the ones before them."""
     if not vectors:
         return []
-    return _eliminate(_fractions(transpose(vectors)), len(vectors),
-                      _FRACTION)[1]
+    return _eliminate(transpose(vectors), len(vectors), _INTEGER)[1]
 
 
 def _completion(known, cand):
@@ -143,6 +150,19 @@ def _completion(known, cand):
     n = len(known)
     return [cand[c - n] for c in _pivot_columns(list(known) + list(cand))
             if c >= n]
+
+
+def _primitive(v):
+    """The primitive integer multiple of a rational vector: scaled by the
+    lcm of its denominators, then divided by the gcd of its entries (the
+    zero vector stays zero)."""
+    try:
+        g = gcd(*v)                     # int entries
+    except TypeError:                   # Fraction entries
+        den = lcm(*[x.denominator for x in v])
+        v = [x.numerator * (den // x.denominator) for x in v]
+        g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
 
 
 def mat_inv(A):
@@ -292,10 +312,12 @@ def _rational_roots(coeffs):
 # ---------------------------------------------------------------------------
 # exact elimination
 
-# (zero test, inverse, pivot key) of a coefficient type.  Fraction takes the
-# first row with a non-zero entry; PadicNumber the smallest valuation, the
-# p-adically largest pivot, so that a division loses the fewest digits.
-_FRACTION = (not_, lambda x: 1 / x, None)
+# (zero test, inverse, pivot key) of a coefficient type.  PadicNumber takes
+# the smallest valuation, the p-adically largest pivot, so that a division
+# loses the fewest digits.  _INTEGER, the rational rule, has no inverse: it
+# eliminates fraction-free over integer rows and takes the first row with a
+# non-zero entry.
+_INTEGER = (not_, None, None)
 _PADIC = (methodcaller("is_zero"), methodcaller("inverse"),
           methodcaller("valuation"))
 
@@ -313,18 +335,32 @@ def _eliminate(rows, ncols, rule):
 
     ``rule`` is the coefficient type's (zero test, inverse, pivot key).
     Rows are compacted to ``{col: element}`` dicts; input entries that pass
-    the zero test count as absent.  An entry that cancels to zero during
-    elimination stays (a p-adic one with its precision bound, so later
-    updates cannot claim digits the inputs do not determine); it is never a
-    pivot.  The eliminated entry in a pivot column is zero by construction
-    and is removed.  The pivot in each column has the smallest key, the
-    first row in current order winning ties; without a key it is the first
-    row with a non-zero entry.  Returns the reduced rows (pivot rows first,
-    in pivot order) and the pivot columns.  Over a field the pivot rows are
-    the unique reduced row echelon form whatever the pivot rule.
+    the zero test count as absent.  The pivot in each column has the
+    smallest key, the first row in current order winning ties; without a
+    key it is the first row with a non-zero entry.  Returns the reduced
+    rows (pivot rows first, in pivot order) and the pivot columns.
+
+    Over a field the pivot row is divided by its pivot and f times it
+    subtracted from a row with entry f.  An entry that cancels to zero
+    stays (a p-adic one with its precision bound, so later updates cannot
+    claim digits the inputs do not determine); it is never a pivot.  The
+    eliminated entry in a pivot column is zero by construction and is
+    removed.
+
+    Without an inverse (``_INTEGER``) the rows are rational (int or
+    Fraction entries), each scaled to its primitive integer multiple, and
+    a row with entry f becomes (p/g) row - (f/g) pivot row, g = gcd(p, f),
+    divided by its content; zeros are dropped.  A pivot row keeps its pivot
+    p; divided by it (``_reduced``) the pivot rows are the reduced row
+    echelon form, unique whatever the pivot rule.
     """
     is_zero, inverse, key = rule
-    R = [{c: x for c, x in enumerate(row) if not is_zero(x)} for row in rows]
+    if inverse is None:
+        R = [{c: x for c, x in enumerate(_primitive(row)) if x}
+             for row in rows]
+    else:
+        R = [{c: x for c, x in enumerate(row) if not is_zero(x)}
+             for row in rows]
     nrows = len(R)
     pivots = []
     r = 0
@@ -343,11 +379,18 @@ def _eliminate(rows, ncols, rule):
         if best is None:
             continue
         R[r], R[best] = R[best], R[r]
-        inv = inverse(R[r][c])
-        prow = R[r] = {j: x * inv for j, x in R[r].items()}
+        if inverse is None:
+            p = R[r][c]
+        else:
+            inv = inverse(R[r][c])
+            R[r] = {j: x * inv for j, x in R[r].items()}
+        prow = R[r]
         for i, row in enumerate(R):
             f = row.get(c)
             if i == r or f is None or is_zero(f):
+                continue
+            if inverse is None:
+                R[i] = _combine(row, prow, p, f)
                 continue
             del row[c]
             for j, y in prow.items():
@@ -359,6 +402,29 @@ def _eliminate(rows, ncols, rule):
         if r == nrows:
             break
     return R, pivots
+
+
+def _combine(row, prow, p, f):
+    """(p/g) row - (f/g) prow over integer dicts, g = gcd(p, f), divided by
+    its content, zeros dropped: the entry f opposite the pivot p cancels."""
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    out = row if a == 1 else {j: a * x for j, x in row.items()}
+    for j, y in prow.items():
+        x = out.get(j, 0) - b * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    g = gcd(*out.values())
+    return {j: x // g for j, x in out.items()} if g > 1 else out
+
+
+def _reduced(R, pivots):
+    """Integer pivot rows divided by their pivots, as Fraction dicts: the
+    reduced row echelon form.  The other rows are kept as they are."""
+    return [{j: Fraction(x, row[c]) for j, x in row.items()}
+            for row, c in zip(R, pivots)] + R[len(pivots):]
 
 
 def _kernel(R, pivots, ncols, zero, one):
@@ -389,6 +455,8 @@ def _solve(rows, rhs, zero, rule):
     is_zero = rule[0]
     if any(not is_zero(x) for row in R[len(pivots):] for x in row.values()):
         return None
+    if rule is _INTEGER:
+        R = _reduced(R, pivots)
     out = []
     for j in range(ncols, ncols + len(rhs)):
         x = [zero] * ncols

@@ -87,14 +87,21 @@ def lmat_is_zero(A):
     return all(x.is_zero() for row in A for x in row)
 
 
+def _holding(params, lo, hi):
+    """params, or params with the window widened to hold exponents lo..hi
+    when it does not already."""
+    window = (max(params.t_window[0], -lo), max(params.t_window[1], hi))
+    return (params if window == params.t_window
+            else params._replace(t_window=window))
+
+
 def _charpoly(A):
     """(det(T I - W), det A, W) for n = len(A) >= 1, W = A over a window n
     times as wide as its exponents: no product of up to n entries is cut."""
     params, n = A[0][0].params, len(A)
     exps = [e for row in A for x in row for e in x.coeffs]
-    window = (max(params.t_window[0], -n * min(exps, default=0)),
-              max(params.t_window[1], n * max(exps, default=0)))
-    wide = params._replace(t_window=window)
+    wide = _holding(params, n * min(exps, default=0),
+                    n * max(exps, default=0))
     W = lmat_map(A, lambda x: x.rebase(wide))
     chi = linalg.charpoly(W, LaurentElement.one(wide),
                           lambda x: not (x.coeffs or x.has_tail()))
@@ -510,22 +517,32 @@ def _solution_coordinates(basis, targets, params):
 
 def _frobenius_image(m: PhiNablaModule, comps):
     """phi applied to sum_d v_d (log t)^d: A sigma(v_d) p^d at log degree
-    d, since phi(log t) = p log t."""
-    p = m.params.p
+    d, since phi(log t) = p log t.  sigma(v) and A sigma(v) are formed in a
+    window wide enough for every product (exponents of A plus p times
+    those of v), so cancelling products are read exactly; the image is then
+    cut back to the window, where a term past it is a tail."""
+    params, p = m.params, m.params.p
+    exps_a = [e for row in m.A for a in row for e in a.coeffs]
+    exps_v = [e for vd in comps for x in vd for e in x.coeffs]
+    wide = _holding(params,
+                    min(exps_a, default=0) + p * min(exps_v, default=0),
+                    max(exps_a, default=0) + p * max(exps_v, default=0))
+    same = wide is params
     # an exact zero (no tail) adds nothing
-    rows = [[(j, a) for j, a in enumerate(row)
+    rows = [[(j, a if same else a.rebase(wide)) for j, a in enumerate(row)
              if not (a.is_zero() and not a.has_tail())] for row in m.A]
     out = []
     for d, vd in enumerate(comps):
-        svec = [x.sigma() for x in vd]
+        svec = [(x if same else x.rebase(wide)).sigma() for x in vd]
         vec = []
         for row in rows:
-            acc = LaurentElement.zero(m.params)
+            acc = LaurentElement.zero(wide)
             for j, a in row:
                 sv = svec[j]
                 if not (sv.is_zero() and not sv.has_tail()):
                     acc = acc + a * sv
-            vec.append(acc.scale(p ** d))
+            acc = acc.scale(p ** d)
+            vec.append(acc if same else acc.rebase(params))
         out.append(tuple(vec))
     return out
 

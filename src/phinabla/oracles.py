@@ -513,16 +513,23 @@ def algebraic_weight(poly, q: int):
         roots, err = mpmath.polyroots(
             [mpmath.mpf(c.numerator) / c.denominator for c in reversed(rem)],
             maxsteps=100, extraprec=100, error=True)
-        sep = mpmath.mpf(q) ** Fraction(1, 4) - 1
+        # adjacent weights lie (log q) / (2f) apart on log|alpha|, so a
+        # root is at most half that from its nearest weight; off by a
+        # quarter of that half, it is decidedly off, whatever its size
+        margin = mpmath.log(q) / (16 * f)
+        uncertain = False
         for root in roots:
             mod = abs(root)
             w2 = 2 * mpmath.log(mod) / mpmath.log(q)
             w = Fraction(round(float(w2 * f)), f)
             target = mpmath.mpf(q) ** (mpmath.mpf(w.numerator)
                                        / (2 * w.denominator))
-            if abs(mod - target) > err + mpmath.mpf("1e-30"):
-                if abs(mod - target) < sep / 4:
-                    raise Uncertifiable("interval overlaps decision boundary")
+            if abs(mod - target) <= err + mpmath.mpf("1e-30"):
+                weights.append(w)
+            elif abs(mpmath.log(mod / target)) < margin:
+                uncertain = True
+            else:
                 raise NotWeil("root modulus is not q^(w/2)")
-            weights.append(w)
+        if uncertain:
+            raise Uncertifiable("interval overlaps decision boundary")
     return sorted(weights)

@@ -215,16 +215,20 @@ def monodromy_filtration(N) -> MonodromyFiltration:
 
     With K_m = ker N^m, heads of chains of length l are picked from the top
     down, independent of K_{l-1} and of the height-l vectors of the longer
-    chains; then M_k = span{N^j v : l(v) - 1 - 2j <= k}.
+    chains; then M_k = span{N^j v : l(v) - 1 - 2j <= k}.  N is read as its
+    primitive integer multiple cN, which has the same filtration, so the
+    kernels and chains are integer vectors; the bases are Fraction rows.
     """
-    N = _fractions(N)
     d = len(N)
     _check_shape(N, "N", d, d)
+    N = _integral(N)
     kernels = [[]]                      # kernels[m] is a basis of ker N^m
-    power = linalg.identity(d)
+    NT = linalg.transpose(N)            # N v is _combination(v, NT, d)
+    power = [[int(i == j) for j in range(d)] for i in range(d)]
     while len(kernels[-1]) < d:
-        power = linalg.mat_mul(N, power)
-        kernels.append(linalg.nullspace(power))
+        power = [_combination(row, power, d) for row in N]
+        kernels.append([linalg._primitive(v)
+                        for v in linalg.nullspace(power)])
         # ker N^(m+1) = ker N^m: the chain never grows again, short of d
         if len(kernels[-1]) == len(kernels[-2]):
             raise NotNilpotent("monodromy filtration needs a nilpotent "
@@ -235,7 +239,7 @@ def monodromy_filtration(N) -> MonodromyFiltration:
         for head in linalg._completion(known, kernels[length]):
             chain = [head]
             for _ in range(length - 1):
-                chain.append(linalg.mat_vec(N, chain[-1]))
+                chain.append(_combination(chain[-1], NT, d))
             chains.append(chain)
     by_index = {}
     for chain in chains:
@@ -258,6 +262,24 @@ def monodromy_filtration(N) -> MonodromyFiltration:
     return out
 
 
+def _integral(M):
+    """The primitive integer multiple cM (c a positive rational) of a
+    rational matrix, with the kernels, images and spans of M."""
+    flat = linalg._primitive([x for row in M for x in row])
+    n = len(M[0]) if M else 0
+    return [flat[i * n:(i + 1) * n] for i in range(len(M))]
+
+
+def _combination(coeffs, vectors, n):
+    """sum of c v over the non-zero coefficients c, for int vectors of
+    length n."""
+    out = [0] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            out = [x + c * y for x, y in zip(out, v)]
+    return out
+
+
 def _induced(mat, lower, upper):
     """Matrix of ``mat`` on span(upper) / span(lower), for span(lower) in
     span(upper), in the vectors of ``upper`` that complete ``lower`` (both
@@ -275,31 +297,39 @@ def _induced(mat, lower, upper):
 def _axioms_hold(N, fil: MonodromyFiltration) -> bool:
     """M_{k-1} in M_k, N M_k in M_{k-2}, and N^k : Gr_k -> Gr_{-k} an
     isomorphism, each by one elimination per k.  Ranks are those of the
-    spans, whatever the lengths of the basis lists."""
+    spans, whatever the lengths of the basis lists.  N and every basis
+    vector are read as their primitive integer multiples: the same spans
+    in integer arithmetic."""
+    N = _integral(N)
+    basis = {k: [linalg._primitive(v) for v in fil.basis(k)]
+             for k in range(-fil.s - 2, fil.s + 1)}
+
     def new_vectors(known, cand):
         """(rank of known, how many of cand leave its span)."""
-        pivots = linalg._pivot_columns(list(known) + list(cand))
+        pivots = linalg._pivot_columns(known + cand)
         old = sum(1 for c in pivots if c < len(known))
         return old, len(pivots) - old
 
+    d = fil.dim
+    NT = linalg.transpose(N)
     ranks = {-fil.s - 1: 0}
     for k in range(-fil.s, fil.s + 1):
-        ranks[k], escaped = new_vectors(fil.basis(k), fil.basis(k - 1))
+        ranks[k], escaped = new_vectors(basis[k], basis[k - 1])
         if escaped:
             return False
-        images = [linalg.mat_vec(N, v) for v in fil.basis(k)]
-        if new_vectors(fil.basis(k - 2), images)[1]:
+        images = [_combination(v, NT, d) for v in basis[k]]
+        if new_vectors(basis[k - 2], images)[1]:
             return False
-    Nk = linalg.identity(fil.dim)
+    NkT = [[int(i == j) for j in range(d)] for i in range(d)]
     for k in range(1, fil.s + 1):
-        Nk = linalg.mat_mul(N, Nk)
+        NkT = [_combination(row, NT, d) for row in NkT]  # (N^T)^k
         graded = ranks[k] - ranks[k - 1]
         if graded != ranks[-k] - ranks[-k - 1]:
             return False
-        images = [linalg.mat_vec(Nk, v) for v in fil.basis(k)]
-        if new_vectors(fil.basis(-k - 1), images)[1] != graded:
+        images = [_combination(v, NkT, d) for v in basis[k]]
+        if new_vectors(basis[-k - 1], images)[1] != graded:
             return False
-    return ranks[fil.s] == fil.dim
+    return ranks[fil.s] == d
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from phinabla import corpus
 from phinabla.errors import NotLevelTwo, NotTame, WindowTooSmall
@@ -15,11 +15,10 @@ from phinabla.modules import (GaugeChange, PhiNablaModule,
                               tensor)
 from phinabla.padic import RingMode, RingParams
 from phinabla.series import LaurentElement
-from phinabla.weil_deligne import (WeilDeligneRep, compatibility_family,
-                                   purity_check, quasi_purity_check,
-                                   trace_table)
+from phinabla.weil_deligne import (compatibility_family, purity_check,
+                                   quasi_purity_check, trace_table)
 
-from helpers import kron, random_shear_gauge
+from helpers import random_shear_gauge, sp2_power
 
 
 P = corpus.ring()
@@ -146,6 +145,9 @@ def test_gauge_invariance_via_trace_tables():
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(["kt", "kt+h1"]), st.integers(0, 2 ** 32))
+# products A sigma(v) of these gauges run past the window and cancel
+@example("kt", 148)
+@example("kt", 20917)
 def test_trace_tables_are_invariant_under_random_shear_gauges(which, seed):
     # gauging runs the Cayley-Hamilton inverse, the tables Newton's
     # identities on each graded piece
@@ -158,24 +160,11 @@ def test_trace_tables_are_invariant_under_random_shear_gauges(which, seed):
     assert trace_table(wd_extract(g.apply(m))[0], 6) == expected
 
 
-def _sp2_power(k):
-    """Sp(2)^(xk): Phi = diag(1, 5)^(xk), N the Kronecker sum of k N0."""
-    I2 = [[F(1), F(0)], [F(0), F(1)]]
-    N0 = [[F(0), F(1)], [F(0), F(0)]]
-    phi1 = [[F(1), F(0)], [F(0), F(5)]]
-    phi, N, I = phi1, N0, I2
-    for _ in range(k - 1):
-        N = [[a + b for a, b in zip(ra, rb)]
-             for ra, rb in zip(kron(N, I2), kron(I, N0))]
-        phi, I = kron(phi, phi1), kron(I, I2)
-    return WeilDeligneRep(5, phi, N)
-
-
 def test_rank_eight_tensor_cube_of_kt():
     kt = corpus.kummer_tate(P)
     rep, _ = wd_extract(tensor(kt, tensor(kt, kt)))
     assert rep.dim == 8
-    assert trace_table(rep, 4) == trace_table(_sp2_power(3), 4)
+    assert trace_table(rep, 4) == trace_table(sp2_power(3), 4)
 
 
 def test_rank_sixteen_tensor_power_of_kt():
@@ -188,7 +177,7 @@ def test_rank_sixteen_tensor_power_of_kt():
     assert rep.dim == 16
     # the Kronecker sum of four N0 has Jordan type (5, 3, 3, 3, 1, 1)
     assert sorted(trace.log_degrees) == [0] * 6 + [1] * 4 + [2] * 4 + [3, 4]
-    assert trace_table(rep, 4) == trace_table(_sp2_power(4), 4)
+    assert trace_table(rep, 4) == trace_table(sp2_power(4), 4)
 
 
 def test_nilpotency_index_bounded_by_level():

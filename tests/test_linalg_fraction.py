@@ -1,10 +1,11 @@
-"""Fraction kernels of ``linalg``: zero-skipping rref and mat_vec against
-dense references, ``charpoly`` against interpolated determinants, and the
-rational-root search of ``residue_exponents``.
+"""Rational kernels of ``linalg``: the fraction-free elimination and its
+views, zero-skipping rref and mat_vec against dense references,
+``charpoly`` against interpolated determinants, and the rational-root
+search of ``residue_exponents``.
 
-The references below multiply every entry, zeros included, exactly as the
-kernels did before they learned to skip zero terms; they share no code
-with ``linalg``.
+The references here and in ``helpers`` (a Fraction Gauss-Jordan loop and
+the views read off it) multiply every entry, zeros included; they share no
+code with ``linalg``.
 """
 
 import time
@@ -15,31 +16,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from phinabla import linalg
 from phinabla.oracles import _det, _interpolate
 
+from helpers import (fraction_completion, fraction_nullspace,
+                     fraction_rref, fraction_solve)
+
 
 F = Fraction
-
-
-def dense_rref(A):
-    R = [[F(x) for x in row] for row in A]
-    rows, cols = len(R), len(R[0]) if R else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if R[i][c] != 0), None)
-        if pivot is None:
-            continue
-        R[r], R[pivot] = R[pivot], R[r]
-        inv = 1 / R[r][c]
-        R[r] = [x * inv for x in R[r]]
-        for i in range(rows):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return R, pivots
 
 
 def dense_mat_vec(A, v):
@@ -77,12 +58,72 @@ def sparse_matrices(draw):
 def test_zero_skipping_kernels_match_dense(problem):
     A, v = problem
     R, pivots = linalg.rref(A)
-    assert (R, pivots) == dense_rref(A)
+    assert (R, pivots) == fraction_rref(A)
     assert all(type(x) is F for row in R for x in row)
     Av = linalg.mat_vec(A, v)
     assert Av == dense_mat_vec(A, v)
     assert all(type(x) is F for x in Av)
     assert len(pivots) < len(A)
+
+
+@st.composite
+def rational_problems(draw):
+    """A wide or tall rational matrix (denominators up to 10^6) with zero
+    and repeated rows, and right-hand sides, images A x or drawn at random
+    (then mostly inconsistent when A has dependent rows)."""
+    entries = st.one_of(st.just(F(0)), st.just(0), st.integers(-9, 9),
+                        st.fractions(-1000, 1000, max_denominator=10 ** 6))
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    A = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        A.insert(draw(st.integers(0, len(A))), list(draw(st.sampled_from(A))))
+    if draw(st.booleans()):
+        A.insert(draw(st.integers(0, len(A))), [draw(st.sampled_from(
+            [0, F(0)]))] * cols)
+    rhs = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            rhs.append(dense_mat_vec(A, [draw(entries) for _ in range(cols)]))
+        else:
+            rhs.append([draw(entries) for _ in range(len(A))])
+    return A, rhs
+
+
+def _fractions_only(obj):
+    if isinstance(obj, list):
+        return all(_fractions_only(x) for x in obj)
+    return obj is None or type(obj) is F
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rational_problems())
+def test_fraction_free_views_match_fraction_gauss_jordan(problem):
+    # the integer rule gives the unique reduced echelon form: every view
+    # equals the Fraction reference entry for entry, as Fractions
+    A, rhs = problem
+    R, pivots = fraction_rref(A)
+    k = min(len(A), len(A[0]))
+    square = [row[:k] for row in A[:k]]
+    cols = fraction_solve(square, [[F(int(i == j)) for i in range(k)]
+                                   for j in range(k)])
+    half = len(A) // 2
+    views = [
+        (linalg.rref(A), (R, pivots)),
+        (linalg.nullspace(A), fraction_nullspace(A)),
+        (linalg.span_basis(A), R[:len(pivots)]),
+        (linalg.column_space(A),
+         fraction_rref(linalg.transpose(A))[0][:len(pivots)]),
+        (linalg.solve(A, rhs), fraction_solve(A, rhs)),
+        (linalg.mat_inv(square),
+         None if cols is None else linalg.transpose(cols)),
+    ]
+    for got, expected in views:
+        assert got == expected
+        assert _fractions_only(got[0] if type(got) is tuple else got)
+    assert linalg.rank(A) == len(pivots)
+    assert linalg._completion(A[:half], A[half:]) == \
+        fraction_completion(A[:half], A[half:])
 
 
 def test_fractions_returns_new_rows():

@@ -235,6 +235,16 @@ def test_weight_not_weil():
         algebraic_weight([-3, 1], 5)  # root 3 is not a power of 5
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+@pytest.mark.parametrize("n", [-1, 0, 1, 2])
+def test_weight_margin_is_scale_free(q, n):
+    # T^3 - T - 1 has roots of moduli 1.325 and 0.869, and twisted by q^n
+    # (roots times q^n) the same verdict: the margin is on log|alpha|
+    c = F(q) ** n
+    with pytest.raises(NotWeil):
+        algebraic_weight([-c ** 3, -c ** 2, 0, 1], q)
+
+
 def test_weight_zero_root_rejected():
     with pytest.raises(NotWeil):
         algebraic_weight([0, 1], 5)

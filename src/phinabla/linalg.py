@@ -41,10 +41,12 @@ def zeros(n, m):
     return [[Fraction(0)] * m for _ in range(n)]
 
 
-def mat_mul(A, B):
+def mat_mul(A, B, zero=Fraction(0)):
+    """A B, skipping zero entries; every sum starts from ``zero``, so
+    int matrices with ``zero=0`` give an int product."""
     n, k = len(A), len(B)
     m = len(B[0]) if B else 0
-    out = zeros(n, m)
+    out = [[zero] * m for _ in range(n)]
     for i in range(n):
         Ai = A[i]
         for l in range(k):
@@ -61,11 +63,12 @@ def mat_scale(A, c):
     return [[c * a for a in row] for row in A]
 
 
-def mat_vec(A, v):
+def mat_vec(A, v, zero=Fraction(0)):
+    """A v, skipping zero entries; every sum starts from ``zero``."""
     nz = [(j, x) for j, x in enumerate(v) if x]
     out = []
     for row in A:
-        acc = Fraction(0)
+        acc = zero
         for j, x in nz:
             a = row[j]
             if a:

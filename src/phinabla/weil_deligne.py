@@ -223,10 +223,9 @@ def monodromy_filtration(N) -> MonodromyFiltration:
     _check_shape(N, "N", d, d)
     N = _integral(N)
     kernels = [[]]                      # kernels[m] is a basis of ker N^m
-    NT = linalg.transpose(N)            # N v is _combination(v, NT, d)
     power = [[int(i == j) for j in range(d)] for i in range(d)]
     while len(kernels[-1]) < d:
-        power = [_combination(row, power, d) for row in N]
+        power = linalg.mat_mul(N, power, zero=0)
         kernels.append([linalg._primitive(v)
                         for v in linalg.nullspace(power)])
         # ker N^(m+1) = ker N^m: the chain never grows again, short of d
@@ -239,7 +238,7 @@ def monodromy_filtration(N) -> MonodromyFiltration:
         for head in linalg._completion(known, kernels[length]):
             chain = [head]
             for _ in range(length - 1):
-                chain.append(_combination(chain[-1], NT, d))
+                chain.append(linalg.mat_vec(N, chain[-1], zero=0))
             chains.append(chain)
     by_index = {}
     for chain in chains:
@@ -268,16 +267,6 @@ def _integral(M):
     flat = linalg._primitive([x for row in M for x in row])
     n = len(M[0]) if M else 0
     return [flat[i * n:(i + 1) * n] for i in range(len(M))]
-
-
-def _combination(coeffs, vectors, n):
-    """sum of c v over the non-zero coefficients c, for int vectors of
-    length n."""
-    out = [0] * n
-    for c, v in zip(coeffs, vectors):
-        if c:
-            out = [x + c * y for x, y in zip(out, v)]
-    return out
 
 
 def _induced(mat, lower, upper):
@@ -311,22 +300,21 @@ def _axioms_hold(N, fil: MonodromyFiltration) -> bool:
         return old, len(pivots) - old
 
     d = fil.dim
-    NT = linalg.transpose(N)
     ranks = {-fil.s - 1: 0}
     for k in range(-fil.s, fil.s + 1):
         ranks[k], escaped = new_vectors(basis[k], basis[k - 1])
         if escaped:
             return False
-        images = [_combination(v, NT, d) for v in basis[k]]
+        images = [linalg.mat_vec(N, v, zero=0) for v in basis[k]]
         if new_vectors(basis[k - 2], images)[1]:
             return False
-    NkT = [[int(i == j) for j in range(d)] for i in range(d)]
+    Nk = [[int(i == j) for j in range(d)] for i in range(d)]
     for k in range(1, fil.s + 1):
-        NkT = [_combination(row, NT, d) for row in NkT]  # (N^T)^k
+        Nk = linalg.mat_mul(Nk, N, zero=0)
         graded = ranks[k] - ranks[k - 1]
         if graded != ranks[-k] - ranks[-k - 1]:
             return False
-        images = [_combination(v, NkT, d) for v in basis[k]]
+        images = [linalg.mat_vec(Nk, v, zero=0) for v in basis[k]]
         if new_vectors(basis[-k - 1], images)[1] != graded:
             return False
     return ranks[fil.s] == d

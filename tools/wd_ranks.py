@@ -1,17 +1,17 @@
 """Wall time of the monodromy filtration and of trace tables as size grows.
 
 For each dimension d it times ``monodromy_filtration`` on the Jordan block
-J_d and on a seeded random nilpotent (``tests/helpers.random_nilpotent``:
-strictly upper triangular with entries in [-2, 2], conjugated by a
-unipotent integer shear, so dense).  For each k it times ``trace_table``
-(depth 6) on Sp(2)^(x k) (``tests/helpers.sp2_power``).  Run from the root
-of a checkout:
+J_d and on the random nilpotent ``tests/helpers.random_nilpotent`` drawn
+from ``random.Random(d)`` (strictly upper triangular with entries in
+[-2, 2], conjugated by a unipotent integer shear, so dense).  For k = 2,
+3, 4 it times ``trace_table`` (depth 6) on Sp(2)^(x k)
+(``tests/helpers.sp2_power``).  Run from the root of a checkout:
 
-    PYTHONPATH=src:tests python3 tools/wd_ranks.py [--dims D ...]
-        [--powers K ...] [--repeat R] [--seed S]
+    PYTHONPATH=src:tests python3 tools/wd_ranks.py [D ...] [--repeat R]
 
-It prints one JSON object per d and per k: the best of R wall times in
-seconds, and whether the output is right (J_d: one graded piece of rank 1
+with d = 6, 12, 18, 24 by default.  It prints one JSON object per d and
+per k: the best of R wall times in seconds, and whether the output is
+right (J_d: one graded piece of rank 1
 at each index of d - 1, d - 3, ..., 1 - d; random: the filtration reaches
 all of V; trace tables: sum_k Tr(Phi^n | Gr_k) = Tr(Phi^n) for every n).
 """
@@ -29,6 +29,7 @@ from phinabla import linalg
 from phinabla.weil_deligne import monodromy_filtration, trace_table
 
 DEPTH = 6
+POWERS = (2, 3, 4)
 
 
 def best_time(fn, repeat):
@@ -63,15 +64,12 @@ def traces_ok(rep, table):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--dims", nargs="*", type=int,
-                        default=[6, 12, 18, 24])
-    parser.add_argument("--powers", nargs="*", type=int, default=[2, 3, 4])
+    parser.add_argument("dims", nargs="*", type=int, default=[6, 12, 18, 24])
     parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     for d in args.dims:
         J = jordan(d)
-        N = random_nilpotent(random.Random(args.seed * 1000 + d), d)
+        N = random_nilpotent(random.Random(d), d)
         jordan_s, fil_j = best_time(lambda: monodromy_filtration(J),
                                     args.repeat)
         random_s, fil_r = best_time(lambda: monodromy_filtration(N),
@@ -80,7 +78,7 @@ def main():
                           "random_s": round(random_s, 4),
                           "jordan_ok": jordan_ok(fil_j, d),
                           "random_ok": fil_r.rank(fil_r.s) == d}))
-    for k in args.powers:
+    for k in POWERS:
         rep = sp2_power(k)
         table_s, table = best_time(lambda: trace_table(rep, DEPTH),
                                    args.repeat)

@@ -26,7 +26,7 @@ from .padic import PadicNumber
 from .series import LaurentElement
 from .weil_deligne import (FrobeniusKind, WeilDeligneRep,
                            compatibility_family, monodromy_filtration,
-                           quasi_purity_check, _induced, _json_matrix,
+                           quasi_purity_check, _graded, _json_matrix,
                            _weights_of)
 
 
@@ -242,13 +242,13 @@ def _constant_matrix(M, err="matrix"):
     return out
 
 
-def _restricted(phi, sub):
-    """phi on span(sub), in the vectors of sub; raises unless it is
-    phi-invariant."""
-    restr = _induced(phi, [], sub)
-    if restr is None:
+def _restricted(phi, flag):
+    """phi on the graded pieces of a flag, each (Y, s) for phi = Y / s
+    (``_graded``); raises unless phi keeps every subspace."""
+    pieces = _graded(phi, flag)
+    if pieces is None:
         raise DiagnosticConflict("subspace is not phi-invariant")
-    return restr
+    return pieces
 
 
 def semistable_weight_filtration(datum: AbelianVarietyDatum
@@ -269,42 +269,27 @@ def semistable_weight_filtration(datum: AbelianVarietyDatum
     mu = len(torus)
     ranks = {-2: mu, -1: rk_f, 0: m.rank}
 
-    graded = []
     phi_f = _constant_matrix(frobenius, "Frobenius on D^f") if rk_f else []
     # split phi_f along D^t
-    if mu:
-        restr = _restricted(phi_f, torus)
-        quot = _induced(phi_f, torus, linalg.identity(rk_f))
-    else:
-        restr, quot = [], phi_f
+    restr, quot = _restricted(phi_f, [torus, linalg.identity(rk_f)])
 
-    def report(index, mat):
-        rank = len(mat)
-        if rank == 0:
-            return None
-        weights = _weights_of(mat, q, FrobeniusKind.GEOMETRIC)
-        pure = weights == [Fraction(index)]
-        if not pure:
+    def report(index, mat, s=1):
+        weights = _weights_of(mat, q, FrobeniusKind.GEOMETRIC, s)
+        if weights != [Fraction(index)]:
             raise PurityFailure(
                 f"Gr_{index} has weights {weights}, expected {index}",
                 eigenvalue=weights)
-        return WeightGraded(index, rank, weights, pure)
+        return WeightGraded(index, len(mat), weights, True)
 
-    r = report(-2, restr)
-    if r:
-        graded.append(r)
-    r = report(-1, quot)
-    if r:
-        graded.append(r)
+    graded = [report(k, Y, s) for k, (Y, s) in ((-2, restr), (-1, quot))
+              if Y]
     # Gr_0 = D / D^f: constant Frobenius on the top block of the gauged
     # unipotent filtration
     if m.rank > rk_f:
         g = red.filtration.gauged_module
         top = [[g.A[i][j] for j in range(rk_f, m.rank)]
                for i in range(rk_f, m.rank)]
-        r = report(0, _constant_matrix(top, "Frobenius on Gr_0"))
-        if r:
-            graded.append(r)
+        graded.append(report(0, _constant_matrix(top, "Frobenius on Gr_0")))
     return WeightFiltration(ranks, graded, sections, torus)
 
 
@@ -404,13 +389,13 @@ def excision_weight_filtration(c: OpenCurveDatum, m_max: int = 24
         F = _constant_matrix(c.boundary_map, "boundary map")
         ker = linalg.nullspace(F) if F and F[0] else \
             linalg.identity(c.h0_boundary_twisted.rank)
-        ker = linalg.span_basis([list(v) for v in ker]) if ker else []
         gr2_rank = len(ker)
         if gr2_rank:
             A0 = _constant_matrix(c.h0_boundary_twisted.A,
                                   "H^0(D)(-1) Frobenius")
-            gr2_weights = _weights_of(_restricted(A0, ker), h1.params.q,
-                                      FrobeniusKind.GEOMETRIC)
+            Y, s = _restricted(A0, [ker])[0]
+            gr2_weights = _weights_of(Y, h1.params.q,
+                                      FrobeniusKind.GEOMETRIC, s)
     ok = (gr1 is None or gr1.pure) and \
         (gr2_rank == 0 or gr2_weights == [Fraction(2)])
     if gr2_rank and gr2_weights != [Fraction(2)]:

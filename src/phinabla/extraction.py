@@ -133,6 +133,8 @@ def wd_extract(m: PhiNablaModule, m_max: int = 24,
     """Weil-Deligne representation of a tame quasi-unipotent module."""
     from . import linalg
 
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
     m._require(frobenius=True, connection=True)
     e, exponents = _tame_cover_degree(m, m_max)
     if any(a.has_tail() for row in m.A for a in row):

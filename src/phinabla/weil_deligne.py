@@ -269,18 +269,34 @@ def _integral(M):
     return [flat[i * n:(i + 1) * n] for i in range(len(M))]
 
 
-def _induced(mat, lower, upper):
-    """Matrix of ``mat`` on span(upper) / span(lower), for span(lower) in
-    span(upper), in the vectors of ``upper`` that complete ``lower`` (both
-    lists); None if mat does not map span(upper) into itself."""
-    comp = linalg._completion(lower, upper)
-    if not comp:
-        return []
-    coords = linalg.solve(linalg.transpose(lower + comp),
-                          [linalg.mat_vec(mat, v) for v in comp])
-    if coords is None:
+def _graded(mat, flag):
+    """[(Y_k, s_k)]: ``mat`` is Y_k / s_k, Y_k an integer matrix and s_k a
+    positive integer, on V_k / V_(k-1), V_k the span of flag[k] (V_-1 = 0),
+    in the primitive integer multiples of the vectors of flag[k] outside
+    the span of those before them in flag[0] + flag[1] + ... (one
+    ``_pivot_columns``).  mat is read as Z = s mat, s the lcm of its
+    denominators; one fraction-free elimination of [basis | images] gives
+    every coordinate.  None unless mat keeps every V_k."""
+    s = math.lcm(*(x.denominator for row in mat for x in row))
+    Z = [[x.numerator * (s // x.denominator) for x in row] for row in mat]
+    vectors = [linalg._primitive(v) for vs in flag for v in vs]
+    owner = [k for k, vs in enumerate(flag) for _ in vs]
+    keep = linalg._pivot_columns(vectors)
+    basis, owner = [vectors[c] for c in keep], [owner[c] for c in keep]
+    r = len(basis)
+    R = linalg._eliminate(linalg.transpose(basis + [
+        linalg.mat_vec(Z, v, zero=0) for v in basis]), r, linalg._INTEGER)[0]
+    # an image off span(basis), or with a coordinate on a later piece
+    if any(R[r:]) or any(owner[i] > owner[j - r] for i in range(r)
+                         for j in R[i] if j >= r):
         return None
-    return linalg.transpose([x[len(lower):] for x in coords])
+    out = []
+    for k in range(len(flag)):
+        rows = [i for i in range(r) if owner[i] == k]
+        L = math.lcm(*(R[i][i] for i in rows))
+        out.append(([[R[i].get(r + j, 0) * (L // R[i][i]) for j in rows]
+                     for i in rows], L * s))
+    return out
 
 
 def _axioms_hold(N, fil: MonodromyFiltration) -> bool:
@@ -485,10 +501,13 @@ class PurityReport:
         self.failure = failure
 
 
-def _weights_of(M, q, kind):
-    """Distinct weights of the eigenvalues of a rational matrix."""
+def _weights_of(M, q, kind, s=1):
+    """Distinct weights of the eigenvalues of M / s (M rational, s a
+    positive integer), from the Berkowitz of M in its own entries."""
     p, f = _prime_power(q)
-    weights = _root_weights(linalg.charpoly(M), p, f)
+    chi = [Fraction(c, s ** (len(M) - i))
+           for i, c in enumerate(linalg.charpoly(M, one=1))]
+    weights = _root_weights(chi, p, f)
     return weights if kind is FrobeniusKind.GEOMETRIC else \
         sorted(-w for w in weights)
 
@@ -506,32 +525,32 @@ def purity_check(rep: WeilDeligneRep, i) -> PurityReport:
 
 
 def quasi_purity_check(rep: WeilDeligneRep, i) -> PurityReport:
-    """Each monodromy-graded piece Gr_k pure of weight i + k."""
+    """Each monodromy-graded piece Gr_k pure of weight i + k, read from the
+    integer Berkowitz of Phi on Gr_k (``_graded_phi``)."""
     i = Fraction(i)
-    fil = monodromy_filtration(rep.N)
     graded = []
-    all_pure = True
-    for k in range(-fil.s, fil.s + 1):
-        r = fil.graded_rank(k)
-        if r == 0:
-            continue
-        Mk = _induced(rep.phi, fil.basis(k - 1), fil.basis(k))
-        if Mk is None:
-            graded.append(GradedReport(k, r, [], i + k, False,
-                                       "Phi does not respect M_*"))
-            all_pure = False
-            continue
+    for k, Y, s in _graded_phi(rep):
         try:
-            weights = _weights_of(Mk, rep.q, rep.frobenius_kind)
+            weights = _weights_of(Y, rep.q, rep.frobenius_kind, s)
+            failure = None if weights == [i + k] else "wrong weight"
         except NotWeil as exc:
-            graded.append(GradedReport(k, r, [], i + k, False, str(exc)))
-            all_pure = False
-            continue
-        ok = weights == [i + k]
-        graded.append(GradedReport(k, r, weights, i + k, ok,
-                                   None if ok else "wrong weight"))
-        all_pure = all_pure and ok
-    return PurityReport(all_pure, i, graded)
+            weights, failure = [], str(exc)
+        graded.append(GradedReport(k, len(Y), weights, i + k,
+                                   failure is None, failure))
+    return PurityReport(all(g.pure for g in graded), i, graded)
+
+
+def _graded_phi(rep: WeilDeligneRep) -> list:
+    """[(k, Y_k, s_k)] for the non-zero pieces Gr_k of the monodromy
+    filtration, Phi being Y_k / s_k on Gr_k (``_graded``); IrrationalTrace
+    if Phi does not respect the filtration."""
+    fil = monodromy_filtration(rep.N)
+    pieces = _graded(rep.phi, [fil.basis(k) for k in range(-fil.s,
+                                                            fil.s + 1)])
+    if pieces is None:
+        raise IrrationalTrace("Phi does not respect the monodromy "
+                              "filtration")
+    return [(k, Y, s) for k, (Y, s) in enumerate(pieces, start=-fil.s) if Y]
 
 
 # ---------------------------------------------------------------------------
@@ -549,30 +568,26 @@ class FamilyReport:
 def trace_table(rep: WeilDeligneRep, n_max: int) -> dict:
     """(k, n) -> Tr(Phi^n | Gr_k^M) for n <= max(n_max, dim Gr_k), where
     the traces fix the characteristic polynomial of Phi on Gr_k (Newton's
-    identities), plus inertia traces when present."""
-    fil = monodromy_filtration(rep.N)
+    identities), plus inertia traces when present.  Phi on Gr_k, and the
+    inertia generator, are read as Y / s over the integers (``_graded``)."""
     table = {}
-    for k in range(-fil.s, fil.s + 1):
-        if fil.graded_rank(k) == 0:
-            continue
-        Mk = _induced(rep.phi, fil.basis(k - 1), fil.basis(k))
-        if Mk is None:
-            raise IrrationalTrace("Phi does not respect the monodromy "
-                                  "filtration")
-        _add_traces(table, k, Mk, max(n_max, len(Mk)))
+    for k, Y, s in _graded_phi(rep):
+        _add_traces(table, k, Y, s, max(n_max, len(Y)))
     if rep.inertia_order > 1 and rep.inertia_matrix is not None:
-        _add_traces(table, "inertia", rep.inertia_matrix,
-                    rep.inertia_order - 1)
+        Y, s = _graded(rep.inertia_matrix, [linalg.identity(rep.dim)])[0]
+        _add_traces(table, "inertia", Y, s, rep.inertia_order - 1)
     return table
 
 
-def _add_traces(table, key, M, n_max):
-    """table[key, n] = Tr M^n for n = 1..n_max by Newton's identities, a_i
-    being the coefficient of T^(d-i) in det(T I - M) (0 for i > d)."""
-    a = linalg.charpoly(M)[::-1] + [Fraction(0)] * n_max
+def _add_traces(table, key, Y, s, n_max):
+    """table[key, n] = Tr (Y / s)^n = Tr Y^n / s^n for n = 1..n_max, Y an
+    integer matrix: Newton's identities in integers, a_i being the
+    coefficient of T^(d-i) in det(T I - Y) (0 for i > d)."""
+    a = linalg.charpoly(Y, one=1)[::-1] + [0] * n_max
+    tr = [0]
     for n in range(1, n_max + 1):
-        table[key, n] = -n * a[n] - sum(a[i] * table[key, n - i]
-                                        for i in range(1, n))
+        tr.append(-n * a[n] - sum(a[i] * tr[n - i] for i in range(1, n)))
+        table[key, n] = Fraction(tr[n], s ** n)
 
 
 def compatibility_family(reps, n_max: int = 6) -> FamilyReport:

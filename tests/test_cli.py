@@ -330,6 +330,20 @@ def test_wrong_shape_names_missing_path(capsys, sub, stem, path):
                                "detail": f'missing "{path}"'}
 
 
+@pytest.mark.parametrize("sub, stem", [
+    ("wd", "kummer_tate"), ("analyze", "kummer_tate"),
+    ("excision", "open_tate_curve"),
+])
+@pytest.mark.parametrize("mmax", ["0", "-3"])
+def test_mmax_below_one_is_input_error(capsys, sub, stem, mmax):
+    # a bad flag value, like --precision 0, not a NotTame verdict
+    code, out, err = run(capsys, "--mmax", mmax, sub,
+                         str(CORPUS / f"{stem}.json"))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "input",
+                               "detail": "m_max must be >= 1"}
+
+
 @pytest.mark.parametrize("key, path", [
     ("rank", "rank"),
     ("params", "params.p"),

@@ -8,14 +8,15 @@ import pytest
 
 from phinabla import cli, corpus, linalg, modules
 from phinabla.diagnostics import (AbelianVarietyDatum, OpenCurveDatum,
-                                  ReductionType, check_weight_monodromy,
+                                  ReductionType, _restricted,
+                                  check_weight_monodromy,
                                   ell_independence_check,
                                   excision_weight_filtration, rank_profile,
                                   reduction_type,
                                   semistable_weight_filtration,
                                   wd_weight_filtration_flags)
-from phinabla.errors import (InconsistentRanks, MissingPairing,
-                             NotEquivariant, PurityFailure)
+from phinabla.errors import (DiagnosticConflict, InconsistentRanks,
+                             MissingPairing, NotEquivariant, PurityFailure)
 from phinabla.modules import PhiNablaModule, dual
 from phinabla.series import LaurentElement
 from phinabla.weil_deligne import WeilDeligneRep, special_rep
@@ -126,6 +127,18 @@ def test_weight_filtration_purity_failure():
                                  pairing=corpus.symplectic_pairing(P))
     with pytest.raises(PurityFailure):
         semistable_weight_filtration(datum2)
+
+
+def test_restriction_needs_a_phi_invariant_subspace():
+    # phi e_1 = e_1 + e_2 leaves span(e_1); span(e_2) is kept, and phi is
+    # 5 on it and 1 on the quotient
+    phi = [[F(1), F(0)], [F(1), F(5)]]
+    with pytest.raises(DiagnosticConflict,
+                       match="subspace is not phi-invariant"):
+        _restricted(phi, [[[F(1), F(0)]]])
+    pieces = _restricted(phi, [[[F(0), F(1, 3)]], linalg.identity(2)])
+    assert [[[F(y, s) for y in row] for row in Y] for Y, s in pieces] == \
+        [[[5]], [[1]]]
 
 
 def _gauged_tate():

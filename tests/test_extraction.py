@@ -104,6 +104,12 @@ def test_mmax_cutoff():
         wd_extract(m, m_max=1)
 
 
+@pytest.mark.parametrize("m_max", [0, -1])
+def test_mmax_below_one_is_refused(m_max):
+    with pytest.raises(ValueError, match="m_max must be >= 1"):
+        wd_extract(corpus.kummer_tate(P), m_max)
+
+
 def test_rank_preservation():
     for builder in (corpus.kummer_tate, corpus.constant_trivial,
                     corpus.half_twist):

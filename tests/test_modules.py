@@ -435,6 +435,49 @@ def test_oracle_shares_no_code_with_the_solver():
                    for name in imported), imported
 
 
+@st.composite
+def json_modules(draw):
+    """A module over Q_5 (a = 1) or its unramified quadratic extension
+    (a = 2, x^2 + 2), rank 1..3, each of Frobenius and connection present
+    or not, sparse Laurent entries with exponents in the window and
+    coefficients of either sign, 5 in their denominators included."""
+    a, modulus = draw(st.sampled_from([(1, None), (2, (2, 0, 1))]))
+    window = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    params = RingParams(5, 20, window, RingMode.LAURENT, a, modulus)
+    coeff = st.fractions(-60, 60, max_denominator=30)
+
+    def entry():
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            e = draw(st.integers(-window[0], window[1]))
+            terms[e] = PadicNumber.from_poly(
+                params, [draw(coeff) for _ in range(a)])
+        return LaurentElement.from_terms(params, list(terms.items()))
+
+    rank = draw(st.integers(1, 3))
+    matrix = lambda: [[entry() for _ in range(rank)] for _ in range(rank)]
+    A = matrix() if draw(st.booleans()) else None
+    G = matrix() if draw(st.booleans()) else None
+    return PhiNablaModule(params, rank, A, G, draw(st.sampled_from(
+        ["", "KT", "H^1(E)"])))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(json_modules())
+def test_json_roundtrip_random_modules(m):
+    text = json.dumps(module_to_json(m))
+    back = module_from_json(json.loads(text))
+    assert (back.params, back.rank, back.label) == (m.params, m.rank,
+                                                    m.label)
+    for M, N in ((m.A, back.A), (m.G, back.G)):
+        assert (M is None) == (N is None)
+        for row_m, row_b in zip(M or [], N or []):
+            for x, y in zip(row_m, row_b):
+                assert x.congruent(y)
+    assert json.dumps(module_to_json(back)) == text
+
+
 @pytest.mark.parametrize("a, modulus", [(1, None), (2, (2, 0, 1))])
 def test_json_roundtrip_unramified(a, modulus):
     # x^2 + 2 is irreducible mod 5; the generator makes units that are not

@@ -1,5 +1,6 @@
 """Weil-Deligne layer: filtration, weights, purity, families."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -10,13 +11,14 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from phinabla import linalg, oracles
 from phinabla.errors import NotNilpotent, NotWeil
 from phinabla.weil_deligne import (FrobeniusKind, MonodromyFiltration,
-                                   WeilDeligneRep, _axioms_hold,
+                                   WeilDeligneRep, _axioms_hold, _graded,
                                    _weights_of, compatibility_family,
                                    monodromy_filtration, purity_check,
                                    quasi_purity_check, special_rep,
                                    trace_table, twist, weight_of_eigenvalue)
 
-from helpers import kron, random_nilpotent, same_space
+from helpers import (fraction_completion, fraction_solve, kron,
+                     random_nilpotent, same_space)
 
 
 F = Fraction
@@ -323,8 +325,9 @@ def _seeded_nilpotent():
     pytest.param(lambda: monodromy_filtration(_seeded_nilpotent()), 30,
                  id="d6"),
     # the filtration (3 kernels, 3 chain-head choices, 3 span bases, 2 * 5
-    # + 2 axiom eliminations), then a complement and one solve per piece
-    pytest.param(lambda rep=_sp2_squared(): trace_table(rep, 4), 27,
+    # + 2 axiom eliminations), then one adapted basis and one solve for
+    # every graded piece at once
+    pytest.param(lambda rep=_sp2_squared(): trace_table(rep, 4), 23,
                  id="trace-table"),
     # Phi is inverted once, for the singularity check and Phi N Phi^-1
     pytest.param(lambda: special_rep(5), 1, id="special-rep"),
@@ -731,15 +734,18 @@ def test_family_verdict_is_exact_up_to_dimension_ten(problem):
 @st.composite
 def traced_reps(draw):
     """C (x) Sp(m) for a random invertible d x d C with many zero entries,
-    m in 1..3 (Phi = C (x) diag(1, q, .., q^(m-1)), N = I (x) J_m), with
-    an inertia generator P (x) I_m for a permutation matrix P of the C
-    factor when asked, everything conjugated by a unimodular U."""
+    m in 1..3 (Phi = C (x) diag(1, q^e, .., q^(e(m-1))), N = I (x) J_m,
+    e = 1 for geometric and -1 for arithmetic Frobenius), with an inertia
+    generator P (x) I_m for a permutation matrix P of the C factor when
+    asked, everything conjugated by a unimodular U."""
     d, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     q = draw(st.sampled_from([2, 3, 5]))
+    kind = draw(st.sampled_from(list(FrobeniusKind)))
+    e = 1 if kind is FrobeniusKind.GEOMETRIC else -1
     entry = st.one_of(st.just(F(0)), st.fractions(-4, 4, max_denominator=3))
     C = [[draw(entry) for _ in range(d)] for _ in range(d)]
     assume(linalg.mat_inv(C) is not None)
-    phi = kron(C, [[F(q) ** i if i == j else F(0) for j in range(m)]
+    phi = kron(C, [[F(q) ** (e * i) if i == j else F(0) for j in range(m)]
                     for i in range(m)])
     N = kron(linalg.identity(d), [[F(int(j == i + 1)) for j in range(m)]
                                    for i in range(m)])
@@ -755,7 +761,7 @@ def traced_reps(draw):
     Ui = linalg.mat_inv(U)
     conj = lambda M: None if M is None else \
         linalg.mat_mul(Ui, linalg.mat_mul(M, U))
-    return (WeilDeligneRep(q, conj(phi), conj(N), order, conj(T)),
+    return (WeilDeligneRep(q, conj(phi), conj(N), order, conj(T), kind),
             draw(st.integers(0, 8)))
 
 
@@ -793,3 +799,114 @@ def test_trace_table_matches_explicit_powers(problem):
     table = trace_table(rep, n_max)
     assert table == expected
     assert all(type(v) is F for v in table.values())
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(traced_reps(), st.integers(-3, 3))
+def test_tate_twists_scale_trace_tables(problem, n):
+    # twist(rep, n) has Phi q^-n Phi: Tr(Phi^m | Gr_k) scales by q^(-n m),
+    # exactly, and the inertia traces stay
+    rep, n_max = problem
+    table = trace_table(rep, n_max)
+    twisted = trace_table(twist(rep, n), n_max)
+    assert twisted.keys() == table.keys()
+    for (k, m), value in table.items():
+        scale = 1 if k == "inertia" else F(rep.q) ** (-n * m)
+        assert twisted[k, m] == scale * value
+    assert all(type(v) is F for v in twisted.values())
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(traced_reps(), st.sampled_from(["", "E", "H^1(X)(2)"]))
+def test_json_roundtrip_random_reps(problem, label):
+    rep, _n_max = problem
+    rep.label = label
+    text = json.dumps(rep.to_json())
+    back = WeilDeligneRep.from_json(json.loads(text))
+    assert (back.q, back.phi, back.N, back.inertia_order,
+            back.inertia_matrix, back.frobenius_kind, back.label) == (
+        rep.q, rep.phi, rep.N, rep.inertia_order, rep.inertia_matrix,
+        rep.frobenius_kind, rep.label)
+    assert json.dumps(back.to_json()) == text
+
+
+# -- graded pieces over the integers -----------------------------------------
+
+@st.composite
+def stable_flags(draw):
+    """(Phi, flag, bad): flag[k] a basis of the span of the first ends[k]
+    columns c_j of a unimodular integer P, each vector a rational multiple
+    of c_j plus a combination of the c_i before it; Phi = P B P^-1 with B
+    zero where row i lies in a later block than column j (rows past
+    ends[-1] lie in no block), its other entries rational with denominators
+    p^0 .. p^6 and either sign.  bad moves one c_j off its block, or is
+    None when every block reaches the whole space."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(1, 5))
+    ends = []
+    for size in draw(st.lists(st.integers(0, 2), min_size=1, max_size=4)):
+        ends.append(min(d, (ends[-1] if ends else 0) + size))
+    block = [next((k for k, e in enumerate(ends) if i < e), len(ends))
+             for i in range(d)]
+    entry = st.builds(lambda a, e: F(a, p ** e), st.integers(-40, 40),
+                      st.integers(0, 6))
+    B = [[draw(entry) if block[i] <= block[j] else F(0) for j in range(d)]
+         for i in range(d)]
+    P = [[F(1) if i == j else F(draw(st.integers(-3, 3))) if j < i
+          else F(0) for j in range(d)] for i in range(d)]
+    P = linalg.mat_mul(P, linalg.transpose(_unimodular(draw, d)))
+    cols = linalg.transpose(P)
+    scale = st.fractions(-9, 9, max_denominator=p ** 3).filter(bool)
+
+    def vector(j):
+        coeffs = [draw(st.integers(-2, 2)) for _ in range(j)] + [1]
+        t = draw(scale)
+        return [t * sum(a * cols[i][x] for i, a in enumerate(coeffs))
+                for x in range(d)]
+
+    flag = [[vector(j) for j in range(e)] for e in ends]
+    conj = lambda M: linalg.mat_mul(P, linalg.mat_mul(M, linalg.mat_inv(P)))
+    bad = None
+    off = [(i, j) for j in range(ends[-1]) for i in range(d)
+           if block[i] > block[j]]
+    if off:
+        i, j = draw(st.sampled_from(off))
+        B2 = [list(row) for row in B]
+        B2[i][j] += draw(st.sampled_from([F(-1), F(1, p)]))
+        bad = conj(B2)
+    return conj(B), flag, bad
+
+
+def _quotient_reference(phi, lower, upper):
+    """Phi on span(upper) / span(lower) in the vectors of upper that
+    complete lower, by Fraction Gauss-Jordan."""
+    comp = fraction_completion(lower, upper)
+    if not comp:
+        return []
+    coords = fraction_solve(linalg.transpose(lower + comp),
+                            [linalg.mat_vec(phi, v) for v in comp])
+    return linalg.transpose([x[len(lower):] for x in coords])
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(stable_flags())
+def test_graded_pieces_match_fraction_solves(problem):
+    # Y_k / s_k is the matrix of Phi on Gr_k in the primitive multiples of
+    # the flag's vectors; a flag Phi does not keep gives None
+    phi, flag, bad = problem
+    pieces = _graded(phi, flag)
+    primitive = [[linalg._primitive(v) for v in basis] for basis in flag]
+    assert len(pieces) == len(flag)
+    for k, (Y, s) in enumerate(pieces):
+        assert type(s) is int and s > 0
+        assert all(type(x) is int for row in Y for x in row)
+        lower = primitive[k - 1] if k else []
+        expected = _quotient_reference(phi, lower, primitive[k])
+        assert [[F(y, s) for y in row] for row in Y] == expected
+    if bad is not None:
+        assert _graded(bad, flag) is None

@@ -5,7 +5,11 @@ J_d and on the random nilpotent ``tests/helpers.random_nilpotent`` drawn
 from ``random.Random(d)`` (strictly upper triangular with entries in
 [-2, 2], conjugated by a unipotent integer shear, so dense).  For k = 2,
 3, 4 it times ``trace_table`` (depth 6) on Sp(2)^(x k)
-(``tests/helpers.sp2_power``).  Run from the root of a checkout:
+(``tests/helpers.sp2_power``), and ``trace_table`` and
+``quasi_purity_check`` (weight k) on Sp(2)^(x k) conjugated by the
+unimodular L U drawn from ``random.Random(k)`` (unitriangular factors,
+entries in [-2, 2]), whose Phi has large entries, as family members do.
+Run from the root of a checkout:
 
     PYTHONPATH=src:tests python3 tools/wd_ranks.py [D ...] [--repeat R]
 
@@ -13,7 +17,8 @@ with d = 6, 12, 18, 24 by default.  It prints one JSON object per d and
 per k: the best of R wall times in seconds, and whether the output is
 right (J_d: one graded piece of rank 1
 at each index of d - 1, d - 3, ..., 1 - d; random: the filtration reaches
-all of V; trace tables: sum_k Tr(Phi^n | Gr_k) = Tr(Phi^n) for every n).
+all of V; trace tables: sum_k Tr(Phi^n | Gr_k) = Tr(Phi^n) for every n,
+and the conjugate's table equal to the plain one; quasi-purity: pure).
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from fractions import Fraction
 
 from helpers import random_nilpotent, sp2_power
 from phinabla import linalg
-from phinabla.weil_deligne import monodromy_filtration, trace_table
+from phinabla.weil_deligne import (WeilDeligneRep, monodromy_filtration,
+                                   quasi_purity_check, trace_table)
 
 DEPTH = 6
 POWERS = (2, 3, 4)
@@ -50,6 +56,21 @@ def jordan_ok(fil, d):
     return fil.s == d - 1 and all(
         fil.graded_rank(k) == int(abs(k) < d and (k - d + 1) % 2 == 0)
         for k in range(-d, d + 1))
+
+
+def conjugated(rep, rng):
+    """rep in the basis of the columns of L U, L and U unitriangular with
+    entries in [-2, 2]: determinant 1, dense Phi with large entries."""
+    d = rep.dim
+    L = [[Fraction(int(i == j) if j >= i else rng.randint(-2, 2))
+          for j in range(d)] for i in range(d)]
+    U = linalg.transpose([[Fraction(int(i == j) if j >= i
+                                    else rng.randint(-2, 2))
+                           for j in range(d)] for i in range(d)])
+    P = linalg.mat_mul(L, U)
+    Pi = linalg.mat_inv(P)
+    conj = lambda M: linalg.mat_mul(Pi, linalg.mat_mul(M, P))
+    return WeilDeligneRep(rep.q, conj(rep.phi), conj(rep.N))
 
 
 def traces_ok(rep, table):
@@ -80,11 +101,20 @@ def main():
                           "random_ok": fil_r.rank(fil_r.s) == d}))
     for k in POWERS:
         rep = sp2_power(k)
+        other = conjugated(rep, random.Random(k))
         table_s, table = best_time(lambda: trace_table(rep, DEPTH),
                                    args.repeat)
+        conj_s, conj_table = best_time(lambda: trace_table(other, DEPTH),
+                                       args.repeat)
+        purity_s, purity = best_time(lambda: quasi_purity_check(other, k),
+                                     args.repeat)
         print(json.dumps({"sp2_power": k, "dim": rep.dim,
                           "trace_table_s": round(table_s, 4),
-                          "traces_ok": traces_ok(rep, table)}))
+                          "conj_trace_table_s": round(conj_s, 4),
+                          "conj_quasi_purity_s": round(purity_s, 4),
+                          "traces_ok": traces_ok(rep, table)
+                          and conj_table == table,
+                          "quasi_pure": purity.pure}))
 
 
 if __name__ == "__main__":

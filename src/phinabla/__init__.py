@@ -4,7 +4,7 @@ with Weil-Deligne extraction and reduction-type diagnostics."""
 __version__ = "0.1.0"
 
 from .errors import PhinablaError
-from .padic import PadicNumber, RingMode, RingParams
+from .padic import PadicNumber, RingParams
 from .series import LaurentElement
 from .modules import (CompatibilityReport, GaugeChange, PhiNablaModule,
                       check_compatibility, direct_sum, dual,
@@ -29,8 +29,8 @@ __all__ = [
     "AbelianVarietyDatum", "CompatibilityReport", "FrobeniusKind",
     "GaugeChange", "LaurentElement", "LogSolutionBasis",
     "MonodromyFiltration", "OpenCurveDatum", "PadicNumber", "PhinablaError",
-    "PhiNablaModule", "RankProfile", "ReductionType", "RingMode",
-    "RingParams", "WeilDeligneRep", "check_compatibility",
+    "PhiNablaModule", "RankProfile", "ReductionType", "RingParams",
+    "WeilDeligneRep", "check_compatibility",
     "check_weight_monodromy", "compatibility_family", "direct_sum", "dual",
     "ell_independence_check", "excision_weight_filtration",
     "horizontal_sections", "key2_normal_form", "kummer_pullback",

@@ -15,12 +15,12 @@ from fractions import Fraction
 
 from . import __version__, linalg
 from .errors import PhinablaError
-from .padic import RingMode, RingParams
+from .padic import RingParams
 from .modules import (check_compatibility, module_from_json,
                       residue_exponents, unipotent_filtration)
 from .weil_deligne import (FrobeniusKind, WeilDeligneRep,
                            compatibility_family, quasi_purity_check,
-                           _weights_of)
+                           _graded, _weights_of)
 from .extraction import wd_extract
 from .diagnostics import (_reduction, abelian_datum_from_json,
                           excision_weight_filtration, open_curve_from_json,
@@ -103,11 +103,9 @@ def _load_json(args):
 
 def _params_from(obj, args):
     pr = obj["params"]
-    mode = (RingMode.POWER_SERIES if pr.get("ring_mode") == "power_series"
-            else RingMode.LAURENT)
     modulus = pr.get("modulus")
     return RingParams(pr["p"], args.precision,
-                      (args.t_window, args.t_window), mode, pr.get("a", 1),
+                      (args.t_window, args.t_window), pr.get("a", 1),
                       tuple(modulus) if modulus else None)
 
 
@@ -116,7 +114,7 @@ def _banner(args, params=None):
     if params is not None:
         lines.append(f"ring: p={params.p} precision={params.N} "
                      f"window=[{params.window_lo},{params.window_hi}] "
-                     f"mode={params.ring_mode.name.lower()}")
+                     "mode=laurent")
     eps = ("Phi N Phi^-1 = N / q" if args.convention == "geometric"
            else "Phi N Phi^-1 = q N")
     lines.append(f"convention: {args.convention} ({eps})")
@@ -164,8 +162,8 @@ def cmd_analyze(args) -> int:
                             "NOT_UNIPOTENT"))
     if m.has_frobenius and m.has_connection:
         rep, trace = wd_extract(m, args.mmax, _kind(args))
-        weights = sorted(set(_weights_of(rep.phi, rep.q,
-                                         rep.frobenius_kind)))
+        Y, s = _graded(rep.phi, [linalg.identity(rep.dim)])[0]
+        weights = sorted(set(_weights_of(Y, rep.q, rep.frobenius_kind, s)))
         n_rank = linalg.rank(rep.N)
         report["wd"] = {"dim": rep.dim, "N_rank": n_rank,
                         "inertia_order": rep.inertia_order,

@@ -11,13 +11,13 @@ from fractions import Fraction
 
 from .diagnostics import AbelianVarietyDatum, OpenCurveDatum
 from .modules import PhiNablaModule
-from .padic import RingMode, RingParams
+from .padic import RingParams
 from .series import LaurentElement
 from .weil_deligne import WeilDeligneRep, special_rep
 
 
-def ring(p=5, precision=20, window=32, mode=RingMode.LAURENT) -> RingParams:
-    return RingParams(p, precision, (window, window), mode)
+def ring(p=5, precision=20, window=32) -> RingParams:
+    return RingParams(p, precision, (window, window))
 
 
 def kummer_tate(params=None) -> PhiNablaModule:

@@ -21,7 +21,6 @@ from .modules import (GaugeChange, LogSolution, PhiNablaModule,
                       _frobenius_image, _solution_coordinates, _solve_nabla,
                       kummer_pullback, lmat_identity, residue_exponents,
                       unipotent_filtration)
-from .padic import RingMode
 from .series import LaurentElement
 from .weil_deligne import FrobeniusKind, WeilDeligneRep
 
@@ -194,10 +193,9 @@ def wd_extract(m: PhiNablaModule, m_max: int = 24,
 
 def wd_of_cohomology(m: PhiNablaModule, i: int, m_max: int = 24,
                      frobenius_kind=FrobeniusKind.GEOMETRIC):
-    """Extraction for a module carrying H^i of a variety; forces the
-    Laurent-window model before extracting and tags the result."""
-    laurent = m.params.with_mode(RingMode.LAURENT)
-    rep, trace = wd_extract(m.with_params(laurent), m_max, frobenius_kind)
+    """Extraction for a module carrying H^i of a variety; tags the
+    result with H^i."""
+    rep, trace = wd_extract(m, m_max, frobenius_kind)
     rep.label = f"H^{i}_p({m.label})" if m.label else f"H^{i}_p"
     return rep, trace
 

@@ -25,7 +25,7 @@ from .errors import (DiagnosticConflict, IrregularSingularity,
 from . import linalg
 from .linalg import (_PADIC, _eliminate, _rational_roots, field_kernel,
                      field_solve)
-from .padic import PadicNumber, RingMode, RingParams
+from .padic import PadicNumber, RingParams
 from .series import LaurentElement
 
 # ---------------------------------------------------------------------------
@@ -184,12 +184,6 @@ class PhiNablaModule:
         A, G = conv(frobenius), conv(connection)
         rank = len(A) if A is not None else len(G)
         return cls(params, rank, A, G, label)
-
-    def with_params(self, params: RingParams) -> "PhiNablaModule":
-        conv = lambda M: None if M is None else lmat_map(
-            M, lambda x: x.rebase(params))
-        return PhiNablaModule(params, self.rank, conv(self.A), conv(self.G),
-                              self.label)
 
     def _require(self, frobenius=False, connection=False):
         if frobenius and not self.has_frobenius:
@@ -783,12 +777,9 @@ def kummer_pullback(m: PhiNablaModule, e: int) -> PhiNablaModule:
 # -- serialization ----------------------------------------------------------
 
 def module_to_json(m: PhiNablaModule) -> dict:
-    mode = ("power_series" if m.params.ring_mode is RingMode.POWER_SERIES
-            else "laurent")
     obj = {
         "params": {"p": m.params.p, "precision": m.params.N,
-                   "t_window": list(m.params.t_window), "ring_mode": mode,
-                   "a": m.params.a},
+                   "t_window": list(m.params.t_window), "a": m.params.a},
         "rank": m.rank,
         "label": m.label,
     }
@@ -803,17 +794,20 @@ def module_to_json(m: PhiNablaModule) -> dict:
 
 def module_from_json(obj: dict, params: RingParams | None = None
                      ) -> PhiNablaModule:
-    if params is None:
-        pr = obj["params"]
-        mode = (RingMode.POWER_SERIES if pr.get("ring_mode") == "power_series"
-                else RingMode.LAURENT)
-        params = RingParams(pr["p"], pr.get("precision", 20),
-                            tuple(pr.get("t_window", (32, 32))), mode,
-                            pr.get("a", 1),
-                            tuple(pr["modulus"]) if pr.get("modulus") else None)
+    """The module of ``obj``, over ``params`` when given, else over the
+    ring of ``obj["params"]``; a ``ring_mode`` there must be "laurent"."""
     rank = obj["rank"]
     if type(rank) is not int:
         raise TypeError(f'"rank" = {rank!r} is not an integer')
+    pr = obj["params"] if params is None else obj.get("params")
+    if isinstance(pr, dict) and pr.get("ring_mode", "laurent") != "laurent":
+        raise ValueError(f'params.ring_mode = {pr["ring_mode"]!r}: only '
+                         '"laurent" (the Laurent window model) is supported')
+    if params is None:
+        params = RingParams(pr["p"], pr.get("precision", 20),
+                            tuple(pr.get("t_window", (32, 32))),
+                            pr.get("a", 1),
+                            tuple(pr["modulus"]) if pr.get("modulus") else None)
     conv = lambda M: [[LaurentElement.from_json(params, x) for x in row]
                       for row in M]
     A = conv(obj["frobenius"]) if "frobenius" in obj else None

@@ -9,17 +9,11 @@ fixed generator modulo a user-supplied irreducible polynomial.
 
 from __future__ import annotations
 
-import enum
 from collections import namedtuple
 from fractions import Fraction
 from math import isqrt
 
 from .errors import MismatchedParams, NonInvertible
-
-
-class RingMode(enum.Enum):
-    POWER_SERIES = "power_series"  # S_K / R_K^+ truncations: exponents >= 0
-    LAURENT = "laurent"            # E_K^dagger / R_K / E_K truncations
 
 
 # Deterministic Miller-Rabin: these bases decide every n below
@@ -55,7 +49,7 @@ def _is_prime(n: int) -> bool:
 
 
 class RingParams(namedtuple(
-        "RingParams", "p N t_window ring_mode a modulus")):
+        "RingParams", "p N t_window a modulus")):
     """Parameters of a truncated coefficient-and-series ring.
 
     p, a determine q = p^a; N is the working coefficient precision (mod p^N);
@@ -67,8 +61,7 @@ class RingParams(namedtuple(
     __slots__ = ()
 
     def __new__(cls, p: int, N: int, t_window: tuple[int, int] = (0, 32),
-                ring_mode: RingMode = RingMode.LAURENT, a: int = 1,
-                modulus: tuple[int, ...] | None = None):
+                a: int = 1, modulus: tuple[int, ...] | None = None):
         m_neg, m_pos = t_window
         for name, x in (("p", p), ("N", N), ("t_window[0]", m_neg),
                         ("t_window[1]", m_pos), ("a", a)):
@@ -80,8 +73,6 @@ class RingParams(namedtuple(
             raise ValueError("coefficient precision N must be >= 1")
         if m_neg < 0 or m_pos < 1:
             raise ValueError("t_window must satisfy M_neg >= 0, M_pos >= 1")
-        if ring_mode is RingMode.POWER_SERIES and m_neg != 0:
-            raise ValueError("POWER_SERIES mode requires M_neg = 0")
         if a < 1:
             raise ValueError("residue degree a must be >= 1")
         if a > 1:
@@ -97,7 +88,7 @@ class RingParams(namedtuple(
                                  f"mod p = {p}")
         if a == 1 and modulus is not None:
             raise ValueError("modulus only makes sense for a > 1")
-        return super().__new__(cls, p, N, t_window, ring_mode, a, modulus)
+        return super().__new__(cls, p, N, t_window, a, modulus)
 
     @property
     def q(self) -> int:
@@ -110,15 +101,6 @@ class RingParams(namedtuple(
     @property
     def window_hi(self) -> int:
         return self.t_window[1]
-
-    def with_mode(self, mode: RingMode) -> "RingParams":
-        m_neg, m_pos = self.t_window
-        if mode is RingMode.LAURENT and m_neg == 0:
-            m_neg = m_pos
-        if mode is RingMode.POWER_SERIES:
-            m_neg = 0
-        return RingParams(self.p, self.N, (m_neg, m_pos), mode,
-                          self.a, self.modulus)
 
 
 # ---------------------------------------------------------------------------

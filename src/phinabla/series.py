@@ -1,8 +1,10 @@
-"""Truncated Laurent series over p-adic coefficients.
+"""Truncated Laurent series over p-adic coefficients, modelling E_K^dagger
+and R_K.
 
 A LaurentElement is a finite exponent -> coefficient map confined to the
 window [-M_neg, M_pos] of its RingParams.  Terms pushed outside the window by
 an operation are never silently dropped: the corresponding tail flag is set.
+A window with M_neg = 0 is the truncation of K[[t]].
 """
 
 from __future__ import annotations
@@ -10,11 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import MismatchedParams, NonInvertible
-from .padic import PadicNumber, RingMode, RingParams
+from .padic import PadicNumber, RingParams
 
 
 class LaurentElement:
-    """Element of a truncated model of S_K / R_K^+ / E_K^dagger / R_K."""
+    """Element of a Laurent-window truncation of E_K^dagger or R_K."""
 
     __slots__ = ("params", "coeffs", "tail_pos", "tail_neg")
 
@@ -32,8 +34,6 @@ class LaurentElement:
                 tail_neg = True
                 continue
             clean[e] = c
-        if params.ring_mode is RingMode.POWER_SERIES:
-            tail_neg = False
         self.params = params
         self.coeffs = clean
         self.tail_pos = tail_pos
@@ -244,7 +244,7 @@ class LaurentElement:
         raise TypeError("LaurentElement is not hashable")
 
     def rebase(self, params: RingParams) -> "LaurentElement":
-        """Reinterpret over new params (mode or window change)."""
+        """Reinterpret over new params (a window or precision change)."""
         coeffs = {e: PadicNumber(params, c.v, c.unit, c.abs_prec,
                                  is_zero=c.is_zero_at_precision)
                   for e, c in self.coeffs.items()}

@@ -513,10 +513,12 @@ def _weights_of(M, q, kind, s=1):
 
 
 def purity_check(rep: WeilDeligneRep, i) -> PurityReport:
-    """All Phi-eigenvalues of weight i (convention-adjusted)."""
+    """All Phi-eigenvalues of weight i (convention-adjusted), read from
+    the integer Berkowitz of Phi = Y / s (``_graded``)."""
     i = Fraction(i)
+    Y, s = _graded(rep.phi, [linalg.identity(rep.dim)])[0]
     try:
-        weights = _weights_of(rep.phi, rep.q, rep.frobenius_kind)
+        weights = _weights_of(Y, rep.q, rep.frobenius_kind, s)
     except NotWeil as exc:
         return PurityReport(False, None, failure=str(exc))
     if weights == [i]:

@@ -216,6 +216,31 @@ def test_non_integer_json_value_is_input_error(capsys, tmp_path, stem, path,
     assert json.loads(err) == {"error": "input", "detail": detail}
 
 
+@pytest.mark.parametrize("mode", ["power_series", "bogus"])
+def test_ring_mode_other_than_laurent_is_input_error(capsys, tmp_path, mode):
+    obj = json.loads((CORPUS / "constant_trivial.json").read_text())
+    obj["params"]["ring_mode"] = mode
+    bad = tmp_path / "constant_trivial.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 2 and out == ""
+    err = json.loads(err)
+    assert err["error"] == "input" and "params.ring_mode" in err["detail"]
+
+
+@pytest.mark.parametrize("flags, mode", [([], "text"), (["--json"], "json")])
+def test_absent_ring_mode_reads_as_laurent(capsys, tmp_path, flags, mode):
+    obj = json.loads((CORPUS / "constant_trivial.json").read_text())
+    del obj["params"]["ring_mode"]
+    path = tmp_path / "constant_trivial.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, *flags, "analyze", str(path))
+    golden = (CORPUS.parent / "bench" / "golden"
+              / f"analyze.constant_trivial.{mode}.stdout")
+    assert code == 0 and err == ""
+    assert out.encode() == golden.read_bytes()
+
+
 def test_inertia_order_without_matrix_is_compared(capsys, tmp_path):
     fam = json.loads((CORPUS / "family_tate.json").read_text())
     fam["members"][1]["inertia"] = {"order": 37, "matrix": None}
@@ -251,8 +276,8 @@ def test_compat_reads_each_piece_to_its_dimension(capsys, tmp_path):
 
 def test_unramified_input_is_read(capsys, tmp_path):
     from phinabla.modules import PhiNablaModule, module_to_json
-    from phinabla.padic import RingMode, RingParams
-    params = RingParams(5, 20, (32, 32), RingMode.LAURENT, 2, (2, 0, 1))
+    from phinabla.padic import RingParams
+    params = RingParams(5, 20, (32, 32), 2, (2, 0, 1))
     m = PhiNablaModule.from_rational_matrices(
         params, connection=[[0, {-1: 1}], [0, 0]], label="kt_a2")
     path = tmp_path / "kt_a2.json"

@@ -13,7 +13,7 @@ from phinabla.extraction import (key2_normal_form, log_solution_basis,
 from phinabla.modules import (GaugeChange, PhiNablaModule,
                               check_compatibility, direct_sum, tate_twist,
                               tensor)
-from phinabla.padic import RingMode, RingParams
+from phinabla.padic import RingParams
 from phinabla.series import LaurentElement
 from phinabla.weil_deligne import (compatibility_family, purity_check,
                                    quasi_purity_check, trace_table)
@@ -215,6 +215,18 @@ def test_wd_of_cohomology_twisted():
     m = tate_twist(corpus.kummer_tate(P), -1)
     rep, _ = wd_of_cohomology(m, 1)
     assert quasi_purity_check(rep, 3).pure  # weights shifted by +2
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_wd_of_cohomology_reads_bottom_zero_window(n):
+    # a window with bottom 0 truncates K[[t]]: it reads the same Phi and N
+    # as the symmetric window
+    reps = []
+    for window in ((0, 16), (16, 16)):
+        m = tate_twist(corpus.constant_trivial(RingParams(5, 20, window)), n)
+        reps.append(wd_of_cohomology(m, 0)[0])
+    assert reps[0].phi == reps[1].phi == [[F(1, 5 ** n)]]
+    assert reps[0].N == reps[1].N == [[0]]
 
 
 # -- normal form ------------------------------------------------------------

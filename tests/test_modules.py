@@ -19,13 +19,13 @@ from phinabla.modules import (GaugeChange, PhiNablaModule,
                               residue_exponents, tate_twist, tensor,
                               unipotent_filtration)
 from phinabla.oracles import ode_recurrence_solutions
-from phinabla.padic import PadicNumber, RingMode, RingParams
+from phinabla.padic import PadicNumber, RingParams
 from phinabla.series import LaurentElement
 
 from helpers import dense_unit_matrix
 
 
-P = RingParams(5, 20, (32, 32), RingMode.LAURENT)
+P = RingParams(5, 20, (32, 32))
 
 
 def kt():
@@ -269,7 +269,7 @@ def test_residue_exponents_repeated():
 
 def _scalar(c, window=32):
     return PhiNablaModule.from_rational_matrices(
-        RingParams(5, 20, (window, window), RingMode.LAURENT),
+        RingParams(5, 20, (window, window)),
         connection=[[{-1: c}]])
 
 
@@ -305,7 +305,7 @@ def _sheared(m, shape):
 
 
 def _gauged_inputs(window):
-    params = RingParams(5, 20, (window, window), RingMode.LAURENT)
+    params = RingParams(5, 20, (window, window))
     kt_w = PhiNablaModule.from_rational_matrices(
         params, frobenius=[[1, 0], [0, 5]],
         connection=[[0, {-1: 1}], [0, 0]])
@@ -343,7 +343,7 @@ def test_section_past_the_window_top_names_the_window():
     for window, expected in ((32, None),
                              (40, [((), ((0, 1),)),
                                    (((30, Fraction(-1, 3)),), ((35, 1),))])):
-        params = RingParams(5, 20, (window, window), RingMode.LAURENT)
+        params = RingParams(5, 20, (window, window))
         m = PhiNablaModule.from_rational_matrices(
             params, connection=[[{-1: -30}, 0], [0, 0]])
         g = _sheared(m, [(1, 0, 5, 3)])
@@ -389,7 +389,7 @@ def regular_connections(draw):
 
 
 def _as_module(rank, tg, window):
-    params = RingParams(5, 60, (window, window), RingMode.LAURENT)
+    params = RingParams(5, 60, (window, window))
     G = [[{k - 1: tg[k][i][j] for k in tg if tg[k][i][j]}
           for j in range(rank)] for i in range(rank)]
     return PhiNablaModule.from_rational_matrices(params, connection=G)
@@ -443,7 +443,7 @@ def json_modules(draw):
     coefficients of either sign, 5 in their denominators included."""
     a, modulus = draw(st.sampled_from([(1, None), (2, (2, 0, 1))]))
     window = (draw(st.integers(1, 8)), draw(st.integers(1, 8)))
-    params = RingParams(5, 20, window, RingMode.LAURENT, a, modulus)
+    params = RingParams(5, 20, window, a, modulus)
     coeff = st.fractions(-60, 60, max_denominator=30)
 
     def entry():
@@ -482,7 +482,7 @@ def test_json_roundtrip_random_modules(m):
 def test_json_roundtrip_unramified(a, modulus):
     # x^2 + 2 is irreducible mod 5; the generator makes units that are not
     # rational, so the JSON carries their coordinates
-    params = RingParams(5, 20, (8, 8), RingMode.LAURENT, a, modulus)
+    params = RingParams(5, 20, (8, 8), a, modulus)
     g = PadicNumber.from_poly(params, [Fraction(1, 3), 2])
     zero, one = LaurentElement.zero(params), LaurentElement.one(params)
     m = PhiNablaModule(params, 2,

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phinabla.errors import NonInvertible
-from phinabla.padic import (PadicNumber, RingMode, RingParams,
+from phinabla.padic import (PadicNumber, RingParams,
                             _irreducible_mod_p, _is_prime)
 
 
-P5 = RingParams(5, 20, (32, 32), RingMode.LAURENT)
+P5 = RingParams(5, 20, (32, 32))
 
 
 def test_from_rational_roundtrip():
@@ -81,8 +81,7 @@ def test_sigma_identity_on_prime_field():
 @pytest.fixture
 def f4_params():
     # W(F_4) at p = 2, modulus x^2 + x + 1
-    return RingParams(2, 16, (16, 16), RingMode.LAURENT, a=2,
-                      modulus=(1, 1, 1))
+    return RingParams(2, 16, (16, 16), a=2, modulus=(1, 1, 1))
 
 
 def test_witt_frobenius_is_involution_on_f4(f4_params):
@@ -100,8 +99,7 @@ def test_witt_frobenius_is_ring_hom(f4_params):
 
 
 def test_witt_frobenius_order_three():
-    prm = RingParams(3, 12, (8, 8), RingMode.LAURENT, a=3,
-                     modulus=(1, 2, 0, 1))
+    prm = RingParams(3, 12, (8, 8), a=3, modulus=(1, 2, 0, 1))
     x = PadicNumber.from_poly(prm, (0, 1))
     f1 = x.sigma()
     f2 = f1.sigma()
@@ -132,7 +130,7 @@ def test_is_prime_matches_trial_division():
 
 def test_ring_params_are_immutable_values():
     a = RingParams(5, 20, (32, 32))
-    b = RingParams(5, 20, (32, 32), RingMode.LAURENT, 1, None)
+    b = RingParams(5, 20, (32, 32), 1, None)
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a != RingParams(5, 21, (32, 32))
     with pytest.raises(AttributeError):

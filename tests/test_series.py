@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phinabla.errors import NonInvertible
-from phinabla.padic import PadicNumber, RingMode, RingParams
+from phinabla.padic import PadicNumber, RingParams
 from phinabla.series import LaurentElement
 
 
-P = RingParams(5, 20, (16, 16), RingMode.LAURENT)
-PS = RingParams(5, 20, (0, 16), RingMode.POWER_SERIES)
+P = RingParams(5, 20, (16, 16))
 
 
 def L(*terms):
@@ -35,12 +34,6 @@ def test_window_clipping_sets_tails():
     inv15 = LaurentElement.monomial(P, -15)
     low = inv15 * inv15
     assert low.tail_neg
-
-
-def test_power_series_mode_has_no_negative_exponents():
-    x = LaurentElement.from_terms(PS, [(-3, 1), (2, 1)])
-    assert x.min_exponent() == 2
-    assert not x.tail_neg  # negative part is not representable, not a tail
 
 
 def test_inverse_of_monomial_times_unit_is_exact():
@@ -118,7 +111,7 @@ def test_json_roundtrip():
 
 
 def test_rebase_across_windows():
-    wide = RingParams(5, 20, (32, 32), RingMode.LAURENT)
+    wide = RingParams(5, 20, (32, 32))
     x = L((4, 1), (-4, 2))
     y = x.rebase(wide)
     assert y.coefficient(4).to_fraction() == 1
@@ -146,14 +139,11 @@ def _triples(draw):
     """Three elements on a small window with exponents on one side of 0
     (truncating an ideal, so the window is a ring quotient and products
     run past it) or near 0 (products stay inside)."""
-    mode = draw(st.sampled_from(RingMode))
     m_pos = draw(st.integers(1, 8))
-    m_neg = 0 if mode is RingMode.POWER_SERIES else draw(st.integers(0, 8))
-    params = RingParams(draw(st.sampled_from((2, 3, 5))), 40, (m_neg, m_pos),
-                        mode)
+    m_neg = draw(st.integers(0, 8))
+    params = RingParams(draw(st.sampled_from((2, 3, 5))), 40, (m_neg, m_pos))
     lo, hi = draw(st.sampled_from(
-        [(0, m_pos), (-m_neg, 0), (-(m_neg // 3), m_pos // 3)]
-        if mode is RingMode.LAURENT else [(0, m_pos)]))
+        [(0, m_pos), (-m_neg, 0), (-(m_neg // 3), m_pos // 3)]))
     coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
     element = st.dictionaries(st.integers(lo, hi), coeff, max_size=4)
     return params, [{e: c for e, c in draw(element).items() if c}

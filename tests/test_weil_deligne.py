@@ -668,7 +668,7 @@ def test_seventh_roots_of_128_are_told_apart():
     assert fam.depth == 7
 
 
-def _unimodular(draw, d):
+def _unimodular_drawn(draw, d):
     """A random integer matrix of determinant 1, as a product of shears."""
     U = linalg.identity(d)
     for _ in range(draw(st.integers(0, d))):
@@ -708,8 +708,8 @@ def family_problems(draw):
     with_sp2 = draw(st.booleans())
     q = draw(st.sampled_from([2, 3, 4, 5]))
     size = 2 * d if with_sp2 else d
-    return (lower + [1], with_sp2, q, _unimodular(draw, size),
-            _unimodular(draw, size), draw(st.integers(0, d - 1)),
+    return (lower + [1], with_sp2, q, _unimodular_drawn(draw, size),
+            _unimodular_drawn(draw, size), draw(st.integers(0, d - 1)),
             draw(st.sampled_from([-2, -1, 1, 2])))
 
 
@@ -757,7 +757,7 @@ def traced_reps(draw):
             order += 1
         order *= draw(st.sampled_from([1, 2]))
         T = kron(P, linalg.identity(m))
-    U = _unimodular(draw, d * m)
+    U = _unimodular_drawn(draw, d * m)
     Ui = linalg.mat_inv(U)
     conj = lambda M: None if M is None else \
         linalg.mat_mul(Ui, linalg.mat_mul(M, U))
@@ -858,7 +858,7 @@ def stable_flags(draw):
          for i in range(d)]
     P = [[F(1) if i == j else F(draw(st.integers(-3, 3))) if j < i
           else F(0) for j in range(d)] for i in range(d)]
-    P = linalg.mat_mul(P, linalg.transpose(_unimodular(draw, d)))
+    P = linalg.mat_mul(P, linalg.transpose(_unimodular_drawn(draw, d)))
     cols = linalg.transpose(P)
     scale = st.fractions(-9, 9, max_denominator=p ** 3).filter(bool)
 

@@ -21,6 +21,11 @@ and ``field_solve`` are its views.  The systems it solves are mostly
 sparse: zero input entries count as absent, as in LaurentElement, and
 non-zero p-adic entries never carry less precision than a dense
 elimination with the same pivots gives.
+
+Polynomials are integer coefficient lists and every remainder sequence
+(gcds, square-free parts, Sturm chains, the rational roots of
+``_rational_roots``) runs through one sign-preserving pseudo-division,
+``_pseudo_divmod``, over Z[T].
 """
 
 from __future__ import annotations
@@ -199,8 +204,11 @@ def charpoly(A, one=Fraction(1), is_zero=not_):
     return chi + [one]
 
 
-# Polynomials over Fraction are coefficient lists, low-to-high, without
-# trailing zeros; [] is the zero polynomial.
+# Polynomials over Z are integer coefficient lists, low-to-high, without
+# trailing zeros; [] is the zero polynomial.  Only their roots and signs are
+# read, so every remainder and quotient is kept as its primitive positive
+# multiple (``_pseudo_divmod``): the primitive remainder sequences of Collins
+# (1967), with no Fraction arithmetic.
 
 def _trim(a):
     a = list(a)
@@ -213,18 +221,35 @@ def _derivative(a):
     return [i * a[i] for i in range(1, len(a))]
 
 
-def _poly_divmod(a, b):
-    """Quotient and remainder of a by a non-zero b."""
-    a = list(a)
-    db = len(b) - 1
-    quotient = [Fraction(0)] * max(len(a) - db, 0)
-    for i in range(len(a) - 1 - db, -1, -1):
-        coef = a[i + db] / b[-1]
-        quotient[i] = coef
-        if coef:
+def _pseudo_divmod(a, b):
+    """Sign-preserving pseudo-division of integer polynomials, b != 0:
+    (q, r), positive multiples of the quotient and remainder of a by b over
+    Q, each divided by its content.  Each step multiplies by |lc(b)| / g,
+    g the gcd of lc(b) and the coefficient it cancels.  r = [] exactly
+    when b divides a, and q is then a / b times a positive rational."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = []
+    while len(r) > db:
+        lead = r.pop()
+        g = gcd(lead, lb)
+        m, f = abs(lb) // g, (lead if lb > 0 else -lead) // g
+        if m > 1:
+            r = [m * x for x in r]
+            q = [m * x for x in q]
+        if f:
+            shift = len(r) - db
             for j in range(db):
-                a[i + j] -= coef * b[j]
-    return quotient, _trim(a[:db])
+                r[shift + j] -= f * b[j]
+        q.append(f)
+    return _primitive(q[::-1]), _primitive(_trim(r))
+
+
+def _poly_gcd(a, b):
+    """Primitive gcd, up to sign, of integer polynomials not both zero."""
+    while b:
+        a, b = b, _pseudo_divmod(a, b)[1]
+    return _primitive(a)
 
 
 def _evaluate(a, x):
@@ -235,16 +260,18 @@ def _evaluate(a, x):
 
 
 def _sturm_chain(a):
-    """Sturm chain of the square-free part of a polynomial, [] when it is
-    constant: the chain of a and a' divided through by gcd(a, a'), so that
-    no two neighbours vanish together, not even at a multiple root."""
+    """Sturm chain of the square-free part of an integer polynomial, []
+    when it is constant: the chain of a and a' divided through by
+    gcd(a, a'), so that no two neighbours vanish together, not even at a
+    multiple root.  Each member is a positive multiple of the one over Q,
+    so the sign variations are the same."""
     if len(a) < 2:
         return []
     chain = [a, _derivative(a)]
     while len(chain[-1]) > 1:
-        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        rem = _pseudo_divmod(chain[-2], chain[-1])[1]
         if not rem:
-            return [_poly_divmod(P, chain[-1])[0] for P in chain]
+            return [_pseudo_divmod(P, chain[-1])[0] for P in chain]
         chain.append([-x for x in rem])
     return chain
 
@@ -269,15 +296,17 @@ def _rational_roots(coeffs):
     low-to-high; returns (roots, remaining factor), the factor with integer
     coefficients and None when it is constant.
 
-    y = L x (L the lcm of the denominators of the monic polynomial) gives a
-    monic integer polynomial, whose rational roots are integers: its real
-    roots are isolated inside the Cauchy bound by Sturm bisection down to
-    width 1 and the integers among them tested.
+    The polynomial is scaled to integers a_i, and y = L x (L the lcm of
+    the denominators of a_i / a_n) gives the monic integer polynomial
+    a_i L^(n-i) / a_n, whose rational roots are integers: its real roots
+    are isolated inside the Cauchy bound by Sturm bisection down to width
+    1 and the integers among them tested.  Each root r = u/v found is
+    divided out as vT - u, and the quotient rescaled to the leading
+    coefficient of the dividend, which keeps the factor the integral
+    a / (T - r).
     """
     den = lcm(*(c.denominator for c in coeffs))
-    poly = [int(c * den) for c in coeffs]
-    while poly and poly[-1] == 0:
-        poly.pop()
+    poly = _trim([c.numerator * (den // c.denominator) for c in coeffs])
     roots = []
     while poly and poly[0] == 0:
         roots.append(Fraction(0))
@@ -285,14 +314,11 @@ def _rational_roots(coeffs):
 
     candidates = []
     if len(poly) > 1:
-        n = len(poly) - 1
-        monic = [Fraction(c, poly[-1]) for c in poly]
-        L = lcm(*(c.denominator for c in monic))
-        g = [c * L ** (n - i) for i, c in enumerate(monic)]
-        # scaled by positive integers: same signs, integer arithmetic
-        chain = [[int(x * lcm(*(y.denominator for y in P))) for x in P]
-                 for P in _sturm_chain(g)]
-        bound = 1 + int(max(abs(c) for c in g[:-1]))
+        n, lead = len(poly) - 1, poly[-1]
+        L = lcm(*(lead // gcd(c, lead) for c in poly))
+        g = [c * L ** (n - i) // lead for i, c in enumerate(poly)]
+        chain = _sturm_chain(g)
+        bound = 1 + max(abs(c) for c in g[:-1])
         todo = [(-bound, bound)]
         while todo:
             lo, hi = todo.pop()
@@ -304,10 +330,13 @@ def _rational_roots(coeffs):
                 candidates.append(Fraction(hi, L))
 
     for r in candidates:
-        while len(poly) > 1 and _evaluate(poly, r) == 0:
+        while len(poly) > 1:
+            quotient, rem = _pseudo_divmod(poly, [-r.numerator,
+                                                  r.denominator])
+            if rem:
+                break
             roots.append(r)
-            # the quotient by T - r stays integral
-            poly = [int(c) for c in _poly_divmod(poly, [-r, Fraction(1)])[0]]
+            poly = [c * (poly[-1] // quotient[-1]) for c in quotient]
     remaining = [Fraction(c) for c in poly] if len(poly) > 1 else None
     return roots, remaining
 

@@ -13,7 +13,8 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .linalg import _derivative, _fractions, _poly_divmod, _trim
+from .linalg import (_derivative, _fractions, _poly_gcd, _pseudo_divmod,
+                     _trim)
 from .errors import IrrationalTrace, NonInvertible, NotNilpotent, NotWeil
 from .padic import _is_prime
 
@@ -269,16 +270,24 @@ def _integral(M):
     return [flat[i * n:(i + 1) * n] for i in range(len(M))]
 
 
+def _scaled(mat):
+    """(Y, s) with mat = Y / s: s the lcm of the denominators of the
+    rational matrix mat (1 when it has none), Y = s mat an integer
+    matrix."""
+    s = math.lcm(*(x.denominator for row in mat for x in row))
+    return [[x.numerator * (s // x.denominator) for x in row]
+            for row in mat], s
+
+
 def _graded(mat, flag):
     """[(Y_k, s_k)]: ``mat`` is Y_k / s_k, Y_k an integer matrix and s_k a
     positive integer, on V_k / V_(k-1), V_k the span of flag[k] (V_-1 = 0),
     in the primitive integer multiples of the vectors of flag[k] outside
     the span of those before them in flag[0] + flag[1] + ... (one
-    ``_pivot_columns``).  mat is read as Z = s mat, s the lcm of its
-    denominators; one fraction-free elimination of [basis | images] gives
-    every coordinate.  None unless mat keeps every V_k."""
-    s = math.lcm(*(x.denominator for row in mat for x in row))
-    Z = [[x.numerator * (s // x.denominator) for x in row] for row in mat]
+    ``_pivot_columns``).  mat is read as Z / s (``_scaled``); one
+    fraction-free elimination of [basis | images] gives every coordinate.
+    None unless mat keeps every V_k."""
+    Z, s = _scaled(mat)
     vectors = [linalg._primitive(v) for vs in flag for v in vs]
     owner = [k for k, vs in enumerate(flag) for _ in vs]
     keep = linalg._pivot_columns(vectors)
@@ -363,29 +372,16 @@ def weight_of_eigenvalue(alpha, q: int,
     return w if frobenius_kind is FrobeniusKind.GEOMETRIC else -w
 
 
-def _monic(a):
-    lead = a[-1]
-    return [x / lead for x in a]
-
-
-def _poly_gcd(a, b):
-    """Monic gcd of two polynomials, not both zero."""
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-        if b:
-            b = _monic(b)
-    return _monic(a)
-
-
 def _root_weights(coeffs, p: int, f: int) -> list:
     """Distinct weights k/f, |alpha|^2 = p^k, of the roots of a non-constant
     rational polynomial (low-to-high); NotWeil unless every root has one.
 
-    Only distinct roots matter, so the square-free part is read, circle by
+    The polynomial is read as its primitive integer multiple.  Only
+    distinct roots matter, so the square-free part is read, circle by
     circle (``_circles``), whatever its degree; a root 0 has no weight.
     """
-    poly = _monic(coeffs)
-    square_free = _poly_divmod(poly, _poly_gcd(poly, _derivative(poly)))[0]
+    poly = linalg._primitive(coeffs)
+    square_free = _pseudo_divmod(poly, _poly_gcd(poly, _derivative(poly)))[0]
     if not square_free[0]:
         raise NotWeil("zero eigenvalue")
     return [Fraction(k, f) for k in _circles(square_free, p)]
@@ -394,16 +390,15 @@ def _root_weights(coeffs, p: int, f: int) -> list:
 def _circles(poly, p: int) -> list:
     """The k for which a root of ``poly`` lies on |T|^2 = p^k.
 
-    ``poly`` is monic and square-free, without root 0.  The circles
-    allowed by the root bounds are counted exactly by ``_on_circle``,
-    nearest k0 = 2 log|a_0| / (n log p) first (for roots of one weight k0
-    is that weight, so one count places them all), until every root is
-    placed; a root still unaccounted for lies on no such circle: NotWeil.
-    Floating point only orders the circles.
+    ``poly`` is a square-free integer polynomial without root 0.  The
+    circles allowed by the root bounds are counted exactly by
+    ``_on_circle``, nearest k0 = 2 log|a_0 / a_n| / (n log p) first (for
+    roots of one weight k0 is that weight, so one count places them all),
+    until every root is placed; a root still unaccounted for lies on no
+    such circle: NotWeil.  Floating point only orders the circles.
     """
     n = len(poly) - 1
-    a0 = abs(poly[0])
-    k0 = 2 * (math.log(a0.numerator) - math.log(a0.denominator)) / (
+    k0 = 2 * (math.log(abs(poly[0])) - math.log(abs(poly[n]))) / (
         n * math.log(p))
     lo, hi = _circle_range(poly, p)
     found, placed = [], 0
@@ -421,61 +416,67 @@ def _circles(poly, p: int) -> list:
 
 
 def _on_circle(poly, c: Fraction) -> int:
-    """Number of roots of ``poly`` (monic, square-free) with
-    |alpha|^2 = c, for c > 0.
+    """Number of roots of ``poly`` (a square-free integer polynomial) with
+    |alpha|^2 = c, for c = u/v > 0.
 
-    A root on the circle has conj(alpha) = c/alpha, so it is a root of
-    g = gcd(poly, T^n poly(c/T)), whose roots are closed under
-    alpha -> c/alpha.  The fixed points +-sqrt(c) lie on the circle; those
-    that divide g are counted and divided out, each alone when sqrt(c) is
-    rational, else both at once as T^2 - c.  What is left is
-    g(T) = T^m G(T + c/T): a real root x of G with x^2 < 4c gives a
-    conjugate pair on the circle, one with x^2 > 4c two real roots off it,
-    a non-real x two non-real roots off it.  Hence the count
+    The roots are scaled by v: P(T) = v^n poly(T/v) has integer
+    coefficients, and its roots beta = v alpha lie on |beta|^2 = C = uv
+    exactly when alpha lies on the circle.  A root on that circle has
+    conj(beta) = C/beta, so it is a root of g = gcd(P, T^n P(C/T)), whose
+    roots are closed under beta -> C/beta.  The fixed points +-sqrt(C) lie
+    on the circle; those that divide g are counted and divided out, each
+    alone when sqrt(C) is an integer, else both at once as T^2 - C.  What
+    is left is g(T) = T^m G(T + C/T): a real root x of G with x^2 < 4C
+    gives a conjugate pair on the circle, one with x^2 > 4C two real roots
+    off it, a non-real x two non-real roots off it.  Hence the count
     2 (real roots of G) - (real roots of g), plus the fixed points.
     """
     n = len(poly) - 1
-    g = _poly_gcd(poly, [poly[n - i] * c ** (n - i) for i in range(n + 1)])
+    u, v = c.numerator, c.denominator
+    C = u * v
+    P = [a * v ** (n - i) for i, a in enumerate(poly)]
+    g = _poly_gcd(P, [P[n - i] * C ** (n - i) for i in range(n + 1)])
     count = 0
-    root = Fraction(math.isqrt(c.numerator), math.isqrt(c.denominator))
-    fixed = [[-root, 1], [root, 1]] if root * root == c else [[-c, 0, 1]]
+    root = math.isqrt(C)
+    fixed = [[-root, 1], [root, 1]] if root * root == C else [[-C, 0, 1]]
     for factor in fixed:
-        quotient, rem = _poly_divmod(g, factor)
+        quotient, rem = _pseudo_divmod(g, factor)
         if not rem:
             g, count = quotient, count + len(factor) - 1
     real_roots = lambda h: linalg._sturm_count(linalg._sturm_chain(h))
-    return count + 2 * real_roots(_fold(g, c)) - real_roots(g)
+    return count + 2 * real_roots(_fold(g, C)) - real_roots(g)
 
 
-def _fold(h, c: Fraction):
-    """G with h(T) = T^m G(T + c/T), for h of degree 2m whose roots are
-    closed under alpha -> c/alpha."""
+def _fold(h, C: int):
+    """G with h(T) = T^m G(T + C/T), for an integer polynomial h of degree
+    2m whose roots are closed under beta -> C/beta, C a positive integer
+    (uv in ``_on_circle``): G has integer coefficients."""
     h = list(h)
     m = (len(h) - 1) // 2
-    G = [Fraction(0)] * (m + 1)
+    G = [0] * (m + 1)
     for k in range(m, -1, -1):
         a = G[k] = h[m + k]
         if a:
-            # subtract a T^m (T + c/T)^k
+            # subtract a T^m (T + C/T)^k
             for i in range(k + 1):
-                h[m + 2 * i - k] -= a * math.comb(k, i) * c ** (k - i)
+                h[m + 2 * i - k] -= a * math.comb(k, i) * C ** (k - i)
     if any(h):
-        raise AssertionError("divisor is not closed under alpha -> c/alpha")
+        raise AssertionError("divisor is not closed under beta -> C/beta")
     return G
 
 
 def _circle_range(poly, p: int):
-    """k range holding every |alpha|^2 = p^k of a root of ``poly`` (monic,
-    no root 0), from Fujiwara's bound on the roots and on their inverses,
-    widened by one on each side."""
+    """k range holding every |alpha|^2 = p^k of a root of ``poly`` (an
+    integer polynomial without root 0), from Fujiwara's bound on the roots
+    and on their inverses, widened by one on each side."""
     def log_bound(a):
         n = len(a) - 1
-        return math.log(2) + max(
-            (math.log(abs(x.numerator)) - math.log(x.denominator)) / (n - i)
-            for i, x in enumerate(a[:-1]) if x)
+        lead = math.log(abs(a[n]))
+        return math.log(2) + max((math.log(abs(x)) - lead) / (n - i)
+                                 for i, x in enumerate(a[:-1]) if x)
 
     hi = log_bound(poly)
-    lo = -log_bound(_monic(poly[::-1]))
+    lo = -log_bound(poly[::-1])
     logp = math.log(p)
     return math.floor(2 * lo / logp) - 1, math.ceil(2 * hi / logp) + 1
 
@@ -503,25 +504,29 @@ class PurityReport:
 
 def _weights_of(M, q, kind, s=1):
     """Distinct weights of the eigenvalues of M / s (M rational, s a
-    positive integer), from the Berkowitz of M in its own entries."""
+    positive integer), [] for a 0 x 0 M.  The Berkowitz of M in its own
+    entries gives det(T - M) = sum c_i T^i; sum c_i s^i T^i has the roots
+    of M / s, and integer coefficients when M is an integer matrix."""
+    if not M:
+        return []
     p, f = _prime_power(q)
-    chi = [Fraction(c, s ** (len(M) - i))
-           for i, c in enumerate(linalg.charpoly(M, one=1))]
-    weights = _root_weights(chi, p, f)
+    weights = _root_weights([c * s ** i for i, c in
+                             enumerate(linalg.charpoly(M, one=1))], p, f)
     return weights if kind is FrobeniusKind.GEOMETRIC else \
         sorted(-w for w in weights)
 
 
 def purity_check(rep: WeilDeligneRep, i) -> PurityReport:
     """All Phi-eigenvalues of weight i (convention-adjusted), read from
-    the integer Berkowitz of Phi = Y / s (``_graded``)."""
+    the integer Berkowitz of Phi = Y / s (``_scaled``); a rep of dimension
+    0 is pure."""
     i = Fraction(i)
-    Y, s = _graded(rep.phi, [linalg.identity(rep.dim)])[0]
+    Y, s = _scaled(rep.phi)
     try:
         weights = _weights_of(Y, rep.q, rep.frobenius_kind, s)
     except NotWeil as exc:
         return PurityReport(False, None, failure=str(exc))
-    if weights == [i]:
+    if weights in ([], [i]):
         return PurityReport(True, i)
     return PurityReport(False, i, failure=f"weights found: {weights}")
 
@@ -571,12 +576,13 @@ def trace_table(rep: WeilDeligneRep, n_max: int) -> dict:
     """(k, n) -> Tr(Phi^n | Gr_k^M) for n <= max(n_max, dim Gr_k), where
     the traces fix the characteristic polynomial of Phi on Gr_k (Newton's
     identities), plus inertia traces when present.  Phi on Gr_k, and the
-    inertia generator, are read as Y / s over the integers (``_graded``)."""
+    inertia generator, are read as Y / s over the integers (``_graded``,
+    ``_scaled``)."""
     table = {}
     for k, Y, s in _graded_phi(rep):
         _add_traces(table, k, Y, s, max(n_max, len(Y)))
     if rep.inertia_order > 1 and rep.inertia_matrix is not None:
-        Y, s = _graded(rep.inertia_matrix, [linalg.identity(rep.dim)])[0]
+        Y, s = _scaled(rep.inertia_matrix)
         _add_traces(table, "inertia", Y, s, rep.inertia_order - 1)
     return table
 

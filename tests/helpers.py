@@ -1,9 +1,11 @@
 """Checks and builders shared by several test modules."""
 
+import math
 import random
 from fractions import Fraction
 
 from phinabla import linalg
+from phinabla.errors import NotWeil
 from phinabla.modules import GaugeChange, lmat_identity, lmat_mul
 from phinabla.series import LaurentElement
 from phinabla.weil_deligne import WeilDeligneRep
@@ -146,3 +148,201 @@ def random_shear_gauge(rng, params, rank, lowest=-2):
         E[i][j] = LaurentElement.from_terms(params, terms)
         U = lmat_mul(U, E)
     return GaugeChange(U)
+
+
+# -- Fraction polynomial reference -------------------------------------------
+# Circle counts, Sturm chains and rational roots computed over Fraction, with
+# monic remainders: the reference for the integer remainder sequences of
+# ``linalg`` and ``weil_deligne``.  Polynomials are coefficient lists,
+# low-to-high, without trailing zeros.
+
+def _fraction_trim(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fraction_derivative(a):
+    return [i * a[i] for i in range(1, len(a))]
+
+
+def _fraction_evaluate(a, x):
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def fraction_poly_divmod(a, b):
+    """Quotient and remainder of a by a non-zero b."""
+    a = list(a)
+    db = len(b) - 1
+    quotient = [Fraction(0)] * max(len(a) - db, 0)
+    for i in range(len(a) - 1 - db, -1, -1):
+        coef = a[i + db] / b[-1]
+        quotient[i] = coef
+        if coef:
+            for j in range(db):
+                a[i + j] -= coef * b[j]
+    return quotient, _fraction_trim(a[:db])
+
+
+def _fraction_monic(a):
+    lead = a[-1]
+    return [x / lead for x in a]
+
+
+def fraction_poly_gcd(a, b):
+    """Monic gcd of two polynomials, not both zero."""
+    while b:
+        a, b = b, fraction_poly_divmod(a, b)[1]
+        if b:
+            b = _fraction_monic(b)
+    return _fraction_monic(a)
+
+
+def fraction_sturm_chain(a):
+    """Sturm chain of the square-free part of a polynomial, [] when it is
+    constant."""
+    if len(a) < 2:
+        return []
+    chain = [a, _fraction_derivative(a)]
+    while len(chain[-1]) > 1:
+        rem = fraction_poly_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            return [fraction_poly_divmod(P, chain[-1])[0] for P in chain]
+        chain.append([-x for x in rem])
+    return chain
+
+
+def fraction_sturm_count(chain, lo=None, hi=None):
+    """Number of distinct real roots in (lo, hi], None for -+infinity."""
+    def variations(x, minus):
+        if x is None:
+            signs = [(P[-1] > 0) == (not minus or len(P) % 2 == 1)
+                     for P in chain]
+        else:
+            signs = [v > 0 for v in (_fraction_evaluate(P, x) for P in chain)
+                     if v]
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    return variations(lo, True) - variations(hi, False)
+
+
+def fraction_rational_roots(coeffs):
+    """(rational roots with multiplicity, remaining factor or None) of a
+    Fraction polynomial, by Sturm bisection of the monic integer
+    polynomial in y = L x."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    poly = [int(c * den) for c in coeffs]
+    while poly and poly[-1] == 0:
+        poly.pop()
+    roots = []
+    while poly and poly[0] == 0:
+        roots.append(Fraction(0))
+        poly = poly[1:]
+
+    candidates = []
+    if len(poly) > 1:
+        n = len(poly) - 1
+        monic = [Fraction(c, poly[-1]) for c in poly]
+        L = math.lcm(*(c.denominator for c in monic))
+        g = [c * L ** (n - i) for i, c in enumerate(monic)]
+        chain = [[int(x * math.lcm(*(y.denominator for y in P))) for x in P]
+                 for P in fraction_sturm_chain(g)]
+        bound = 1 + int(max(abs(c) for c in g[:-1]))
+        todo = [(-bound, bound)]
+        while todo:
+            lo, hi = todo.pop()
+            if not fraction_sturm_count(chain, lo, hi):
+                continue
+            if hi - lo > 1:
+                todo += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]
+            elif _fraction_evaluate(g, hi) == 0:
+                candidates.append(Fraction(hi, L))
+
+    for r in candidates:
+        while len(poly) > 1 and _fraction_evaluate(poly, r) == 0:
+            roots.append(r)
+            poly = [int(c) for c in
+                    fraction_poly_divmod(poly, [-r, Fraction(1)])[0]]
+    remaining = [Fraction(c) for c in poly] if len(poly) > 1 else None
+    return roots, remaining
+
+
+def fraction_root_weights(coeffs, p, f):
+    """Distinct weights k/f, |alpha|^2 = p^k, of the roots of a non-constant
+    rational polynomial; NotWeil unless every root has one."""
+    poly = _fraction_monic(coeffs)
+    square_free = fraction_poly_divmod(
+        poly, fraction_poly_gcd(poly, _fraction_derivative(poly)))[0]
+    if not square_free[0]:
+        raise NotWeil("zero eigenvalue")
+    return [Fraction(k, f) for k in _fraction_circles(square_free, p)]
+
+
+def _fraction_circles(poly, p):
+    n = len(poly) - 1
+    a0 = abs(poly[0])
+    k0 = 2 * (math.log(a0.numerator) - math.log(a0.denominator)) / (
+        n * math.log(p))
+    lo, hi = _fraction_circle_range(poly, p)
+    found, placed = [], 0
+    for k in sorted(range(lo, hi + 1), key=lambda k: (abs(k - k0), k)):
+        if placed == n:
+            break
+        count = fraction_on_circle(poly, Fraction(p) ** k)
+        if count:
+            found.append(k)
+            placed += count
+    if placed < n:
+        raise NotWeil("an eigenvalue has |alpha|^2 that is not an "
+                      f"integral power of p = {p}")
+    return sorted(found)
+
+
+def fraction_on_circle(poly, c):
+    """Number of roots of ``poly`` (monic, square-free) with
+    |alpha|^2 = c: the fixed points +-sqrt(c) of alpha -> c/alpha, plus
+    2 (real roots of G) - (real roots of g), g = T^m G(T + c/T) the gcd of
+    poly with T^n poly(c/T) less those fixed points."""
+    n = len(poly) - 1
+    g = fraction_poly_gcd(poly, [poly[n - i] * c ** (n - i)
+                                 for i in range(n + 1)])
+    count = 0
+    root = Fraction(math.isqrt(c.numerator), math.isqrt(c.denominator))
+    fixed = [[-root, 1], [root, 1]] if root * root == c else [[-c, 0, 1]]
+    for factor in fixed:
+        quotient, rem = fraction_poly_divmod(g, factor)
+        if not rem:
+            g, count = quotient, count + len(factor) - 1
+    real_roots = lambda h: fraction_sturm_count(fraction_sturm_chain(h))
+    return count + 2 * real_roots(_fraction_fold(g, c)) - real_roots(g)
+
+
+def _fraction_fold(h, c):
+    h = list(h)
+    m = (len(h) - 1) // 2
+    G = [Fraction(0)] * (m + 1)
+    for k in range(m, -1, -1):
+        a = G[k] = h[m + k]
+        if a:
+            for i in range(k + 1):
+                h[m + 2 * i - k] -= a * math.comb(k, i) * c ** (k - i)
+    if any(h):
+        raise AssertionError("divisor is not closed under alpha -> c/alpha")
+    return G
+
+
+def _fraction_circle_range(poly, p):
+    def log_bound(a):
+        n = len(a) - 1
+        return math.log(2) + max(
+            (math.log(abs(x.numerator)) - math.log(x.denominator)) / (n - i)
+            for i, x in enumerate(a[:-1]) if x)
+
+    hi = log_bound(poly)
+    lo = -log_bound(_fraction_monic(poly[::-1]))
+    logp = math.log(p)
+    return math.floor(2 * lo / logp) - 1, math.ceil(2 * hi / logp) + 1

@@ -241,6 +241,22 @@ def test_absent_ring_mode_reads_as_laurent(capsys, tmp_path, flags, mode):
     assert out.encode() == golden.read_bytes()
 
 
+def test_analyze_rank_zero_has_no_weights(capsys, tmp_path):
+    obj = json.loads((CORPUS / "constant_trivial.json").read_text())
+    obj.update(rank=0, frobenius=[], connection=[])
+    path = tmp_path / "rank_zero.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 0 and err == ""
+    assert "WD: dim=0 N-rank=0 inertia order=1 weights={}" in out
+    assert "quasi-purity at weight 1: PASS" in out
+    code, out, err = run(capsys, "--json", "analyze", str(path))
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["wd"]["dim"] == 0 and report["wd"]["phi_weights"] == []
+    assert report["quasi_pure"] is True
+
+
 def test_inertia_order_without_matrix_is_compared(capsys, tmp_path):
     fam = json.loads((CORPUS / "family_tate.json").read_text())
     fam["members"][1]["inertia"] = {"order": 37, "matrix": None}

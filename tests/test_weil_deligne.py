@@ -17,7 +17,8 @@ from phinabla.weil_deligne import (FrobeniusKind, MonodromyFiltration,
                                    quasi_purity_check, special_rep,
                                    trace_table, twist, weight_of_eigenvalue)
 
-from helpers import (fraction_completion, fraction_solve, kron,
+from helpers import (fraction_completion, fraction_rational_roots,
+                     fraction_root_weights, fraction_solve, kron,
                      random_nilpotent, same_space)
 
 
@@ -519,6 +520,45 @@ def test_weights_of_matches_oracle(problem):
         sorted(-w for w in expected)
 
 
+@st.composite
+def scaled_polynomials(draw):
+    """(q, product of ``eigen_problems`` factors, repeats included, with
+    its roots times q^n for n in {0, +-1, +-2}, times a non-zero rational
+    of either sign)."""
+    q, factors = draw(eigen_problems())
+    poly = [F(1)]
+    for f in factors:
+        poly = [sum((poly[j] * f[i - j] for j in range(len(poly))
+                     if 0 <= i - j < len(f)), F(0))
+                for i in range(len(poly) + len(f) - 1)]
+    c = F(q) ** draw(st.sampled_from([0, -2, -1, 1, 2]))
+    scalar = draw(st.fractions(-50, 50, max_denominator=50).filter(bool))
+    d = len(poly) - 1
+    return q, [scalar * x * c ** (d - i) for i, x in enumerate(poly)]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scaled_polynomials())
+def test_integer_remainder_sequences_match_fraction_reference(problem):
+    # the primitive integer remainder sequences against the Fraction
+    # gcds and Sturm chains they replace: same weights or NotWeil message,
+    # same rational roots and remaining factor, types included
+    from phinabla import weil_deligne
+    q, poly = problem
+    p, f = weil_deligne._prime_power(q)
+
+    def weights(root_weights):
+        try:
+            return repr(root_weights(poly, p, f))
+        except NotWeil as exc:
+            return f"NotWeil: {exc}"
+    assert weights(weil_deligne._root_weights) == \
+        weights(fraction_root_weights)
+    assert repr(linalg._rational_roots(poly)) == \
+        repr(fraction_rational_roots(poly))
+
+
 # -- representations and purity ---------------------------------------------
 
 def test_constructor_enforces_equivariance():
@@ -555,6 +595,13 @@ def test_sp2_not_pure_but_quasi_pure():
 def test_trivial_rep_pure_weight_zero():
     rep = WeilDeligneRep(5, [[F(1)]])
     assert purity_check(rep, 0).pure
+
+
+def test_dimension_zero_rep_is_pure():
+    rep = WeilDeligneRep(5, [], [])
+    assert _weights_of([], 5, FrobeniusKind.GEOMETRIC) == []
+    assert purity_check(rep, 0).pure and purity_check(rep, 3).pure
+    assert quasi_purity_check(rep, 0).pure
 
 
 def test_purity_implies_quasi_purity_when_n_zero():

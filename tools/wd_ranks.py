@@ -3,7 +3,10 @@
 For each dimension d it times ``monodromy_filtration`` on the Jordan block
 J_d and on the random nilpotent ``tests/helpers.random_nilpotent`` drawn
 from ``random.Random(d)`` (strictly upper triangular with entries in
-[-2, 2], conjugated by a unipotent integer shear, so dense).  For k = 2,
+[-2, 2], conjugated by a unipotent integer shear, so dense), and
+``purity_check`` (weight 1) on the block-diagonal companion matrix of
+d // 2 Weil quadratics T^2 - aT + 5 (a^2 < 20) drawn from
+``random.Random(d)``, whose eigen-weights are all 1.  For k = 2,
 3, 4 it times ``trace_table`` (depth 6) on Sp(2)^(x k)
 (``tests/helpers.sp2_power``), and ``trace_table`` and
 ``quasi_purity_check`` (weight k) on Sp(2)^(x k) conjugated by the
@@ -17,8 +20,9 @@ with d = 6, 12, 18, 24 by default.  It prints one JSON object per d and
 per k: the best of R wall times in seconds, and whether the output is
 right (J_d: one graded piece of rank 1
 at each index of d - 1, d - 3, ..., 1 - d; random: the filtration reaches
-all of V; trace tables: sum_k Tr(Phi^n | Gr_k) = Tr(Phi^n) for every n,
-and the conjugate's table equal to the plain one; quasi-purity: pure).
+all of V; purity: pure; trace tables: sum_k Tr(Phi^n | Gr_k) = Tr(Phi^n)
+for every n, and the conjugate's table equal to the plain one;
+quasi-purity: pure).
 """
 
 from __future__ import annotations
@@ -32,10 +36,12 @@ from fractions import Fraction
 from helpers import random_nilpotent, sp2_power
 from phinabla import linalg
 from phinabla.weil_deligne import (WeilDeligneRep, monodromy_filtration,
-                                   quasi_purity_check, trace_table)
+                                   purity_check, quasi_purity_check,
+                                   trace_table)
 
 DEPTH = 6
 POWERS = (2, 3, 4)
+Q = 5
 
 
 def best_time(fn, repeat):
@@ -56,6 +62,18 @@ def jordan_ok(fil, d):
     return fil.s == d - 1 and all(
         fil.graded_rank(k) == int(abs(k) < d and (k - d + 1) % 2 == 0)
         for k in range(-d, d + 1))
+
+
+def weil_companions(d, rng):
+    """Phi block diagonal with the companion matrices of d // 2 Weil
+    quadratics T^2 - aT + Q, a^2 < 4Q: every eigenvalue has weight 1."""
+    n = d // 2 * 2
+    phi = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(0, n, 2):
+        a = rng.choice([a for a in range(-4, 5) if a * a < 4 * Q])
+        phi[i][i + 1], phi[i + 1][i], phi[i + 1][i + 1] = (
+            Fraction(-Q), Fraction(1), Fraction(a))
+    return WeilDeligneRep(Q, phi)
 
 
 def conjugated(rep, rng):
@@ -95,10 +113,15 @@ def main():
                                     args.repeat)
         random_s, fil_r = best_time(lambda: monodromy_filtration(N),
                                     args.repeat)
+        weil = weil_companions(d, random.Random(d))
+        purity_s, purity = best_time(lambda: purity_check(weil, 1),
+                                     args.repeat)
         print(json.dumps({"d": d, "jordan_s": round(jordan_s, 4),
                           "random_s": round(random_s, 4),
+                          "purity_s": round(purity_s, 5),
                           "jordan_ok": jordan_ok(fil_j, d),
-                          "random_ok": fil_r.rank(fil_r.s) == d}))
+                          "random_ok": fil_r.rank(fil_r.s) == d,
+                          "pure": purity.pure}))
     for k in POWERS:
         rep = sp2_power(k)
         other = conjugated(rep, random.Random(k))

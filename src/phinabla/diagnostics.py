@@ -113,10 +113,11 @@ def _fixed_part_kernel(datum: AbelianVarietyDatum, sections, dual_sections):
     params = datum.module.params
     zero = PadicNumber.zero(params)
     one = PadicNumber.from_rational(params, 1)
+    lzero = LaurentElement.zero(params)
     rows = []
     for y in dual_sections:
-        Py = lmat_mul(datum.pairing, [[x] for x in y])
-        pairings = [lmat_mul([list(b)], Py)[0][0] for b in sections]
+        Py = linalg.mat_vec(datum.pairing, y, lzero)
+        pairings = linalg.mat_vec(sections, Py, lzero)
         for e in sorted({e for v in pairings for e in v.coeffs}):
             rows.append([v.coefficient(e) for v in pairings])
     if not rows:

@@ -14,12 +14,13 @@ the ExtractionTrace, so callers reuse it instead of solving again.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (NonConstantFrobenius, NotLevelTwo, NotTame,
                      WindowTooSmall)
 from .modules import (GaugeChange, LogSolution, PhiNablaModule,
-                      _frobenius_image, _solution_coordinates, _solve_nabla,
-                      kummer_pullback, lmat_identity, residue_exponents,
+                      _frobenius_image, _residue, _solution_coordinates,
+                      _solve_nabla, kummer_pullback, lmat_identity,
                       unipotent_filtration)
 from .series import LaurentElement
 from .weil_deligne import FrobeniusKind, WeilDeligneRep
@@ -88,12 +89,11 @@ def _rational_vector(xs, error_cls, what):
 # the extraction
 
 def _tame_cover_degree(m: PhiNablaModule, m_max: int) -> tuple:
-    from math import gcd, lcm
-
-    report = residue_exponents(m)
-    if report.unresolved_factor is not None:
+    _, _, roots, remaining = _residue(m)
+    if remaining is not None:
         raise NotTame("residue exponents are not all rational")
-    dens = [x.denominator for x in report.exponents]
+    exponents = sorted(roots)
+    dens = [x.denominator for x in exponents]
     for d in dens:
         if d % m.params.p == 0:
             raise NotTame(f"exponent denominator {d} divisible by "
@@ -104,11 +104,13 @@ def _tame_cover_degree(m: PhiNablaModule, m_max: int) -> tuple:
     if e > m_max:
         raise NotTame(f"cover degree {e} exceeds m_max = {m_max}")
     assert gcd(e, m.params.p) == 1
-    return e, report.exponents
+    return e, exponents
 
 
 def _canonical_sp2(phi, N):
-    """For dim 2 with N of rank 1 put N into the exact E_12 shape."""
+    """For dim 2 with N of rank 1 put N into the exact E_12 shape: the
+    conjugated (phi, N) and the conjugation U^-1 M U, or None when N is
+    left as it is."""
     from . import linalg
 
     if len(N) != 2 or all(x == 0 for row in N for x in row):
@@ -124,7 +126,7 @@ def _canonical_sp2(phi, N):
     if Ui is None:
         return phi, N, None
     conj = lambda M: linalg.mat_mul(Ui, linalg.mat_mul(M, U))
-    return conj(phi), conj(N), U
+    return conj(phi), conj(N), conj
 
 
 def wd_extract(m: PhiNablaModule, m_max: int = 24,
@@ -172,13 +174,9 @@ def wd_extract(m: PhiNablaModule, m_max: int = 24,
                                     (1 if i == j else 0))
                            for j in range(r)] for i in range(r)]
 
-    phi_c, N_c, U = _canonical_sp2(phi, N)
-    if U is not None and inertia_matrix is not None:
-        Ui = linalg.mat_inv(U)
-        inertia_matrix = linalg.mat_mul(
-            Ui, linalg.mat_mul(inertia_matrix, U))
-    if U is not None:
-        phi, N = phi_c, N_c
+    phi, N, conj = _canonical_sp2(phi, N)
+    if conj is not None and inertia_matrix is not None:
+        inertia_matrix = conj(inertia_matrix)
 
     if frobenius_kind is FrobeniusKind.ARITHMETIC:
         # the solution-space action computed above is that of geometric

@@ -1,10 +1,13 @@
 """Small exact linear algebra kernels.
 
 Matrices are lists of rows: rational ones (Fraction or int entries) for the
-Weil-Deligne layer, PadicNumber ones for the nabla solver.  ``charpoly``
-divides by nothing and serves LaurentElement matrices too; every
-determinant, inverse, nilpotency test and trace table of the package is
-read from it.
+Weil-Deligne layer, PadicNumber ones for the nabla solver, LaurentElement
+ones for the modules.  ``identity``, ``mat_mul``, ``mat_vec`` and
+``charpoly`` need only ring +, * and a truth value, so they serve every
+entry type: an exact zero, with no term and no tail, is falsy and skipped,
+and a PadicNumber is always truthy (a zero at precision keeps the abs_prec
+a product must see).  ``charpoly`` divides by nothing; every determinant,
+inverse, nilpotency test and trace table of the package is read from it.
 
 All exact elimination runs through one sparse Gauss-Jordan loop,
 ``_eliminate``, parametrised by the coefficient type's rule.  The rational
@@ -36,10 +39,11 @@ from operator import methodcaller, not_
 
 
 # ---------------------------------------------------------------------------
-# Fraction matrices
+# matrices over a ring
 
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def identity(n, one=Fraction(1)):
+    zero = one - one
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def zeros(n, m):
@@ -178,17 +182,18 @@ def mat_inv(A):
     return None if cols is None else transpose(cols)
 
 
-def charpoly(A, one=Fraction(1), is_zero=not_):
+def charpoly(A, one=Fraction(1)):
     """det(T*I - A), low-to-high, over any commutative ring (Fraction by
     default) by Berkowitz's recursion (1984): ring +, * and negation only,
-    O(n^4), no product with a factor that passes ``is_zero``.  The leading
-    block [[A_k, c], [r, a]] of size k + 1 multiplies the polynomial of A_k
-    by the Toeplitz matrix of 1, -a, -r c, -r A_k c, ..., -r A_k^(k-1) c."""
+    O(n^4), no product with a falsy factor (an exact zero, with no term
+    and no tail, is falsy).  The leading block [[A_k, c], [r, a]] of size
+    k + 1 multiplies the polynomial of A_k by the Toeplitz matrix of 1, -a,
+    -r c, -r A_k c, ..., -r A_k^(k-1) c."""
     zero = one - one
 
     def dot(u, v, acc=None):
         for x, y in zip(u, v):
-            if not (is_zero(x) or is_zero(y)):
+            if x and y:
                 acc = x * y if acc is None else acc + x * y
         return zero if acc is None else acc
 

@@ -37,10 +37,7 @@ def lmat_zero(params, n, m=None):
 
 
 def lmat_identity(params, n):
-    out = lmat_zero(params, n)
-    for i in range(n):
-        out[i][i] = LaurentElement.one(params)
-    return out
+    return linalg.identity(n, LaurentElement.one(params))
 
 
 def lmat_add(A, B):
@@ -52,19 +49,9 @@ def lmat_sub(A, B):
 
 
 def lmat_mul(A, B):
-    n, k = len(A), len(B)
-    m = len(B[0]) if B else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = None
-            for l in range(k):
-                term = A[i][l] * B[l][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
+    if not A:
+        return []
+    return linalg.mat_mul(A, B, LaurentElement.zero(A[0][0].params))
 
 
 def lmat_scale(A, c):
@@ -103,8 +90,7 @@ def _charpoly(A):
     wide = _holding(params, n * min(exps, default=0),
                     n * max(exps, default=0))
     W = lmat_map(A, lambda x: x.rebase(wide))
-    chi = linalg.charpoly(W, LaurentElement.one(wide),
-                          lambda x: not (x.coeffs or x.has_tail()))
+    chi = linalg.charpoly(W, LaurentElement.one(wide))
     return chi, (-chi[0] if n % 2 else chi[0]).rebase(params), W
 
 
@@ -473,13 +459,10 @@ def _satisfies(tG, sol: LogSolution) -> bool:
     """Whether sol solves the D-form equations at every log degree (tG
     without truncated entries)."""
     comps = sol.components
-    r = len(tG)
+    zero = LaurentElement.zero(tG[0][0].params)
     for d, vd in enumerate(comps):
-        for i in range(r):
-            acc = vd[i].D()
-            for j in range(r):
-                if not (tG[i][j].is_zero() or vd[j].is_zero()):
-                    acc = acc + tG[i][j] * vd[j]
+        for i, tGv in enumerate(linalg.mat_vec(tG, vd, zero)):
+            acc = vd[i].D() + tGv
             if d + 1 < len(comps):
                 acc = acc + comps[d + 1][i].scale(d + 1)
             if not acc.is_zero():
@@ -522,22 +505,13 @@ def _frobenius_image(m: PhiNablaModule, comps):
                     min(exps_a, default=0) + p * min(exps_v, default=0),
                     max(exps_a, default=0) + p * max(exps_v, default=0))
     same = wide is params
-    # an exact zero (no tail) adds nothing
-    rows = [[(j, a if same else a.rebase(wide)) for j, a in enumerate(row)
-             if not (a.is_zero() and not a.has_tail())] for row in m.A]
+    A = m.A if same else lmat_map(m.A, lambda a: a.rebase(wide))
+    zero = LaurentElement.zero(wide)
     out = []
     for d, vd in enumerate(comps):
         svec = [(x if same else x.rebase(wide)).sigma() for x in vd]
-        vec = []
-        for row in rows:
-            acc = LaurentElement.zero(wide)
-            for j, a in row:
-                sv = svec[j]
-                if not (sv.is_zero() and not sv.has_tail()):
-                    acc = acc + a * sv
-            acc = acc.scale(p ** d)
-            vec.append(acc if same else acc.rebase(params))
-        out.append(tuple(vec))
+        vec = [x.scale(p ** d) for x in linalg.mat_vec(A, svec, zero)]
+        out.append(tuple(vec if same else [x.rebase(params) for x in vec]))
     return out
 
 
@@ -584,7 +558,8 @@ class UnipotentFiltration:
 
 
 def _complete_basis(params, vectors, rank):
-    """Invertible matrix whose first columns are the given vectors."""
+    """Matrix whose first columns are the given vectors, completed by unit
+    vectors; the gauge change that inverts it checks its determinant."""
     if not vectors:
         return lmat_identity(params, rank)
     # greedy pivot selection with elimination on a scratch copy
@@ -617,9 +592,6 @@ def _complete_basis(params, vectors, rank):
             U[i][j] = vec[i]
     for j, i in enumerate(others):
         U[i][len(vectors) + j] = LaurentElement.one(params)
-    det = lmat_det(U)
-    if not det.is_unit():
-        raise WindowTooSmall("completed basis is not invertible at precision")
     return U
 
 
@@ -651,7 +623,11 @@ def _unipotent_filtration(m: PhiNablaModule,
         if not sections:
             return UnipotentFiltration(False)
         U = _complete_basis(params, sections, current.rank)
-        gauged = GaugeChange(U).apply(current)
+        try:
+            gauged = GaugeChange(U).apply(current)
+        except NonInvertible:
+            raise WindowTooSmall("completed basis is not invertible at "
+                                 "precision") from None
         k = len(sections)
         # sub-basis columns of G must vanish; phi must stabilise the span
         if any(not gauged.G[i][j].is_zero()

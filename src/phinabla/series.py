@@ -4,7 +4,8 @@ and R_K.
 A LaurentElement is a finite exponent -> coefficient map confined to the
 window [-M_neg, M_pos] of its RingParams.  Terms pushed outside the window by
 an operation are never silently dropped: the corresponding tail flag is set.
-A window with M_neg = 0 is the truncation of K[[t]].
+A window with M_neg = 0 is the truncation of K[[t]].  An exact zero, with no
+term and no tail, is falsy.
 """
 
 from __future__ import annotations
@@ -72,6 +73,10 @@ class LaurentElement:
 
     def is_zero(self):
         return not self.coeffs
+
+    def __bool__(self):
+        """False exactly for an exact zero: no term and no tail."""
+        return bool(self.coeffs or self.tail_pos or self.tail_neg)
 
     def has_tail(self):
         return self.tail_pos or self.tail_neg
@@ -174,7 +179,7 @@ class LaurentElement:
         terminated = False
         for _ in range(width + 1):
             term = -(term * z)
-            if term.is_zero() and not term.has_tail():
+            if not term:
                 terminated = True
                 break
             inv = inv + term

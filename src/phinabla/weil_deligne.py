@@ -216,15 +216,15 @@ def monodromy_filtration(N) -> MonodromyFiltration:
 
     With K_m = ker N^m, heads of chains of length l are picked from the top
     down, independent of K_{l-1} and of the height-l vectors of the longer
-    chains; then M_k = span{N^j v : l(v) - 1 - 2j <= k}.  N is read as its
-    primitive integer multiple cN, which has the same filtration, so the
+    chains; then M_k = span{N^j v : l(v) - 1 - 2j <= k}.  N is read as the
+    integer matrix sN (``_scaled``), which has the same filtration, so the
     kernels and chains are integer vectors; the bases are Fraction rows.
     """
     d = len(N)
     _check_shape(N, "N", d, d)
-    N = _integral(N)
+    N = _scaled(N)[0]
     kernels = [[]]                      # kernels[m] is a basis of ker N^m
-    power = [[int(i == j) for j in range(d)] for i in range(d)]
+    power = linalg.identity(d, 1)
     while len(kernels[-1]) < d:
         power = linalg.mat_mul(N, power, zero=0)
         kernels.append([linalg._primitive(v)
@@ -260,14 +260,6 @@ def monodromy_filtration(N) -> MonodromyFiltration:
     if not _axioms_hold(N, out):
         raise AssertionError("computed filtration violates the axioms")
     return out
-
-
-def _integral(M):
-    """The primitive integer multiple cM (c a positive rational) of a
-    rational matrix, with the kernels, images and spans of M."""
-    flat = linalg._primitive([x for row in M for x in row])
-    n = len(M[0]) if M else 0
-    return [flat[i * n:(i + 1) * n] for i in range(len(M))]
 
 
 def _scaled(mat):
@@ -311,10 +303,10 @@ def _graded(mat, flag):
 def _axioms_hold(N, fil: MonodromyFiltration) -> bool:
     """M_{k-1} in M_k, N M_k in M_{k-2}, and N^k : Gr_k -> Gr_{-k} an
     isomorphism, each by one elimination per k.  Ranks are those of the
-    spans, whatever the lengths of the basis lists.  N and every basis
-    vector are read as their primitive integer multiples: the same spans
-    in integer arithmetic."""
-    N = _integral(N)
+    spans, whatever the lengths of the basis lists.  N is read as the
+    integer matrix sN (``_scaled``) and every basis vector as its
+    primitive integer multiple: the same spans in integer arithmetic."""
+    N = _scaled(N)[0]
     basis = {k: [linalg._primitive(v) for v in fil.basis(k)]
              for k in range(-fil.s - 2, fil.s + 1)}
 
@@ -333,7 +325,7 @@ def _axioms_hold(N, fil: MonodromyFiltration) -> bool:
         images = [linalg.mat_vec(N, v, zero=0) for v in basis[k]]
         if new_vectors(basis[k - 2], images)[1]:
             return False
-    Nk = [[int(i == j) for j in range(d)] for i in range(d)]
+    Nk = linalg.identity(d, 1)
     for k in range(1, fil.s + 1):
         Nk = linalg.mat_mul(Nk, N, zero=0)
         graded = ranks[k] - ranks[k - 1]

@@ -115,6 +115,25 @@ def sp2_power(k):
     return WeilDeligneRep(5, phi, N)
 
 
+def dense_lmat_mul(A, B):
+    """A B over LaurentElement with every product formed and added, exact
+    zeros included: the reference for ``linalg.mat_mul`` and ``mat_vec`` on
+    Laurent matrices."""
+    n, k = len(A), len(B)
+    m = len(B[0]) if B else 0
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = None
+            for l in range(k):
+                term = A[i][l] * B[l][j]
+                acc = term if acc is None else acc + term
+            row.append(acc)
+        out.append(row)
+    return out
+
+
 def dense_unit_matrix(params, n):
     """U L with U upper and L lower unitriangular and entries c0 + c1 t
     (c0, c1 drawn from [-3, 3] with seed 8 + n): every entry is dense, the

@@ -8,16 +8,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from phinabla import linalg
 from phinabla.errors import (IrregularSingularity, MissingStructure,
                              WildCover, WindowTooSmall)
 from phinabla.modules import (GaugeChange, PhiNablaModule,
-                              check_compatibility, direct_sum, dual,
-                              horizontal_sections, kummer_pullback,
-                              largest_constant_submodule, lmat_det,
-                              lmat_identity, lmat_inverse, lmat_is_zero,
-                              lmat_mul, module_from_json, module_to_json,
-                              residue_exponents, tate_twist, tensor,
-                              unipotent_filtration)
+                              _unipotent_filtration, check_compatibility,
+                              direct_sum, dual, horizontal_sections,
+                              kummer_pullback, largest_constant_submodule,
+                              lmat_det, lmat_identity, lmat_inverse,
+                              lmat_is_zero, lmat_mul, module_from_json,
+                              module_to_json, residue_exponents, tate_twist,
+                              tensor, unipotent_filtration)
 from phinabla.oracles import ode_recurrence_solutions
 from phinabla.padic import PadicNumber, RingParams
 from phinabla.series import LaurentElement
@@ -195,6 +196,46 @@ def test_unipotent_filtration_constant():
         P, frobenius=[[1, 0], [0, 5]], connection=[[0, 0], [0, 0]])
     fil = unipotent_filtration(m)
     assert fil.unipotent and fil.level == 1
+
+
+def _charpoly_calls(monkeypatch, run):
+    """Calls of ``linalg.charpoly`` made by run()."""
+    calls = 0
+    charpoly = linalg.charpoly
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return charpoly(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "charpoly", counted)
+    run()
+    return calls
+
+
+@pytest.mark.parametrize("module, calls", [
+    # per filtration step the residue polynomial of the horizontal-section
+    # solve and one Laurent determinant, in the gauge change's inverse;
+    # then the inverse of the total gauge
+    pytest.param(kt, 2 * 2 + 1, id="kt"),
+    pytest.param(lambda: tensor(kt(), kt()), 2 * 3 + 1, id="kt*kt"),
+])
+def test_each_determinant_runs_once_per_step(module, calls, monkeypatch):
+    m = module()
+    assert _charpoly_calls(monkeypatch,
+                           lambda: unipotent_filtration(m)) == calls
+
+
+def test_completed_basis_not_invertible_at_precision():
+    # sections t^-20 e_1, t^-20 e_2: the completed basis has determinant
+    # t^-40, below the window, so it is no unit at precision
+    m = PhiNablaModule.from_rational_matrices(
+        P, connection=[[0, 0], [0, 0]])
+    sections = [(LaurentElement.monomial(P, -20), LaurentElement.zero(P)),
+                (LaurentElement.zero(P), LaurentElement.monomial(P, -20))]
+    with pytest.raises(WindowTooSmall, match="completed basis is not "
+                       "invertible at precision"):
+        _unipotent_filtration(m, sections)
 
 
 def test_not_unipotent():

@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phinabla import linalg
 from phinabla.errors import NonInvertible
 from phinabla.padic import PadicNumber, RingParams
 from phinabla.series import LaurentElement
+
+from helpers import dense_lmat_mul
 
 
 P = RingParams(5, 20, (16, 16))
@@ -54,6 +57,29 @@ def test_inverse_of_one_plus_t():
         want = 1 if e == 0 else 0
         assert prod.coefficient(e).congruent(
             PadicNumber.from_rational(P, want))
+
+
+@pytest.mark.parametrize("x, truthy, no_term", [
+    (LaurentElement.zero(P), False, True),
+    (L((0, 1)) - L((0, 1)), False, True),
+    # a coefficient zero at precision is no term
+    (LaurentElement(P, {3: PadicNumber.zero(P, 2)}), False, True),
+    (L((-1, 7)), True, False),
+    (LaurentElement(P, {}, tail_pos=True), True, True),
+    (LaurentElement(P, {}, tail_neg=True), True, True),
+    (LaurentElement.monomial(P, 15) * LaurentElement.monomial(P, 15), True,
+     True),
+    (LaurentElement(P, {0: PadicNumber.from_rational(P, 2)}, True, True),
+     True, False),
+])
+def test_only_an_exact_zero_is_falsy(x, truthy, no_term):
+    assert bool(x) is truthy
+    assert x.is_zero() is no_term
+
+
+def test_padic_zero_is_truthy():
+    # a zero at precision keeps the abs_prec a product must see
+    assert PadicNumber.zero(P, 3)
 
 
 def test_zero_not_invertible():
@@ -188,3 +214,62 @@ def test_ring_axioms_against_reference(triple):
     assert left.congruent(right)
     assert right.tail_pos >= left.tail_pos
     assert right.tail_neg >= left.tail_neg
+
+
+# -- Laurent matrices through linalg's products -------------------------------
+
+@st.composite
+def _laurent_matrices(draw):
+    """(params, A, B, v): A is n x k, B is k x m and v has k entries, over a
+    window with bottom 0 or below.  Entries are exact zeros, zeros with a
+    tail at either end or both, or terms of both signs with coefficients of
+    mixed valuation and precision, some past the window (which sets a
+    tail)."""
+    a = draw(st.sampled_from((1, 2)))
+    p = draw(st.sampled_from((2, 3, 5)))
+    window = (draw(st.sampled_from((0, 1, 3))), draw(st.integers(1, 4)))
+    params = RingParams(p, 8, window, a=a,
+                        modulus={2: (1, 1, 1), 3: (1, 0, 1),
+                                 5: (2, 0, 1)}[p] if a == 2 else None)
+    lo, hi = params.window_lo, params.window_hi
+    coeff = st.builds(
+        lambda num, den, k, prec: PadicNumber.from_rational(
+            params, Fraction(num, den) * Fraction(p) ** k, prec),
+        st.integers(-9, 9).filter(bool), st.integers(1, 9),
+        st.integers(-1, 2), st.integers(1, 8))
+    zero = LaurentElement.zero(params)
+    element = st.one_of(
+        st.just(zero),
+        st.builds(lambda tails: LaurentElement(params, {}, *tails),
+                  st.sampled_from([(True, False), (False, True),
+                                   (True, True)])),
+        st.builds(lambda terms, tails: LaurentElement(params, terms, *tails),
+                  st.dictionaries(st.integers(lo - 2, hi + 2), coeff,
+                                  min_size=1, max_size=3),
+                  st.sampled_from([(False, False)] * 3 + [
+                      (True, False), (False, True), (True, True)])))
+    n, k, m = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def matrix(rows, cols):
+        return [[draw(element) for _ in range(cols)] for _ in range(rows)]
+
+    return params, matrix(n, k), matrix(k, m), matrix(1, k)[0]
+
+
+def _bits(x):
+    """Every coefficient as (exponent, v, unit, abs_prec), and the tails."""
+    return (sorted((e, c.v, c.unit, c.abs_prec) for e, c in x.coeffs.items()),
+            x.tail_pos, x.tail_neg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_laurent_matrices())
+def test_sparse_products_match_the_dense_loop(case):
+    params, A, B, v = case
+    zero = LaurentElement.zero(params)
+    for got, ref in [
+            (linalg.mat_mul(A, B, zero), dense_lmat_mul(A, B)),
+            ([[x] for x in linalg.mat_vec(A, v, zero)],
+             dense_lmat_mul(A, [[x] for x in v]))]:
+        assert [[_bits(x) for x in row] for row in got] == \
+            [[_bits(x) for x in row] for row in ref]

@@ -1,14 +1,19 @@
-"""Wall time of the Laurent determinant and inverse on dense matrices.
+"""Wall time of the Laurent determinant, inverse and unipotent filtration.
 
 The matrices are the dense U*L ones of ``tests/helpers.dense_unit_matrix``
 (determinant 1, inverse a Laurent polynomial matrix), the ones the rank-8
-budget of ``tests/test_modules.py`` runs.  Run from the root of a checkout:
+budget of ``tests/test_modules.py`` runs.  The filtrations are those of the
+k-fold tensor powers of the Kummer-Tate module, of rank 2^k and level
+k + 1.  Run from the root of a checkout:
 
     PYTHONPATH=src:tests python3 tools/lmat_ranks.py [RANK ...] [--repeat K]
+        [--tensor-powers K ...]
 
 It prints one JSON object per rank: the best of K wall times of
 ``lmat_det`` and ``lmat_inverse`` in seconds, and whether det = 1 and
-M * inverse(M) = I hold.
+M * inverse(M) = I hold.  Then one per tensor power k (1, 2, 3 by
+default): the best of K wall times of ``unipotent_filtration`` and the
+level found.
 """
 
 from __future__ import annotations
@@ -18,8 +23,9 @@ import json
 import time
 
 from helpers import dense_unit_matrix
+from phinabla.corpus import kummer_tate
 from phinabla.modules import (lmat_det, lmat_identity, lmat_inverse,
-                              lmat_mul)
+                              lmat_mul, tensor, unipotent_filtration)
 from phinabla.padic import RingParams
 
 
@@ -37,6 +43,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ranks", nargs="*", type=int, default=[6, 7, 8])
     parser.add_argument("--repeat", type=int, default=1)
+    parser.add_argument("--tensor-powers", nargs="*", type=int,
+                        default=[1, 2, 3])
     args = parser.parse_args()
     params = RingParams(5, 20, (32, 32))
     for n in args.ranks:
@@ -52,6 +60,14 @@ def main():
                           "det_is_one": det.congruent(1)
                           and not det.has_tail(),
                           "inverse_exact": exact}))
+    for k in args.tensor_powers:
+        m = kummer_tate(params)
+        for _ in range(k - 1):
+            m = tensor(m, kummer_tate(params))
+        fil_s, fil = best_time(lambda: unipotent_filtration(m), args.repeat)
+        print(json.dumps({"tensor_power": k, "rank": m.rank,
+                          "filtration_s": round(fil_s, 4),
+                          "level": fil.level}))
 
 
 if __name__ == "__main__":

@@ -11,6 +11,21 @@ from phinabla.series import LaurentElement
 from phinabla.weil_deligne import WeilDeligneRep
 
 
+def count_calls(monkeypatch, module, name, run):
+    """Calls of ``module.name`` made by run()."""
+    calls = 0
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    run()
+    return calls
+
+
 def same_space(basis1, basis2):
     """Whether two lists of rational vectors span the same subspace."""
     return (linalg.rank(list(basis1) + list(basis2)) == linalg.rank(basis1)

@@ -21,7 +21,7 @@ from phinabla.modules import PhiNablaModule, dual
 from phinabla.series import LaurentElement
 from phinabla.weil_deligne import WeilDeligneRep, special_rep
 
-from helpers import same_space
+from helpers import count_calls, same_space
 
 
 P = corpus.ring()
@@ -169,21 +169,6 @@ def test_wd_filtration_matches_monodromy_shifted():
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
-def _kernel_calls(monkeypatch, run):
-    """Per-class calls of the one nabla solver made by run()."""
-    calls = 0
-    solve = modules._solve_class
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(modules, "_solve_class", counted)
-    run()
-    return calls
-
-
 @pytest.mark.parametrize("run, solves", [
     # sections of D(A), which are also the first step of the unipotent
     # filtration and, the datum being self-dual, those of its dual; and the
@@ -211,7 +196,8 @@ def _kernel_calls(monkeypatch, run):
                  id="selftest-invariants"),
 ])
 def test_each_solve_runs_once(run, solves, monkeypatch, capsys):
-    assert _kernel_calls(monkeypatch, run) == solves
+    # per-class calls of the one nabla solver
+    assert count_calls(monkeypatch, modules, "_solve_class", run) == solves
 
 
 # -- weight monodromy -------------------------------------------------------

@@ -23,7 +23,7 @@ from phinabla.oracles import ode_recurrence_solutions
 from phinabla.padic import PadicNumber, RingParams
 from phinabla.series import LaurentElement
 
-from helpers import dense_unit_matrix
+from helpers import count_calls, dense_unit_matrix
 
 
 P = RingParams(5, 20, (32, 32))
@@ -198,21 +198,6 @@ def test_unipotent_filtration_constant():
     assert fil.unipotent and fil.level == 1
 
 
-def _charpoly_calls(monkeypatch, run):
-    """Calls of ``linalg.charpoly`` made by run()."""
-    calls = 0
-    charpoly = linalg.charpoly
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return charpoly(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "charpoly", counted)
-    run()
-    return calls
-
-
 @pytest.mark.parametrize("module, calls", [
     # per filtration step the residue polynomial of the horizontal-section
     # solve and one Laurent determinant, in the gauge change's inverse;
@@ -222,8 +207,8 @@ def _charpoly_calls(monkeypatch, run):
 ])
 def test_each_determinant_runs_once_per_step(module, calls, monkeypatch):
     m = module()
-    assert _charpoly_calls(monkeypatch,
-                           lambda: unipotent_filtration(m)) == calls
+    assert count_calls(monkeypatch, linalg, "charpoly",
+                       lambda: unipotent_filtration(m)) == calls
 
 
 def test_completed_basis_not_invertible_at_precision():

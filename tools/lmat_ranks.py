@@ -7,13 +7,11 @@ k-fold tensor powers of the Kummer-Tate module, of rank 2^k and level
 k + 1.  Run from the root of a checkout:
 
     PYTHONPATH=src:tests python3 tools/lmat_ranks.py [RANK ...] [--repeat K]
-        [--tensor-powers K ...]
 
 It prints one JSON object per rank: the best of K wall times of
 ``lmat_det`` and ``lmat_inverse`` in seconds, and whether det = 1 and
-M * inverse(M) = I hold.  Then one per tensor power k (1, 2, 3 by
-default): the best of K wall times of ``unipotent_filtration`` and the
-level found.
+M * inverse(M) = I hold.  Then one per tensor power k = 1, 2, 3: the
+best of K wall times of ``unipotent_filtration`` and the level found.
 """
 
 from __future__ import annotations
@@ -43,8 +41,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ranks", nargs="*", type=int, default=[6, 7, 8])
     parser.add_argument("--repeat", type=int, default=1)
-    parser.add_argument("--tensor-powers", nargs="*", type=int,
-                        default=[1, 2, 3])
     args = parser.parse_args()
     params = RingParams(5, 20, (32, 32))
     for n in args.ranks:
@@ -60,7 +56,7 @@ def main():
                           "det_is_one": det.congruent(1)
                           and not det.has_tail(),
                           "inverse_exact": exact}))
-    for k in args.tensor_powers:
+    for k in (1, 2, 3):
         m = kummer_tate(params)
         for _ in range(k - 1):
             m = tensor(m, kummer_tate(params))

@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import linalg
 from .errors import (NonConstantFrobenius, NotLevelTwo, NotTame,
                      WindowTooSmall)
 from .modules import (GaugeChange, LogSolution, PhiNablaModule,
@@ -111,8 +112,6 @@ def _canonical_sp2(phi, N):
     """For dim 2 with N of rank 1 put N into the exact E_12 shape: the
     conjugated (phi, N) and the conjugation U^-1 M U, or None when N is
     left as it is."""
-    from . import linalg
-
     if len(N) != 2 or all(x == 0 for row in N for x in row):
         return phi, N, None
     # u spanning a complement of ker N, w = N u
@@ -132,8 +131,6 @@ def _canonical_sp2(phi, N):
 def wd_extract(m: PhiNablaModule, m_max: int = 24,
                frobenius_kind=FrobeniusKind.GEOMETRIC):
     """Weil-Deligne representation of a tame quasi-unipotent module."""
-    from . import linalg
-
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     m._require(frobenius=True, connection=True)
@@ -211,46 +208,34 @@ class NormalForm:
         self.constants = constants  # C over Q, D(g_k) = sum_i C[i][k] e_i
 
 
-def key2_normal_form(m: PhiNablaModule, weight_flag_data=None) -> NormalForm:
+def key2_normal_form(m: PhiNablaModule) -> NormalForm:
     """Gauge a level <= 2 unipotent module so that D kills the first two
     basis blocks and maps the third into the constant span of the first."""
-    from . import linalg
-
     fil = unipotent_filtration(m)
     if not fil.unipotent:
         raise NotLevelTwo("module is not unipotent")
-    if fil.level is not None and fil.level > 2:
+    if fil.level > 2:
         raise NotLevelTwo(f"unipotence level {fil.level} > 2")
     params = m.params
-    gauged = fil.gauged_module
-    if fil.level in (0, 1) or fil.level is None:
+    if fil.level < 2:
         return NormalForm(fil.gauge, [], list(range(m.rank)), [], [])
     k1, k2 = fil.block_sizes
     # D(g_k) has coefficients (t G)_{i, k1+k} for i < k1; strip every
     # non-constant term by the termwise primitive (n-th coefficient / n)
-    corr = [[LaurentElement.zero(params) for _ in range(k1 + k2)]
-            for _ in range(k1 + k2)]
-    tG = [[g.shift(1) for g in row] for row in gauged.G]
+    U2 = lmat_identity(params, k1 + k2)
+    tG = [[g.shift(1) for g in row] for row in fil.gauged_module.G]
     C = [[Fraction(0)] * k2 for _ in range(k1)]
     for k in range(k2):
         for i in range(k1):
             x = tG[i][k1 + k]
-            const = x.coefficient(0)
-            nonconst = {n: c for n, c in x.coeffs.items() if n != 0}
-            prim = LaurentElement(
+            U2[i][k1 + k] = LaurentElement(
                 params, {n: c * Fraction(-1, n)
-                         for n, c in nonconst.items()})
-            corr[i][k1 + k] = prim
+                         for n, c in x.coeffs.items() if n != 0})
             try:
-                C[i][k] = const.to_fraction()
+                C[i][k] = x.coefficient(0).to_fraction()
             except ValueError:
                 raise NonConstantFrobenius(
                     "normal-form constant fails rational recognition")
-    U2 = lmat_identity(params, k1 + k2)
-    for i in range(k1 + k2):
-        for j in range(k1 + k2):
-            if not corr[i][j].is_zero():
-                U2[i][j] = U2[i][j] + corr[i][j]
     total = fil.gauge.compose(GaugeChange(U2))
     # rotate the first block so the image span of C comes first
     col_rank = linalg.rank(C) if k1 and k2 else 0

@@ -31,11 +31,6 @@ from .series import LaurentElement
 # ---------------------------------------------------------------------------
 # Laurent matrix helpers
 
-def lmat_zero(params, n, m=None):
-    m = n if m is None else m
-    return [[LaurentElement.zero(params) for _ in range(m)] for _ in range(n)]
-
-
 def lmat_identity(params, n):
     return linalg.identity(n, LaurentElement.one(params))
 
@@ -273,18 +268,13 @@ def direct_sum(m1: PhiNablaModule, m2: PhiNablaModule) -> PhiNablaModule:
     m1._check_params(m2)
     r1, r2 = m1.rank, m2.rank
     params = m1.params
+    zero = LaurentElement.zero(params)
 
     def block(M1, M2):
         if M1 is None or M2 is None:
             return None
-        out = lmat_zero(params, r1 + r2)
-        for i in range(r1):
-            for j in range(r1):
-                out[i][j] = M1[i][j]
-        for i in range(r2):
-            for j in range(r2):
-                out[r1 + i][r1 + j] = M2[i][j]
-        return out
+        return ([list(row) + [zero] * r2 for row in M1]
+                + [[zero] * r1 + list(row) for row in M2])
 
     return PhiNablaModule(params, r1 + r2, block(m1.A, m2.A),
                           block(m1.G, m2.G),
@@ -558,19 +548,17 @@ class UnipotentFiltration:
 
 
 def _complete_basis(params, vectors, rank):
-    """Matrix whose first columns are the given vectors, completed by unit
-    vectors; the gauge change that inverts it checks its determinant."""
-    if not vectors:
-        return lmat_identity(params, rank)
+    """Matrix whose first columns are the given (non-empty) vectors,
+    completed by unit vectors: the basis change of one quotient block of
+    the filtration.  The gauge change that inverts it checks its
+    determinant."""
     # greedy pivot selection with elimination on a scratch copy
     scratch = [list(vec) for vec in vectors]
     pivot_rows = []
     for cidx, col in enumerate(scratch):
         choice = None
         for i in range(rank):
-            if i in pivot_rows or col[i].is_zero():
-                continue
-            if not col[i].is_unit():
+            if i in pivot_rows or not col[i].is_unit():
                 continue
             if choice is None or (col[i].min_exponent()
                                   < col[choice].min_exponent()):
@@ -586,13 +574,9 @@ def _complete_basis(params, vectors, rank):
                 for i in range(rank):
                     later[i] = later[i] - col[i] * f
     others = [i for i in range(rank) if i not in pivot_rows]
-    U = lmat_zero(params, rank)
-    for j, vec in enumerate(vectors):
-        for i in range(rank):
-            U[i][j] = vec[i]
-    for j, i in enumerate(others):
-        U[i][len(vectors) + j] = LaurentElement.one(params)
-    return U
+    zero, one = LaurentElement.zero(params), LaurentElement.one(params)
+    return [list(row) + [one if i == j else zero for j in others]
+            for i, row in enumerate(zip(*vectors))]
 
 
 def unipotent_filtration(m: PhiNablaModule) -> UnipotentFiltration:
@@ -611,14 +595,26 @@ def unipotent_filtration(m: PhiNablaModule) -> UnipotentFiltration:
 def _unipotent_filtration(m: PhiNablaModule,
                           sections: list) -> UnipotentFiltration:
     """``unipotent_filtration`` of a module of positive rank whose
-    horizontal sections are already solved."""
-    params = m.params
-    total_U = lmat_identity(params, m.rank)
-    current = m
+    horizontal sections are already solved.
+
+    The gauged module is built block by block.  At offset o the quotient
+    is the block [o:, o:] of A and G; the completed basis U of its constant
+    submodule gauges that block at quotient rank.  The full gauge diag(I, U)
+    changes the rows above it by right multiplication alone, G[:o, o:] U
+    and A[:o, o:] sigma(U): its inverse is the identity there, its
+    derivative vanishes there, and the earlier steps found the block
+    [o:, :o] zero."""
+    params, r = m.params, m.rank
+    A = [list(row) for row in m.A] if m.has_frobenius else None
+    G = [list(row) for row in m.G]
+    total = lmat_identity(params, r)
     offset = 0
     block_sizes = []
-    while current.rank > 0:
-        if current is not m:
+    while offset < r:
+        current = PhiNablaModule(
+            params, r - offset, A and [row[offset:] for row in A[offset:]],
+            [row[offset:] for row in G[offset:]], m.label)
+        if offset:
             sections = horizontal_sections(current)
         if not sections:
             return UnipotentFiltration(False)
@@ -639,25 +635,20 @@ def _unipotent_filtration(m: PhiNablaModule,
                 for i in range(k, current.rank) for j in range(k)):
             raise DiagnosticConflict("constant submodule not phi-stable at "
                                      "precision")
-        # embed U into the total gauge
-        r = m.rank
-        emb = lmat_identity(params, r)
-        for i in range(current.rank):
-            for j in range(current.rank):
-                emb[offset + i][offset + j] = U[i][j]
-        total_U = lmat_mul(total_U, emb)
+        # the gauged block replaces [o:, o:]; the rows above it, and every
+        # row of the total gauge, are multiplied on the right
+        sigma_U = lmat_sigma(U) if A else None
+        for M, B, block in ((G, U, gauged.G), (A, sigma_U, gauged.A),
+                            (total, U, [])):
+            if M is not None:
+                above = [row[offset:] for row in M[:r - len(block)]]
+                for row, new in zip(M, lmat_mul(above, B) + block):
+                    row[offset:] = new
         block_sizes.append(k)
         offset += k
-        A_q = None
-        if gauged.has_frobenius:
-            A_q = [[gauged.A[i][j] for j in range(k, current.rank)]
-                   for i in range(k, current.rank)]
-        G_q = [[gauged.G[i][j] for j in range(k, current.rank)]
-               for i in range(k, current.rank)]
-        current = PhiNablaModule(params, current.rank - k, A_q, G_q, m.label)
-    gauge = GaugeChange(total_U)
-    return UnipotentFiltration(True, len(block_sizes), gauge, block_sizes,
-                               gauge.apply(m))
+    return UnipotentFiltration(True, len(block_sizes), GaugeChange(total),
+                               block_sizes,
+                               PhiNablaModule(params, r, A, G, m.label))
 
 
 # -- residue exponents ------------------------------------------------------

@@ -26,6 +26,12 @@ def count_calls(monkeypatch, module, name, run):
     return calls
 
 
+def laurent_bits(x):
+    """Every coefficient as (exponent, v, unit, abs_prec), and the tails."""
+    return (sorted((e, c.v, c.unit, c.abs_prec) for e, c in x.coeffs.items()),
+            x.tail_pos, x.tail_neg)
+
+
 def same_space(basis1, basis2):
     """Whether two lists of rational vectors span the same subspace."""
     return (linalg.rank(list(basis1) + list(basis2)) == linalg.rank(basis1)

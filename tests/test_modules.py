@@ -2,15 +2,17 @@
 
 import json
 import pathlib
+import random
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from phinabla import linalg
-from phinabla.errors import (IrregularSingularity, MissingStructure,
-                             WildCover, WindowTooSmall)
+from phinabla import linalg, modules
+from phinabla.corpus import tate_abelian_datum
+from phinabla.errors import (DiagnosticConflict, IrregularSingularity,
+                             MissingStructure, WildCover, WindowTooSmall)
 from phinabla.modules import (GaugeChange, PhiNablaModule,
                               _unipotent_filtration, check_compatibility,
                               direct_sum, dual, horizontal_sections,
@@ -23,7 +25,8 @@ from phinabla.oracles import ode_recurrence_solutions
 from phinabla.padic import PadicNumber, RingParams
 from phinabla.series import LaurentElement
 
-from helpers import count_calls, dense_unit_matrix
+from helpers import (count_calls, dense_unit_matrix, laurent_bits,
+                     random_shear_gauge)
 
 
 P = RingParams(5, 20, (32, 32))
@@ -200,15 +203,74 @@ def test_unipotent_filtration_constant():
 
 @pytest.mark.parametrize("module, calls", [
     # per filtration step the residue polynomial of the horizontal-section
-    # solve and one Laurent determinant, in the gauge change's inverse;
-    # then the inverse of the total gauge
-    pytest.param(kt, 2 * 2 + 1, id="kt"),
-    pytest.param(lambda: tensor(kt(), kt()), 2 * 3 + 1, id="kt*kt"),
+    # solve and one Laurent determinant, in the gauge change's inverse of
+    # the quotient block; no inverse of the total gauge
+    pytest.param(kt, 2 * 2, id="kt"),
+    pytest.param(lambda: tensor(kt(), kt()), 2 * 3, id="kt*kt"),
 ])
 def test_each_determinant_runs_once_per_step(module, calls, monkeypatch):
     m = module()
     assert count_calls(monkeypatch, linalg, "charpoly",
                        lambda: unipotent_filtration(m)) == calls
+
+
+def _randomly_sheared(module, seed):
+    gauge = random_shear_gauge(random.Random(seed), P, module.rank, lowest=0)
+    return gauge.apply(module)
+
+
+def _monomial_quotient():
+    # the quotient's section is t^-3 e_2, so sigma(U) = t^-15 differs from
+    # U in the row above the block
+    return PhiNablaModule.from_rational_matrices(
+        P, frobenius=[[1, 1], [0, {12: 5}]],
+        connection=[[0, {2: 1}], [0, {-1: 3}]])
+
+
+@pytest.mark.parametrize("module", [
+    pytest.param(kt, id="kt"),
+    pytest.param(_monomial_quotient, id="monomial-quotient"),
+    pytest.param(lambda: tensor(kt(), kt()), id="kt*kt"),
+    pytest.param(lambda: tensor(tensor(kt(), kt()), kt()), id="kt*kt*kt"),
+    pytest.param(lambda: tate_abelian_datum(P).module, id="tate"),
+] + [pytest.param(lambda seed=seed, f=f: _randomly_sheared(f(), seed),
+                  id=f"{name}-shear{seed}")
+     for name, f in (("kt", kt), ("kt*kt", lambda: tensor(kt(), kt())))
+     for seed in range(4)])
+def test_gauged_module_is_the_gauge_applied(module):
+    # the module built block by block is, to the last bit, the input
+    # gauged by the total gauge
+    m = module()
+    fil = unipotent_filtration(m)
+    assert fil.unipotent
+    applied = fil.gauge.apply(m)
+    for got, ref in ((fil.gauged_module.A, applied.A),
+                     (fil.gauged_module.G, applied.G)):
+        assert [[laurent_bits(x) for x in row] for row in got] == \
+            [[laurent_bits(x) for x in row] for row in ref]
+
+
+@pytest.mark.parametrize("frobenius, steps", [
+    # step 1: phi(e_1) = e_1 + e_2 leaves the constant line of e_1
+    ([[1, 0], [1, 5]], 1),
+    # step 2: the first line is phi-stable, the second, in the quotient
+    # at offset 1, is not
+    ([[1, 0, 0], [0, 1, 0], [0, 1, 5]], 2),
+])
+def test_constant_submodule_not_phi_stable(frobenius, steps, monkeypatch):
+    r = len(frobenius)
+    m = PhiNablaModule.from_rational_matrices(
+        P, frobenius=frobenius,
+        connection=[[{-1: 1} if j == i + 1 else 0 for j in range(r)]
+                    for i in range(r)])
+
+    def run():
+        with pytest.raises(DiagnosticConflict, match="constant submodule "
+                           "not phi-stable at precision"):
+            unipotent_filtration(m)
+
+    assert count_calls(monkeypatch, modules, "horizontal_sections",
+                       run) == steps
 
 
 def test_completed_basis_not_invertible_at_precision():

@@ -10,7 +10,7 @@ from phinabla.errors import NonInvertible
 from phinabla.padic import PadicNumber, RingParams
 from phinabla.series import LaurentElement
 
-from helpers import dense_lmat_mul
+from helpers import dense_lmat_mul, laurent_bits as _bits
 
 
 P = RingParams(5, 20, (16, 16))
@@ -254,12 +254,6 @@ def _laurent_matrices(draw):
         return [[draw(element) for _ in range(cols)] for _ in range(rows)]
 
     return params, matrix(n, k), matrix(k, m), matrix(1, k)[0]
-
-
-def _bits(x):
-    """Every coefficient as (exponent, v, unit, abs_prec), and the tails."""
-    return (sorted((e, c.v, c.unit, c.abs_prec) for e, c in x.coeffs.items()),
-            x.tail_pos, x.tail_neg)
 
 
 @settings(max_examples=300, deadline=None)

@@ -390,6 +390,9 @@ def _corpus_invariants(precision, window):
 
 
 def cmd_selftest(args) -> int:
+    from . import corpus
+    # a bad --precision or --t-window is an input error, not a failed check
+    corpus.ring(precision=args.precision, window=args.t_window)
     lines = _banner(args)
     results = []
     failed = 0

@@ -532,3 +532,15 @@ def test_selftest_green(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "5/5 checks passed" in out
+
+
+@pytest.mark.parametrize("flag, value, detail", [
+    ("--precision", "0", "coefficient precision N must be >= 1"),
+    ("--precision", "-3", "coefficient precision N must be >= 1"),
+    ("--t-window", "0", "t_window must satisfy M_neg >= 0, M_pos >= 1"),
+])
+def test_selftest_bad_ring_flag_is_input_error(capsys, flag, value, detail):
+    # the flag is refused before any check runs, as by every subcommand
+    code, out, err = run(capsys, flag, value, "selftest")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "input", "detail": detail}

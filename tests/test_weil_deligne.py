@@ -11,15 +11,15 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from phinabla import linalg, oracles
 from phinabla.errors import NotNilpotent, NotWeil
 from phinabla.weil_deligne import (FrobeniusKind, MonodromyFiltration,
-                                   WeilDeligneRep, _axioms_hold, _graded,
-                                   _weights_of, compatibility_family,
+                                   WeilDeligneRep, _graded, _weights_of,
+                                   compatibility_family,
                                    monodromy_filtration, purity_check,
                                    quasi_purity_check, special_rep,
                                    trace_table, twist, weight_of_eigenvalue)
 
-from helpers import (fraction_completion, fraction_rational_roots,
-                     fraction_root_weights, fraction_solve, kron,
-                     random_nilpotent, same_space)
+from helpers import (count_calls, fraction_completion,
+                     fraction_rational_roots, fraction_root_weights,
+                     fraction_solve, kron, random_nilpotent, same_space)
 
 
 F = Fraction
@@ -47,18 +47,6 @@ def test_non_nilpotent_rejected():
         monodromy_filtration([[F(1)]])
 
 
-def _count_eliminations(monkeypatch):
-    calls = []
-    eliminate = linalg._eliminate
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return eliminate(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "_eliminate", counted)
-    return calls
-
-
 @pytest.mark.parametrize("N, kernels", [
     # invertible: ker N = ker N^0 = 0
     ([[F(2), F(1)], [F(1), F(1)]], 1),
@@ -71,12 +59,13 @@ def _count_eliminations(monkeypatch):
 def test_stalled_kernel_chain_is_not_nilpotent(N, kernels, monkeypatch):
     # nilpotency is read from the kernel chain: it stops at the first
     # ker N^(m+1) = ker N^m, after one elimination per kernel
-    calls = _count_eliminations(monkeypatch)
-    with pytest.raises(NotNilpotent,
-                       match="^monodromy filtration needs a nilpotent "
-                             "input$"):
-        monodromy_filtration(N)
-    assert len(calls) == kernels
+    def run():
+        with pytest.raises(NotNilpotent,
+                           match="^monodromy filtration needs a nilpotent "
+                                 "input$"):
+            monodromy_filtration(N)
+
+    assert count_calls(monkeypatch, linalg, "_eliminate", run) == kernels
 
 
 def test_empty_operator_filtration():
@@ -144,6 +133,9 @@ def test_filtration_of_a_multiple_is_the_same(N, c):
                                                     fil.bases)
     assert all(type(x) is F for b in fil.bases.values() for v in b
                for x in v)
+    ok, witness = oracles.verify_monodromy_axioms(
+        N, {k: fil.basis(k) for k in range(-fil.s, fil.s + 1)})
+    assert ok, witness
 
 
 def _convolution_filtration(N):
@@ -287,7 +279,6 @@ def test_axioms_hold_rejects_each_broken_axiom(N, fil, axiom):
     ok, witness = oracles.verify_monodromy_axioms(
         N, {k: fil.basis(k) for k in range(-fil.s, fil.s + 1)})
     assert (witness and witness[0]) == axiom
-    assert _axioms_hold(N, fil) is ok
 
 
 @pytest.mark.parametrize("N, change, ok", [
@@ -301,7 +292,24 @@ def test_axioms_read_the_spans_not_the_list_lengths(N, change, ok):
     fil = _changed(N, change)
     assert oracles.verify_monodromy_axioms(
         N, {k: fil.basis(k) for k in range(-fil.s, fil.s + 1)})[0] is ok
-    assert _axioms_hold(N, fil) is ok
+
+
+@pytest.mark.parametrize("mutant", [
+    # too few chains: their vectors span less than Q^d
+    lambda completion: lambda known, cand: completion(known, cand)[1:],
+    # too many chains, with the same spans
+    lambda completion: lambda known, cand: list(cand),
+    lambda completion: lambda known, cand: completion(
+        known[:len(known) // 2], cand),
+], ids=["first-head-dropped", "all-candidates-kept", "half-known"])
+@pytest.mark.parametrize("blocks", [(3,), (2, 2), (4, 2, 1)],
+                         ids=["J3", "J2+J2", "J4+J2+J1"])
+def test_chain_certificate_refuses_a_wrong_chain_basis(mutant, blocks,
+                                                       monkeypatch):
+    monkeypatch.setattr(linalg, "_completion", mutant(linalg._completion))
+    with pytest.raises(AssertionError,
+                       match="^Jordan chains do not form a basis$"):
+        monodromy_filtration(_jordan(blocks))
 
 
 def _sp2_squared():
@@ -319,16 +327,15 @@ def _seeded_nilpotent():
 
 
 @pytest.mark.parametrize("run, eliminations", [
-    # 12 kernels, 12 chain-head choices, 12 span bases and 2 * 23 + 11
-    # axiom eliminations
-    pytest.param(lambda: monodromy_filtration(_jordan((12,))), 93,
+    # 12 kernels, 12 chain-head choices and 12 span bases
+    pytest.param(lambda: monodromy_filtration(_jordan((12,))), 36,
                  id="J12"),
-    pytest.param(lambda: monodromy_filtration(_seeded_nilpotent()), 30,
+    # 4 kernels, 4 chain-head choices and 5 span bases
+    pytest.param(lambda: monodromy_filtration(_seeded_nilpotent()), 13,
                  id="d6"),
-    # the filtration (3 kernels, 3 chain-head choices, 3 span bases, 2 * 5
-    # + 2 axiom eliminations), then one adapted basis and one solve for
-    # every graded piece at once
-    pytest.param(lambda rep=_sp2_squared(): trace_table(rep, 4), 23,
+    # the filtration (3 kernels, 3 chain-head choices, 3 span bases), then
+    # one adapted basis and one solve for every graded piece at once
+    pytest.param(lambda rep=_sp2_squared(): trace_table(rep, 4), 11,
                  id="trace-table"),
     # Phi is inverted once, for the singularity check and Phi N Phi^-1
     pytest.param(lambda: special_rep(5), 1, id="special-rep"),
@@ -336,9 +343,7 @@ def _seeded_nilpotent():
 def test_eliminations_are_pinned(run, eliminations, monkeypatch):
     # one elimination per subspace question: a per-vector loop would
     # multiply these counts
-    calls = _count_eliminations(monkeypatch)
-    run()
-    assert len(calls) == eliminations
+    assert count_calls(monkeypatch, linalg, "_eliminate", run) == eliminations
 
 
 # -- weights ----------------------------------------------------------------

@@ -15,15 +15,15 @@ rule is fraction-free and integer-preserving, as in Bareiss (1968), with
 gcd steps: each row is scaled to its primitive integer multiple, a row
 update is (p/g) row - (f/g) pivot row with g = gcd(p, f), divided by its
 content, and the pivot is the first row with a non-zero entry.  ``rank``,
-``_pivot_columns`` and ``_completion`` read the pivot columns alone;
-``rref``, ``nullspace``, ``column_space``, ``span_basis``, ``solve`` and
-``mat_inv`` divide each pivot row by its pivot, which gives the unique
-reduced row echelon form with Fraction entries, even for int input.  The
-p-adic rule divides by the pivot of smallest valuation; ``field_kernel``
-and ``field_solve`` are its views.  The systems it solves are mostly
-sparse: zero input entries count as absent, as in LaurentElement, and
-non-zero p-adic entries never carry less precision than a dense
-elimination with the same pivots gives.
+``_pivot_columns`` and ``_completion`` read the pivot columns alone,
+``_integer_kernel`` and its view ``nullspace`` the integer rows; ``rref``,
+``span_basis``, ``column_space``, ``solve`` and ``mat_inv`` divide each
+pivot row by its pivot: the unique reduced row echelon form, with Fraction
+entries even for int input.  The p-adic rule divides by the pivot of
+smallest valuation; ``field_kernel`` and ``field_solve`` are its views.
+The systems it solves are mostly sparse: zero input entries count as
+absent, as in LaurentElement, and non-zero p-adic entries never carry less
+precision than a dense elimination with the same pivots gives.
 
 Polynomials are integer coefficient lists and every remainder sequence
 (gcds, square-free parts, Sturm chains, the rational roots of
@@ -118,26 +118,42 @@ def rank(A):
 
 
 def nullspace(A):
-    """Basis of the right kernel (list of column vectors as lists)."""
+    """Basis of the right kernel (list of column vectors as lists): the
+    ``_integer_kernel`` vectors over their free entry, the last non-zero."""
+    return [[Fraction(x, lead) for x in v] for v in _integer_kernel(A)
+            for lead in [next(x for x in reversed(v) if x)]]
+
+
+def _integer_kernel(A):
+    """The primitive integer multiples of the ``nullspace`` vectors, read
+    off the fraction-free rows of one elimination: for a free column, L
+    there and -x (L // p) at the pivot column of each row with pivot p and
+    entry x in it, L the lcm of those p, then divided by the gcd."""
     if not A:
         return []
     ncols = len(A[0])
     R, pivots = _eliminate(A, ncols, _INTEGER)
-    return _kernel(_reduced(R, pivots), pivots, ncols, Fraction(0),
-                   Fraction(1))
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        rows = [(pc, row[pc], row[fc]) for row, pc in zip(R, pivots)
+                if fc in row]
+        L = lcm(*(p for _, p, _ in rows))
+        v = [0] * ncols
+        v[fc] = L
+        for pc, p, x in rows:
+            v[pc] = -x * (L // p)
+        g = gcd(*v)
+        basis.append([x // g for x in v])
+    return basis
 
 
 def column_space(A):
     """Basis of the column space, as a list of column vectors."""
-    if not A or not A[0]:
-        return []
     return span_basis(transpose(A))
 
 
 def span_basis(vectors):
     """Reduce a spanning set to a basis (rows of the rref)."""
-    if not vectors:
-        return []
     R, pivots = rref(vectors)
     return R[:len(pivots)]
 
@@ -151,8 +167,6 @@ def solve(A, rhs):
 def _pivot_columns(vectors):
     """Pivot columns of the matrix with columns ``vectors``: the positions
     of the vectors outside the span of the ones before them."""
-    if not vectors:
-        return []
     return _eliminate(transpose(vectors), len(vectors), _INTEGER)[1]
 
 
@@ -464,24 +478,6 @@ def _reduced(R, pivots):
             for row, c in zip(R, pivots)] + R[len(pivots):]
 
 
-def _kernel(R, pivots, ncols, zero, one):
-    """Right-kernel basis read off reduced rows, one vector per free
-    column; absent entries are ``zero``."""
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [zero] * ncols
-        v[fc] = one
-        for rr, pc in enumerate(pivots):
-            x = R[rr].get(fc)
-            if x is not None:
-                v[pc] = -x
-        basis.append(v)
-    return basis
-
-
 def _solve(rows, rhs, zero, rule):
     """Solutions x_j of (rows) x_j = rhs[j], one per right-hand side column,
     from one elimination of [rows | rhs]; None if one of them is
@@ -515,7 +511,15 @@ def field_kernel(rows, zero, one):
     """
     ncols = len(rows[0]) if rows else 0
     R, pivots = _eliminate(rows, ncols, _PADIC)
-    return _kernel(R, pivots, ncols, zero, one)
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [zero] * ncols
+        v[fc] = one
+        for row, pc in zip(R, pivots):
+            if fc in row:
+                v[pc] = -row[fc]
+        basis.append(v)
+    return basis
 
 
 def field_solve(rows, rhs, zero):

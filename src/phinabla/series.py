@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import MismatchedParams, NonInvertible
+from .errors import MismatchedParams, NonInvertible, WindowTooSmall
 from .padic import PadicNumber, RingParams
 
 
@@ -163,31 +163,33 @@ class LaurentElement:
                               self.tail_pos, self.tail_neg)
 
     def inverse(self) -> "LaurentElement":
-        """Inverse of a unit: lowest-order coefficient invertible in K."""
+        """Inverse of a unit c t^k (1 + z): c invertible in K and t^-k in
+        the window, else NonInvertible or WindowTooSmall, never a 0."""
         if self.is_zero():
             raise NonInvertible("zero series")
         if self.tail_neg:
             raise NonInvertible("negative tail: lowest term unknown")
         k = self.min_exponent()
+        if -k < self.params.window_lo:
+            if not self.params.window_lo:
+                raise NonInvertible(f"t^{k} is not a unit of K[[t]]")
+            raise WindowTooSmall(f"the inverse starts at t^{-k}; a window "
+                                 f"with bottom {k} holds it")
         c = self.coeffs[k]
         lead_inv = c.inverse()
         # self = c t^k (1 + z) with z of strictly positive order
         z = (self.shift(-k)).scale(lead_inv) - 1
-        inv = LaurentElement.one(self.params)
-        term = LaurentElement.one(self.params)
+        inv = term = LaurentElement.one(self.params)
         width = self.params.window_hi - self.params.window_lo
-        terminated = False
         for _ in range(width + 1):
             term = -(term * z)
             if not term:
-                terminated = True
                 break
             inv = inv + term
-        out = inv.shift(-k).scale(lead_inv)
-        if not terminated:
+        else:
             # true inverse continues beyond the window
-            out = LaurentElement(out.params, out.coeffs, True, out.tail_neg)
-        return out
+            inv = LaurentElement(inv.params, inv.coeffs, True, inv.tail_neg)
+        return inv.shift(-k).scale(lead_inv)
 
     def __truediv__(self, other):
         if not isinstance(other, LaurentElement):

@@ -212,20 +212,38 @@ class MonodromyFiltration:
 
 def monodromy_filtration(N) -> MonodromyFiltration:
     """The unique filtration with N M_k in M_{k-2} and
-    N^k : Gr_k ~ Gr_{-k}, from Jordan chains (Deligne, Weil II 1.6).
-
-    With K_m = ker N^m, heads of chains of length l are picked from the top
-    down, independent of K_{l-1} and of the height-l vectors of the longer
-    chains; then M_k = span{N^j v : l(v) - 1 - 2j <= k}.  N is read as the
-    integer matrix sN (``_scaled``), which has the same filtration, so the
-    kernels and chains are integer vectors; the bases are Fraction rows.
+    N^k : Gr_k ~ Gr_{-k} (Deligne, Weil II 1.6): M_k is spanned by the
+    Jordan chain vectors of index <= k (``_jordan_chains``).  Its bases,
+    Fraction rref rows for k in [-s, s], are built here for the callers of
+    the filtration; trace tables and quasi-purity read the chain vectors.
 
     The chains certify the result: when each ends in ker N and their d
-    vectors span Q^d, they are a Jordan basis.  Then the M_k increase with
-    k, N moves each chain vector from index k to k - 2 (or to 0 at the end
-    of its chain), and N^k maps the index-k vectors one-to-one onto the
-    index -k ones, so every axiom holds and s is the longest length - 1.
+    vectors span Q^d (``len(bases[s]) == d``), they are a Jordan basis.
+    Then the M_k increase with k, N moves each chain vector from index k
+    to k - 2 (or to 0 at the end of its chain), and N^k maps the index-k
+    vectors one-to-one onto the index -k ones, so every axiom holds and s
+    is the longest length - 1.
     """
+    s, flag = _jordan_chains(N)
+    bases, vectors = {}, []
+    for k, new in enumerate(flag, start=-s):
+        vectors += new
+        bases[k] = linalg.span_basis(vectors) if new else bases.get(k - 1, [])
+    if len(bases[s]) != len(N):
+        raise AssertionError("Jordan chains do not form a basis")
+    return MonodromyFiltration(s, bases, len(N))
+
+
+def _jordan_chains(N):
+    """(s, flag), flag[s + k] the chain vectors of index k: N^j v has index
+    l - 1 - 2j in the chain of head v and length l.  Heads of length l are
+    picked from the top down in K_l = ker N^l, independent of K_{l-1} and
+    of the height-l vectors of the longer chains.  N is read as sN
+    (``_scaled``) and K_l as primitive integer vectors
+    (``linalg._integer_kernel``).  ``monodromy_filtration`` spans rref
+    bases from the flag, ``_graded_phi`` reads Phi in it; each checks
+    the span.  AssertionError unless there are d vectors and each chain
+    ends in ker N."""
     d = len(N)
     _check_shape(N, "N", d, d)
     N = _scaled(N)[0]
@@ -233,13 +251,13 @@ def monodromy_filtration(N) -> MonodromyFiltration:
     power = linalg.identity(d, 1)
     while len(kernels[-1]) < d:
         power = linalg.mat_mul(N, power, zero=0)
-        kernels.append([linalg._primitive(v)
-                        for v in linalg.nullspace(power)])
+        kernels.append(linalg._integer_kernel(power))
         # ker N^(m+1) = ker N^m: the chain never grows again, short of d
         if len(kernels[-1]) == len(kernels[-2]):
             raise NotNilpotent("monodromy filtration needs a nilpotent "
                                "input")
-    chains = []                         # [N^j v for j < l(v)], longest first
+    s = max(len(kernels) - 2, 0)
+    chains, flag = [], [[] for _ in range(2 * s + 1)]
     for length in range(len(kernels) - 1, 0, -1):
         known = kernels[length - 1] + [chain[-length] for chain in chains]
         for head in linalg._completion(known, kernels[length]):
@@ -247,21 +265,13 @@ def monodromy_filtration(N) -> MonodromyFiltration:
             for _ in range(length - 1):
                 chain.append(linalg.mat_vec(N, chain[-1], zero=0))
             chains.append(chain)
-    by_index = {}
-    for chain in chains:
-        for j, v in enumerate(chain):
-            by_index.setdefault(len(chain) - 1 - 2 * j, []).append(v)
-    s = max(len(kernels) - 2, 0)
-    bases, vectors = {}, []
-    for k in range(-s, s + 1):
-        new = by_index.get(k, [])
-        vectors += new
-        bases[k] = linalg.span_basis(vectors) if new else bases.get(k - 1, [])
-    if (len(vectors) != d or len(bases[s]) != d
+            for j, v in enumerate(chain):
+                flag[s + length - 1 - 2 * j].append(v)
+    if (sum(map(len, chains)) != d
             or any(any(linalg.mat_vec(N, chain[-1], zero=0))
                    for chain in chains)):
         raise AssertionError("Jordan chains do not form a basis")
-    return MonodromyFiltration(s, bases, d)
+    return s, flag
 
 
 def _scaled(mat):
@@ -275,12 +285,13 @@ def _scaled(mat):
 
 def _graded(mat, flag):
     """[(Y_k, s_k)]: ``mat`` is Y_k / s_k, Y_k an integer matrix and s_k a
-    positive integer, on V_k / V_(k-1), V_k the span of flag[k] (V_-1 = 0),
-    in the primitive integer multiples of the vectors of flag[k] outside
-    the span of those before them in flag[0] + flag[1] + ... (one
-    ``_pivot_columns``).  mat is read as Z / s (``_scaled``); one
-    fraction-free elimination of [basis | images] gives every coordinate.
-    None unless mat keeps every V_k."""
+    positive integer, on V_k / V_(k-1), V_k the span of flag[0] + ... +
+    flag[k] (V_-1 = 0), in the primitive integer multiples of the vectors
+    of flag[k] outside the span of those before them (one
+    ``_pivot_columns``, whose rank is the sum of the sizes of the Y_k).
+    mat is read as Z / s (``_scaled``); one fraction-free elimination of
+    [basis | images] gives every coordinate.  None unless mat keeps every
+    V_k."""
     Z, s = _scaled(mat)
     vectors = [linalg._primitive(v) for vs in flag for v in vs]
     owner = [k for k, vs in enumerate(flag) for _ in vs]
@@ -506,15 +517,19 @@ def quasi_purity_check(rep: WeilDeligneRep, i) -> PurityReport:
 
 def _graded_phi(rep: WeilDeligneRep) -> list:
     """[(k, Y_k, s_k)] for the non-zero pieces Gr_k of the monodromy
-    filtration, Phi being Y_k / s_k on Gr_k (``_graded``); IrrationalTrace
-    if Phi does not respect the filtration."""
-    fil = monodromy_filtration(rep.N)
-    pieces = _graded(rep.phi, [fil.basis(k) for k in range(-fil.s,
-                                                            fil.s + 1)])
+    filtration, Phi being Y_k / s_k on Gr_k (``_graded``) in the index-k
+    Jordan chain vectors (``_jordan_chains``), an adapted basis; no rref
+    basis is built.  AssertionError unless the chains span Q^d, checked
+    first; then IrrationalTrace if Phi does not respect the filtration."""
+    s, flag = _jordan_chains(rep.N)
+    pieces = _graded(rep.phi, flag)
+    if rep.dim != (sum(len(Y) for Y, _ in pieces) if pieces is not None
+                   else linalg.rank([v for vs in flag for v in vs])):
+        raise AssertionError("Jordan chains do not form a basis")
     if pieces is None:
         raise IrrationalTrace("Phi does not respect the monodromy "
                               "filtration")
-    return [(k, Y, s) for k, (Y, s) in enumerate(pieces, start=-fil.s) if Y]
+    return [(k, Y, t) for k, (Y, t) in enumerate(pieces, start=-s) if Y]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ the views read off it) multiply every entry, zeros included; they share no
 code with ``linalg``.
 """
 
+import math
 import time
 from fractions import Fraction
 
@@ -124,6 +125,24 @@ def test_fraction_free_views_match_fraction_gauss_jordan(problem):
     assert linalg.rank(A) == len(pivots)
     assert linalg._completion(A[:half], A[half:]) == \
         fraction_completion(A[:half], A[half:])
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rational_problems())
+def test_integer_kernel_is_the_primitive_fraction_kernel(problem):
+    # the kernel read off the fraction-free rows equals the primitive
+    # integer multiples of the Fraction reference's, as ints
+    A = problem[0]
+    expected = []
+    for v in fraction_nullspace(A):
+        den = math.lcm(*(x.denominator for x in v))
+        w = [int(x * den) for x in v]
+        g = math.gcd(*w)
+        expected.append([x // g for x in w])
+    got = linalg._integer_kernel(A)
+    assert got == expected
+    assert all(type(x) is int for v in got for x in v)
 
 
 def test_fractions_returns_new_rows():

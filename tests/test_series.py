@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phinabla import linalg
-from phinabla.errors import NonInvertible
+from phinabla.errors import NonInvertible, WindowTooSmall
 from phinabla.padic import PadicNumber, RingParams
 from phinabla.series import LaurentElement
 
@@ -85,6 +85,19 @@ def test_padic_zero_is_truthy():
 def test_zero_not_invertible():
     with pytest.raises(NonInvertible):
         LaurentElement.zero(P).inverse()
+
+
+def test_inverse_below_the_window_bottom_is_refused():
+    # t^-1 does not exist in K[[t]], and t^-4 lies below a window with
+    # bottom 3: both refused, never a truncated zero
+    t = LaurentElement.monomial(RingParams(5, 20, (0, 5)), 1)
+    with pytest.raises(NonInvertible, match="K\\[\\[t\\]\\]"):
+        t.inverse()
+    P3 = RingParams(5, 20, (3, 5))
+    with pytest.raises(WindowTooSmall, match="bottom 4 holds it$"):
+        LaurentElement.monomial(P3, 4).inverse()
+    inv = LaurentElement.monomial(P3, 3).inverse()
+    assert _bits(inv) == _bits(LaurentElement.monomial(P3, -3))
 
 
 def test_sigma_on_monomials():

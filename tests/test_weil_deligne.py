@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from phinabla import linalg, oracles
 from phinabla.errors import NotNilpotent, NotWeil
 from phinabla.weil_deligne import (FrobeniusKind, MonodromyFiltration,
-                                   WeilDeligneRep, _graded, _weights_of,
+                                   WeilDeligneRep, _add_traces, _graded,
+                                   _graded_phi, _weights_of,
                                    compatibility_family,
                                    monodromy_filtration, purity_check,
                                    quasi_purity_check, special_rep,
@@ -312,6 +313,64 @@ def test_chain_certificate_refuses_a_wrong_chain_basis(mutant, blocks,
         monodromy_filtration(_jordan(blocks))
 
 
+def _chain_rep(blocks, q=5):
+    """N the Jordan blocks, Phi = diag(q^j) along each block, so that
+    Phi N Phi^-1 = q^-1 N."""
+    phi = linalg.identity(sum(blocks))
+    at = 0
+    for b in blocks:
+        for j in range(b):
+            phi[at + j][at + j] = F(q) ** j
+        at += b
+    return WeilDeligneRep(q, phi, _jordan(blocks))
+
+
+@pytest.mark.parametrize("mutant", [
+    lambda completion: lambda known, cand: completion(known, cand)[1:],
+    lambda completion: lambda known, cand: list(cand),
+    lambda completion: lambda known, cand: completion(
+        known[:len(known) // 2], cand),
+], ids=["first-head-dropped", "all-candidates-kept", "half-known"])
+@pytest.mark.parametrize("blocks", [(3,), (2, 2), (4, 2, 1)],
+                         ids=["J3", "J2+J2", "J4+J2+J1"])
+@pytest.mark.parametrize("read", [
+    lambda rep: trace_table(rep, 4),
+    lambda rep: quasi_purity_check(rep, 0),
+], ids=["trace-table", "quasi-purity"])
+def test_chain_certificate_guards_the_trace_path(read, mutant, blocks,
+                                                 monkeypatch):
+    # the graded Phi reads the chains as its basis: a wrong chain basis is
+    # refused as such, never reported as an IrrationalTrace or a table
+    rep = _chain_rep(blocks)
+    monkeypatch.setattr(linalg, "_completion", mutant(linalg._completion))
+    with pytest.raises(AssertionError,
+                       match="^Jordan chains do not form a basis$"):
+        read(rep)
+
+
+@pytest.mark.parametrize("mix", [[[1, 0], [0, 1]], [[1, 0], [1, 1]]],
+                         ids=["phi-keeps-the-chains", "phi-moves-them"])
+def test_dependent_chains_are_refused_before_the_trace_verdict(
+        mix, monkeypatch):
+    # J2 + J2 with its first head taken twice and no chain of length 1:
+    # d vectors, each chain ending in ker N, spanning a plane.  The span
+    # check comes first, whether or not Phi keeps that plane's flag.
+    phi = [[F(mix[i // 2][j // 2] * 5 ** (i % 2)) if i % 2 == j % 2
+            else F(0) for j in range(4)] for i in range(4)]
+    rep = WeilDeligneRep(5, phi, _jordan((2, 2)))
+    completion, calls = linalg._completion, []
+
+    def repeated(known, cand):
+        heads = [] if calls else completion(known, cand)
+        calls.append(cand)
+        return heads[:1] * len(heads)
+
+    monkeypatch.setattr(linalg, "_completion", repeated)
+    with pytest.raises(AssertionError,
+                       match="^Jordan chains do not form a basis$"):
+        trace_table(rep, 4)
+
+
 def _sp2_squared():
     sp = special_rep(5)
     one = [[F(1), F(0)], [F(0), F(1)]]
@@ -333,9 +392,8 @@ def _seeded_nilpotent():
     # 4 kernels, 4 chain-head choices and 5 span bases
     pytest.param(lambda: monodromy_filtration(_seeded_nilpotent()), 13,
                  id="d6"),
-    # the filtration (3 kernels, 3 chain-head choices, 3 span bases), then
-    # one adapted basis and one solve for every graded piece at once
-    pytest.param(lambda rep=_sp2_squared(): trace_table(rep, 4), 11,
+    # 3 kernels, 3 chain-head choices, one adapted basis, one solve
+    pytest.param(lambda rep=_sp2_squared(): trace_table(rep, 4), 8,
                  id="trace-table"),
     # Phi is inverted once, for the singularity check and Phi N Phi^-1
     pytest.param(lambda: special_rep(5), 1, id="special-rep"),
@@ -344,6 +402,17 @@ def test_eliminations_are_pinned(run, eliminations, monkeypatch):
     # one elimination per subspace question: a per-vector loop would
     # multiply these counts
     assert count_calls(monkeypatch, linalg, "_eliminate", run) == eliminations
+
+
+@pytest.mark.parametrize("run", [
+    lambda rep: trace_table(rep, 4),
+    lambda rep: quasi_purity_check(rep, 0),
+    lambda rep: compatibility_family([rep, rep]),
+], ids=["trace-table", "quasi-purity", "family"])
+def test_graded_phi_builds_no_rref_basis(run, monkeypatch):
+    # Phi on Gr_k is read in the Jordan chains: no span_basis, no rref
+    rep = _sp2_squared()
+    assert count_calls(monkeypatch, linalg, "rref", lambda: run(rep)) == 0
 
 
 # -- weights ----------------------------------------------------------------
@@ -962,3 +1031,51 @@ def test_graded_pieces_match_fraction_solves(problem):
         assert [[F(y, s) for y in row] for row in Y] == expected
     if bad is not None:
         assert _graded(bad, flag) is None
+
+
+@st.composite
+def jordan_reps(draw):
+    """Jordan blocks N; on the m blocks of one size b, Phi = A (x)
+    diag(1, q, ..., q^(b-1)) for an invertible rational m x m A, so that
+    Phi N Phi^-1 = q^-1 N and Gr_k carries a non-diagonal Phi; both
+    conjugated by a unimodular integer matrix."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    blocks = sorted(sizes, reverse=True)
+    d = sum(blocks)
+    phi = linalg.zeros(d, d)
+    starts = [sum(blocks[:i]) for i in range(len(blocks))]
+    entry = st.fractions(-4, 4, max_denominator=3)
+    for b in set(blocks):
+        group = [a for a, size in zip(starts, blocks) if size == b]
+        m = len(group)
+        A = [[draw(entry.filter(bool)) if i == j else
+              draw(entry) if j > i else F(0) for j in range(m)]
+             for i in range(m)]
+        A = linalg.mat_mul(_unimodular_drawn(draw, m), A)
+        for i, at in enumerate(group):
+            for i2, at2 in enumerate(group):
+                for j in range(b):
+                    phi[at2 + j][at + j] = A[i2][i] * F(q) ** j
+    U = _unimodular_drawn(draw, d)
+    Ui = linalg.mat_inv(U)
+    conj = lambda M: linalg.mat_mul(Ui, linalg.mat_mul(M, U))
+    return WeilDeligneRep(q, conj(phi), conj(_jordan(blocks)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(jordan_reps())
+def test_chain_basis_and_rref_flag_give_the_same_traces(rep):
+    # Phi on Gr_k in the Jordan chains, against Phi on the rref bases of
+    # the filtration's M_k: the same traces on every graded piece
+    got, expected = {}, {}
+    for k, Y, s in _graded_phi(rep):
+        _add_traces(got, k, Y, s, len(Y) + 2)
+    fil = monodromy_filtration(rep.N)
+    pieces = _graded(rep.phi, [fil.basis(k) for k in range(-fil.s,
+                                                            fil.s + 1)])
+    for k, (Y, s) in enumerate(pieces, start=-fil.s):
+        if Y:
+            _add_traces(expected, k, Y, s, len(Y) + 2)
+    assert got == expected

@@ -7,8 +7,11 @@ Frobenius, the log-derivative monodromy N, and a mu_e inertia action read
 off the t-exponent residue classes.  The log basis comes from the
 resonance-driven Frobenius-method solver in `modules` (horizontal sections
 are its log-depth-1 case): linear algebra only where det(nI + R) = 0, one
-back substitution at every other exponent of the window.  It is kept on
-the ExtractionTrace, so callers reuse it instead of solving again.
+back substitution at every other exponent of the window.  Each residue
+class is solved at the log depth the pulled-back residue R allows: the sum
+of the largest Jordan blocks of R at its eigenvalues in that class
+(Levelt), capped at the rank.  The log basis is kept on the
+ExtractionTrace, so callers reuse it instead of solving again.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from . import linalg
 from .errors import (NonConstantFrobenius, NotLevelTwo, NotTame,
                      WindowTooSmall)
 from .modules import (GaugeChange, LogSolution, PhiNablaModule,
-                      _frobenius_image, _residue, _solution_coordinates,
-                      _solve_nabla, kummer_pullback, lmat_identity,
-                      unipotent_filtration)
+                      _frobenius_image, _log_depths, _residue,
+                      _solution_coordinates, _solve_nabla, kummer_pullback,
+                      lmat_identity, unipotent_filtration)
 from .series import LaurentElement
 from .weil_deligne import FrobeniusKind, WeilDeligneRep
 
@@ -53,11 +56,20 @@ class ExtractionTrace:
 
 
 def log_solution_basis(m: PhiNablaModule, e: int = 1) -> LogSolutionBasis:
-    """Full basis of log-horizontal sections, solved per residue class."""
-    sols = _solve_nabla(m, m.rank, e)
+    """Full basis of log-horizontal sections, solved per residue class at
+    the log depth the residue's Jordan blocks allow."""
+    return _log_basis(m, e)
+
+
+def _log_basis(m: PhiNablaModule, e: int, residue=None) -> LogSolutionBasis:
+    """log_solution_basis, given _residue(m) when the caller has read it."""
+    sols = _solve_nabla(m, None, e, residue)
     if len(sols) != m.rank:
+        _, R, roots, _ = residue or _residue(m)
+        depths = _log_depths(R, roots, e)
         raise WindowTooSmall(
-            f"found {len(sols)} log solutions, expected {m.rank}")
+            f"found {len(sols)} log solutions at log depth "
+            f"{'/'.join(map(str, depths))}, expected {m.rank}")
     # pure (log-free) solutions first, then by residue class
     sols.sort(key=lambda s: (s.log_degree, s.residue_class))
     return LogSolutionBasis(sols, e)
@@ -65,10 +77,10 @@ def log_solution_basis(m: PhiNablaModule, e: int = 1) -> LogSolutionBasis:
 
 def _log_derivative(comps, params):
     """d/d(log t) of sum_d v_d (log t)^d: degree d picks up (d+1) v_{d+1}."""
-    r = len(comps)
+    depth = len(comps)
     out = []
-    for d in range(r):
-        if d + 1 < r:
+    for d in range(depth):
+        if d + 1 < depth:
             out.append(tuple(x.scale(d + 1) for x in comps[d + 1]))
         else:
             out.append(tuple(LaurentElement.zero(params) for _ in comps[d]))
@@ -90,7 +102,9 @@ def _rational_vector(xs, error_cls, what):
 # the extraction
 
 def _tame_cover_degree(m: PhiNablaModule, m_max: int) -> tuple:
-    _, _, roots, remaining = _residue(m)
+    """The cover degree e, the residue exponents and the residue read."""
+    residue = _residue(m)
+    roots, remaining = residue[2:]
     if remaining is not None:
         raise NotTame("residue exponents are not all rational")
     exponents = sorted(roots)
@@ -105,7 +119,7 @@ def _tame_cover_degree(m: PhiNablaModule, m_max: int) -> tuple:
     if e > m_max:
         raise NotTame(f"cover degree {e} exceeds m_max = {m_max}")
     assert gcd(e, m.params.p) == 1
-    return e, exponents
+    return e, exponents, residue
 
 
 def _canonical_sp2(phi, N):
@@ -134,12 +148,13 @@ def wd_extract(m: PhiNablaModule, m_max: int = 24,
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     m._require(frobenius=True, connection=True)
-    e, exponents = _tame_cover_degree(m, m_max)
+    e, exponents, residue = _tame_cover_degree(m, m_max)
     if any(a.has_tail() for row in m.A for a in row):
         raise WindowTooSmall("Frobenius matrix truncated; cannot trust "
                              "its image")
     pulled = kummer_pullback(m, e)
-    sols = log_solution_basis(pulled, e).solutions
+    # with e = 1 the pullback is m itself, whose residue is read already
+    sols = _log_basis(pulled, e, residue if pulled is m else None).solutions
     r = m.rank
     params = m.params
     comps = [s.components for s in sols]

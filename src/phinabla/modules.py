@@ -298,19 +298,39 @@ class LogSolution:
                     if any(not x.is_zero() for x in v)), default=0)
 
 
-def _solve_nabla(m: PhiNablaModule, depth: int, e: int):
-    """Log solutions of depth `depth` supported in the window, solved per
-    residue class mod e."""
+def _solve_nabla(m: PhiNablaModule, depth, e: int, residue=None):
+    """Log solutions supported in the window, solved per residue class mod
+    e at log depth `depth`, or with None at the depth _log_depths gives
+    each class.  `residue` is _residue(m) when the caller has read it."""
     m._require(connection=True)
     if any(g.shift(1).has_tail() for row in m.G for g in row):
         raise WindowTooSmall("connection matrix truncated; cannot trust "
                              "the coefficient equations")
-    tG, R, roots, _ = _residue(m)
+    tG, R, roots, _ = residue or _residue(m)
+    depths = [depth] * e if depth is not None else _log_depths(R, roots, e)
     # det(nI + R) = 0 exactly at the integers n = -lambda
     resonances = sorted({-int(x) for x in roots if x.denominator == 1})
     return [sol for rcls in range(e)
-            for sol in _solve_class(m.params, tG, R, resonances, depth,
-                                    rcls, e)]
+            for sol in _solve_class(m.params, tG, R, resonances,
+                                    depths[rcls], rcls, e)]
+
+
+def _log_depths(R, roots, e):
+    """The log depth each residue class c mod e needs (Levelt): the sum,
+    over the distinct integer eigenvalues lambda of R with -lambda = c mod
+    e, of the largest Jordan block of R at lambda, capped at the rank.  That
+    block size is the least k with rank (R - lambda)^k = rank (R -
+    lambda)^(k+1)."""
+    r = len(R)
+    depths = [0] * e
+    for lam in {x for x in roots if x.denominator == 1}:
+        M = [[R[i][j] - (lam if i == j else 0) for j in range(r)]
+             for i in range(r)]
+        k, power, rk = 1, M, linalg.rank(M)
+        while rk > (nxt := linalg.rank(power := linalg.mat_mul(power, M))):
+            k, rk = k + 1, nxt
+        depths[int(-lam) % e] += k
+    return [min(d, r) for d in depths]
 
 
 def _solve_class(params, tG, R, resonances, depth, rcls, e):
@@ -470,16 +490,20 @@ def horizontal_sections(m: PhiNablaModule, cap=None):
 def _solution_coordinates(basis, targets, params):
     """Constants x_t with sum_k x_t[k] basis_k = t for every target t, from
     one elimination, or None if a target leaves the span.  Each basis
-    element and target is a list of vectors, one per log degree."""
+    element and target is a list of vectors, one per log degree; the
+    degrees past its list are zero."""
+    zero = PadicNumber.zero(params)
     coords = set()
     for comps in list(basis) + list(targets):
         for d, vec in enumerate(comps):
             for i, x in enumerate(vec):
                 coords.update((d, i, n) for n in x.coeffs)
     coords = sorted(coords)
-    rows = [[b[d][i].coefficient(n) for b in basis] for (d, i, n) in coords]
-    rhs = [[t[d][i].coefficient(n) for (d, i, n) in coords] for t in targets]
-    return field_solve(rows, rhs, PadicNumber.zero(params))
+    rows = [[b[d][i].coefficient(n) if d < len(b) else zero for b in basis]
+            for (d, i, n) in coords]
+    rhs = [[t[d][i].coefficient(n) if d < len(t) else zero
+            for (d, i, n) in coords] for t in targets]
+    return field_solve(rows, rhs, zero)
 
 
 def _frobenius_image(m: PhiNablaModule, comps):

@@ -1,24 +1,27 @@
 """Extraction: log solutions, normal form, WD functor properties."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from phinabla import corpus
-from phinabla.errors import NotLevelTwo, NotTame, WindowTooSmall
+from phinabla import corpus, extraction, modules
+from phinabla.errors import (NotLevelTwo, NotTame, PhinablaError,
+                             WindowTooSmall)
 from phinabla.extraction import (key2_normal_form, log_solution_basis,
                                  wd_extract, wd_of_cohomology)
-from phinabla.modules import (GaugeChange, PhiNablaModule,
-                              check_compatibility, direct_sum, tate_twist,
-                              tensor)
+from phinabla.modules import (GaugeChange, PhiNablaModule, _log_depths,
+                              _residue, _solve_nabla, check_compatibility,
+                              direct_sum, kummer_pullback, tate_twist, tensor)
 from phinabla.padic import RingParams
 from phinabla.series import LaurentElement
-from phinabla.weil_deligne import (compatibility_family, purity_check,
-                                   quasi_purity_check, trace_table)
+from phinabla.weil_deligne import (WeilDeligneRep, compatibility_family,
+                                   purity_check, quasi_purity_check,
+                                   trace_table)
 
-from helpers import random_shear_gauge, sp2_power
+from helpers import count_calls, laurent_bits, random_shear_gauge, sp2_power
 
 
 P = corpus.ring()
@@ -36,6 +39,141 @@ def test_log_solution_basis_constant_module():
         P, frobenius=[[2, 0], [0, 3]], connection=[[0, 0], [0, 0]])
     basis = log_solution_basis(m)
     assert all(s.log_degree == 0 for s in basis.solutions)
+
+
+# -- the log depth: the residue's Jordan blocks ------------------------------
+
+def _connection(params, tG):
+    """The module with connection matrix tG / t, tG given by its t-terms."""
+    return PhiNablaModule.from_rational_matrices(
+        params, connection=[[{k - 1: c for k, c in x.items()} for x in row]
+                            for row in tG])
+
+
+def _residue_depths(m, e=1):
+    _, R, roots, _ = _residue(m)
+    return _log_depths(R, roots, e)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_jordan_block_needs_its_full_depth(r):
+    # tG = J_r: one solution of each log degree 0 .. r - 1
+    m = _connection(P, [[{0: 1} if j == i + 1 else {} for j in range(r)]
+                        for i in range(r)])
+    assert _residue_depths(m) == [r]
+    degrees = sorted(s.log_degree for s in log_solution_basis(m).solutions)
+    assert degrees == list(range(r))
+    if r > 1:
+        assert len(_solve_nabla(m, r - 1, 1)) == r - 1
+
+
+def test_resonant_pair_needs_a_log():
+    # tG = [[0, t], [0, 1]]: R = diag(0, 1) has 1x1 blocks at the
+    # resonances 0 and -1, and the second solution is -log t e_1 + e_2 / t
+    m = _connection(P, [[{}, {1: 1}], [{}, {0: 1}]])
+    assert _residue_depths(m) == [2]
+    assert sorted(s.log_degree for s in log_solution_basis(m).solutions) \
+        == [0, 1]
+    assert len(_solve_nabla(m, 1, 1)) == 1
+    # with the resonance at -3, the window from t^-1 cannot hold it
+    with pytest.raises(WindowTooSmall, match="found 1 log solutions at log "
+                       "depth 2, expected 2"):
+        log_solution_basis(_connection(RingParams(5, 20, (1, 8)),
+                                       [[{}, {3: 1}], [{}, {0: 3}]]))
+
+
+def test_two_residue_classes_solve_at_their_own_depths():
+    # after t = s^2 the Kummer-Tate block has exponent 0 (a 2x2 block, class
+    # 0) and the half twist exponent -1 (class 1)
+    m = direct_sum(corpus.half_twist(P), corpus.kummer_tate(P))
+    pulled = kummer_pullback(m, 2)
+    assert _residue_depths(pulled, 2) == [2, 1]
+    sols = log_solution_basis(pulled, 2).solutions
+    assert [(s.residue_class, s.log_degree) for s in sols] \
+        == [(0, 0), (1, 0), (0, 1)]
+    rep, trace = wd_extract(m)
+    assert rep.inertia_matrix == [[F(1), 0, 0], [0, F(-1), 0], [0, 0, F(1)]]
+    assert trace.log_degrees == [0, 0, 1]
+    assert trace_table(rep, 4) == trace_table(
+        WeilDeligneRep(5, [[1, 0, 0], [0, 1, 0], [0, 0, 5]],
+                       [[0, 0, 1], [0, 0, 0], [0, 0, 0]], 2,
+                       [[1, 0, 0], [0, -1, 0], [0, 0, 1]]), 4)
+
+
+def _trimmed(sol):
+    comps = list(sol.components)
+    while len(comps) > 1 and all(x.is_zero() for x in comps[-1]):
+        comps.pop()
+    return (sol.residue_class, sol.log_degree,
+            [[laurent_bits(x) for x in vec] for vec in comps])
+
+
+def _outcome(solve):
+    try:
+        return [_trimmed(s) for s in solve()]
+    except PhinablaError as ex:
+        return type(ex), re.sub(r" at log depth [\d/]+", "", str(ex))
+
+
+def _rank_depth_basis(m, e):
+    """The log basis solved at log depth m.rank in every class."""
+    sols = _solve_nabla(m, m.rank, e)
+    if len(sols) != m.rank:
+        raise WindowTooSmall(
+            f"found {len(sols)} log solutions, expected {m.rank}")
+    return sorted(sols, key=lambda s: (s.log_degree, s.residue_class))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_jordan_depth_matches_the_rank_depth(data):
+    # constant Jordan blocks at resonant exponents, t^1 / t^2 terms above
+    # the diagonal or a shear gauge below it; e = 2 draws half-integer
+    # exponents and solves the pullback in both classes
+    e = data.draw(st.sampled_from([1, 2]))
+    window = data.draw(st.sampled_from([3, 8, 32]))
+    params = corpus.ring(window=window)
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    r = sum(sizes)
+    tG = [[{} for _ in range(r)] for _ in range(r)]
+    start = 0
+    for size in sizes:
+        lam = F(data.draw(st.integers(-2 * e, 2 * e)), e)
+        for i in range(start, start + size):
+            tG[i][i][0] = lam
+            if i + 1 < start + size:
+                tG[i][i + 1][0] = F(1)
+        start += size
+    for i in range(r):
+        for j in range(i + 1, r):
+            for k in data.draw(st.sets(st.integers(1, 2), max_size=2)):
+                tG[i][j][k] = F(data.draw(st.integers(-3, 3)))
+    m = _connection(params, tG)
+    if data.draw(st.booleans()):
+        seed = data.draw(st.integers(0, 2 ** 16))
+        m = random_shear_gauge(random.Random(seed), params, r,
+                               lowest=0).apply(m)
+    try:
+        pulled = kummer_pullback(m, e)
+        depths = _residue_depths(pulled, e)
+    except PhinablaError:
+        return
+    assert all(0 <= d <= r for d in depths)
+    assert _outcome(lambda: log_solution_basis(pulled, e).solutions) \
+        == _outcome(lambda: _rank_depth_basis(pulled, e))
+
+
+def test_wd_extract_reads_the_residue_once(monkeypatch):
+    # e = 1 reads m once; e = 2 reads m and its pullback
+    def reads(m):
+        inner = []
+        outer = count_calls(monkeypatch, modules, "_residue", lambda: (
+            inner.append(count_calls(monkeypatch, extraction, "_residue",
+                                     lambda: wd_extract(m)))))
+        return outer + inner[0]
+    assert reads(corpus.kummer_tate(P)) == 1
+    assert reads(corpus.half_twist(P)) == 2
 
 
 def test_kt_extracts_to_sp2_exactly():

@@ -1,17 +1,19 @@
-"""Wall time of the Laurent determinant, inverse and unipotent filtration.
+"""Wall time of the Laurent determinant, inverse, unipotent filtration and
+Weil-Deligne extraction.
 
 The matrices are the dense U*L ones of ``tests/helpers.dense_unit_matrix``
 (determinant 1, inverse a Laurent polynomial matrix), the ones the rank-8
-budget of ``tests/test_modules.py`` runs.  The filtrations are those of the
-k-fold tensor powers of the Kummer-Tate module, of rank 2^k and level
-k + 1.  Run from the root of a checkout:
+budget of ``tests/test_modules.py`` runs.  The filtrations and extractions
+are those of the k-fold tensor powers of the Kummer-Tate module, of rank
+2^k and level k + 1.  Run from the root of a checkout:
 
     PYTHONPATH=src:tests python3 tools/lmat_ranks.py [RANK ...] [--repeat K]
 
 It prints one JSON object per rank: the best of K wall times of
 ``lmat_det`` and ``lmat_inverse`` in seconds, and whether det = 1 and
-M * inverse(M) = I hold.  Then one per tensor power k = 1, 2, 3: the
-best of K wall times of ``unipotent_filtration`` and the level found.
+M * inverse(M) = I hold.  Then one per tensor power k = 1 .. 5 (rank 32):
+the best of K wall times of ``unipotent_filtration`` and of ``wd_extract``,
+the level found and the sorted log degrees of the extraction's log basis.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import time
 
 from helpers import dense_unit_matrix
 from phinabla.corpus import kummer_tate
+from phinabla.extraction import wd_extract
 from phinabla.modules import (lmat_det, lmat_identity, lmat_inverse,
                               lmat_mul, tensor, unipotent_filtration)
 from phinabla.padic import RingParams
@@ -56,14 +59,17 @@ def main():
                           "det_is_one": det.congruent(1)
                           and not det.has_tail(),
                           "inverse_exact": exact}))
-    for k in (1, 2, 3):
+    for k in range(1, 6):
         m = kummer_tate(params)
         for _ in range(k - 1):
             m = tensor(m, kummer_tate(params))
         fil_s, fil = best_time(lambda: unipotent_filtration(m), args.repeat)
+        wd_s, (_, trace) = best_time(lambda: wd_extract(m), args.repeat)
         print(json.dumps({"tensor_power": k, "rank": m.rank,
                           "filtration_s": round(fil_s, 4),
-                          "level": fil.level}))
+                          "wd_extract_s": round(wd_s, 4),
+                          "level": fil.level,
+                          "log_degrees": sorted(trace.log_degrees)}))
 
 
 if __name__ == "__main__":

@@ -23,9 +23,9 @@ from . import linalg
 from .errors import (NonConstantFrobenius, NotLevelTwo, NotTame,
                      WindowTooSmall)
 from .modules import (GaugeChange, LogSolution, PhiNablaModule,
-                      _frobenius_image, _log_depths, _residue,
-                      _solution_coordinates, _solve_nabla, kummer_pullback,
-                      lmat_identity, unipotent_filtration)
+                      _check_untruncated, _frobenius_image, _log_depths,
+                      _residue, _solution_coordinates, _solve_nabla,
+                      kummer_pullback, lmat_identity, unipotent_filtration)
 from .series import LaurentElement
 from .weil_deligne import FrobeniusKind, WeilDeligneRep
 
@@ -147,7 +147,8 @@ def wd_extract(m: PhiNablaModule, m_max: int = 24,
     """Weil-Deligne representation of a tame quasi-unipotent module."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    m._require(frobenius=True, connection=True)
+    m._require(frobenius=True)
+    _check_untruncated(m)   # before a lost term reads as a pole of t G
     e, exponents, residue = _tame_cover_degree(m, m_max)
     if any(a.has_tail() for row in m.A for a in row):
         raise WindowTooSmall("Frobenius matrix truncated; cannot trust "

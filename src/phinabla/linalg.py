@@ -7,7 +7,7 @@ ones for the modules.  ``identity``, ``mat_mul``, ``mat_vec`` and
 entry type: an exact zero, with no term and no tail, is falsy and skipped,
 and a PadicNumber is always truthy (a zero at precision keeps the abs_prec
 a product must see).  ``charpoly`` divides by nothing; every determinant,
-inverse, nilpotency test and trace table of the package is read from it.
+inverse and trace table of the package is read from it.
 
 All exact elimination runs through one sparse Gauss-Jordan loop,
 ``_eliminate``, parametrised by the coefficient type's rule.  The rational

@@ -23,8 +23,7 @@ from .errors import (DiagnosticConflict, IrregularSingularity,
                      MismatchedParams, MissingStructure, NonInvertible,
                      WildCover, WindowTooSmall)
 from . import linalg
-from .linalg import (_PADIC, _eliminate, _rational_roots, field_kernel,
-                     field_solve)
+from .linalg import _PADIC, _eliminate, _rational_roots, field_kernel
 from .padic import PadicNumber, RingParams
 from .series import LaurentElement
 
@@ -202,18 +201,21 @@ class GaugeChange:
         return GaugeChange(lmat_inverse(self.U))
 
     def apply(self, m: PhiNablaModule) -> PhiNablaModule:
-        U_inv = lmat_inverse(self.U)
-        A = G = None
-        if m.has_frobenius:
-            A = lmat_mul(U_inv, lmat_mul(m.A, lmat_sigma(self.U)))
-        if m.has_connection:
-            G = lmat_mul(U_inv, lmat_add(lmat_mul(m.G, self.U),
-                                         lmat_ddt(self.U)))
-        return PhiNablaModule(m.params, m.rank, A, G, m.label)
+        return _gauged(m, self.U, lmat_inverse(self.U))
 
     def compose(self, other: "GaugeChange") -> "GaugeChange":
         """Apply self first, then other (U_total = U_self . U_other)."""
         return GaugeChange(lmat_mul(self.U, other.U))
+
+
+def _gauged(m: PhiNablaModule, U, U_inv) -> PhiNablaModule:
+    """m in the basis e'_j = sum U_ij e_i, given U^-1."""
+    A = G = None
+    if m.has_frobenius:
+        A = lmat_mul(U_inv, lmat_mul(m.A, lmat_sigma(U)))
+    if m.has_connection:
+        G = lmat_mul(U_inv, lmat_add(lmat_mul(m.G, U), lmat_ddt(U)))
+    return PhiNablaModule(m.params, m.rank, A, G, m.label)
 
 
 def check_compatibility(m: PhiNablaModule) -> CompatibilityReport:
@@ -301,11 +303,10 @@ class LogSolution:
 def _solve_nabla(m: PhiNablaModule, depth, e: int, residue=None):
     """Log solutions supported in the window, solved per residue class mod
     e at log depth `depth`, or with None at the depth _log_depths gives
-    each class.  `residue` is _residue(m) when the caller has read it."""
-    m._require(connection=True)
-    if any(g.shift(1).has_tail() for row in m.G for g in row):
-        raise WindowTooSmall("connection matrix truncated; cannot trust "
-                             "the coefficient equations")
+    each class.  `residue` is _residue(m) when the caller has read it, and
+    then m has passed _check_untruncated."""
+    if residue is None:
+        _check_untruncated(m)
     tG, R, roots, _ = residue or _residue(m)
     depths = [depth] * e if depth is not None else _log_depths(R, roots, e)
     # det(nI + R) = 0 exactly at the integers n = -lambda
@@ -313,6 +314,15 @@ def _solve_nabla(m: PhiNablaModule, depth, e: int, residue=None):
     return [sol for rcls in range(e)
             for sol in _solve_class(m.params, tG, R, resonances,
                                     depths[rcls], rcls, e)]
+
+
+def _check_untruncated(m: PhiNablaModule):
+    """WindowTooSmall if the window cuts t G: G has a tail or a t^hi term."""
+    m._require(connection=True)
+    if any(g.has_tail() or m.params.window_hi in g.coeffs
+           for row in m.G for g in row):
+        raise WindowTooSmall("connection matrix truncated; cannot trust "
+                             "the coefficient equations")
 
 
 def _log_depths(R, roots, e):
@@ -438,9 +448,10 @@ def _combine(members, coeffs):
 
 
 def _reduced_solutions(family, tG, params, depth, rcls, zero, one):
-    """The reduced basis of the family's span, unknowns ordered by (d, j, n):
-    each solution is 1 at its last coordinate, where the others vanish, and
-    they come in the order of that coordinate."""
+    """The reduced basis of the family's span, unknowns ordered by (d, j, n),
+    which _solution_coordinates relies on: each solution is 1 at its pivot,
+    its largest coordinate with a term, where no other solution has a term,
+    and they come in the order of that coordinate."""
     r = len(tG)
     coords = sorted({key for mem in family for key in mem}, reverse=True)
     col = {key: c for c, key in enumerate(coords)}
@@ -488,22 +499,34 @@ def horizontal_sections(m: PhiNablaModule, cap=None):
 
 
 def _solution_coordinates(basis, targets, params):
-    """Constants x_t with sum_k x_t[k] basis_k = t for every target t, from
-    one elimination, or None if a target leaves the span.  Each basis
-    element and target is a list of vectors, one per log degree; the
-    degrees past its list are zero."""
+    """Constants x_t with sum_k x_t[k] basis_k = t for every target t, or
+    None if one leaves the span: x_t[k] is t at the pivot of the reduced
+    basis_k (_reduced_solutions), and t - sum_k x_t[k] basis_k must vanish
+    at precision.  Vectors are listed by log degree, zero past the list."""
     zero = PadicNumber.zero(params)
-    coords = set()
-    for comps in list(basis) + list(targets):
-        for d, vec in enumerate(comps):
-            for i, x in enumerate(vec):
-                coords.update((d, i, n) for n in x.coeffs)
-    coords = sorted(coords)
-    rows = [[b[d][i].coefficient(n) if d < len(b) else zero for b in basis]
-            for (d, i, n) in coords]
-    rhs = [[t[d][i].coefficient(n) if d < len(t) else zero
-            for (d, i, n) in coords] for t in targets]
-    return field_solve(rows, rhs, zero)
+    bases = [_coefficients(b) for b in basis]
+    pivots = [max(b) for b in bases]
+    out = []
+    for t in targets:
+        rest = _coefficients(t)
+        x = [rest.get(key, zero) for key in pivots]
+        for b, c in zip(bases, x):
+            if not c.is_zero():
+                for key, y in b.items():
+                    rest[key] = rest[key] - c * y if key in rest else -(c * y)
+        if any(not y.is_zero() for y in rest.values()):
+            return None
+        # a zero x_t[k] also reads as rest / basis_k where basis_k has terms
+        out.append([c if not c.is_zero() else PadicNumber.zero(params, max(
+            [c.abs_prec] + [rest[key].abs_prec - y.v for key, y in b.items()
+                            if key in rest])) for b, c in zip(bases, x)])
+    return out
+
+
+def _coefficients(comps):
+    """{(d, i, n): coefficient of t^n in entry i of log degree d}."""
+    return {(d, i, n): c for d, vec in enumerate(comps)
+            for i, x in enumerate(vec) for n, c in x.coeffs.items()}
 
 
 def _frobenius_image(m: PhiNablaModule, comps):
@@ -572,10 +595,11 @@ class UnipotentFiltration:
 
 
 def _complete_basis(params, vectors, rank):
-    """Matrix whose first columns are the given (non-empty) vectors,
-    completed by unit vectors: the basis change of one quotient block of
-    the filtration.  The gauge change that inverts it checks its
-    determinant."""
+    """U whose first columns are the given (non-empty) vectors, completed
+    by the unit vectors off the pivot rows chosen here, and U^-1: the basis
+    change of one quotient block of the filtration.  With the k pivot rows
+    moved first P U = [[S_p, 0], [S_o, I]], so U^-1 is [[S_p^-1, 0],
+    [-S_o S_p^-1, I]] P, and U is invertible as S_p is (det U = +-det S_p)."""
     # greedy pivot selection with elimination on a scratch copy
     scratch = [list(vec) for vec in vectors]
     pivot_rows = []
@@ -599,8 +623,19 @@ def _complete_basis(params, vectors, rank):
                     later[i] = later[i] - col[i] * f
     others = [i for i in range(rank) if i not in pivot_rows]
     zero, one = LaurentElement.zero(params), LaurentElement.one(params)
-    return [list(row) + [one if i == j else zero for j in others]
-            for i, row in enumerate(zip(*vectors))]
+    U = [list(row) + [one if i == j else zero for j in others]
+         for i, row in enumerate(zip(*vectors))]
+    k = len(pivot_rows)
+    try:
+        S_inv = lmat_inverse([U[i][:k] for i in pivot_rows])
+    except NonInvertible:
+        raise WindowTooSmall("completed basis is not invertible at "
+                             "precision") from None
+    V = S_inv + lmat_mul([[-x for x in U[i][:k]] for i in others], S_inv)
+    order = pivot_rows + others
+    # the rows of P U end in [0] or [I]; P^-1 sends column j to order[j]
+    return U, [[x for _, x in sorted(zip(order, row + U[i][k:]))]
+               for row, i in zip(V, order)]
 
 
 def unipotent_filtration(m: PhiNablaModule) -> UnipotentFiltration:
@@ -642,12 +677,8 @@ def _unipotent_filtration(m: PhiNablaModule,
             sections = horizontal_sections(current)
         if not sections:
             return UnipotentFiltration(False)
-        U = _complete_basis(params, sections, current.rank)
-        try:
-            gauged = GaugeChange(U).apply(current)
-        except NonInvertible:
-            raise WindowTooSmall("completed basis is not invertible at "
-                                 "precision") from None
+        U, U_inv = _complete_basis(params, sections, current.rank)
+        gauged = _gauged(current, U, U_inv)
         k = len(sections)
         # sub-basis columns of G must vanish; phi must stabilise the span
         if any(not gauged.G[i][j].is_zero()

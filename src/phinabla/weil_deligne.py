@@ -72,7 +72,10 @@ class WeilDeligneRep:
         phi_inv = linalg.mat_inv(self.phi)
         if phi_inv is None:
             raise NonInvertible("Phi is singular")
-        if any(linalg.charpoly(self.N)[:-1]):
+        power = self.N      # N^(2^s), 2^s >= dim, vanishes iff N^dim does
+        for _ in range((self.dim - 1).bit_length()):
+            power = linalg.mat_mul(power, power)
+        if any(x for row in power for x in row):
             raise NotNilpotent("N is not nilpotent")
         eps = -1 if self.frobenius_kind is FrobeniusKind.GEOMETRIC else 1
         lhs = linalg.mat_mul(self.phi, linalg.mat_mul(self.N, phi_inv))

@@ -7,15 +7,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from phinabla import corpus, extraction, modules
-from phinabla.errors import (NotLevelTwo, NotTame, PhinablaError,
-                             WindowTooSmall)
+from phinabla import corpus, extraction, linalg, modules
+from phinabla.errors import (IrregularSingularity, NotLevelTwo, NotTame,
+                             PhinablaError, WindowTooSmall)
 from phinabla.extraction import (key2_normal_form, log_solution_basis,
                                  wd_extract, wd_of_cohomology)
-from phinabla.modules import (GaugeChange, PhiNablaModule, _log_depths,
-                              _residue, _solve_nabla, check_compatibility,
-                              direct_sum, kummer_pullback, tate_twist, tensor)
-from phinabla.padic import RingParams
+from phinabla.modules import (GaugeChange, PhiNablaModule, _frobenius_image,
+                              _log_depths, _residue, _solution_coordinates,
+                              _solve_nabla, check_compatibility, direct_sum,
+                              horizontal_sections, kummer_pullback,
+                              tate_twist, tensor)
+from phinabla.padic import PadicNumber, RingParams
 from phinabla.series import LaurentElement
 from phinabla.weil_deligne import (WeilDeligneRep, compatibility_family,
                                    purity_check, quasi_purity_check,
@@ -246,6 +248,109 @@ def test_mmax_cutoff():
 def test_mmax_below_one_is_refused(m_max):
     with pytest.raises(ValueError, match="m_max must be >= 1"):
         wd_extract(corpus.kummer_tate(P), m_max)
+
+
+def test_truncated_connection_is_refused_before_the_residue_is_read():
+    # the 1/t of Kummer-Tate lies below the window (0, 8): a truncation,
+    # not a pole of t G, for wd_extract as for the log basis
+    m = PhiNablaModule.from_rational_matrices(
+        RingParams(5, 20, (0, 8)), frobenius=[[1, 0], [0, 5]],
+        connection=[[0, {-1: 1}], [0, 0]])
+    for run in (wd_extract, log_solution_basis):
+        with pytest.raises(WindowTooSmall,
+                           match="^connection matrix truncated"):
+            run(m)
+
+
+def test_double_pole_is_irregular():
+    m = PhiNablaModule.from_rational_matrices(
+        P, frobenius=[[1]], connection=[[{-2: 1}]])
+    with pytest.raises(IrregularSingularity, match="pole of order > 1"):
+        wd_extract(m)
+
+
+# -- solution coordinates: read at the reduced basis's pivots ---------------
+
+def _eliminated_coordinates(basis, targets, params):
+    """The coordinates by one p-adic elimination over every coordinate
+    (d, i, n) of the basis and the targets: the reference for
+    _solution_coordinates, which reads them at the basis's pivots."""
+    zero = PadicNumber.zero(params)
+    coords = sorted({(d, i, n) for comps in basis + targets
+                     for d, vec in enumerate(comps)
+                     for i, x in enumerate(vec) for n in x.coeffs})
+    rows = [[b[d][i].coefficient(n) if d < len(b) else zero for b in basis]
+            for d, i, n in coords]
+    rhs = [[t[d][i].coefficient(n) if d < len(t) else zero
+            for d, i, n in coords] for t in targets]
+    return linalg.field_solve(rows, rhs, zero)
+
+
+def _assert_same_coordinates(basis, targets, params):
+    # the pivot reads are the elimination's values, none with fewer digits
+    got = _solution_coordinates(basis, targets, params)
+    want = _eliminated_coordinates(basis, targets, params)
+    assert got is not None and want is not None
+    for xs, ys in zip(got, want):
+        assert all(x.congruent(y) and x.abs_prec >= y.abs_prec
+                   for x, y in zip(xs, ys))
+
+
+def _coordinate_cases():
+    wide = corpus.ring(window=64)
+    kt = corpus.kummer_tate(wide)
+    modules_ = {"kt": kt, "kt*kt": tensor(kt, kt),
+                "kt+h1": direct_sum(kt, corpus.good_elliptic_h1(wide)),
+                "half_twist": corpus.half_twist(wide)}
+    for name, m in modules_.items():
+        yield pytest.param(m, id=name)
+        for seed in (1, 2):
+            g = random_shear_gauge(random.Random(seed), wide, m.rank,
+                                   lowest=0)
+            yield pytest.param(g.apply(m), id=f"{name}-shear{seed}")
+
+
+@pytest.mark.parametrize("m", _coordinate_cases())
+def test_pivot_coordinates_match_the_elimination(m):
+    e = 2 if m.label == "half_twist" else 1
+    pulled = kummer_pullback(m, e)
+    params = m.params
+    basis = [s.components for s in log_solution_basis(pulled, e).solutions]
+    rng = random.Random(len(basis))
+
+    def combination():
+        coeffs = [PadicNumber.from_rational(
+            params, F(rng.randint(-9, 9), rng.randint(1, 4)))
+            for _ in basis]
+        depth = max(map(len, basis))
+        return [tuple(sum((b[d][i].scale(c) for b, c in zip(basis, coeffs)
+                           if d < len(b)), LaurentElement.zero(params))
+                      for i in range(m.rank)) for d in range(depth)]
+
+    inside = ([_frobenius_image(pulled, b) for b in basis]
+              + [extraction._log_derivative(b, params) for b in basis]
+              + [combination() for _ in range(3)])
+    _assert_same_coordinates(basis, inside, params)
+    # a basis element plus a monomial off the support of the basis
+    support = {n for b in basis for x in b[0] for n in x.coeffs}
+    n = next(n for n in range(params.window_hi, 0, -1) if n not in support)
+    for b in basis:
+        off = [tuple(x + LaurentElement.monomial(params, n)
+                     if (d, i) == (0, 0) else x for i, x in enumerate(v))
+               for d, v in enumerate(b)]
+        assert _solution_coordinates(basis, [off], params) is None
+        assert _eliminated_coordinates(basis, [off], params) is None
+
+
+def test_constant_frobenius_coordinates_match_the_elimination():
+    # phi of kt (x) kt (x) kt on its horizontal sections is diag(1, 5, 5):
+    # a zero coordinate is read off the other terms of its section too,
+    # where the image carries the extra digit of p
+    kt = corpus.kummer_tate(P)
+    m = tensor(tensor(kt, kt), kt)
+    basis = [[s] for s in horizontal_sections(m)]
+    _assert_same_coordinates(
+        basis, [_frobenius_image(m, b) for b in basis], m.params)
 
 
 def test_rank_preservation():

@@ -325,6 +325,29 @@ def _chain_rep(blocks, q=5):
     return WeilDeligneRep(q, phi, _jordan(blocks))
 
 
+@pytest.mark.parametrize("blocks", [(1,), (5,), (4, 2, 1), (8,)],
+                         ids=["J1", "J5", "J4+J2+J1", "J8"])
+def test_nilpotency_is_read_by_squarings(blocks, monkeypatch):
+    # N^(2^s) = 0 with 2^s >= dim: J5 and J8 need all three squarings, and
+    # no characteristic polynomial is formed
+    assert count_calls(monkeypatch, linalg, "charpoly",
+                       lambda: _chain_rep(blocks)) == 0
+
+
+@pytest.mark.parametrize("N", [
+    [[F(0), F(1)], [F(1), F(0)]],
+    # J3 beside 1/2: N^4 = diag(0, 0, 0, 1/16)
+    [[F(0), F(1), F(0), F(0)], [F(0), F(0), F(1), F(0)],
+     [F(0), F(0), F(0), F(0)], [F(0), F(0), F(0), F(1, 2)]],
+], ids=["swap", "J3+corner"])
+def test_non_nilpotent_monodromy_is_refused(N, monkeypatch):
+    def run():
+        with pytest.raises(NotNilpotent, match="^N is not nilpotent$"):
+            WeilDeligneRep(5, linalg.identity(len(N)), N)
+
+    assert count_calls(monkeypatch, linalg, "charpoly", run) == 0
+
+
 @pytest.mark.parametrize("mutant", [
     lambda completion: lambda known, cand: completion(known, cand)[1:],
     lambda completion: lambda known, cand: list(cand),

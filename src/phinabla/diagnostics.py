@@ -17,11 +17,10 @@ from .errors import (DiagnosticConflict, InconsistentRanks, MissingPairing,
                      NotEquivariant, PurityFailure)
 from .extraction import wd_extract
 from .linalg import field_kernel
-from .modules import (PhiNablaModule, UnipotentFiltration,
-                      _constant_frobenius, _solution_coordinates,
-                      _unipotent_filtration, horizontal_sections, lmat_add,
+from .modules import (PhiNablaModule, UnipotentFiltration, _rational_matrix,
+                      _solution_coordinates, horizontal_sections, lmat_add,
                       lmat_ddt, lmat_det, lmat_mul, lmat_sigma,
-                      module_from_json)
+                      module_from_json, unipotent_filtration)
 from .padic import PadicNumber
 from .series import LaurentElement
 from .weil_deligne import (FrobeniusKind, WeilDeligneRep,
@@ -157,11 +156,11 @@ class _Reduction:
     """A reduction verdict with the solves behind it, for reuse."""
 
     def __init__(self, verdict: ReductionType, sections: list,
-                 filtration: UnipotentFiltration | None,
+                 filtration: UnipotentFiltration,
                  profile: RankProfile | None, torus: list):
         self.verdict = verdict
         self.sections = sections        # horizontal sections of D(A)
-        self.filtration = filtration    # solved unless GOOD or no sections
+        self.filtration = filtration
         # None without a pairing, given sections
         self.profile = profile
         self.torus = torus              # D^t coordinates inside D^f
@@ -169,16 +168,16 @@ class _Reduction:
 
 def _reduction(datum: AbelianVarietyDatum) -> _Reduction:
     m = datum.module
-    sections = horizontal_sections(m)
-    fil = None
+    fil = unipotent_filtration(m)
+    # the log-degree-0 solutions are horizontal_sections(m): the reduced
+    # log basis restricted to log degree 0 is the reduced basis there
+    sections = [s.components[0] for s in fil.solutions if not s.log_degree]
     if len(sections) == m.rank:
         verdict = ReductionType.GOOD
+    elif fil.unipotent:
+        verdict = ReductionType.SEMISTABLE_NOT_GOOD
     else:
-        # without a single section the filtration cannot start
-        fil = _unipotent_filtration(m, sections) if sections else None
-        verdict = (ReductionType.SEMISTABLE_NOT_GOOD
-                   if fil is not None and fil.unipotent
-                   else ReductionType.NOT_SEMISTABLE)
+        verdict = ReductionType.NOT_SEMISTABLE
     profile, torus = None, []
     if datum.pairing is not None or len(sections) == 0:
         profile, torus = _rank_profile(datum, sections)
@@ -226,23 +225,6 @@ class WeightFiltration:
         self.convention = convention
 
 
-def _constant_matrix(M, err="matrix"):
-    out = []
-    for row in M:
-        orow = []
-        for x in row:
-            if not isinstance(x, PadicNumber):
-                if not x.is_constant():
-                    raise DiagnosticConflict(f"{err} is not constant")
-                x = x.coefficient(0)
-            try:
-                orow.append(x.to_fraction())
-            except ValueError:
-                raise DiagnosticConflict(f"{err} fails rational recognition")
-        out.append(orow)
-    return out
-
-
 def _restricted(phi, flag):
     """phi on the graded pieces of a flag, each (Y, s) for phi = Y / s
     (``_graded``); raises unless phi keeps every subspace."""
@@ -262,15 +244,21 @@ def semistable_weight_filtration(datum: AbelianVarietyDatum
         return WeightFiltration({-2: 0, -1: 0, 0: 0}, [], [], [])
     q = m.params.q
     sections = red.sections
-    frobenius = _constant_frobenius(m, sections)
     rk_f = len(sections)
     if rk_f and datum.pairing is None:
         raise MissingPairing("W_-2 requires the Weil pairing")
-    torus = [_constant_matrix([v], "D^t coordinates")[0] for v in red.torus]
+    torus = _rational_matrix(red.torus, DiagnosticConflict, "D^t coordinates")
     mu = len(torus)
     ranks = {-2: mu, -1: rk_f, 0: m.rank}
+    # the gauged Frobenius of the filtration is constant, with D^f, the
+    # log-degree-0 solutions, as its first diagonal block
+    A = red.filtration.gauged_module.A
 
-    phi_f = _constant_matrix(frobenius, "Frobenius on D^f") if rk_f else []
+    def block(lo, hi, what):
+        return _rational_matrix([row[lo:hi] for row in A[lo:hi]],
+                                DiagnosticConflict, what)
+
+    phi_f = block(0, rk_f, "Frobenius on D^f")
     # split phi_f along D^t
     restr, quot = _restricted(phi_f, [torus, linalg.identity(rk_f)])
 
@@ -284,13 +272,9 @@ def semistable_weight_filtration(datum: AbelianVarietyDatum
 
     graded = [report(k, Y, s) for k, (Y, s) in ((-2, restr), (-1, quot))
               if Y]
-    # Gr_0 = D / D^f: constant Frobenius on the top block of the gauged
-    # unipotent filtration
+    # Gr_0 = D / D^f: the rest of the diagonal
     if m.rank > rk_f:
-        g = red.filtration.gauged_module
-        top = [[g.A[i][j] for j in range(rk_f, m.rank)]
-               for i in range(rk_f, m.rank)]
-        graded.append(report(0, _constant_matrix(top, "Frobenius on Gr_0")))
+        graded.append(report(0, block(rk_f, m.rank, "Frobenius on Gr_0")))
     return WeightFiltration(ranks, graded, sections, torus)
 
 
@@ -315,7 +299,8 @@ def wd_weight_filtration_flags(datum: AbelianVarietyDatum, m_max: int = 24):
     if coords is None:
         raise DiagnosticConflict("a horizontal section leaves the log "
                                  "solution span at precision")
-    coords = _constant_matrix(coords, "solution coordinates of D^f")
+    coords = _rational_matrix(coords, DiagnosticConflict,
+                              "solution coordinates of D^f")
     flags = {
         -2: linalg.span_basis(linalg.mat_mul(wf.torus_coordinates, coords)),
         -1: linalg.span_basis(coords),
@@ -387,13 +372,14 @@ def excision_weight_filtration(c: OpenCurveDatum, m_max: int = 24
     gr2_weights = []
     gr2_rank = 0
     if c.h0_boundary_twisted.rank:
-        F = _constant_matrix(c.boundary_map, "boundary map")
+        F = _rational_matrix(c.boundary_map, DiagnosticConflict,
+                             "boundary map")
         ker = linalg.nullspace(F) if F and F[0] else \
             linalg.identity(c.h0_boundary_twisted.rank)
         gr2_rank = len(ker)
         if gr2_rank:
-            A0 = _constant_matrix(c.h0_boundary_twisted.A,
-                                  "H^0(D)(-1) Frobenius")
+            A0 = _rational_matrix(c.h0_boundary_twisted.A,
+                                  DiagnosticConflict, "H^0(D)(-1) Frobenius")
             Y, s = _restricted(A0, [ker])[0]
             gr2_weights = _weights_of(Y, h1.params.q,
                                       FrobeniusKind.GEOMETRIC, s)

@@ -11,7 +11,10 @@ back substitution at every other exponent of the window.  Each residue
 class is solved at the log depth the pulled-back residue R allows: the sum
 of the largest Jordan blocks of R at its eigenvalues in that class
 (Levelt), capped at the rank.  The log basis is kept on the
-ExtractionTrace, so callers reuse it instead of solving again.
+ExtractionTrace, so callers reuse it instead of solving again.  Phi and N
+are read as operators on the solution span by `modules._induced`, the read
+the unipotent filtration makes at e = 1; the level-2 normal form is that
+filtration's constant gauged module, with its first block rotated.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from . import linalg
 from .errors import (NonConstantFrobenius, NotLevelTwo, NotTame,
                      WindowTooSmall)
 from .modules import (GaugeChange, LogSolution, PhiNablaModule,
-                      _check_untruncated, _frobenius_image, _log_depths,
-                      _residue, _solution_coordinates, _solve_nabla,
-                      kummer_pullback, lmat_identity, unipotent_filtration)
+                      _check_untruncated, _frobenius_image, _induced,
+                      _log_depths, _log_derivative, _rational_matrix,
+                      _residue, _solve_nabla, kummer_pullback, lmat_identity,
+                      unipotent_filtration)
 from .series import LaurentElement
 from .weil_deligne import FrobeniusKind, WeilDeligneRep
 
@@ -73,29 +77,6 @@ def _log_basis(m: PhiNablaModule, e: int, residue=None) -> LogSolutionBasis:
     # pure (log-free) solutions first, then by residue class
     sols.sort(key=lambda s: (s.log_degree, s.residue_class))
     return LogSolutionBasis(sols, e)
-
-
-def _log_derivative(comps, params):
-    """d/d(log t) of sum_d v_d (log t)^d: degree d picks up (d+1) v_{d+1}."""
-    depth = len(comps)
-    out = []
-    for d in range(depth):
-        if d + 1 < depth:
-            out.append(tuple(x.scale(d + 1) for x in comps[d + 1]))
-        else:
-            out.append(tuple(LaurentElement.zero(params) for _ in comps[d]))
-    return out
-
-
-def _rational_vector(xs, error_cls, what):
-    out = []
-    for x in xs:
-        try:
-            out.append(x.to_fraction())
-        except ValueError:
-            raise error_cls(f"{what}: coefficient fails rational "
-                            "recognition at precision")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +143,10 @@ def wd_extract(m: PhiNablaModule, m_max: int = 24,
 
     def induced(image, what, leaves):
         """Matrix of an operator on the solution span, from one solve."""
-        images = [image(c) for c in comps]
-        if any(x.has_tail() for img in images for vec in img for x in vec):
-            raise WindowTooSmall(f"{what}: an image runs past the window; "
-                                 "its coordinates cannot be read")
-        cols = _solution_coordinates(comps, images, params)
-        if cols is None:
-            raise NonConstantFrobenius(leaves)
-        return linalg.transpose([_rational_vector(x, NonConstantFrobenius,
-                                                  what) for x in cols])
+        cols = _induced(comps, image, what, params,
+                        NonConstantFrobenius(leaves))
+        return linalg.transpose(_rational_matrix(cols, NonConstantFrobenius,
+                                                 what))
 
     # sigma fixes Q, so the a-th power of the p-power Frobenius read on the
     # rational solution coordinates is the linear (q-power) Frobenius
@@ -236,23 +212,11 @@ def key2_normal_form(m: PhiNablaModule) -> NormalForm:
     if fil.level < 2:
         return NormalForm(fil.gauge, [], list(range(m.rank)), [], [])
     k1, k2 = fil.block_sizes
-    # D(g_k) has coefficients (t G)_{i, k1+k} for i < k1; strip every
-    # non-constant term by the termwise primitive (n-th coefficient / n)
-    U2 = lmat_identity(params, k1 + k2)
-    tG = [[g.shift(1) for g in row] for row in fil.gauged_module.G]
-    C = [[Fraction(0)] * k2 for _ in range(k1)]
-    for k in range(k2):
-        for i in range(k1):
-            x = tG[i][k1 + k]
-            U2[i][k1 + k] = LaurentElement(
-                params, {n: c * Fraction(-1, n)
-                         for n, c in x.coeffs.items() if n != 0})
-            try:
-                C[i][k] = x.coefficient(0).to_fraction()
-            except ValueError:
-                raise NonConstantFrobenius(
-                    "normal-form constant fails rational recognition")
-    total = fil.gauge.compose(GaugeChange(U2))
+    # the gauged t G is constant: D(g_k) = sum_i (t G)_{i, k1+k} e_i
+    C = _rational_matrix([[g.shift(1) for g in row[k1:]]
+                          for row in fil.gauged_module.G[:k1]],
+                         NonConstantFrobenius, "normal-form constant")
+    total = fil.gauge
     # rotate the first block so the image span of C comes first
     col_rank = linalg.rank(C) if k1 and k2 else 0
     if 0 < col_rank < k1:

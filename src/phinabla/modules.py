@@ -13,6 +13,12 @@ only at the resonances, the integers n with det(nI + R) = 0, and one back
 substitution at every other exponent.  It returns the solutions supported
 in the exponent window, per residue class mod a cover degree e.  A
 horizontal section is a solution of log depth 1 with e = 1.
+
+The unipotent filtration is the flag of log degrees of the solutions at
+e = 1.  Their log-degree-0 components, signed by log degree, are the basis
+in which the module is constant; Phi and N, the solution coordinates of the
+Frobenius image and of the log derivative, give its matrices.  No basis is
+completed and no gauge is inverted.
 """
 
 from __future__ import annotations
@@ -552,6 +558,33 @@ def _frobenius_image(m: PhiNablaModule, comps):
     return out
 
 
+def _log_derivative(comps, params):
+    """d/d(log t) of sum_d v_d (log t)^d: degree d picks up (d+1) v_{d+1}."""
+    depth = len(comps)
+    out = []
+    for d in range(depth):
+        if d + 1 < depth:
+            out.append(tuple(x.scale(d + 1) for x in comps[d + 1]))
+        else:
+            out.append(tuple(LaurentElement.zero(params) for _ in comps[d]))
+    return out
+
+
+def _induced(comps, image, what, params, leaves):
+    """Solution coordinates (_solution_coordinates) of image(c) for every
+    solution c of the reduced basis comps: an operator on their span.
+    WindowTooSmall if an image runs past the window; the exception
+    `leaves` if one leaves the span."""
+    images = [image(c) for c in comps]
+    if any(x.has_tail() for img in images for vec in img for x in vec):
+        raise WindowTooSmall(f"{what}: an image runs past the window; "
+                             "its coordinates cannot be read")
+    cols = _solution_coordinates(comps, images, params)
+    if cols is None:
+        raise leaves
+    return cols
+
+
 # -- constant part and unipotence -------------------------------------------
 
 class ConstantSubmodule:
@@ -562,148 +595,78 @@ class ConstantSubmodule:
 
 
 def largest_constant_submodule(m: PhiNablaModule):
-    """Span of ker(nabla) with the induced (constant) Frobenius."""
+    """Span of ker(nabla) with the induced (constant) Frobenius: column j
+    is phi(b_j), None without Frobenius or sections."""
     basis = horizontal_sections(m)
-    return ConstantSubmodule(basis, _constant_frobenius(m, basis),
-                             len(basis))
-
-
-def _constant_frobenius(m: PhiNablaModule, basis):
-    """Matrix of phi on the span of the horizontal sections `basis`
-    (column j = phi(b_j)), or None without Frobenius or sections."""
-    if not (m.has_frobenius and basis):
-        return None
-    comps = [[b] for b in basis]
-    frob = _solution_coordinates(
-        comps, [_frobenius_image(m, c) for c in comps], m.params)
-    if frob is None:
-        raise DiagnosticConflict(
-            "phi does not stabilise ker(nabla) at precision")
-    return [list(col) for col in zip(*frob)]
+    frob = None
+    if m.has_frobenius and basis:
+        comps = [[b] for b in basis]
+        frob = _solution_coordinates(
+            comps, [_frobenius_image(m, c) for c in comps], m.params)
+        if frob is None:
+            raise DiagnosticConflict(
+                "phi does not stabilise ker(nabla) at precision")
+        frob = [list(col) for col in zip(*frob)]
+    return ConstantSubmodule(basis, frob, len(basis))
 
 
 class UnipotentFiltration:
-    def __init__(self, unipotent: bool, level: int | None = None,
+    def __init__(self, unipotent: bool, solutions: list,
+                 level: int | None = None,
                  gauge: GaugeChange | None = None,
                  block_sizes: list | None = None,
                  gauged_module: PhiNablaModule | None = None):
         self.unipotent = unipotent
+        self.solutions = solutions  # log basis at e = 1, by log degree
         self.level = level
         self.gauge = gauge
         self.block_sizes = block_sizes
         self.gauged_module = gauged_module
 
 
-def _complete_basis(params, vectors, rank):
-    """U whose first columns are the given (non-empty) vectors, completed
-    by the unit vectors off the pivot rows chosen here, and U^-1: the basis
-    change of one quotient block of the filtration.  With the k pivot rows
-    moved first P U = [[S_p, 0], [S_o, I]], so U^-1 is [[S_p^-1, 0],
-    [-S_o S_p^-1, I]] P, and U is invertible as S_p is (det U = +-det S_p)."""
-    # greedy pivot selection with elimination on a scratch copy
-    scratch = [list(vec) for vec in vectors]
-    pivot_rows = []
-    for cidx, col in enumerate(scratch):
-        choice = None
-        for i in range(rank):
-            if i in pivot_rows or not col[i].is_unit():
-                continue
-            if choice is None or (col[i].min_exponent()
-                                  < col[choice].min_exponent()):
-                choice = i
-        if choice is None:
-            raise WindowTooSmall("cannot complete horizontal basis to a "
-                                 "module basis at this window")
-        pivot_rows.append(choice)
-        inv = col[choice].inverse()
-        for later in scratch[cidx + 1:]:
-            f = later[choice] * inv
-            if not f.is_zero():
-                for i in range(rank):
-                    later[i] = later[i] - col[i] * f
-    others = [i for i in range(rank) if i not in pivot_rows]
-    zero, one = LaurentElement.zero(params), LaurentElement.one(params)
-    U = [list(row) + [one if i == j else zero for j in others]
-         for i, row in enumerate(zip(*vectors))]
-    k = len(pivot_rows)
-    try:
-        S_inv = lmat_inverse([U[i][:k] for i in pivot_rows])
-    except NonInvertible:
-        raise WindowTooSmall("completed basis is not invertible at "
-                             "precision") from None
-    V = S_inv + lmat_mul([[-x for x in U[i][:k]] for i in others], S_inv)
-    order = pivot_rows + others
-    # the rows of P U end in [0] or [I]; P^-1 sends column j to order[j]
-    return U, [[x for _, x in sorted(zip(order, row + U[i][k:]))]
-               for row, i in zip(V, order)]
-
-
 def unipotent_filtration(m: PhiNablaModule) -> UnipotentFiltration:
-    """Flag with constant graded pieces, or NOT_UNIPOTENT.
+    """Flag with constant graded pieces, or NOT_UNIPOTENT: the flag of log
+    degrees of the log solutions at e = 1.
 
-    Iterates the largest constant submodule on successive quotients and
-    accumulates the gauge exhibiting strictly block-triangular G with zero
-    diagonal blocks.
+    With the solutions Z_j sorted by log degree d_j, the gauge column j is
+    (-1)^(d_j) v_0(Z_j).  Since D v_0 + t G v_0 = -v_1 and A sigma(v_0) =
+    v_0(phi Z), the gauged module is constant: t G'_ij = -(-1)^(d_i + d_j)
+    N_ij and A'_ij = (-1)^(d_i + d_j) Phi_ij, N and Phi the solution
+    coordinates of the log derivative and of the Frobenius image.  Fewer
+    than rank solutions is NOT_UNIPOTENT.
     """
     m._require(connection=True)
     if m.rank == 0:
-        return UnipotentFiltration(True, 0, GaugeChange([]), [], m)
-    return _unipotent_filtration(m, horizontal_sections(m))
+        return UnipotentFiltration(True, [], 0, GaugeChange([]), [], m)
+    sols = sorted(_solve_nabla(m, None, 1), key=lambda s: s.log_degree)
+    if len(sols) < m.rank:
+        return UnipotentFiltration(False, sols)
+    params = m.params
+    comps = [s.components for s in sols]
+    odd = [s.log_degree % 2 for s in sols]
 
+    def constant(cols, exponent, negate):
+        """(-1)^(negate + d_i + d_j) M_ij t^exponent, M_ij = cols[j][i]."""
+        return [[LaurentElement(params, {exponent: -c if (
+            negate + odd[i] + odd[j]) % 2 else c})
+            for j, c in enumerate(row)] for i, row in enumerate(zip(*cols))]
 
-def _unipotent_filtration(m: PhiNablaModule,
-                          sections: list) -> UnipotentFiltration:
-    """``unipotent_filtration`` of a module of positive rank whose
-    horizontal sections are already solved.
-
-    The gauged module is built block by block.  At offset o the quotient
-    is the block [o:, o:] of A and G; the completed basis U of its constant
-    submodule gauges that block at quotient rank.  The full gauge diag(I, U)
-    changes the rows above it by right multiplication alone, G[:o, o:] U
-    and A[:o, o:] sigma(U): its inverse is the identity there, its
-    derivative vanishes there, and the earlier steps found the block
-    [o:, :o] zero."""
-    params, r = m.params, m.rank
-    A = [list(row) for row in m.A] if m.has_frobenius else None
-    G = [list(row) for row in m.G]
-    total = lmat_identity(params, r)
-    offset = 0
-    block_sizes = []
-    while offset < r:
-        current = PhiNablaModule(
-            params, r - offset, A and [row[offset:] for row in A[offset:]],
-            [row[offset:] for row in G[offset:]], m.label)
-        if offset:
-            sections = horizontal_sections(current)
-        if not sections:
-            return UnipotentFiltration(False)
-        U, U_inv = _complete_basis(params, sections, current.rank)
-        gauged = _gauged(current, U, U_inv)
-        k = len(sections)
-        # sub-basis columns of G must vanish; phi must stabilise the span
-        if any(not gauged.G[i][j].is_zero()
-               for i in range(current.rank) for j in range(k)):
-            raise DiagnosticConflict("gauge failed to flatten the constant "
-                                     "sub-basis")
-        if gauged.has_frobenius and any(
-                not gauged.A[i][j].is_zero()
-                for i in range(k, current.rank) for j in range(k)):
-            raise DiagnosticConflict("constant submodule not phi-stable at "
-                                     "precision")
-        # the gauged block replaces [o:, o:]; the rows above it, and every
-        # row of the total gauge, are multiplied on the right
-        sigma_U = lmat_sigma(U) if A else None
-        for M, B, block in ((G, U, gauged.G), (A, sigma_U, gauged.A),
-                            (total, U, [])):
-            if M is not None:
-                above = [row[offset:] for row in M[:r - len(block)]]
-                for row, new in zip(M, lmat_mul(above, B) + block):
-                    row[offset:] = new
-        block_sizes.append(k)
-        offset += k
-    return UnipotentFiltration(True, len(block_sizes), GaugeChange(total),
-                               block_sizes,
-                               PhiNablaModule(params, r, A, G, m.label))
+    A = None
+    if m.has_frobenius:
+        A = constant(_induced(
+            comps, lambda c: _frobenius_image(m, c), "induced Frobenius",
+            params, DiagnosticConflict("constant submodule not phi-stable "
+                                       "at precision")), 0, 0)
+    N = _induced(comps, lambda c: _log_derivative(c, params),
+                 "monodromy operator", params, DiagnosticConflict(
+                     "log derivative leaves the solution span at precision"))
+    U = [[-x if o else x for x, o in zip(row, odd)]
+         for row in zip(*(c[0] for c in comps))]
+    block_sizes = [sum(s.log_degree == d for s in sols)
+                   for d in range(sols[-1].log_degree + 1)]
+    return UnipotentFiltration(
+        True, sols, len(block_sizes), GaugeChange(U), block_sizes,
+        PhiNablaModule(params, m.rank, A, constant(N, -1, 1), m.label))
 
 
 # -- residue exponents ------------------------------------------------------
@@ -718,16 +681,22 @@ class ResidueReport:
         self.unresolved_factor = unresolved_factor
 
 
-def _rational_matrix(M, description="matrix"):
+def _rational_matrix(M, error_cls, what):
+    """M over Q by rational recognition of its PadicNumber or constant
+    LaurentElement entries; error_cls names the entry that fails."""
     out = []
     for row in M:
         orow = []
         for x in row:
+            if isinstance(x, LaurentElement):
+                if not x.is_constant():
+                    raise error_cls(f"{what} is not constant")
+                x = x.coefficient(0)
             try:
                 orow.append(x.to_fraction())
             except ValueError:
-                raise DiagnosticConflict(
-                    f"{description}: entry fails rational recognition")
+                raise error_cls(f"{what} fails rational recognition at "
+                                "precision") from None
         out.append(orow)
     return out
 
@@ -745,7 +714,7 @@ def _residue(m: PhiNablaModule):
             if x.tail_neg:
                 raise IrregularSingularity("negative tail in t*G")
     R = _rational_matrix([[x.coefficient(0) for x in row] for row in tG],
-                         "residue matrix")
+                         DiagnosticConflict, "residue matrix")
     return (tG, R) + _rational_roots(linalg.charpoly(R))
 
 

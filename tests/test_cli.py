@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -314,6 +315,23 @@ def test_unramified_kt_is_analyzed(capsys, tmp_path):
     assert code == 0, err
     assert "compatibility: OK" in out
     assert "quasi-purity at weight 1: PASS" in out
+
+
+@pytest.mark.parametrize("seed", [34, 35, 42, 48, 50, 56, 59])
+def test_sheared_kt_is_analyzed(capsys, tmp_path, seed):
+    # iterated quotient gauges refused these shears of Kummer-Tate as
+    # "connection matrix truncated", although wd answered
+    from helpers import random_shear_gauge
+    from phinabla import corpus
+    from phinabla.modules import module_to_json
+    m = corpus.kummer_tate()
+    m = random_shear_gauge(random.Random(seed), corpus.ring(), 2,
+                           lowest=0).apply(m)
+    path = tmp_path / "kt.json"
+    path.write_text(json.dumps(module_to_json(m)))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 0, err
+    assert "unipotence level: 2" in out
 
 
 def test_missing_file_is_parse_error(capsys):

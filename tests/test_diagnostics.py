@@ -170,34 +170,41 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 @pytest.mark.parametrize("run, solves", [
-    # sections of D(A), which are also the first step of the unipotent
-    # filtration and, the datum being self-dual, those of its dual; and the
-    # filtration's second step
+    # the log basis of the unipotent filtration, whose log-degree-0
+    # solutions are the sections of D(A) and, the datum being self-dual,
+    # those of its dual
     pytest.param(lambda: semistable_weight_filtration(
-        corpus.tate_abelian_datum(P)), 2, id="weight-filtration"),
+        corpus.tate_abelian_datum(P)), 1, id="weight-filtration"),
     # the same, plus the log basis of wd_extract
     pytest.param(lambda: wd_weight_filtration_flags(
-        corpus.tate_abelian_datum(P)), 3, id="wd-flags"),
+        corpus.tate_abelian_datum(P)), 2, id="wd-flags"),
     pytest.param(lambda: cli.main(
-        ["reduction", str(CORPUS / "tate_abelian.json")]), 2,
+        ["reduction", str(CORPUS / "tate_abelian.json")]), 1,
         id="cli-tate"),
-    # GOOD and self-dual: the sections of D(A) serve for the dual, no
-    # filtration
+    # GOOD and self-dual: the sections of D(A) serve for the dual
     pytest.param(lambda: cli.main(
         ["reduction", str(CORPUS / "good_elliptic.json")]), 1,
         id="cli-good"),
-    # no section: neither the filtration nor the dual is solved
+    # no section: the dual is not solved
     pytest.param(lambda: cli.main(
         ["reduction", str(CORPUS / "bad_reduction.json")]), 1,
         id="cli-bad"),
     # the selftest's precision-stability record: kummer_tate and half_twist
     # extractions, one reduction record per datum and the excision
-    pytest.param(lambda: cli._corpus_invariants(20, 32), 8,
+    pytest.param(lambda: cli._corpus_invariants(20, 32), 7,
                  id="selftest-invariants"),
 ])
 def test_each_solve_runs_once(run, solves, monkeypatch, capsys):
     # per-class calls of the one nabla solver
     assert count_calls(monkeypatch, modules, "_solve_class", run) == solves
+
+
+def test_frobenius_on_d_f_is_read_once(monkeypatch):
+    # one image per log solution, in the filtration; phi on D^f is its
+    # first diagonal block, not a second pass over the sections
+    assert count_calls(monkeypatch, modules, "_frobenius_image",
+                       lambda: semistable_weight_filtration(
+                           corpus.tate_abelian_datum(P))) == 2
 
 
 # -- weight monodromy -------------------------------------------------------

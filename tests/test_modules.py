@@ -10,24 +10,26 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from phinabla import linalg, modules
+from phinabla import corpus, linalg, modules
 from phinabla.corpus import tate_abelian_datum
+from phinabla.diagnostics import (AbelianVarietyDatum, ReductionType,
+                                  reduction_type)
 from phinabla.errors import (DiagnosticConflict, IrregularSingularity,
                              MissingStructure, WildCover, WindowTooSmall)
 from phinabla.modules import (GaugeChange, PhiNablaModule,
-                              _unipotent_filtration, check_compatibility,
+                              check_compatibility,
                               direct_sum, dual, horizontal_sections,
                               kummer_pullback, largest_constant_submodule,
-                              lmat_det, lmat_identity, lmat_inverse,
-                              lmat_is_zero, lmat_mul, module_from_json,
+                              lmat_add, lmat_ddt, lmat_det, lmat_identity,
+                              lmat_inverse, lmat_is_zero, lmat_mul,
+                              lmat_sigma, module_from_json,
                               module_to_json, residue_exponents, tate_twist,
                               tensor, unipotent_filtration)
 from phinabla.oracles import ode_recurrence_solutions
 from phinabla.padic import PadicNumber, RingParams
 from phinabla.series import LaurentElement
 
-from helpers import (count_calls, dense_unit_matrix, laurent_bits,
-                     random_shear_gauge)
+from helpers import count_calls, dense_unit_matrix, random_shear_gauge
 
 
 P = RingParams(5, 20, (32, 32))
@@ -203,11 +205,10 @@ def test_unipotent_filtration_constant():
 
 
 @pytest.mark.parametrize("module, calls", [
-    # per filtration step the residue polynomial of the horizontal-section
-    # solve and one Laurent determinant, in the gauge change's inverse of
-    # the quotient block; no inverse of the total gauge
-    pytest.param(kt, 2 * 2, id="kt"),
-    pytest.param(lambda: tensor(kt(), kt()), 2 * 3, id="kt*kt"),
+    # the residue polynomial of the one log solve; the gauge is read off
+    # the log basis, with no Laurent determinant or inverse
+    pytest.param(kt, 1, id="kt"),
+    pytest.param(lambda: tensor(kt(), kt()), 1, id="kt*kt"),
 ])
 def test_each_determinant_runs_once_per_step(module, calls, monkeypatch):
     m = module()
@@ -221,16 +222,20 @@ def _randomly_sheared(module, seed):
 
 
 def _monomial_quotient():
-    # the quotient's section is t^-3 e_2, so sigma(U) = t^-15 differs from
-    # U in the row above the block
+    # the section t^-3 e_2 of the quotient by e_1; A and G are not
+    # compatible
     return PhiNablaModule.from_rational_matrices(
         P, frobenius=[[1, 1], [0, {12: 5}]],
         connection=[[0, {2: 1}], [0, {-1: 3}]])
 
 
+def _block_of(fil):
+    """The filtration block of each basis index."""
+    return [b for b, k in enumerate(fil.block_sizes) for _ in range(k)]
+
+
 @pytest.mark.parametrize("module", [
     pytest.param(kt, id="kt"),
-    pytest.param(_monomial_quotient, id="monomial-quotient"),
     pytest.param(lambda: tensor(kt(), kt()), id="kt*kt"),
     pytest.param(lambda: tensor(tensor(kt(), kt()), kt()), id="kt*kt*kt"),
     pytest.param(lambda: tate_abelian_datum(P).module, id="tate"),
@@ -239,51 +244,84 @@ def _monomial_quotient():
      for name, f in (("kt", kt), ("kt*kt", lambda: tensor(kt(), kt())))
      for seed in range(4)])
 def test_gauged_module_is_the_gauge_applied(module):
-    # the module built block by block is, to the last bit, the input
-    # gauged by the total gauge
+    # the gauged module is constant, t G a nilpotent strictly block upper
+    # triangular along the filtration, and compatible; the gauge applied
+    # by its inverse agrees with it wherever that leaves no tail (on
+    # kt-shear0 it leaves tails where the closed form is exact)
     m = module()
     fil = unipotent_filtration(m)
     assert fil.unipotent
+    g = fil.gauged_module
+    tG = [[x.shift(1) for x in row] for row in g.G]
+    assert all(x.is_constant() and not x.has_tail()
+               for M in (tG, g.A) for row in M for x in row)
+    block = _block_of(fil)
+    assert all(tG[i][j].is_zero() for i in range(m.rank)
+               for j in range(m.rank) if block[i] >= block[j])
+    assert check_compatibility(g).compatible
     applied = fil.gauge.apply(m)
-    for got, ref in ((fil.gauged_module.A, applied.A),
-                     (fil.gauged_module.G, applied.G)):
-        assert [[laurent_bits(x) for x in row] for row in got] == \
-            [[laurent_bits(x) for x in row] for row in ref]
+    for got, ref in ((g.A, applied.A), (g.G, applied.G)):
+        for row, ref_row in zip(got, ref):
+            for x, y in zip(row, ref_row):
+                assert y.has_tail() or x.congruent(y)
 
 
-@pytest.mark.parametrize("frobenius, steps", [
-    # step 1: phi(e_1) = e_1 + e_2 leaves the constant line of e_1
+def test_incompatible_module_is_not_phi_stable():
+    # phi of a log solution of an incompatible module need not be one
+    m = _monomial_quotient()
+    assert not check_compatibility(m).compatible
+    with pytest.raises(DiagnosticConflict, match="constant submodule "
+                       "not phi-stable at precision"):
+        unipotent_filtration(m)
+
+
+def test_frobenius_image_past_the_window_is_refused():
+    # h1 under shear seed 23: A is truncated, and phi of a solution runs
+    # past the window
+    m = _randomly_sheared(corpus.good_elliptic_h1(P), 23)
+    assert any(a.has_tail() for row in m.A for a in row)
+    with pytest.raises(WindowTooSmall, match="^induced Frobenius: an image "
+                       "runs past the window"):
+        unipotent_filtration(m)
+
+
+@pytest.mark.parametrize("frobenius, block", [
+    # block 1: phi(e_1) = e_1 + e_2 leaves the constant line of e_1
     ([[1, 0], [1, 5]], 1),
-    # step 2: the first line is phi-stable, the second, in the quotient
-    # at offset 1, is not
+    # block 2: the first line is phi-stable, phi of the log-degree-1
+    # solution leaves the span
     ([[1, 0, 0], [0, 1, 0], [0, 1, 5]], 2),
 ])
-def test_constant_submodule_not_phi_stable(frobenius, steps, monkeypatch):
+def test_constant_submodule_not_phi_stable(frobenius, block):
     r = len(frobenius)
     m = PhiNablaModule.from_rational_matrices(
         P, frobenius=frobenius,
         connection=[[{-1: 1} if j == i + 1 else 0 for j in range(r)]
                     for i in range(r)])
+    with pytest.raises(DiagnosticConflict, match="constant submodule "
+                       "not phi-stable at precision"):
+        unipotent_filtration(m)
+    # the first solution phi moves out of the span is in the named block
+    sols = sorted(modules._solve_nabla(m, None, 1),
+                  key=lambda s: s.log_degree)
+    comps = [s.components for s in sols]
+    leaves = [s.log_degree + 1 for s, c in zip(sols, comps)
+              if modules._solution_coordinates(
+                  comps, [modules._frobenius_image(m, c)], P) is None]
+    assert leaves[0] == block
 
-    def run():
-        with pytest.raises(DiagnosticConflict, match="constant submodule "
-                           "not phi-stable at precision"):
-            unipotent_filtration(m)
 
-    assert count_calls(monkeypatch, modules, "horizontal_sections",
-                       run) == steps
-
-
-def test_completed_basis_not_invertible_at_precision():
-    # sections t^-20 e_1, t^-20 e_2: the completed basis has determinant
-    # t^-40, below the window, so it is no unit at precision
-    m = PhiNablaModule.from_rational_matrices(
-        P, connection=[[0, 0], [0, 0]])
-    sections = [(LaurentElement.monomial(P, -20), LaurentElement.zero(P)),
-                (LaurentElement.zero(P), LaurentElement.monomial(P, -20))]
-    with pytest.raises(WindowTooSmall, match="completed basis is not "
-                       "invertible at precision"):
-        _unipotent_filtration(m, sections)
+@pytest.mark.parametrize("name, seed", [
+    ("kt", seed) for seed in (34, 35, 42, 48, 50, 56, 59)] + [
+    ("kt*kt", seed) for seed in (4, 8, 15)])
+def test_sheared_filtration_keeps_its_shape(name, seed):
+    m = {"kt": kt, "kt*kt": lambda: tensor(kt(), kt())}[name]()
+    sheared = _randomly_sheared(m, seed)
+    ref, fil = unipotent_filtration(m), unipotent_filtration(sheared)
+    assert fil.unipotent
+    assert (fil.level, fil.block_sizes) == (ref.level, ref.block_sizes)
+    assert reduction_type(AbelianVarietyDatum(sheared)) is \
+        ReductionType.SEMISTABLE_NOT_GOOD
 
 
 def _kt_over(params):
@@ -305,71 +343,58 @@ _SWEEP = {
 }
 
 
-def _completed_inverses(monkeypatch, m):
-    """(U, U^-1) of each step of the unipotent filtration of m."""
-    steps = []
-    complete = modules._complete_basis
-
-    def recorded(*args):
-        steps.append(complete(*args))
-        return steps[-1]
-
-    monkeypatch.setattr(modules, "_complete_basis", recorded)
-    assert unipotent_filtration(m).unipotent
-    assert steps
-    return steps
-
-
-def _assert_exact_inverse(U, U_inv):
-    # U U^-1 = I to the last digit, with no tail, and U^-1 is the general
-    # inverse at precision, no coefficient carrying fewer digits
-    for i, row in enumerate(lmat_mul(U, U_inv)):
+def _assert_exact_gauge(m):
+    """The filtration's gauge U is an exact basis change: A sigma(U) = U A'
+    and G U + dU/dt = U G', formed in a window that holds every product,
+    with no tail, and U U^-1 = I to the last digit with no tail."""
+    fil = unipotent_filtration(m)
+    assert fil.unipotent
+    wide = m.params._replace(t_window=(8 * m.params.p * 32,) * 2)
+    U, A, G, A1, G1 = (
+        [[x.rebase(wide) for x in row] for row in M]
+        for M in (fil.gauge.U, m.A, m.G, fil.gauged_module.A,
+                  fil.gauged_module.G))
+    for lhs, rhs in ((lmat_mul(A, lmat_sigma(U)), lmat_mul(U, A1)),
+                     (lmat_add(lmat_mul(G, U), lmat_ddt(U)),
+                      lmat_mul(U, G1))):
+        for x, y in zip(itertools.chain(*lhs), itertools.chain(*rhs)):
+            assert x.congruent(y) and not (x.has_tail() or y.has_tail())
+    for i, row in enumerate(lmat_mul(fil.gauge.U, lmat_inverse(fil.gauge.U))):
         for j, x in enumerate(row):
             assert x.congruent(1 if i == j else 0) and not x.has_tail()
-    for got, want in zip(U_inv, lmat_inverse(U)):
-        for x, y in zip(got, want):
-            assert x.congruent(y)
-            assert all(x.coefficient(n).abs_prec >= y.coefficient(n).abs_prec
-                       for n in set(x.coeffs) | set(y.coeffs))
 
 
+# The two tests below are named for the completed bases of the iterated
+# quotient gauges, which the log-basis gauge replaced; they check that gauge
+# over the same sweep.
 @pytest.mark.parametrize("window", [(32, 32), (0, 32), (8, 8), (2, 16)])
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("name", list(_SWEEP))
-def test_completed_basis_inverse_is_exact(name, p, window, monkeypatch):
-    # the block inverse of each completed basis, against lmat_inverse of
-    # the whole of it
+def test_completed_basis_inverse_is_exact(name, p, window):
     m = _SWEEP[name](RingParams(p, 20, window))
     if window == (0, 32):       # the 1/t of G lies below the window
         with pytest.raises(WindowTooSmall,
                            match="^connection matrix truncated"):
             unipotent_filtration(m)
         return
-    for U, U_inv in _completed_inverses(monkeypatch, m):
-        _assert_exact_inverse(U, U_inv)
+    _assert_exact_gauge(m)
 
 
-# S_p = diag(-3/4, 1) at p = 3: Cayley-Hamilton reads the cofactor -3/4 as
-# tr S_p - 1, at the abs_prec 20 of the 1 rather than its own 21, so after
-# the division by det S_p = -3/4 the 1 of S_p^-1 keeps 19 digits; the r x r
-# inverse of U keeps 20
-_DIGIT_LOST = pytest.mark.xfail(
-    strict=True, reason="S_p^-1 keeps one digit fewer than lmat_inverse(U)")
-
-
-@pytest.mark.parametrize("name, p, seed", [
-    pytest.param(*case, marks=_DIGIT_LOST) if case == ("kt+1", 3, 0)
-    else case
-    for case in itertools.product(("kt*kt", "kt+1"), (3, 5, 7), (0, 6))])
-def test_sheared_completed_basis_inverse_is_exact(name, p, seed,
-                                                  monkeypatch):
-    # sheared sections fill the blocks S_p and S_o of U
+@pytest.mark.parametrize("name, p, seed", itertools.product(
+    ("kt*kt", "kt+1"), (3, 5, 7), (0, 6)))
+def test_sheared_completed_basis_inverse_is_exact(name, p, seed):
+    # sheared solutions fill every entry of the gauge
     prm = RingParams(p, 20, (32, 32))
     m = _SWEEP[name](prm)
     m = random_shear_gauge(random.Random(seed), prm, m.rank,
                            lowest=0).apply(m)
-    for U, U_inv in _completed_inverses(monkeypatch, m):
-        _assert_exact_inverse(U, U_inv)
+    if any(a.has_tail() for row in m.A for a in row):
+        # the shear truncates A, so phi of a solution cannot be read
+        with pytest.raises(WindowTooSmall, match="^induced Frobenius: an "
+                           "image runs past the window"):
+            unipotent_filtration(m)
+        return
+    _assert_exact_gauge(m)
 
 
 def test_not_unipotent():

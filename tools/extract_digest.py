@@ -1,5 +1,6 @@
 """sha256 digests of what extraction and the unipotent filtration return:
-one over the values, one over the p-adic precisions.
+one over the values, one over the p-adic precisions, and one over the
+filtration's shape alone.
 
 The inputs are those of the extract_scaling benchmark workload for seeds
 0 .. 39 (the half twist, Kummer-Tate, Kummer-Tate plus a good elliptic H^1
@@ -12,14 +13,19 @@ classes of the log basis, the induced Frobenius of the largest constant
 submodule and every coefficient of the unipotent filtration's gauged
 module; a refusal is read as its class and message.  The precision digest
 reads the abs_prec of the same constant-submodule and gauged-module
-coefficients.  Run from the root of a checkout:
+coefficients.  The shape digest reads the filtration's (unipotent, level,
+block_sizes), or its refusal, and no gauged coefficient: two checkouts
+whose filtrations gauge to different bases but agree on every flag print
+the same shape digest.  Importing ``extract_scaling`` writes no bytecode
+into ``bench/``.  Run from the root of a checkout:
 
     PYTHONPATH=src:bench python3 tools/extract_digest.py [--seeds N]
         [--dump FILE]
 
 Two checkouts that print the same values digest return the same outputs on
 these inputs.  ``--dump`` also writes one JSON line per input (its name,
-values and precisions), so two checkouts can be compared input by input.
+values, precisions and shape), so two checkouts can be compared input by
+input.
 """
 
 from __future__ import annotations
@@ -28,6 +34,9 @@ import argparse
 import hashlib
 import json
 import random
+import sys
+
+sys.dont_write_bytecode = True
 
 from extract_scaling import GAUGE_SHAPES, TRACE_DEPTH, _gauged
 from phinabla import corpus
@@ -76,7 +85,7 @@ def _attempt(fn):
 
 
 def record(m):
-    """(values, precisions) of one input."""
+    """(values, precisions, shape) of one input."""
     values, precs = {}, {}
     out, values["wd_extract"] = _attempt(lambda: wd_extract(m))
     if out is not None:
@@ -97,6 +106,8 @@ def record(m):
         precs["constant"] = [[c.abs_prec for c in row]
                              for row in cs.frobenius]
     fil, values["filtration"] = _attempt(lambda: unipotent_filtration(m))
+    shape = values["filtration"] or [fil.unipotent, fil.level,
+                                     fil.block_sizes]
     if fil is not None and fil.unipotent:
         g = fil.gauged_module
         mats = {"A": g.A, "G": g.G}
@@ -110,7 +121,7 @@ def record(m):
             for key, M in mats.items()}
     elif fil is not None:
         values["filtration"] = "not unipotent"
-    return values, precs
+    return values, precs, shape
 
 
 def main():
@@ -118,21 +129,24 @@ def main():
     parser.add_argument("--seeds", type=int, default=40)
     parser.add_argument("--dump", metavar="FILE")
     args = parser.parse_args()
-    values, precs = hashlib.sha256(), hashlib.sha256()
+    values, precs, shapes = (hashlib.sha256() for _ in range(3))
     dump = open(args.dump, "w") if args.dump else None
     try:
         for name, m in inputs(args.seeds):
-            v, pr = record(m)
+            v, pr, sh = record(m)
             values.update(json.dumps([name, v]).encode())
             precs.update(json.dumps([name, pr]).encode())
+            shapes.update(json.dumps([name, sh]).encode())
             if dump:
                 dump.write(json.dumps({"input": name, "values": v,
-                                       "precisions": pr}) + "\n")
+                                       "precisions": pr, "shape": sh})
+                           + "\n")
     finally:
         if dump:
             dump.close()
     print(json.dumps({"values_sha256": values.hexdigest(),
-                      "precisions_sha256": precs.hexdigest()}))
+                      "precisions_sha256": precs.hexdigest(),
+                      "shape_sha256": shapes.hexdigest()}))
 
 
 if __name__ == "__main__":

@@ -138,7 +138,8 @@ def cmd_analyze(args) -> int:
     lines = _banner(args, params)
     lines.append(f"input: {m.label or args.path}")
 
-    if m.has_frobenius and m.has_connection:
+    both = m.has_frobenius and m.has_connection
+    if both:
         comp = check_compatibility(m)
         report["compatible"] = comp.compatible
         lines.append("compatibility: "
@@ -152,16 +153,18 @@ def cmd_analyze(args) -> int:
         lines.append("residue exponents: "
                      + ", ".join(str(x) for x in rr.exponents)
                      + f" (semisimple: {'yes' if rr.semisimple else 'no'})")
+        if both:
+            rep, trace = wd_extract(m, args.mmax, _kind(args))
         if all(x.denominator == 1 for x in rr.exponents):
-            fil = unipotent_filtration(m)
+            # cover degree 1: the extraction has read the filtration of m
+            fil = trace.filtration if both else unipotent_filtration(m)
             level = fil.level if fil.unipotent else None
             report["unipotent"] = fil.unipotent
             report["unipotence_level"] = level
             lines.append("unipotence level: "
                          + (str(level) if fil.unipotent else
                             "NOT_UNIPOTENT"))
-    if m.has_frobenius and m.has_connection:
-        rep, trace = wd_extract(m, args.mmax, _kind(args))
+    if both:
         Y, s = _scaled(rep.phi)
         weights = sorted(set(_weights_of(Y, rep.q, rep.frobenius_kind, s)))
         n_rank = linalg.rank(rep.N)

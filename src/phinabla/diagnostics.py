@@ -15,12 +15,12 @@ from functools import partial
 from . import linalg
 from .errors import (DiagnosticConflict, InconsistentRanks, MissingPairing,
                      NotEquivariant, PurityFailure)
-from .extraction import wd_extract
+from .extraction import _check_frobenius, _representation, wd_extract
 from .linalg import field_kernel
 from .modules import (PhiNablaModule, UnipotentFiltration, _rational_matrix,
-                      _solution_coordinates, horizontal_sections, lmat_add,
-                      lmat_ddt, lmat_det, lmat_mul, lmat_sigma,
-                      module_from_json, unipotent_filtration)
+                      horizontal_sections, lmat_add, lmat_ddt, lmat_det,
+                      lmat_mul, lmat_sigma, module_from_json,
+                      unipotent_filtration)
 from .padic import PadicNumber
 from .series import LaurentElement
 from .weil_deligne import (FrobeniusKind, WeilDeligneRep,
@@ -236,7 +236,12 @@ def _restricted(phi, flag):
 
 def semistable_weight_filtration(datum: AbelianVarietyDatum
                                  ) -> WeightFiltration:
-    red = _reduction(datum)
+    return _weight_filtration(datum, _reduction(datum))
+
+
+def _weight_filtration(datum: AbelianVarietyDatum,
+                       red: _Reduction) -> WeightFiltration:
+    """semistable_weight_filtration, given _reduction(datum)."""
     if red.verdict is ReductionType.NOT_SEMISTABLE:
         raise DiagnosticConflict("weight filtration needs semistability")
     m = datum.module
@@ -278,29 +283,20 @@ def semistable_weight_filtration(datum: AbelianVarietyDatum
     return WeightFiltration(ranks, graded, sections, torus)
 
 
-def wd_weight_filtration_flags(datum: AbelianVarietyDatum, m_max: int = 24):
+def wd_weight_filtration_flags(datum: AbelianVarietyDatum):
     """Images WD(W_k) of the weight filtration inside the WD space,
     together with the monodromy filtration of the extracted N.
 
     Returns (flags, fil, rep) where flags maps k in {-2, -1, 0} to a basis
     of WD(W_k) in solution coordinates; Thm-shape expectation is
     WD(W_k) = M_{k+1}."""
-    wf = semistable_weight_filtration(datum)
-    m = datum.module
-    rep, trace = wd_extract(m, m_max)
-    # a log solution in the R-span of R-independent horizontal sections has
-    # constant coefficients there: the flags are spanned by the solution
-    # coordinates of the sections (zero at log degree >= 1)
-    comps = [sol.components for sol in trace.solutions]
-    zero = tuple(LaurentElement.zero(m.params) for _ in range(m.rank))
-    coords = _solution_coordinates(
-        comps, [[tuple(v)] + [zero] * (len(comps[0]) - 1)
-                for v in wf.sections], m.params)
-    if coords is None:
-        raise DiagnosticConflict("a horizontal section leaves the log "
-                                 "solution span at precision")
-    coords = _rational_matrix(coords, DiagnosticConflict,
-                              "solution coordinates of D^f")
+    red = _reduction(datum)
+    wf = _weight_filtration(datum, red)
+    _check_frobenius(datum.module)
+    # e = 1; the filtration's first rk D^f solutions are the sections of D^f
+    rep = _representation(datum.module, red.filtration, 1,
+                          FrobeniusKind.GEOMETRIC)
+    coords = linalg.identity(rep.dim)[:len(wf.sections)]
     flags = {
         -2: linalg.span_basis(linalg.mat_mul(wf.torus_coordinates, coords)),
         -1: linalg.span_basis(coords),

@@ -10,11 +10,11 @@ are its log-depth-1 case): linear algebra only where det(nI + R) = 0, one
 back substitution at every other exponent of the window.  Each residue
 class is solved at the log depth the pulled-back residue R allows: the sum
 of the largest Jordan blocks of R at its eigenvalues in that class
-(Levelt), capped at the rank.  The log basis is kept on the
-ExtractionTrace, so callers reuse it instead of solving again.  Phi and N
-are read as operators on the solution span by `modules._induced`, the read
-the unipotent filtration makes at e = 1; the level-2 normal form is that
-filtration's constant gauged module, with its first block rotated.
+(Levelt), capped at the rank.  Phi and N are read once, by the unipotent
+filtration of the pullback (`modules._log_filtration`); the extraction
+recognises them over Q in its constant gauged module, and the
+ExtractionTrace keeps that filtration for callers to reuse.  The level-2
+normal form is that gauged module at e = 1, its first block rotated.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from . import linalg
 from .errors import (NonConstantFrobenius, NotLevelTwo, NotTame,
                      WindowTooSmall)
 from .modules import (GaugeChange, LogSolution, PhiNablaModule,
-                      _check_untruncated, _frobenius_image, _induced,
-                      _log_depths, _log_derivative, _rational_matrix,
-                      _residue, _solve_nabla, kummer_pullback, lmat_identity,
+                      UnipotentFiltration, _check_untruncated, _log_depths,
+                      _log_filtration, _rational_matrix, _residue,
+                      _solve_nabla, kummer_pullback, lmat_identity,
                       unipotent_filtration)
 from .series import LaurentElement
 from .weil_deligne import FrobeniusKind, WeilDeligneRep
@@ -41,42 +41,43 @@ class LogSolutionBasis:
 
 
 class ExtractionTrace:
-    """Human-readable derivation record surfaced by the CLI, with the log
-    basis the extraction solved for."""
+    """Human-readable derivation record surfaced by the CLI, with the
+    unipotent filtration of the pullback the extraction read."""
 
     def __init__(self, exponents: list, cover_degree: int,
-                 solutions: list[LogSolution]):
+                 filtration: UnipotentFiltration):
         self.exponents = exponents
         self.cover_degree = cover_degree
-        self.solutions = solutions  # log basis of the pulled-back module
-
-    @property
-    def log_degrees(self):
-        return [s.log_degree for s in self.solutions]
-
-    @property
-    def residue_classes(self):
-        return [s.residue_class for s in self.solutions]
+        self.filtration = filtration
+        self.solutions = filtration.solutions  # of the pulled-back module
+        self.log_degrees = [s.log_degree for s in self.solutions]
+        self.residue_classes = [s.residue_class for s in self.solutions]
 
 
 def log_solution_basis(m: PhiNablaModule, e: int = 1) -> LogSolutionBasis:
     """Full basis of log-horizontal sections, solved per residue class at
-    the log depth the residue's Jordan blocks allow."""
-    return _log_basis(m, e)
+    the log depth the residue's Jordan blocks allow, sorted by log degree,
+    then by residue class."""
+    sols = sorted(_solve_nabla(m, None, e),
+                  key=lambda s: (s.log_degree, s.residue_class))
+    _require_rank(m, e, sols)
+    return LogSolutionBasis(sols, e)
 
 
-def _log_basis(m: PhiNablaModule, e: int, residue=None) -> LogSolutionBasis:
-    """log_solution_basis, given _residue(m) when the caller has read it."""
-    sols = _solve_nabla(m, None, e, residue)
+def _require_rank(m: PhiNablaModule, e: int, sols, residue=None):
+    """WindowTooSmall unless the solve found rank m log solutions."""
     if len(sols) != m.rank:
         _, R, roots, _ = residue or _residue(m)
-        depths = _log_depths(R, roots, e)
-        raise WindowTooSmall(
-            f"found {len(sols)} log solutions at log depth "
-            f"{'/'.join(map(str, depths))}, expected {m.rank}")
-    # pure (log-free) solutions first, then by residue class
-    sols.sort(key=lambda s: (s.log_degree, s.residue_class))
-    return LogSolutionBasis(sols, e)
+        depths = "/".join(map(str, _log_depths(R, roots, e)))
+        raise WindowTooSmall(f"found {len(sols)} log solutions at log depth "
+                             f"{depths}, expected {m.rank}")
+
+
+def _check_frobenius(m: PhiNablaModule):
+    """WindowTooSmall if the window cuts the Frobenius matrix."""
+    if any(a.has_tail() for row in m.A for a in row):
+        raise WindowTooSmall("Frobenius matrix truncated; cannot trust "
+                             "its image")
 
 
 # ---------------------------------------------------------------------------
@@ -104,23 +105,15 @@ def _tame_cover_degree(m: PhiNablaModule, m_max: int) -> tuple:
 
 
 def _canonical_sp2(phi, N):
-    """For dim 2 with N of rank 1 put N into the exact E_12 shape: the
-    conjugated (phi, N) and the conjugation U^-1 M U, or None when N is
-    left as it is."""
-    if len(N) != 2 or all(x == 0 for row in N for x in row):
-        return phi, N, None
-    # u spanning a complement of ker N, w = N u
-    for u in ([Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)],
-              [Fraction(1), Fraction(1)]):
-        w = linalg.mat_vec(N, u)
-        if any(w):
-            break
-    U = linalg.transpose([w, u])
-    Ui = linalg.mat_inv(U)
-    if Ui is None:
-        return phi, N, None
-    conj = lambda M: linalg.mat_mul(Ui, linalg.mat_mul(M, U))
-    return conj(phi), conj(N), conj
+    """For dim 2 with N of rank 1, (phi, N) with N in the exact E_12 shape.
+    In the log basis, log-degree-1 solution last, N is [[0, c], [0, 0]]:
+    scaling the first basis vector by c, which commutes with the diagonal
+    inertia, divides phi_12 by c and multiplies phi_21 by it."""
+    if len(N) != 2 or not N[0][1]:
+        return phi, N
+    c = N[0][1]
+    return ([[phi[0][0], phi[0][1] / c], [phi[1][0] * c, phi[1][1]]],
+            [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]])
 
 
 def wd_extract(m: PhiNablaModule, m_max: int = 24,
@@ -131,51 +124,54 @@ def wd_extract(m: PhiNablaModule, m_max: int = 24,
     m._require(frobenius=True)
     _check_untruncated(m)   # before a lost term reads as a pole of t G
     e, exponents, residue = _tame_cover_degree(m, m_max)
-    if any(a.has_tail() for row in m.A for a in row):
-        raise WindowTooSmall("Frobenius matrix truncated; cannot trust "
-                             "its image")
+    _check_frobenius(m)
     pulled = kummer_pullback(m, e)
     # with e = 1 the pullback is m itself, whose residue is read already
-    sols = _log_basis(pulled, e, residue if pulled is m else None).solutions
-    r = m.rank
-    params = m.params
-    comps = [s.components for s in sols]
+    residue = residue if pulled is m else None
+    fil = _log_filtration(pulled, e, residue)
+    _require_rank(pulled, e, fil.solutions, residue)
+    rep = _representation(m, fil, e, frobenius_kind)
+    return rep, ExtractionTrace([str(x) for x in exponents], e, fil)
 
-    def induced(image, what, leaves):
-        """Matrix of an operator on the solution span, from one solve."""
-        cols = _induced(comps, image, what, params,
-                        NonConstantFrobenius(leaves))
-        return linalg.transpose(_rational_matrix(cols, NonConstantFrobenius,
-                                                 what))
+
+def _representation(m: PhiNablaModule, fil: UnipotentFiltration, e: int,
+                    frobenius_kind) -> WeilDeligneRep:
+    """The representation of m off the filtration `fil` of its pullback to
+    cover degree e: Phi and N over Q, the signs of its gauged module undone."""
+    params = m.params
+    odd = [s.log_degree % 2 for s in fil.solutions]
+
+    def read(M, exponent, what, negate):
+        """(-1)^(negate + d_i + d_j) times the t^exponent coefficients of
+        M, over Q."""
+        return [[-x if (negate + odd[i] + odd[j]) % 2 else x
+                 for j, x in enumerate(row)] for i, row in enumerate(
+                     _rational_matrix([[x.coefficient(exponent) for x in r]
+                                       for r in M], NonConstantFrobenius,
+                                      what))]
 
     # sigma fixes Q, so the a-th power of the p-power Frobenius read on the
     # rational solution coordinates is the linear (q-power) Frobenius
-    phi = linalg.mat_pow(
-        induced(lambda c: _frobenius_image(pulled, c), "induced Frobenius",
-                "phi image leaves the solution span at precision"), params.a)
-    N = induced(lambda c: _log_derivative(c, params), "monodromy operator",
-                "log derivative leaves the span")
+    gauged = fil.gauged_module
+    phi = linalg.mat_pow(read(gauged.A, 0, "induced Frobenius", 0),
+                         params.a)
+    N = read(gauged.G, -1, "monodromy operator", 1)
 
-    classes = [s.residue_class for s in sols]
     inertia_matrix = None
     if e == 2:
-        inertia_matrix = [[Fraction(-1 if (i == j and classes[i] % 2) else
-                                    (1 if i == j else 0))
-                           for j in range(r)] for i in range(r)]
+        inertia_matrix = [[Fraction((-1) ** s.residue_class if i == j else 0)
+                           for j in range(m.rank)]
+                          for i, s in enumerate(fil.solutions)]
 
-    phi, N, conj = _canonical_sp2(phi, N)
-    if conj is not None and inertia_matrix is not None:
-        inertia_matrix = conj(inertia_matrix)
+    phi, N = _canonical_sp2(phi, N)
 
     if frobenius_kind is FrobeniusKind.ARITHMETIC:
         # the solution-space action computed above is that of geometric
         # Frobenius; the arithmetic one is its inverse
         phi = linalg.mat_inv(phi)
 
-    rep = WeilDeligneRep(params.q, phi, N, e, inertia_matrix,
-                         frobenius_kind, m.label)
-    trace = ExtractionTrace([str(x) for x in exponents], e, sols)
-    return rep, trace
+    return WeilDeligneRep(params.q, phi, N, e, inertia_matrix,
+                          frobenius_kind, m.label)
 
 
 def wd_of_cohomology(m: PhiNablaModule, i: int, m_max: int = 24,

@@ -17,8 +17,9 @@ horizontal section is a solution of log depth 1 with e = 1.
 The unipotent filtration is the flag of log degrees of the solutions at
 e = 1.  Their log-degree-0 components, signed by log degree, are the basis
 in which the module is constant; Phi and N, the solution coordinates of the
-Frobenius image and of the log derivative, give its matrices.  No basis is
-completed and no gauge is inverted.
+Frobenius image and of the log derivative, give its matrices.  Run on the
+Kummer pullback at its cover degree, this one read gives the Weil-Deligne
+extraction its Phi and N too.
 """
 
 from __future__ import annotations
@@ -299,11 +300,8 @@ class LogSolution:
     def __init__(self, components: list, residue_class: int):
         self.components = components        # d -> tuple of LaurentElement
         self.residue_class = residue_class  # exponent class mod e (inertia)
-
-    @property
-    def log_degree(self):
-        return max((d for d, v in enumerate(self.components)
-                    if any(not x.is_zero() for x in v)), default=0)
+        self.log_degree = max((d for d, v in enumerate(components)
+                               if any(not x.is_zero() for x in v)), default=0)
 
 
 def _solve_nabla(m: PhiNablaModule, depth, e: int, residue=None):
@@ -570,21 +568,6 @@ def _log_derivative(comps, params):
     return out
 
 
-def _induced(comps, image, what, params, leaves):
-    """Solution coordinates (_solution_coordinates) of image(c) for every
-    solution c of the reduced basis comps: an operator on their span.
-    WindowTooSmall if an image runs past the window; the exception
-    `leaves` if one leaves the span."""
-    images = [image(c) for c in comps]
-    if any(x.has_tail() for img in images for vec in img for x in vec):
-        raise WindowTooSmall(f"{what}: an image runs past the window; "
-                             "its coordinates cannot be read")
-    cols = _solution_coordinates(comps, images, params)
-    if cols is None:
-        raise leaves
-    return cols
-
-
 # -- constant part and unipotence -------------------------------------------
 
 class ConstantSubmodule:
@@ -617,7 +600,7 @@ class UnipotentFiltration:
                  block_sizes: list | None = None,
                  gauged_module: PhiNablaModule | None = None):
         self.unipotent = unipotent
-        self.solutions = solutions  # log basis at e = 1, by log degree
+        self.solutions = solutions  # log basis, by log degree and class
         self.level = level
         self.gauge = gauge
         self.block_sizes = block_sizes
@@ -626,47 +609,62 @@ class UnipotentFiltration:
 
 def unipotent_filtration(m: PhiNablaModule) -> UnipotentFiltration:
     """Flag with constant graded pieces, or NOT_UNIPOTENT: the flag of log
-    degrees of the log solutions at e = 1.
+    degrees of the log solutions at e = 1."""
+    return _log_filtration(m, 1)
 
-    With the solutions Z_j sorted by log degree d_j, the gauge column j is
-    (-1)^(d_j) v_0(Z_j).  Since D v_0 + t G v_0 = -v_1 and A sigma(v_0) =
-    v_0(phi Z), the gauged module is constant: t G'_ij = -(-1)^(d_i + d_j)
-    N_ij and A'_ij = (-1)^(d_i + d_j) Phi_ij, N and Phi the solution
-    coordinates of the log derivative and of the Frobenius image.  Fewer
-    than rank solutions is NOT_UNIPOTENT.
+
+def _log_filtration(m: PhiNablaModule, e: int,
+                    residue=None) -> UnipotentFiltration:
+    """The filtration read off the log solutions at cover degree e, given
+    _residue(m) when the caller has read it (see _solve_nabla).
+
+    With the solutions Z_j sorted by log degree d_j, then residue class, the
+    gauge column j is (-1)^(d_j) v_0(Z_j).  Since D v_0 + t G v_0 = -v_1 and
+    A sigma(v_0) = v_0(phi Z), the gauged module is constant: t G'_ij =
+    -(-1)^(d_i + d_j) N_ij and A'_ij = (-1)^(d_i + d_j) Phi_ij, N and Phi
+    the solution coordinates of the log derivative and of the Frobenius
+    image.  Other than rank solutions is NOT_UNIPOTENT.
     """
     m._require(connection=True)
     if m.rank == 0:
         return UnipotentFiltration(True, [], 0, GaugeChange([]), [], m)
-    sols = sorted(_solve_nabla(m, None, 1), key=lambda s: s.log_degree)
-    if len(sols) < m.rank:
+    sols = sorted(_solve_nabla(m, None, e, residue),
+                  key=lambda s: (s.log_degree, s.residue_class))
+    if len(sols) != m.rank:
         return UnipotentFiltration(False, sols)
     params = m.params
     comps = [s.components for s in sols]
     odd = [s.log_degree % 2 for s in sols]
 
-    def constant(cols, exponent, negate):
-        """(-1)^(negate + d_i + d_j) M_ij t^exponent, M_ij = cols[j][i]."""
+    def constant(image, what, leaves, exponent, negate):
+        """(-1)^(negate + d_i + d_j) M_ij t^exponent, M_ij coordinate i of
+        image(Z_j) (_solution_coordinates).  WindowTooSmall if an image runs
+        past the window, DiagnosticConflict(leaves) if one leaves the span."""
+        images = [image(c) for c in comps]
+        if any(x.has_tail() for img in images for vec in img for x in vec):
+            raise WindowTooSmall(f"{what}: an image runs past the window; "
+                                 "its coordinates cannot be read")
+        cols = _solution_coordinates(comps, images, params)
+        if cols is None:
+            raise DiagnosticConflict(leaves)
         return [[LaurentElement(params, {exponent: -c if (
             negate + odd[i] + odd[j]) % 2 else c})
             for j, c in enumerate(row)] for i, row in enumerate(zip(*cols))]
 
     A = None
     if m.has_frobenius:
-        A = constant(_induced(
-            comps, lambda c: _frobenius_image(m, c), "induced Frobenius",
-            params, DiagnosticConflict("constant submodule not phi-stable "
-                                       "at precision")), 0, 0)
-    N = _induced(comps, lambda c: _log_derivative(c, params),
-                 "monodromy operator", params, DiagnosticConflict(
-                     "log derivative leaves the solution span at precision"))
+        A = constant(lambda c: _frobenius_image(m, c), "induced Frobenius",
+                     "constant submodule not phi-stable at precision", 0, 0)
+    G = constant(lambda c: _log_derivative(c, params), "monodromy operator",
+                 "log derivative leaves the solution span at precision",
+                 -1, 1)
     U = [[-x if o else x for x, o in zip(row, odd)]
          for row in zip(*(c[0] for c in comps))]
     block_sizes = [sum(s.log_degree == d for s in sols)
                    for d in range(sols[-1].log_degree + 1)]
-    return UnipotentFiltration(
-        True, sols, len(block_sizes), GaugeChange(U), block_sizes,
-        PhiNablaModule(params, m.rank, A, constant(N, -1, 1), m.label))
+    return UnipotentFiltration(True, sols, len(block_sizes), GaugeChange(U),
+                               block_sizes,
+                               PhiNablaModule(params, m.rank, A, G, m.label))
 
 
 # -- residue exponents ------------------------------------------------------

@@ -249,13 +249,31 @@ def test_analyze_rank_zero_has_no_weights(capsys, tmp_path):
     path.write_text(json.dumps(obj))
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 0 and err == ""
+    # the level is read off the extraction's filtration
+    assert "unipotence level: 0" in out
     assert "WD: dim=0 N-rank=0 inertia order=1 weights={}" in out
     assert "quasi-purity at weight 1: PASS" in out
     code, out, err = run(capsys, "--json", "analyze", str(path))
     assert code == 0 and err == ""
     report = json.loads(out)
+    assert report["unipotent"] is True and report["unipotence_level"] == 0
     assert report["wd"]["dim"] == 0 and report["wd"]["phi_weights"] == []
     assert report["quasi_pure"] is True
+
+
+def test_analyze_refuses_a_truncated_frobenius_as_wd_does(capsys, tmp_path):
+    # analyze reads the unipotence level off the extraction, so a t^40 term
+    # past the window stops both at the extraction's first check
+    obj = json.loads((CORPUS / "kummer_tate.json").read_text())
+    obj["frobenius"][1][1]["terms"].append([40, "1"])
+    path = tmp_path / "kt_truncated.json"
+    path.write_text(json.dumps(obj))
+    for command in ("analyze", "wd"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "WindowTooSmall",
+            "detail": "Frobenius matrix truncated; cannot trust its image"}
 
 
 def test_inertia_order_without_matrix_is_compared(capsys, tmp_path):

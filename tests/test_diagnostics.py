@@ -175,9 +175,16 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
     # those of its dual
     pytest.param(lambda: semistable_weight_filtration(
         corpus.tate_abelian_datum(P)), 1, id="weight-filtration"),
-    # the same, plus the log basis of wd_extract
+    # the same: the representation is read off that filtration
     pytest.param(lambda: wd_weight_filtration_flags(
-        corpus.tate_abelian_datum(P)), 2, id="wd-flags"),
+        corpus.tate_abelian_datum(P)), 1, id="wd-flags"),
+    # the extraction's filtration gives the unipotence level
+    pytest.param(lambda: cli.main(
+        ["analyze", str(CORPUS / "kummer_tate.json")]), 1,
+        id="cli-analyze-kt"),
+    pytest.param(lambda: cli.main(
+        ["analyze", str(CORPUS / "good_elliptic_h1.json")]), 1,
+        id="cli-analyze-h1"),
     pytest.param(lambda: cli.main(
         ["reduction", str(CORPUS / "tate_abelian.json")]), 1,
         id="cli-tate"),
@@ -197,6 +204,14 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 def test_each_solve_runs_once(run, solves, monkeypatch, capsys):
     # per-class calls of the one nabla solver
     assert count_calls(monkeypatch, modules, "_solve_class", run) == solves
+
+
+def test_analyze_reads_frobenius_once_per_solution(monkeypatch, capsys):
+    # one image per log solution of Kummer-Tate, in the extraction's read
+    assert count_calls(monkeypatch, modules, "_frobenius_image",
+                       lambda: cli.main(
+                           ["analyze", str(CORPUS / "kummer_tate.json")])) \
+        == 2
 
 
 def test_frobenius_on_d_f_is_read_once(monkeypatch):

@@ -328,7 +328,7 @@ def test_pivot_coordinates_match_the_elimination(m):
                       for i in range(m.rank)) for d in range(depth)]
 
     inside = ([_frobenius_image(pulled, b) for b in basis]
-              + [extraction._log_derivative(b, params) for b in basis]
+              + [modules._log_derivative(b, params) for b in basis]
               + [combination() for _ in range(3)])
     _assert_same_coordinates(basis, inside, params)
     # a basis element plus a monomial off the support of the basis

@@ -10,10 +10,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from phinabla import corpus, linalg, modules
+from phinabla import cli, corpus, linalg, modules
 from phinabla.corpus import tate_abelian_datum
 from phinabla.diagnostics import (AbelianVarietyDatum, ReductionType,
                                   reduction_type)
+from phinabla.extraction import wd_extract
 from phinabla.errors import (DiagnosticConflict, IrregularSingularity,
                              MissingStructure, WildCover, WindowTooSmall)
 from phinabla.modules import (GaugeChange, PhiNablaModule,
@@ -29,7 +30,8 @@ from phinabla.oracles import ode_recurrence_solutions
 from phinabla.padic import PadicNumber, RingParams
 from phinabla.series import LaurentElement
 
-from helpers import count_calls, dense_unit_matrix, random_shear_gauge
+from helpers import (count_calls, dense_unit_matrix, laurent_bits,
+                     random_shear_gauge)
 
 
 P = RingParams(5, 20, (32, 32))
@@ -275,6 +277,22 @@ def test_incompatible_module_is_not_phi_stable():
         unipotent_filtration(m)
 
 
+def test_incompatible_module_is_refused_alike(capsys, tmp_path):
+    # the extraction refuses it with the filtration's conflict, in the
+    # library and on the command line, as analyze does
+    m = _monomial_quotient()
+    with pytest.raises(DiagnosticConflict, match="^constant submodule not "
+                       "phi-stable at precision$"):
+        wd_extract(m)
+    path = tmp_path / "monomial_quotient.json"
+    path.write_text(json.dumps(modules.module_to_json(m)))
+    for command in ("wd", "analyze"):
+        assert cli.main([command, str(path)]) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "DiagnosticConflict",
+            "detail": "constant submodule not phi-stable at precision"}
+
+
 def test_frobenius_image_past_the_window_is_refused():
     # h1 under shear seed 23: A is truncated, and phi of a solution runs
     # past the window
@@ -378,6 +396,42 @@ def test_completed_basis_inverse_is_exact(name, p, window):
             unipotent_filtration(m)
         return
     _assert_exact_gauge(m)
+
+
+def _filtration_bits(fil):
+    """Everything a filtration holds, p-adic precisions included."""
+    bits = lambda M: [[laurent_bits(x) for x in row] for row in M]
+    return ([(s.residue_class, [[laurent_bits(x) for x in v]
+                                for v in s.components])
+             for s in fil.solutions], fil.unipotent, fil.level,
+            fil.block_sizes, bits(fil.gauge.U), bits(fil.gauged_module.A),
+            bits(fil.gauged_module.G))
+
+
+@pytest.mark.parametrize("window", [(32, 32), (0, 32), (8, 8), (2, 16)])
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("name", list(_SWEEP))
+def test_extraction_reads_the_unipotent_filtration(name, p, window):
+    # at e = 1 the extraction's filtration is unipotent_filtration(m)
+    m = _SWEEP[name](RingParams(p, 20, window))
+    if window == (0, 32):       # the 1/t of G lies below the window
+        with pytest.raises(WindowTooSmall,
+                           match="^connection matrix truncated"):
+            wd_extract(m)
+        return
+    trace = wd_extract(m)[1]
+    assert trace.cover_degree == 1
+    assert _filtration_bits(trace.filtration) == \
+        _filtration_bits(unipotent_filtration(m))
+
+
+@pytest.mark.parametrize("window", [(32, 32), (8, 8)])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_half_twist_reads_its_filtration_at_e_2(p, window):
+    # one pure solution, s^-1, of class 1 after t = s^2
+    trace = wd_extract(corpus.half_twist(RingParams(p, 20, window)))[1]
+    assert (trace.cover_degree, trace.log_degrees, trace.residue_classes,
+            trace.filtration.block_sizes) == (2, [0], [1], [1])
 
 
 @pytest.mark.parametrize("name, p, seed", itertools.product(

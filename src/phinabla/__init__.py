@@ -17,8 +17,8 @@ from .weil_deligne import (FrobeniusKind, MonodromyFiltration,
                            monodromy_filtration, purity_check,
                            quasi_purity_check, special_rep, trace_table,
                            twist, weight_of_eigenvalue)
-from .extraction import (LogSolutionBasis, key2_normal_form,
-                         log_solution_basis, wd_extract, wd_of_cohomology)
+from .extraction import (key2_normal_form, log_solution_basis, wd_extract,
+                         wd_of_cohomology)
 from .diagnostics import (AbelianVarietyDatum, OpenCurveDatum, RankProfile,
                           ReductionType, check_weight_monodromy,
                           ell_independence_check, excision_weight_filtration,
@@ -27,8 +27,8 @@ from .diagnostics import (AbelianVarietyDatum, OpenCurveDatum, RankProfile,
 
 __all__ = [
     "AbelianVarietyDatum", "CompatibilityReport", "FrobeniusKind",
-    "GaugeChange", "LaurentElement", "LogSolutionBasis",
-    "MonodromyFiltration", "OpenCurveDatum", "PadicNumber", "PhinablaError",
+    "GaugeChange", "LaurentElement", "MonodromyFiltration", "OpenCurveDatum",
+    "PadicNumber", "PhinablaError",
     "PhiNablaModule", "RankProfile", "ReductionType", "RingParams",
     "WeilDeligneRep", "check_compatibility",
     "check_weight_monodromy", "compatibility_family", "direct_sum", "dual",

@@ -255,12 +255,13 @@ def _weight_filtration(datum: AbelianVarietyDatum,
     torus = _rational_matrix(red.torus, DiagnosticConflict, "D^t coordinates")
     mu = len(torus)
     ranks = {-2: mu, -1: rk_f, 0: m.rank}
-    # the gauged Frobenius of the filtration is constant, with D^f, the
-    # log-degree-0 solutions, as its first diagonal block
-    A = red.filtration.gauged_module.A
+    # the filtration's Phi, with D^f, the log-degree-0 solutions, as its
+    # first diagonal block; on a diagonal block the gauge's signs are a
+    # similarity by diag(+-1), which keeps the weights
+    phi = red.filtration.phi
 
     def block(lo, hi, what):
-        return _rational_matrix([row[lo:hi] for row in A[lo:hi]],
+        return _rational_matrix([row[lo:hi] for row in phi[lo:hi]],
                                 DiagnosticConflict, what)
 
     phi_f = block(0, rk_f, "Frobenius on D^f")

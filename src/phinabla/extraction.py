@@ -10,11 +10,12 @@ are its log-depth-1 case): linear algebra only where det(nI + R) = 0, one
 back substitution at every other exponent of the window.  Each residue
 class is solved at the log depth the pulled-back residue R allows: the sum
 of the largest Jordan blocks of R at its eigenvalues in that class
-(Levelt), capped at the rank.  Phi and N are read once, by the unipotent
-filtration of the pullback (`modules._log_filtration`); the extraction
-recognises them over Q in its constant gauged module, and the
-ExtractionTrace keeps that filtration for callers to reuse.  The level-2
-normal form is that gauged module at e = 1, its first block rotated.
+(Levelt), capped at the rank.  Phi and N are read once, as solution
+coordinates, by the unipotent filtration of the pullback
+(`modules._log_filtration`); the extraction recognises them over Q, and
+the ExtractionTrace keeps that filtration for callers to reuse.  The
+level-2 normal form is the filtration's gauge at e = 1, its first block
+rotated, with its constants read off N.
 """
 
 from __future__ import annotations
@@ -25,19 +26,12 @@ from math import gcd, lcm
 from . import linalg
 from .errors import (NonConstantFrobenius, NotLevelTwo, NotTame,
                      WindowTooSmall)
-from .modules import (GaugeChange, LogSolution, PhiNablaModule,
-                      UnipotentFiltration, _check_untruncated, _log_depths,
-                      _log_filtration, _rational_matrix, _residue,
-                      _solve_nabla, kummer_pullback, lmat_identity,
-                      unipotent_filtration)
+from .modules import (GaugeChange, PhiNablaModule, UnipotentFiltration,
+                      _check_untruncated, _log_depths, _log_filtration,
+                      _rational_matrix, _residue, kummer_pullback,
+                      lmat_identity, unipotent_filtration)
 from .series import LaurentElement
 from .weil_deligne import FrobeniusKind, WeilDeligneRep
-
-
-class LogSolutionBasis:
-    def __init__(self, solutions: list[LogSolution], cover_degree: int):
-        self.solutions = solutions
-        self.cover_degree = cover_degree
 
 
 class ExtractionTrace:
@@ -54,14 +48,16 @@ class ExtractionTrace:
         self.residue_classes = [s.residue_class for s in self.solutions]
 
 
-def log_solution_basis(m: PhiNablaModule, e: int = 1) -> LogSolutionBasis:
-    """Full basis of log-horizontal sections, solved per residue class at
-    the log depth the residue's Jordan blocks allow, sorted by log degree,
-    then by residue class."""
-    sols = sorted(_solve_nabla(m, None, e),
-                  key=lambda s: (s.log_degree, s.residue_class))
-    _require_rank(m, e, sols)
-    return LogSolutionBasis(sols, e)
+def log_solution_basis(m: PhiNablaModule, e: int = 1
+                       ) -> UnipotentFiltration:
+    """The filtration at cover degree e of m without its Frobenius: its
+    solutions are the full basis of log-horizontal sections, solved per
+    residue class at the log depth the residue's Jordan blocks allow,
+    sorted by log degree, then by residue class."""
+    fil = _log_filtration(PhiNablaModule(m.params, m.rank, None, m.G,
+                                         m.label), e)
+    _require_rank(m, e, fil.solutions)
+    return fil
 
 
 def _require_rank(m: PhiNablaModule, e: int, sols, residue=None):
@@ -137,25 +133,13 @@ def wd_extract(m: PhiNablaModule, m_max: int = 24,
 def _representation(m: PhiNablaModule, fil: UnipotentFiltration, e: int,
                     frobenius_kind) -> WeilDeligneRep:
     """The representation of m off the filtration `fil` of its pullback to
-    cover degree e: Phi and N over Q, the signs of its gauged module undone."""
+    cover degree e: its Phi and N over Q."""
     params = m.params
-    odd = [s.log_degree % 2 for s in fil.solutions]
-
-    def read(M, exponent, what, negate):
-        """(-1)^(negate + d_i + d_j) times the t^exponent coefficients of
-        M, over Q."""
-        return [[-x if (negate + odd[i] + odd[j]) % 2 else x
-                 for j, x in enumerate(row)] for i, row in enumerate(
-                     _rational_matrix([[x.coefficient(exponent) for x in r]
-                                       for r in M], NonConstantFrobenius,
-                                      what))]
-
     # sigma fixes Q, so the a-th power of the p-power Frobenius read on the
     # rational solution coordinates is the linear (q-power) Frobenius
-    gauged = fil.gauged_module
-    phi = linalg.mat_pow(read(gauged.A, 0, "induced Frobenius", 0),
-                         params.a)
-    N = read(gauged.G, -1, "monodromy operator", 1)
+    phi = linalg.mat_pow(_rational_matrix(fil.phi, NonConstantFrobenius,
+                                          "induced Frobenius"), params.a)
+    N = _rational_matrix(fil.N, NonConstantFrobenius, "monodromy operator")
 
     inertia_matrix = None
     if e == 2:
@@ -208,9 +192,9 @@ def key2_normal_form(m: PhiNablaModule) -> NormalForm:
     if fil.level < 2:
         return NormalForm(fil.gauge, [], list(range(m.rank)), [], [])
     k1, k2 = fil.block_sizes
-    # the gauged t G is constant: D(g_k) = sum_i (t G)_{i, k1+k} e_i
-    C = _rational_matrix([[g.shift(1) for g in row[k1:]]
-                          for row in fil.gauged_module.G[:k1]],
+    # in the gauge D(g_k) = sum_i N_{i, k1+k} e_i: from log degree 1 to 0
+    # the gauged t G is N itself
+    C = _rational_matrix([row[k1:] for row in fil.N[:k1]],
                          NonConstantFrobenius, "normal-form constant")
     total = fil.gauge
     # rotate the first block so the image span of C comes first

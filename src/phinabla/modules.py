@@ -15,11 +15,11 @@ in the exponent window, per residue class mod a cover degree e.  A
 horizontal section is a solution of log depth 1 with e = 1.
 
 The unipotent filtration is the flag of log degrees of the solutions at
-e = 1.  Their log-degree-0 components, signed by log degree, are the basis
-in which the module is constant; Phi and N, the solution coordinates of the
-Frobenius image and of the log derivative, give its matrices.  Run on the
-Kummer pullback at its cover degree, this one read gives the Weil-Deligne
-extraction its Phi and N too.
+e = 1.  It holds Phi and N, the solution coordinates of the Frobenius image
+and of the log derivative; the log-degree-0 components, signed by log
+degree, are a basis in which the module is constant, built when read.  Run
+on the Kummer pullback at its cover degree, this one read gives the
+Weil-Deligne extraction its Phi and N too.
 """
 
 from __future__ import annotations
@@ -594,17 +594,50 @@ def largest_constant_submodule(m: PhiNablaModule):
 
 
 class UnipotentFiltration:
-    def __init__(self, unipotent: bool, solutions: list,
-                 level: int | None = None,
-                 gauge: GaugeChange | None = None,
-                 block_sizes: list | None = None,
-                 gauged_module: PhiNablaModule | None = None):
-        self.unipotent = unipotent
+    """The flag of log degrees d_j of the log solutions Z_j, sorted by log
+    degree, then residue class; unipotent when there are rank of them.
+
+    Then `phi` (None without a Frobenius) and `N` hold, over K, the
+    solution coordinates of the Frobenius image and of the log derivative:
+    column j is the image of Z_j.  The gauge columns (-1)^(d_j) v_0(Z_j)
+    make the module constant: since D v_0 + t G v_0 = -v_1 and A sigma(v_0)
+    = v_0(phi Z), the gauged module has A'_ij = (-1)^(d_i + d_j) Phi_ij and
+    t G'_ij = -(-1)^(d_i + d_j) N_ij.  The gauge and the gauged module are
+    built when read, and are None unless unipotent."""
+
+    def __init__(self, module: PhiNablaModule, solutions: list,
+                 phi: list | None = None, N: list | None = None):
+        self.module = module
         self.solutions = solutions  # log basis, by log degree and class
-        self.level = level
-        self.gauge = gauge
-        self.block_sizes = block_sizes
-        self.gauged_module = gauged_module
+        self.unipotent = len(solutions) == module.rank
+        self.phi, self.N = phi, N
+        degrees = [s.log_degree for s in solutions]
+        self.block_sizes = ([degrees.count(d) for d in range(
+            max(degrees, default=-1) + 1)] if self.unipotent else None)
+        self.level = len(self.block_sizes) if self.unipotent else None
+
+    def _signed(self, M, exponent, negate):
+        """(-1)^(negate + d_i + d_j) M_ij t^exponent."""
+        odd = [s.log_degree % 2 for s in self.solutions]
+        return [[LaurentElement(self.module.params, {exponent: -c if (
+            negate + odd[i] + odd[j]) % 2 else c})
+            for j, c in enumerate(row)] for i, row in enumerate(M)]
+
+    @property
+    def gauge(self) -> GaugeChange | None:
+        if self.unipotent:
+            return GaugeChange([[-x if s.log_degree % 2 else x
+                                 for x, s in zip(row, self.solutions)]
+                                for row in zip(*(s.components[0]
+                                                 for s in self.solutions))])
+
+    @property
+    def gauged_module(self) -> PhiNablaModule | None:
+        if self.unipotent:
+            m = self.module
+            A = None if self.phi is None else self._signed(self.phi, 0, 0)
+            return PhiNablaModule(m.params, m.rank, A,
+                                  self._signed(self.N, -1, 1), m.label)
 
 
 def unipotent_filtration(m: PhiNablaModule) -> UnipotentFiltration:
@@ -616,55 +649,36 @@ def unipotent_filtration(m: PhiNablaModule) -> UnipotentFiltration:
 def _log_filtration(m: PhiNablaModule, e: int,
                     residue=None) -> UnipotentFiltration:
     """The filtration read off the log solutions at cover degree e, given
-    _residue(m) when the caller has read it (see _solve_nabla).
-
-    With the solutions Z_j sorted by log degree d_j, then residue class, the
-    gauge column j is (-1)^(d_j) v_0(Z_j).  Since D v_0 + t G v_0 = -v_1 and
-    A sigma(v_0) = v_0(phi Z), the gauged module is constant: t G'_ij =
-    -(-1)^(d_i + d_j) N_ij and A'_ij = (-1)^(d_i + d_j) Phi_ij, N and Phi
-    the solution coordinates of the log derivative and of the Frobenius
-    image.  Other than rank solutions is NOT_UNIPOTENT.
-    """
+    _residue(m) when the caller has read it (see _solve_nabla); Phi and N
+    are read when there are rank solutions.  WindowTooSmall if an image
+    runs past the window, DiagnosticConflict if one leaves the span."""
     m._require(connection=True)
-    if m.rank == 0:
-        return UnipotentFiltration(True, [], 0, GaugeChange([]), [], m)
     sols = sorted(_solve_nabla(m, None, e, residue),
                   key=lambda s: (s.log_degree, s.residue_class))
     if len(sols) != m.rank:
-        return UnipotentFiltration(False, sols)
-    params = m.params
+        return UnipotentFiltration(m, sols)
     comps = [s.components for s in sols]
-    odd = [s.log_degree % 2 for s in sols]
 
-    def constant(image, what, leaves, exponent, negate):
-        """(-1)^(negate + d_i + d_j) M_ij t^exponent, M_ij coordinate i of
-        image(Z_j) (_solution_coordinates).  WindowTooSmall if an image runs
-        past the window, DiagnosticConflict(leaves) if one leaves the span."""
+    def coordinates(image, what, leaves):
+        """M_ij, coordinate i of image(Z_j) (_solution_coordinates)."""
         images = [image(c) for c in comps]
         if any(x.has_tail() for img in images for vec in img for x in vec):
             raise WindowTooSmall(f"{what}: an image runs past the window; "
                                  "its coordinates cannot be read")
-        cols = _solution_coordinates(comps, images, params)
+        cols = _solution_coordinates(comps, images, m.params)
         if cols is None:
             raise DiagnosticConflict(leaves)
-        return [[LaurentElement(params, {exponent: -c if (
-            negate + odd[i] + odd[j]) % 2 else c})
-            for j, c in enumerate(row)] for i, row in enumerate(zip(*cols))]
+        return [list(row) for row in zip(*cols)]
 
-    A = None
+    phi = None
     if m.has_frobenius:
-        A = constant(lambda c: _frobenius_image(m, c), "induced Frobenius",
-                     "constant submodule not phi-stable at precision", 0, 0)
-    G = constant(lambda c: _log_derivative(c, params), "monodromy operator",
-                 "log derivative leaves the solution span at precision",
-                 -1, 1)
-    U = [[-x if o else x for x, o in zip(row, odd)]
-         for row in zip(*(c[0] for c in comps))]
-    block_sizes = [sum(s.log_degree == d for s in sols)
-                   for d in range(sols[-1].log_degree + 1)]
-    return UnipotentFiltration(True, sols, len(block_sizes), GaugeChange(U),
-                               block_sizes,
-                               PhiNablaModule(params, m.rank, A, G, m.label))
+        phi = coordinates(lambda c: _frobenius_image(m, c),
+                          "induced Frobenius",
+                          "constant submodule not phi-stable at precision")
+    N = coordinates(lambda c: _log_derivative(c, m.params),
+                    "monodromy operator",
+                    "log derivative leaves the solution span at precision")
+    return UnipotentFiltration(m, sols, phi, N)
 
 
 # -- residue exponents ------------------------------------------------------

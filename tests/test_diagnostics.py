@@ -17,7 +17,8 @@ from phinabla.diagnostics import (AbelianVarietyDatum, OpenCurveDatum,
                                   wd_weight_filtration_flags)
 from phinabla.errors import (DiagnosticConflict, InconsistentRanks,
                              MissingPairing, NotEquivariant, PurityFailure)
-from phinabla.modules import PhiNablaModule, dual
+from phinabla.extraction import wd_extract
+from phinabla.modules import PhiNablaModule, dual, tensor
 from phinabla.series import LaurentElement
 from phinabla.weil_deligne import WeilDeligneRep, special_rep
 
@@ -204,6 +205,26 @@ CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 def test_each_solve_runs_once(run, solves, monkeypatch, capsys):
     # per-class calls of the one nabla solver
     assert count_calls(monkeypatch, modules, "_solve_class", run) == solves
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda: wd_extract(tensor(corpus.kummer_tate(P),
+                                           corpus.kummer_tate(P))),
+                 id="wd-kt*kt"),
+    pytest.param(lambda: semistable_weight_filtration(
+        corpus.tate_abelian_datum(P)), id="weight-filtration"),
+    pytest.param(lambda: wd_weight_filtration_flags(
+        corpus.tate_abelian_datum(P)), id="wd-flags"),
+    pytest.param(lambda: cli.main(
+        ["analyze", str(CORPUS / "kummer_tate.json")]), id="cli-analyze-kt"),
+    pytest.param(lambda: cli.main(
+        ["reduction", str(CORPUS / "tate_abelian.json")]), id="cli-tate"),
+])
+def test_answers_build_no_gauge(run, monkeypatch, capsys):
+    # Phi and N are read off the filtration's solution coordinates; its
+    # gauge and constant gauged module are built only for a caller that
+    # reads them
+    assert count_calls(monkeypatch, modules, "GaugeChange", run) == 0
 
 
 def test_analyze_reads_frobenius_once_per_solution(monkeypatch, capsys):

@@ -14,7 +14,7 @@ from phinabla import cli, corpus, linalg, modules
 from phinabla.corpus import tate_abelian_datum
 from phinabla.diagnostics import (AbelianVarietyDatum, ReductionType,
                                   reduction_type)
-from phinabla.extraction import wd_extract
+from phinabla.extraction import log_solution_basis, wd_extract
 from phinabla.errors import (DiagnosticConflict, IrregularSingularity,
                              MissingStructure, WildCover, WindowTooSmall)
 from phinabla.modules import (GaugeChange, PhiNablaModule,
@@ -293,6 +293,22 @@ def test_incompatible_module_is_refused_alike(capsys, tmp_path):
             "detail": "constant submodule not phi-stable at precision"}
 
 
+def test_log_solution_basis_reads_no_frobenius(monkeypatch):
+    # the log basis of the incompatible module is read with its Frobenius
+    # dropped: rank solutions, one solve of its one residue class and no
+    # image of phi; the extraction reads phi and refuses
+    m = _monomial_quotient()
+    basis = []
+    assert count_calls(monkeypatch, modules, "_frobenius_image",
+                       lambda: basis.append(log_solution_basis(m))) == 0
+    assert len(basis[0].solutions) == m.rank
+    assert count_calls(monkeypatch, modules, "_solve_class",
+                       lambda: log_solution_basis(m)) == 1
+    with pytest.raises(DiagnosticConflict, match="^constant submodule not "
+                       "phi-stable at precision$"):
+        wd_extract(m)
+
+
 def test_frobenius_image_past_the_window_is_refused():
     # h1 under shear seed 23: A is truncated, and phi of a solution runs
     # past the window
@@ -421,8 +437,23 @@ def test_extraction_reads_the_unipotent_filtration(name, p, window):
         return
     trace = wd_extract(m)[1]
     assert trace.cover_degree == 1
-    assert _filtration_bits(trace.filtration) == \
-        _filtration_bits(unipotent_filtration(m))
+    fil = unipotent_filtration(m)
+    assert _filtration_bits(trace.filtration) == _filtration_bits(fil)
+    # the gauged module is Phi and N signed by (-1)^(d_i + d_j), N at t^-1
+    # with one more sign, in value and precision wherever it has a term
+    odd = [s.log_degree % 2 for s in fil.solutions]
+    g = fil.gauged_module
+    for M, G, exponent, negate in ((fil.phi, g.A, 0, 0),
+                                   (fil.N, g.G, -1, 1)):
+        for i, j in itertools.product(range(m.rank), repeat=2):
+            c, x = M[i][j], G[i][j]
+            if c.is_zero():
+                assert x.is_zero()
+                continue
+            y = x.coefficient(exponent)
+            assert list(x.coeffs) == [exponent] and not x.has_tail()
+            assert y.congruent(-c if (negate + odd[i] + odd[j]) % 2 else c)
+            assert y.abs_prec == c.abs_prec
 
 
 @pytest.mark.parametrize("window", [(32, 32), (8, 8)])
@@ -574,8 +605,6 @@ def _gauged_inputs(window):
 
 
 def test_gauged_sections_do_not_depend_on_window():
-    from phinabla.extraction import log_solution_basis
-
     def solved(window):
         out = {}
         for name, m in _gauged_inputs(window).items():

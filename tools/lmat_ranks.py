@@ -8,14 +8,16 @@ are those of the k-fold tensor powers of the Kummer-Tate module, of rank
 2^k and level k + 1.  Run from the root of a checkout:
 
     PYTHONPATH=src:tests python3 tools/lmat_ranks.py [RANK ...] [--repeat K]
+        [--max-power KMAX]
 
 It prints one JSON object per rank: the best of K wall times of
 ``lmat_det`` and ``lmat_inverse`` in seconds, and whether det = 1 and
-M * inverse(M) = I hold.  Then one per tensor power k = 1 .. 5 (rank 32):
-the best of K wall times of ``unipotent_filtration`` and of ``wd_extract``,
-timed in alternation within each round so that a drift of the host's speed
-falls on both, the ratio of the two bests, the level found and the sorted
-log degrees of the extraction's log basis.
+M * inverse(M) = I hold.  Then one per tensor power k = 1 .. KMAX (5 by
+default, rank 32; 6 reaches rank 64): the best of K wall times of
+``unipotent_filtration`` and of ``wd_extract``, timed in alternation within
+each round so that a drift of the host's speed falls on both, the ratio of
+the two bests, the level found and the sorted log degrees of the
+extraction's log basis.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ranks", nargs="*", type=int, default=[6, 7, 8])
     parser.add_argument("--repeat", type=int, default=1)
+    parser.add_argument("--max-power", type=int, default=5,
+                        metavar="KMAX")
     args = parser.parse_args()
     params = RingParams(5, 20, (32, 32))
     for n in args.ranks:
@@ -61,7 +65,7 @@ def main():
                           "det_is_one": det.congruent(1)
                           and not det.has_tail(),
                           "inverse_exact": exact}))
-    for k in range(1, 6):
+    for k in range(1, args.max_power + 1):
         m = kummer_tate(params)
         for _ in range(k - 1):
             m = tensor(m, kummer_tate(params))

@@ -91,15 +91,16 @@ def transpose(A):
 
 
 def mat_pow(A, k):
-    n = len(A)
-    out = identity(n)
-    base = [list(r) for r in A]
+    """A^k for k >= 0 by repeated squaring; A^0 is the identity.  No
+    product with the identity, no square past the top bit of k."""
+    out, base = None, A
     while k:
         if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
+            out = _fractions(base) if out is None else mat_mul(out, base)
         k >>= 1
-    return out
+        if k:
+            base = mat_mul(base, base)
+    return identity(len(A)) if out is None else out
 
 
 def rref(A):

@@ -455,7 +455,8 @@ def _reduced_solutions(family, tG, params, depth, rcls, zero, one):
     """The reduced basis of the family's span, unknowns ordered by (d, j, n),
     which _solution_coordinates relies on: each solution is 1 at its pivot,
     its largest coordinate with a term, where no other solution has a term,
-    and they come in the order of that coordinate."""
+    and they come in the order of that coordinate.  Each is checked
+    against the full-window equations on its coefficients (_solves)."""
     r = len(tG)
     coords = sorted({key for mem in family for key in mem}, reverse=True)
     col = {key: c for c, key in enumerate(coords)}
@@ -467,32 +468,57 @@ def _reduced_solutions(family, tG, params, depth, rcls, zero, one):
     out = []
     for row, pc in reversed(list(zip(reduced, pivots))):
         row[pc] = one
-        terms = [[[] for _ in range(r)] for _ in range(depth)]
+        vec = [[{} for _ in range(r)] for _ in range(depth)]
         for c, x in row.items():
-            idx, n = coords[c]
-            terms[idx // r][idx % r].append((n, x))
-        sol = LogSolution([tuple(LaurentElement.from_terms(params, t)
-                                 for t in by_j) for by_j in terms], rcls)
-        if not _satisfies(tG, sol):
+            if not x.is_zero():
+                idx, n = coords[c]
+                vec[idx // r][idx % r][n] = x
+        if not _solves(tG, vec, params):
             raise WindowTooSmall("candidate solution fails the "
                                  "full-window equations")
-        out.append(sol)
+        out.append(LogSolution([tuple(LaurentElement(params, v) for v in vd)
+                                for vd in vec], rcls))
     return out
 
 
-def _satisfies(tG, sol: LogSolution) -> bool:
-    """Whether sol solves the D-form equations at every log degree (tG
-    without truncated entries)."""
-    comps = sol.components
-    zero = LaurentElement.zero(tG[0][0].params)
-    for d, vd in enumerate(comps):
-        for i, tGv in enumerate(linalg.mat_vec(tG, vd, zero)):
-            acc = vd[i].D() + tGv
-            if d + 1 < len(comps):
-                acc = acc + comps[d + 1][i].scale(d + 1)
-            if not acc.is_zero():
+def _solves(tG, vec, params):
+    """Whether the solution with coefficients vec[d][i] = {n: x} solves
+    D v_d + tG v_d + (d+1) v_{d+1} = 0 in the window, with the verdict of
+    LaurentElement arithmetic: as a LaurentElement does, a coefficient
+    zero at precision is dropped, bound and all, from each product
+    tG_ij v_j (j ascending), each partial sum of them, D v_i, (d+1)
+    v_{d+1,i} and each sum these join."""
+    lo, hi = params.window_lo, params.window_hi
+    for d, vd in enumerate(vec):
+        nz = [(j, x) for j, x in enumerate(vd) if x]
+        for i, row in enumerate(tG):
+            acc = {}
+            for j, x in nz:
+                prod = {}
+                for e1, c1 in row[j].coeffs.items():
+                    for e2, c2 in x.items():
+                        if lo <= (e := e1 + e2) <= hi:
+                            prod[e] = (prod[e] + c1 * c2 if e in prod
+                                       else c1 * c2)
+                acc = _plus(acc, prod)
+            acc = _plus(acc, {n: c * n for n, c in vd[i].items() if n})
+            if d + 1 < len(vec):
+                acc = _plus(acc, {n: c * (d + 1)
+                                  for n, c in vec[d + 1][i].items()})
+            if acc:
                 return False
     return True
+
+
+def _plus(a, b):
+    """a + b on {n: x} without zeros at precision, b's dropped first."""
+    if not b:
+        return a
+    out = dict(a)
+    for n, x in b.items():
+        if not x.is_zero():
+            out[n] = out[n] + x if n in out else x
+    return {n: x for n, x in out.items() if not x.is_zero()}
 
 
 def horizontal_sections(m: PhiNablaModule, cap=None):
@@ -502,17 +528,16 @@ def horizontal_sections(m: PhiNablaModule, cap=None):
     return [s.components[0] for s in _solve_nabla(m, 1, 1)]
 
 
-def _solution_coordinates(basis, targets, params):
+def _solution_coordinates(bases, targets, params):
     """Constants x_t with sum_k x_t[k] basis_k = t for every target t, or
     None if one leaves the span: x_t[k] is t at the pivot of the reduced
     basis_k (_reduced_solutions), and t - sum_k x_t[k] basis_k must vanish
-    at precision.  Vectors are listed by log degree, zero past the list."""
+    at precision.  Vectors are coefficient dicts (_coefficients)."""
     zero = PadicNumber.zero(params)
-    bases = [_coefficients(b) for b in basis]
     pivots = [max(b) for b in bases]
     out = []
     for t in targets:
-        rest = _coefficients(t)
+        rest = dict(t)
         x = [rest.get(key, zero) for key in pivots]
         for b, c in zip(bases, x):
             if not c.is_zero():
@@ -551,20 +576,9 @@ def _frobenius_image(m: PhiNablaModule, comps):
     out = []
     for d, vd in enumerate(comps):
         svec = [(x if same else x.rebase(wide)).sigma() for x in vd]
-        vec = [x.scale(p ** d) for x in linalg.mat_vec(A, svec, zero)]
+        vec = linalg.mat_vec(A, svec, zero)
+        vec = [x.scale(p ** d) for x in vec] if d else vec
         out.append(tuple(vec if same else [x.rebase(params) for x in vec]))
-    return out
-
-
-def _log_derivative(comps, params):
-    """d/d(log t) of sum_d v_d (log t)^d: degree d picks up (d+1) v_{d+1}."""
-    depth = len(comps)
-    out = []
-    for d in range(depth):
-        if d + 1 < depth:
-            out.append(tuple(x.scale(d + 1) for x in comps[d + 1]))
-        else:
-            out.append(tuple(LaurentElement.zero(params) for _ in comps[d]))
     return out
 
 
@@ -585,7 +599,8 @@ def largest_constant_submodule(m: PhiNablaModule):
     if m.has_frobenius and basis:
         comps = [[b] for b in basis]
         frob = _solution_coordinates(
-            comps, [_frobenius_image(m, c) for c in comps], m.params)
+            [_coefficients(c) for c in comps],
+            [_coefficients(_frobenius_image(m, c)) for c in comps], m.params)
         if frob is None:
             raise DiagnosticConflict(
                 "phi does not stabilise ker(nabla) at precision")
@@ -658,25 +673,26 @@ def _log_filtration(m: PhiNablaModule, e: int,
     if len(sols) != m.rank:
         return UnipotentFiltration(m, sols)
     comps = [s.components for s in sols]
+    bases = [_coefficients(c) for c in comps]
 
-    def coordinates(image, what, leaves):
-        """M_ij, coordinate i of image(Z_j) (_solution_coordinates)."""
-        images = [image(c) for c in comps]
-        if any(x.has_tail() for img in images for vec in img for x in vec):
-            raise WindowTooSmall(f"{what}: an image runs past the window; "
-                                 "its coordinates cannot be read")
-        cols = _solution_coordinates(comps, images, m.params)
+    def coordinates(images, leaves):
+        """M_ij, coordinate i of image j (_solution_coordinates)."""
+        cols = _solution_coordinates(bases, images, m.params)
         if cols is None:
             raise DiagnosticConflict(leaves)
         return [list(row) for row in zip(*cols)]
 
     phi = None
     if m.has_frobenius:
-        phi = coordinates(lambda c: _frobenius_image(m, c),
-                          "induced Frobenius",
+        images = [_frobenius_image(m, c) for c in comps]
+        if any(x.has_tail() for img in images for vec in img for x in vec):
+            raise WindowTooSmall("induced Frobenius: an image runs past the "
+                                 "window; its coordinates cannot be read")
+        phi = coordinates([_coefficients(img) for img in images],
                           "constant submodule not phi-stable at precision")
-    N = coordinates(lambda c: _log_derivative(c, m.params),
-                    "monodromy operator",
+    # the log derivative of sum_d v_d (log t)^d: d v_d at log degree d - 1
+    N = coordinates([{(d - 1, i, n): y for (d, i, n), x in b.items()
+                      if d and not (y := x * d).is_zero()} for b in bases],
                     "log derivative leaves the solution span at precision")
     return UnipotentFiltration(m, sols, phi, N)
 

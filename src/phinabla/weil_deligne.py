@@ -69,17 +69,21 @@ class WeilDeligneRep:
                         ("inertia_matrix", self.inertia_matrix)):
             if M is not None:
                 _check_shape(M, name, self.dim, self.dim)
-        phi_inv = linalg.mat_inv(self.phi)
-        if phi_inv is None:
+        if linalg.rank(self.phi) < self.dim:
             raise NonInvertible("Phi is singular")
         power = self.N      # N^(2^s), 2^s >= dim, vanishes iff N^dim does
         for _ in range((self.dim - 1).bit_length()):
             power = linalg.mat_mul(power, power)
         if any(x for row in power for x in row):
             raise NotNilpotent("N is not nilpotent")
-        eps = -1 if self.frobenius_kind is FrobeniusKind.GEOMETRIC else 1
-        lhs = linalg.mat_mul(self.phi, linalg.mat_mul(self.N, phi_inv))
-        rhs = linalg.mat_scale(self.N, Fraction(self.q) ** eps)
+        # Phi N Phi^-1 = q^eps N times Phi on the right: q Phi N = N Phi
+        # (geometric, eps = -1) or Phi N = q N Phi (arithmetic)
+        lhs = linalg.mat_mul(self.phi, self.N)
+        rhs = linalg.mat_mul(self.N, self.phi)
+        if self.frobenius_kind is FrobeniusKind.GEOMETRIC:
+            lhs = linalg.mat_scale(lhs, self.q)
+        else:
+            rhs = linalg.mat_scale(rhs, self.q)
         if lhs != rhs:
             raise ValueError("Phi N Phi^-1 != q^eps N for the stated "
                              "convention")

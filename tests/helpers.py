@@ -190,6 +190,34 @@ def random_shear_gauge(rng, params, rank, lowest=-2):
     return GaugeChange(U)
 
 
+
+def log_derivative(comps, params):
+    """d/d(log t) of sum_d v_d (log t)^d, as Laurent vectors by log degree:
+    degree d picks up (d+1) v_{d+1}."""
+    depth = len(comps)
+    out = []
+    for d in range(depth):
+        if d + 1 < depth:
+            out.append(tuple(x.scale(d + 1) for x in comps[d + 1]))
+        else:
+            out.append(tuple(LaurentElement.zero(params) for _ in comps[d]))
+    return out
+
+
+def laurent_satisfies(tG, comps) -> bool:
+    """Whether sum_d v_d (log t)^d solves D v_d + tG v_d + (d+1) v_{d+1} = 0
+    at every log degree, in LaurentElement arithmetic (tG without truncated
+    entries): the reference for ``modules._solves``."""
+    zero = LaurentElement.zero(tG[0][0].params)
+    for d, vd in enumerate(comps):
+        for i, tGv in enumerate(linalg.mat_vec(tG, vd, zero)):
+            acc = vd[i].D() + tGv
+            if d + 1 < len(comps):
+                acc = acc + comps[d + 1][i].scale(d + 1)
+            if not acc.is_zero():
+                return False
+    return True
+
 # -- Fraction polynomial reference -------------------------------------------
 # Circle counts, Sturm chains and rational roots computed over Fraction, with
 # monic remainders: the reference for the integer remainder sequences of

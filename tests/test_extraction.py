@@ -12,8 +12,9 @@ from phinabla.errors import (IrregularSingularity, NotLevelTwo, NotTame,
                              PhinablaError, WindowTooSmall)
 from phinabla.extraction import (key2_normal_form, log_solution_basis,
                                  wd_extract, wd_of_cohomology)
-from phinabla.modules import (GaugeChange, PhiNablaModule, _frobenius_image,
-                              _log_depths, _residue, _solution_coordinates,
+from phinabla.modules import (GaugeChange, PhiNablaModule, _coefficients,
+                              _frobenius_image, _log_depths, _residue,
+                              _solution_coordinates,
                               _solve_nabla, check_compatibility, direct_sum,
                               horizontal_sections, kummer_pullback,
                               tate_twist, tensor)
@@ -23,7 +24,8 @@ from phinabla.weil_deligne import (WeilDeligneRep, compatibility_family,
                                    purity_check, quasi_purity_check,
                                    trace_table)
 
-from helpers import count_calls, laurent_bits, random_shear_gauge, sp2_power
+from helpers import (count_calls, laurent_bits, log_derivative,
+                     random_shear_gauge, sp2_power)
 
 
 P = corpus.ring()
@@ -286,9 +288,15 @@ def _eliminated_coordinates(basis, targets, params):
     return linalg.field_solve(rows, rhs, zero)
 
 
+def _read_coordinates(basis, targets, params):
+    """_solution_coordinates on the coefficient dicts of Laurent vectors."""
+    return _solution_coordinates([_coefficients(b) for b in basis],
+                                 [_coefficients(t) for t in targets], params)
+
+
 def _assert_same_coordinates(basis, targets, params):
     # the pivot reads are the elimination's values, none with fewer digits
-    got = _solution_coordinates(basis, targets, params)
+    got = _read_coordinates(basis, targets, params)
     want = _eliminated_coordinates(basis, targets, params)
     assert got is not None and want is not None
     for xs, ys in zip(got, want):
@@ -315,7 +323,8 @@ def test_pivot_coordinates_match_the_elimination(m):
     e = 2 if m.label == "half_twist" else 1
     pulled = kummer_pullback(m, e)
     params = m.params
-    basis = [s.components for s in log_solution_basis(pulled, e).solutions]
+    fil = log_solution_basis(pulled, e)
+    basis = [s.components for s in fil.solutions]
     rng = random.Random(len(basis))
 
     def combination():
@@ -328,9 +337,15 @@ def test_pivot_coordinates_match_the_elimination(m):
                       for i in range(m.rank)) for d in range(depth)]
 
     inside = ([_frobenius_image(pulled, b) for b in basis]
-              + [modules._log_derivative(b, params) for b in basis]
+              + [log_derivative(b, params) for b in basis]
               + [combination() for _ in range(3)])
     _assert_same_coordinates(basis, inside, params)
+    # the filtration's N, read on the solutions' coefficients, is the
+    # reading of the Laurent log derivative, digits included
+    cols = _read_coordinates(
+        basis, [log_derivative(b, params) for b in basis], params)
+    bits = lambda M: [[(x.v, x.unit, x.abs_prec) for x in row] for row in M]
+    assert bits(fil.N) == bits(zip(*cols))
     # a basis element plus a monomial off the support of the basis
     support = {n for b in basis for x in b[0] for n in x.coeffs}
     n = next(n for n in range(params.window_hi, 0, -1) if n not in support)
@@ -338,7 +353,7 @@ def test_pivot_coordinates_match_the_elimination(m):
         off = [tuple(x + LaurentElement.monomial(params, n)
                      if (d, i) == (0, 0) else x for i, x in enumerate(v))
                for d, v in enumerate(b)]
-        assert _solution_coordinates(basis, [off], params) is None
+        assert _read_coordinates(basis, [off], params) is None
         assert _eliminated_coordinates(basis, [off], params) is None
 
 

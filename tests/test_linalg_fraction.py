@@ -156,6 +156,29 @@ def test_fractions_returns_new_rows():
     assert A == [[F(1, 2), 3], [0, F(-2)]]
 
 
+def test_mat_pow_forms_one_product_per_bit(monkeypatch):
+    # k = 0 is the identity; k = 1 a copy; otherwise one square per bit
+    # below the top and one product per further set bit, never with I
+    A = [[F(2), F(1, 3), F(0)], [F(0), F(-1), F(4)], [F(1, 2), F(0), F(1)]]
+    want = linalg.identity(3)
+    for k in range(14):
+        products = []
+        mat_mul = linalg.mat_mul
+
+        def counted(X, Y, *rest):
+            assert X != linalg.identity(3) and Y != linalg.identity(3)
+            products.append(1)
+            return mat_mul(X, Y, *rest)
+
+        monkeypatch.setattr(linalg, "mat_mul", counted)
+        got = linalg.mat_pow(A, k)
+        monkeypatch.undo()
+        assert got == want and got is not A
+        assert all(type(x) is F for row in got for x in row)
+        assert len(products) == (max(k.bit_length() - 1, 0)
+                                 + max(bin(k).count("1") - 1, 0))
+        want = linalg.mat_mul(want, A)
+
 def test_rational_roots_of_large_constant_terms():
     for coeffs, roots in (([-(10**14 + 39), 0, 1], []),
                           ([-(10**7 + 19) ** 2, 0, 1],

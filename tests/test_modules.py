@@ -16,7 +16,8 @@ from phinabla.diagnostics import (AbelianVarietyDatum, ReductionType,
                                   reduction_type)
 from phinabla.extraction import log_solution_basis, wd_extract
 from phinabla.errors import (DiagnosticConflict, IrregularSingularity,
-                             MissingStructure, WildCover, WindowTooSmall)
+                             MissingStructure, PhinablaError, WildCover,
+                             WindowTooSmall)
 from phinabla.modules import (GaugeChange, PhiNablaModule,
                               check_compatibility,
                               direct_sum, dual, horizontal_sections,
@@ -31,7 +32,7 @@ from phinabla.padic import PadicNumber, RingParams
 from phinabla.series import LaurentElement
 
 from helpers import (count_calls, dense_unit_matrix, laurent_bits,
-                     random_shear_gauge)
+                     laurent_satisfies, random_shear_gauge)
 
 
 P = RingParams(5, 20, (32, 32))
@@ -319,6 +320,66 @@ def test_frobenius_image_past_the_window_is_refused():
         unipotent_filtration(m)
 
 
+def test_sheared_h1_at_precision_1_fails_the_full_window_equations():
+    # a reduced solution of the sheared H^1 solves the window's blocks but
+    # not the full-window equations at one digit
+    params = RingParams(3, 1, (32, 32))
+    m = random_shear_gauge(random.Random(0), params, 2, lowest=0).apply(
+        corpus.good_elliptic_h1(params))
+    with pytest.raises(WindowTooSmall, match="^candidate solution fails "
+                       "the full-window equations$"):
+        wd_extract(m)
+
+
+@pytest.mark.parametrize("precision", [1, 2, 4])
+def test_solution_check_matches_the_laurent_reference(precision,
+                                                      monkeypatch):
+    # every candidate of every log basis in the sweep gets the verdict of
+    # the Laurent equations, where zeros at precision drop between steps
+    verdicts = []
+    solves = modules._solves
+
+    def checked(tG, vec, params):
+        got = solves(tG, vec, params)
+        comps = [tuple(LaurentElement(params, v) for v in vd) for vd in vec]
+        verdicts.append((got, laurent_satisfies(tG, comps)))
+        return got
+
+    monkeypatch.setattr(modules, "_solves", checked)
+    builders = dict(_SWEEP, h1=corpus.good_elliptic_h1,
+                    half_twist=corpus.half_twist)
+    for name, build in builders.items():
+        for p, window in itertools.product((3, 5), ((32, 32), (8, 8))):
+            params = RingParams(p, precision, window)
+            m = build(params)
+            for seed, lowest in itertools.product(range(4), (0, -2)):
+                g = random_shear_gauge(random.Random(seed), params, m.rank,
+                                       lowest=lowest)
+                for mod, e in itertools.product((m, g.apply(m)), (1, 2)):
+                    try:
+                        modules._solve_nabla(kummer_pullback(mod, e),
+                                             None, e)
+                    except PhinablaError:
+                        pass
+    assert [x for x in verdicts if x[0] != x[1]] == []
+    assert len(verdicts) > 500 and any(not x for x, _ in verdicts)
+
+def test_solution_check_drops_a_cancelled_partial_sum():
+    # row 0 at t^1: 1 - (1 + O(5)) cancels to a zero bound by 5^1, which
+    # LaurentElement drops before 4 and then D v_0 = 1 join it, so the
+    # residual 5 stands; summed whole it would read 0 + O(5) and pass
+    params = RingParams(5, 20, (0, 8))
+    c = lambda x: PadicNumber.from_rational(params, x)
+    low_one = PadicNumber(params, 0, 1, 1)
+    zero = LaurentElement.zero(params)
+    tG = [[LaurentElement(params, {0: c(1)}),
+           LaurentElement(params, {1: c(-1)}),
+           LaurentElement(params, {1: c(1)})]] + [[zero] * 3] * 2
+    vec = [[{1: c(1)}, {0: low_one}, {0: c(4)}]]
+    comps = [tuple(LaurentElement(params, v) for v in vd) for vd in vec]
+    assert modules._solves(tG, vec, params) is False
+    assert laurent_satisfies(tG, comps) is False
+
 @pytest.mark.parametrize("frobenius, block", [
     # block 1: phi(e_1) = e_1 + e_2 leaves the constant line of e_1
     ([[1, 0], [1, 5]], 1),
@@ -339,9 +400,10 @@ def test_constant_submodule_not_phi_stable(frobenius, block):
     sols = sorted(modules._solve_nabla(m, None, 1),
                   key=lambda s: s.log_degree)
     comps = [s.components for s in sols]
+    bases = [modules._coefficients(c) for c in comps]
     leaves = [s.log_degree + 1 for s, c in zip(sols, comps)
-              if modules._solution_coordinates(
-                  comps, [modules._frobenius_image(m, c)], P) is None]
+              if modules._solution_coordinates(bases, [modules._coefficients(
+                  modules._frobenius_image(m, c))], P) is None]
     assert leaves[0] == block
 
 

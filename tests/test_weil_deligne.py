@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from phinabla import linalg, oracles
-from phinabla.errors import NotNilpotent, NotWeil
+from phinabla.errors import NonInvertible, NotNilpotent, NotWeil
 from phinabla.weil_deligne import (FrobeniusKind, MonodromyFiltration,
                                    WeilDeligneRep, _add_traces, _graded,
                                    _graded_phi, _weights_of,
@@ -348,6 +349,81 @@ def test_non_nilpotent_monodromy_is_refused(N, monkeypatch):
     assert count_calls(monkeypatch, linalg, "charpoly", run) == 0
 
 
+def _held(kind, q=5):
+    """Phi = diag(1, q) for the geometric and diag(q, 1) for the arithmetic
+    convention: with N = E12 each holds Phi N Phi^-1 = q^eps N only in its
+    own convention."""
+    a, b = (1, q) if kind is FrobeniusKind.GEOMETRIC else (q, 1)
+    return [[F(a), F(0)], [F(0), F(b)]]
+
+
+E12 = [[F(0), F(1)], [F(0), F(0)]]
+FLIP = [[F(-1), F(0)], [F(0), F(1)]]
+OTHER = {FrobeniusKind.GEOMETRIC: FrobeniusKind.ARITHMETIC,
+         FrobeniusKind.ARITHMETIC: FrobeniusKind.GEOMETRIC}
+
+
+@pytest.mark.parametrize("kind", list(FrobeniusKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("data, error, text", [
+    # a singular Phi is refused before N is read, also where Phi N = N Phi
+    (lambda k: ([[F(1), F(0)], [F(0), F(0)]], None, 1, None),
+     NonInvertible, "Phi is singular"),
+    (lambda k: ([[F(1), F(2)], [F(2), F(4)]], E12, 1, None),
+     NonInvertible, "Phi is singular"),
+    (lambda k: (_held(OTHER[k]), E12, 1, None),
+     ValueError, "Phi N Phi^-1 != q^eps N for the stated convention"),
+    (lambda k: (linalg.identity(2), E12, 1, None),
+     ValueError, "Phi N Phi^-1 != q^eps N for the stated convention"),
+    (lambda k: (_held(k), E12, 3, FLIP),
+     ValueError, "inertia generator order mismatch"),
+    (lambda k: (_held(k), None, 1, FLIP),
+     ValueError, "inertia generator order mismatch"),
+    (lambda k: (_held(k), E12, 2, FLIP),
+     ValueError, "inertia does not commute with N"),
+], ids=["singular", "singular-with-N", "other-convention", "identity-phi",
+        "order-3", "order-1", "flip"])
+def test_validate_refuses_with_its_text(kind, data, error, text):
+    phi, N, order, T = data(kind)
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        WeilDeligneRep(5, phi, N, order, T, kind)
+    # the same data in a consistent form is accepted
+    WeilDeligneRep(5, _held(kind), E12, 2, [[F(1), F(0)], [F(0), F(1)]],
+                   kind)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_relation_check_matches_the_inverse(seed):
+    # Phi N = q^eps N Phi is Phi N Phi^-1 = q^eps N for an invertible Phi:
+    # a conjugate of (diag(1, q, q^2), J3) holds it geometrically, and a
+    # perturbed N holds it in neither convention
+    rng = random.Random(seed)
+    while True:
+        P = [[F(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
+        if linalg.rank(P) == 3:
+            break
+    P_inv = linalg.mat_inv(P)
+    phi = linalg.mat_mul(linalg.mat_mul(P, [[F(1), F(0), F(0)],
+                                            [F(0), F(5), F(0)],
+                                            [F(0), F(0), F(25)]]), P_inv)
+    N = linalg.mat_mul(linalg.mat_mul(P, _jordan((3,))), P_inv)
+    if seed % 2:
+        N = linalg.mat_mul(linalg.mat_mul(P, [[F(0), F(1), F(1)],
+                                              [F(0), F(0), F(1)],
+                                              [F(0), F(0), F(0)]]), P_inv)
+    for kind, c in ((FrobeniusKind.GEOMETRIC, F(1, 5)),
+                    (FrobeniusKind.ARITHMETIC, F(5))):
+        held = (linalg.mat_mul(phi, linalg.mat_mul(N, linalg.mat_inv(phi)))
+                == linalg.mat_scale(N, c))
+        try:
+            WeilDeligneRep(5, phi, N, frobenius_kind=kind)
+            accepted = True
+        except ValueError as exc:
+            assert str(exc).startswith("Phi N Phi^-1 != q^eps N")
+            accepted = False
+        assert accepted == held
+        assert held == (kind is FrobeniusKind.GEOMETRIC and not seed % 2)
+
+
 @pytest.mark.parametrize("mutant", [
     lambda completion: lambda known, cand: completion(known, cand)[1:],
     lambda completion: lambda known, cand: list(cand),
@@ -418,7 +494,8 @@ def _seeded_nilpotent():
     # 3 kernels, 3 chain-head choices, one adapted basis, one solve
     pytest.param(lambda rep=_sp2_squared(): trace_table(rep, 4), 8,
                  id="trace-table"),
-    # Phi is inverted once, for the singularity check and Phi N Phi^-1
+    # one rank of Phi, for the singularity check: the relation is checked
+    # as Phi N = q^eps N Phi, without an inverse
     pytest.param(lambda: special_rep(5), 1, id="special-rep"),
 ])
 def test_eliminations_are_pinned(run, eliminations, monkeypatch):

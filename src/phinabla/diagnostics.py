@@ -171,7 +171,8 @@ def _reduction(datum: AbelianVarietyDatum) -> _Reduction:
     fil = unipotent_filtration(m)
     # the log-degree-0 solutions are horizontal_sections(m): the reduced
     # log basis restricted to log degree 0 is the reduced basis there
-    sections = [s.components[0] for s in fil.solutions if not s.log_degree]
+    sections = [s.section(m.params) for s in fil.solutions
+                if not s.log_degree]
     if len(sections) == m.rank:
         verdict = ReductionType.GOOD
     elif fil.unipotent:

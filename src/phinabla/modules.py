@@ -14,12 +14,15 @@ substitution at every other exponent.  It returns the solutions supported
 in the exponent window, per residue class mod a cover degree e.  A
 horizontal section is a solution of log depth 1 with e = 1.
 
-The unipotent filtration is the flag of log degrees of the solutions at
-e = 1.  It holds Phi and N, the solution coordinates of the Frobenius image
-and of the log derivative; the log-degree-0 components, signed by log
-degree, are a basis in which the module is constant, built when read.  Run
-on the Kummer pullback at its cover degree, this one read gives the
-Weil-Deligne extraction its Phi and N too.
+A solution is kept as the solver's coefficient dicts.  Its full-window
+check, log derivative and Frobenius image A sigma(v) p^d are formed on
+them, the image exactly: no window cuts a product.  The unipotent
+filtration is the flag of log degrees of the solutions at e = 1.  It holds
+Phi and N, the solution coordinates of the Frobenius image and of the log
+derivative; the log-degree-0 components, signed by log degree, are a basis
+in which the module is constant, built when read.  Run on the Kummer
+pullback at its cover degree, this one read gives the Weil-Deligne
+extraction its Phi and N too.
 """
 
 from __future__ import annotations
@@ -45,18 +48,10 @@ def lmat_add(A, B):
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def lmat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def lmat_mul(A, B):
     if not A:
         return []
     return linalg.mat_mul(A, B, LaurentElement.zero(A[0][0].params))
-
-
-def lmat_scale(A, c):
-    return [[x * c for x in row] for row in A]
 
 
 def lmat_map(A, f):
@@ -75,21 +70,14 @@ def lmat_is_zero(A):
     return all(x.is_zero() for row in A for x in row)
 
 
-def _holding(params, lo, hi):
-    """params, or params with the window widened to hold exponents lo..hi
-    when it does not already."""
-    window = (max(params.t_window[0], -lo), max(params.t_window[1], hi))
-    return (params if window == params.t_window
-            else params._replace(t_window=window))
-
-
 def _charpoly(A):
     """(det(T I - W), det A, W) for n = len(A) >= 1, W = A over a window n
     times as wide as its exponents: no product of up to n entries is cut."""
     params, n = A[0][0].params, len(A)
-    exps = [e for row in A for x in row for e in x.coeffs]
-    wide = _holding(params, n * min(exps, default=0),
-                    n * max(exps, default=0))
+    exps = [n * e for row in A for x in row for e in x.coeffs] + [0]
+    lo, hi = params.t_window
+    window = (max(lo, -min(exps)), max(hi, max(exps)))
+    wide = params if window == (lo, hi) else params._replace(t_window=window)
     W = lmat_map(A, lambda x: x.rebase(wide))
     chi = linalg.charpoly(W, LaurentElement.one(wide))
     return chi, (-chi[0] if n % 2 else chi[0]).rebase(params), W
@@ -231,8 +219,9 @@ def check_compatibility(m: PhiNablaModule) -> CompatibilityReport:
     p = m.params.p
     lhs = lmat_add(lmat_ddt(m.A), lmat_mul(m.G, m.A))
     tw = LaurentElement.monomial(m.params, p - 1, p)
-    rhs = lmat_scale(lmat_mul(m.A, lmat_sigma(m.G)), tw)
-    residual = lmat_sub(lhs, rhs)
+    rhs = lmat_mul(m.A, lmat_sigma(m.G))
+    residual = [[a - b * tw for a, b in zip(ra, rb)]
+                for ra, rb in zip(lhs, rhs)]
     vals = [c.valuation() for row in residual for x in row
             for c in x.coeffs.values()]
     return CompatibilityReport(residual, lmat_is_zero(residual),
@@ -294,14 +283,19 @@ def direct_sum(m1: PhiNablaModule, m2: PhiNablaModule) -> PhiNablaModule:
 # -- log-horizontal solutions ----------------------------------------------
 
 class LogSolution:
-    """One solution sum_d v_d (log t)^d of nabla; v_d are Laurent vectors.
-    A horizontal section is the solution of log depth 1 (no log t)."""
+    """One solution sum_d v_d (log t)^d of nabla, as the solver's
+    coefficients vec[d][i] = {n: x} of t^n in entry i of v_d.  A horizontal
+    section is the solution of log depth 1 (no log t)."""
 
-    def __init__(self, components: list, residue_class: int):
-        self.components = components        # d -> tuple of LaurentElement
+    def __init__(self, vec: list, residue_class: int):
+        self.vec = vec                      # d -> i -> {n: PadicNumber}
         self.residue_class = residue_class  # exponent class mod e (inertia)
-        self.log_degree = max((d for d, v in enumerate(components)
-                               if any(not x.is_zero() for x in v)), default=0)
+        self.log_degree = max((d for d, vd in enumerate(vec) if any(vd)),
+                              default=0)
+
+    def section(self, params):
+        """v_0 as a tuple of LaurentElement over params."""
+        return tuple(LaurentElement(params, x) for x in self.vec[0])
 
 
 def _solve_nabla(m: PhiNablaModule, depth, e: int, residue=None):
@@ -476,8 +470,7 @@ def _reduced_solutions(family, tG, params, depth, rcls, zero, one):
         if not _solves(tG, vec, params):
             raise WindowTooSmall("candidate solution fails the "
                                  "full-window equations")
-        out.append(LogSolution([tuple(LaurentElement(params, v) for v in vd)
-                                for vd in vec], rcls))
+        out.append(LogSolution(vec, rcls))
     return out
 
 
@@ -485,29 +478,38 @@ def _solves(tG, vec, params):
     """Whether the solution with coefficients vec[d][i] = {n: x} solves
     D v_d + tG v_d + (d+1) v_{d+1} = 0 in the window, with the verdict of
     LaurentElement arithmetic: as a LaurentElement does, a coefficient
-    zero at precision is dropped, bound and all, from each product
-    tG_ij v_j (j ascending), each partial sum of them, D v_i, (d+1)
-    v_{d+1,i} and each sum these join."""
+    zero at precision is dropped, bound and all, from tG v_d (_apply), D
+    v_i, (d+1) v_{d+1,i} and each sum these join.  Dropping acts per
+    exponent, as the window does, so the window is read once, at the end."""
     lo, hi = params.window_lo, params.window_hi
     for d, vd in enumerate(vec):
-        nz = [(j, x) for j, x in enumerate(vd) if x]
-        for i, row in enumerate(tG):
-            acc = {}
-            for j, x in nz:
-                prod = {}
-                for e1, c1 in row[j].coeffs.items():
-                    for e2, c2 in x.items():
-                        if lo <= (e := e1 + e2) <= hi:
-                            prod[e] = (prod[e] + c1 * c2 if e in prod
-                                       else c1 * c2)
-                acc = _plus(acc, prod)
+        for i, acc in enumerate(_apply(tG, vd)):
             acc = _plus(acc, {n: c * n for n, c in vd[i].items() if n})
             if d + 1 < len(vec):
                 acc = _plus(acc, {n: c * (d + 1)
                                   for n, c in vec[d + 1][i].items()})
-            if acc:
+            if any(lo <= n <= hi for n in acc):
                 return False
     return True
+
+
+def _apply(M, v):
+    """M v on coefficient dicts v_j = {n: x}, with no window: as in
+    LaurentElement arithmetic, a coefficient zero at precision is dropped
+    from each product M_ij v_j (j ascending) and each partial sum."""
+    nz = [(j, x) for j, x in enumerate(v) if x]
+    out = []
+    for row in M:
+        acc = {}
+        for j, x in nz:
+            prod = {}
+            for e1, c1 in row[j].coeffs.items():
+                for e2, c2 in x.items():
+                    e = e1 + e2
+                    prod[e] = prod[e] + c1 * c2 if e in prod else c1 * c2
+            acc = _plus(acc, prod)
+        out.append(acc)
+    return out
 
 
 def _plus(a, b):
@@ -525,14 +527,15 @@ def horizontal_sections(m: PhiNablaModule, cap=None):
     """K-basis of ker(nabla) with window-supported entries: the log
     solutions of depth 1.  The window of m.params is the only bound;
     `cap`, the former solve-window cap, is accepted and has no effect."""
-    return [s.components[0] for s in _solve_nabla(m, 1, 1)]
+    return [s.section(m.params) for s in _solve_nabla(m, 1, 1)]
 
 
 def _solution_coordinates(bases, targets, params):
     """Constants x_t with sum_k x_t[k] basis_k = t for every target t, or
     None if one leaves the span: x_t[k] is t at the pivot of the reduced
     basis_k (_reduced_solutions), and t - sum_k x_t[k] basis_k must vanish
-    at precision.  Vectors are coefficient dicts (_coefficients)."""
+    at precision.  Vectors are flat dicts {(d, i, n): x} (_coefficients,
+    _frobenius_image)."""
     zero = PadicNumber.zero(params)
     pivots = [max(b) for b in bases]
     out = []
@@ -552,34 +555,29 @@ def _solution_coordinates(bases, targets, params):
     return out
 
 
-def _coefficients(comps):
+def _coefficients(sol: LogSolution):
     """{(d, i, n): coefficient of t^n in entry i of log degree d}."""
-    return {(d, i, n): c for d, vec in enumerate(comps)
-            for i, x in enumerate(vec) for n, c in x.coeffs.items()}
+    return {(d, i, n): c for d, vd in enumerate(sol.vec)
+            for i, x in enumerate(vd) for n, c in x.items()}
 
 
-def _frobenius_image(m: PhiNablaModule, comps):
-    """phi applied to sum_d v_d (log t)^d: A sigma(v_d) p^d at log degree
-    d, since phi(log t) = p log t.  sigma(v) and A sigma(v) are formed in a
-    window wide enough for every product (exponents of A plus p times
-    those of v), so cancelling products are read exactly; the image is then
-    cut back to the window, where a term past it is a tail."""
-    params, p = m.params, m.params.p
-    exps_a = [e for row in m.A for a in row for e in a.coeffs]
-    exps_v = [e for vd in comps for x in vd for e in x.coeffs]
-    wide = _holding(params,
-                    min(exps_a, default=0) + p * min(exps_v, default=0),
-                    max(exps_a, default=0) + p * max(exps_v, default=0))
-    same = wide is params
-    A = m.A if same else lmat_map(m.A, lambda a: a.rebase(wide))
-    zero = LaurentElement.zero(wide)
-    out = []
-    for d, vd in enumerate(comps):
-        svec = [(x if same else x.rebase(wide)).sigma() for x in vd]
-        vec = linalg.mat_vec(A, svec, zero)
-        vec = [x.scale(p ** d) for x in vec] if d else vec
-        out.append(tuple(vec if same else [x.rebase(params) for x in vec]))
-    return out
+def _frobenius_image(m: PhiNablaModule, sol: LogSolution):
+    """phi of sum_d v_d (log t)^d, A sigma(v_d) p^d at log degree d since
+    phi(log t) = p log t, formed exactly (_apply): its terms {(d, i, n): x}
+    inside the window, and whether it runs past the window, by a term
+    outside it or by a tail of A in a column where v_d has a term."""
+    params, p, terms = m.params, m.params.p, {}
+    for d, vd in enumerate(sol.vec):
+        scale = PadicNumber.from_rational(params, p ** d)
+        for i, x in enumerate(_apply(m.A, [{p * n: c.sigma() for n, c in
+                                            x.items()} for x in vd])):
+            terms.update(((d, i, n), y) for n, c in x.items()
+                         if not (y := c * scale if d else c).is_zero())
+    out = {key: c for key, c in terms.items()
+           if params.window_lo <= key[2] <= params.window_hi}
+    return out, len(out) < len(terms) or any(
+        vd[j] for row in m.A for j, a in enumerate(row) if a.has_tail()
+        for vd in sol.vec)
 
 
 # -- constant part and unipotence -------------------------------------------
@@ -593,19 +591,21 @@ class ConstantSubmodule:
 
 def largest_constant_submodule(m: PhiNablaModule):
     """Span of ker(nabla) with the induced (constant) Frobenius: column j
-    is phi(b_j), None without Frobenius or sections."""
-    basis = horizontal_sections(m)
+    is phi(b_j), None without Frobenius or sections.  phi(b_j) is read from
+    its terms inside the window, also where it runs past the window (a
+    term beyond it, or A truncated), which unipotent_filtration refuses."""
+    sols = _solve_nabla(m, 1, 1)
     frob = None
-    if m.has_frobenius and basis:
-        comps = [[b] for b in basis]
+    if m.has_frobenius and sols:
         frob = _solution_coordinates(
-            [_coefficients(c) for c in comps],
-            [_coefficients(_frobenius_image(m, c)) for c in comps], m.params)
+            [_coefficients(s) for s in sols],
+            [_frobenius_image(m, s)[0] for s in sols], m.params)
         if frob is None:
             raise DiagnosticConflict(
                 "phi does not stabilise ker(nabla) at precision")
         frob = [list(col) for col in zip(*frob)]
-    return ConstantSubmodule(basis, frob, len(basis))
+    return ConstantSubmodule([s.section(m.params) for s in sols],
+                             frob, len(sols))
 
 
 class UnipotentFiltration:
@@ -641,10 +641,10 @@ class UnipotentFiltration:
     @property
     def gauge(self) -> GaugeChange | None:
         if self.unipotent:
+            v0 = [s.section(self.module.params) for s in self.solutions]
             return GaugeChange([[-x if s.log_degree % 2 else x
                                  for x, s in zip(row, self.solutions)]
-                                for row in zip(*(s.components[0]
-                                                 for s in self.solutions))])
+                                for row in zip(*v0)])
 
     @property
     def gauged_module(self) -> PhiNablaModule | None:
@@ -672,8 +672,7 @@ def _log_filtration(m: PhiNablaModule, e: int,
                   key=lambda s: (s.log_degree, s.residue_class))
     if len(sols) != m.rank:
         return UnipotentFiltration(m, sols)
-    comps = [s.components for s in sols]
-    bases = [_coefficients(c) for c in comps]
+    bases = [_coefficients(s) for s in sols]
 
     def coordinates(images, leaves):
         """M_ij, coordinate i of image j (_solution_coordinates)."""
@@ -684,11 +683,11 @@ def _log_filtration(m: PhiNablaModule, e: int,
 
     phi = None
     if m.has_frobenius:
-        images = [_frobenius_image(m, c) for c in comps]
-        if any(x.has_tail() for img in images for vec in img for x in vec):
+        images = [_frobenius_image(m, s) for s in sols]
+        if any(past for _, past in images):
             raise WindowTooSmall("induced Frobenius: an image runs past the "
                                  "window; its coordinates cannot be read")
-        phi = coordinates([_coefficients(img) for img in images],
+        phi = coordinates([img for img, _ in images],
                           "constant submodule not phi-stable at precision")
     # the log derivative of sum_d v_d (log t)^d: d v_d at log degree d - 1
     N = coordinates([{(d - 1, i, n): y for (d, i, n), x in b.items()

@@ -204,6 +204,42 @@ def log_derivative(comps, params):
     return out
 
 
+def laurent_components(sol, params):
+    """The v_d of a log solution as tuples of LaurentElement over params,
+    by log degree."""
+    return [tuple(LaurentElement(params, x) for x in vd) for vd in sol.vec]
+
+
+def laurent_coefficients(comps):
+    """{(d, i, n): coefficient of t^n in entry i of log degree d} of Laurent
+    vectors given by log degree."""
+    return {(d, i, n): c for d, vec in enumerate(comps)
+            for i, x in enumerate(vec) for n, c in x.coeffs.items()}
+
+
+def laurent_frobenius_image(m, comps):
+    """phi applied to sum_d v_d (log t)^d in LaurentElement arithmetic: A
+    sigma(v_d) p^d at log degree d, as Laurent vectors.  sigma(v) and A
+    sigma(v) are formed in a window widened to the exponents of A plus p
+    times those of v, then cut back to the window, where a term past it is
+    a tail: the reference for ``modules._frobenius_image``."""
+    params, p = m.params, m.params.p
+    exps_a = [e for row in m.A for a in row for e in a.coeffs]
+    exps_v = [e for vd in comps for x in vd for e in x.coeffs]
+    lo = min(exps_a, default=0) + p * min(exps_v, default=0)
+    hi = max(exps_a, default=0) + p * max(exps_v, default=0)
+    wide = params._replace(t_window=(max(params.t_window[0], -lo),
+                                     max(params.t_window[1], hi)))
+    A = [[a.rebase(wide) for a in row] for row in m.A]
+    zero = LaurentElement.zero(wide)
+    out = []
+    for d, vd in enumerate(comps):
+        vec = linalg.mat_vec(A, [x.rebase(wide).sigma() for x in vd], zero)
+        out.append(tuple(x.scale(p ** d).rebase(params) if d
+                         else x.rebase(params) for x in vec))
+    return out
+
+
 def laurent_satisfies(tG, comps) -> bool:
     """Whether sum_d v_d (log t)^d solves D v_d + tG v_d + (d+1) v_{d+1} = 0
     at every log degree, in LaurentElement arithmetic (tG without truncated

@@ -32,7 +32,9 @@ from phinabla.padic import PadicNumber, RingParams
 from phinabla.series import LaurentElement
 
 from helpers import (count_calls, dense_unit_matrix, laurent_bits,
-                     laurent_satisfies, random_shear_gauge)
+                     laurent_coefficients, laurent_components,
+                     laurent_frobenius_image, laurent_satisfies,
+                     random_shear_gauge)
 
 
 P = RingParams(5, 20, (32, 32))
@@ -310,6 +312,16 @@ def test_log_solution_basis_reads_no_frobenius(monkeypatch):
         wd_extract(m)
 
 
+@pytest.mark.parametrize("read", [
+    pytest.param(lambda: wd_extract(tensor(kt(), kt())), id="wd_extract"),
+    pytest.param(lambda: largest_constant_submodule(tensor(kt(), kt())),
+                 id="largest_constant_submodule")])
+def test_frobenius_images_build_no_laurent_series(read, monkeypatch):
+    # phi of a log solution is formed on its coefficients: no Laurent
+    # sigma is taken
+    assert count_calls(monkeypatch, LaurentElement, "sigma", read) == 0
+
+
 def test_frobenius_image_past_the_window_is_refused():
     # h1 under shear seed 23: A is truncated, and phi of a solution runs
     # past the window
@@ -318,6 +330,17 @@ def test_frobenius_image_past_the_window_is_refused():
     with pytest.raises(WindowTooSmall, match="^induced Frobenius: an image "
                        "runs past the window"):
         unipotent_filtration(m)
+    # at window 8: G = -3/t has the section t^3, which A = 1 sends to t^15,
+    # a term past the window top; G = 0 has the section 1, which A = t^9,
+    # only a tail in the window, meets
+    params = RingParams(5, 20, (8, 8))
+    for frobenius, connection in (([[1]], [[{-1: -3}]]),
+                                  ([[{9: 1}]], [[0]])):
+        m = PhiNablaModule.from_rational_matrices(
+            params, frobenius=frobenius, connection=connection)
+        with pytest.raises(WindowTooSmall, match="^induced Frobenius: an "
+                           "image runs past the window"):
+            unipotent_filtration(m)
 
 
 def test_sheared_h1_at_precision_1_fails_the_full_window_equations():
@@ -364,6 +387,49 @@ def test_solution_check_matches_the_laurent_reference(precision,
     assert [x for x in verdicts if x[0] != x[1]] == []
     assert len(verdicts) > 500 and any(not x for x, _ in verdicts)
 
+@pytest.mark.parametrize("precision", [1, 2, 20])
+def test_frobenius_image_matches_the_laurent_reference(precision):
+    # phi of every solution of every log basis in the sweep: where the
+    # Laurent image, formed in a widened window, has no tail, the exact
+    # image has its coefficients, digits included, and runs nowhere past
+    # the window; where the exact image runs past, the Laurent one has a
+    # tail
+    bits = lambda img: {key: (c.v, c.unit, c.abs_prec)
+                        for key, c in img.items()}
+    builders = dict(_SWEEP, h1=corpus.good_elliptic_h1,
+                    half_twist=corpus.half_twist)
+    counts = {"exact": 0, "past": 0}
+    for name, build in builders.items():
+        for p, window in itertools.product((3, 5),
+                                           ((32, 32), (8, 8), (2, 16))):
+            params = RingParams(p, precision, window)
+            m = build(params)
+            shears = [None] + list(itertools.product(range(4), (0, -2)))
+            for shear, e in itertools.product(shears, (1, 2)):
+                try:
+                    mod = m if shear is None else random_shear_gauge(
+                        random.Random(shear[0]), params, m.rank,
+                        lowest=shear[1]).apply(m)
+                    pulled = kummer_pullback(mod, e)
+                    sols = modules._solve_nabla(pulled, None, e)
+                except PhinablaError:
+                    continue
+                for sol in sols:
+                    img, past = modules._frobenius_image(pulled, sol)
+                    ref = laurent_frobenius_image(
+                        pulled, laurent_components(sol, params))
+                    tail = any(x.has_tail() for v in ref for x in v)
+                    if not tail:
+                        assert not past
+                        assert bits(img) == bits(
+                            laurent_coefficients(ref))
+                        counts["exact"] += 1
+                    if past:
+                        assert tail
+                        counts["past"] += 1
+    assert counts["exact"] > 100 and counts["past"] > 0, counts
+
+
 def test_solution_check_drops_a_cancelled_partial_sum():
     # row 0 at t^1: 1 - (1 + O(5)) cancels to a zero bound by 5^1, which
     # LaurentElement drops before 4 and then D v_0 = 1 join it, so the
@@ -399,11 +465,10 @@ def test_constant_submodule_not_phi_stable(frobenius, block):
     # the first solution phi moves out of the span is in the named block
     sols = sorted(modules._solve_nabla(m, None, 1),
                   key=lambda s: s.log_degree)
-    comps = [s.components for s in sols]
-    bases = [modules._coefficients(c) for c in comps]
-    leaves = [s.log_degree + 1 for s, c in zip(sols, comps)
-              if modules._solution_coordinates(bases, [modules._coefficients(
-                  modules._frobenius_image(m, c))], P) is None]
+    bases = [modules._coefficients(s) for s in sols]
+    leaves = [s.log_degree + 1 for s in sols
+              if modules._solution_coordinates(bases, [
+                  modules._frobenius_image(m, s)[0]], P) is None]
     assert leaves[0] == block
 
 
@@ -479,8 +544,8 @@ def test_completed_basis_inverse_is_exact(name, p, window):
 def _filtration_bits(fil):
     """Everything a filtration holds, p-adic precisions included."""
     bits = lambda M: [[laurent_bits(x) for x in row] for row in M]
-    return ([(s.residue_class, [[laurent_bits(x) for x in v]
-                                for v in s.components])
+    return ([(s.residue_class, [[laurent_bits(x) for x in v] for v in
+                                laurent_components(s, fil.module.params)])
              for s in fil.solutions], fil.unipotent, fil.level,
             fil.block_sizes, bits(fil.gauge.U), bits(fil.gauged_module.A),
             bits(fil.gauged_module.G))
@@ -518,13 +583,17 @@ def test_extraction_reads_the_unipotent_filtration(name, p, window):
             assert y.abs_prec == c.abs_prec
 
 
-@pytest.mark.parametrize("window", [(32, 32), (8, 8)])
+@pytest.mark.parametrize("window", [(32, 32), (8, 8), (2, 16)])
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_half_twist_reads_its_filtration_at_e_2(p, window):
-    # one pure solution, s^-1, of class 1 after t = s^2
-    trace = wd_extract(corpus.half_twist(RingParams(p, 20, window)))[1]
+    # one pure solution, s^-1, of class 1 after t = s^2; at (2, 16)
+    # sigma(s^-1) = s^-p lies below the window, but phi(s^-1) does not
+    rep, trace = wd_extract(corpus.half_twist(RingParams(p, 20, window)))
     assert (trace.cover_degree, trace.log_degrees, trace.residue_classes,
             trace.filtration.block_sizes) == (2, [0], [1], [1])
+    ref = wd_extract(corpus.half_twist(RingParams(p, 20, (32, 32))))[0]
+    assert (rep.phi, rep.N, rep.inertia_order) == (ref.phi, ref.N,
+                                                   ref.inertia_order)
 
 
 @pytest.mark.parametrize("name, p, seed", itertools.product(
@@ -672,7 +741,8 @@ def test_gauged_sections_do_not_depend_on_window():
         for name, m in _gauged_inputs(window).items():
             out[name] = (_exponents(horizontal_sections(m)),
                          [(s.residue_class,
-                           [_exponents([v])[0] for v in s.components])
+                           [_exponents([v])[0]
+                            for v in laurent_components(s, m.params)])
                           for s in log_solution_basis(m).solutions])
         return out
 

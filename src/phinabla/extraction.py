@@ -63,8 +63,7 @@ def log_solution_basis(m: PhiNablaModule, e: int = 1
 def _require_rank(m: PhiNablaModule, e: int, sols, residue=None):
     """WindowTooSmall unless the solve found rank m log solutions."""
     if len(sols) != m.rank:
-        _, R, roots, _ = residue or _residue(m)
-        depths = "/".join(map(str, _log_depths(R, roots, e)))
+        depths = "/".join(map(str, _log_depths(residue or _residue(m), e)))
         raise WindowTooSmall(f"found {len(sols)} log solutions at log depth "
                              f"{depths}, expected {m.rank}")
 
@@ -80,13 +79,11 @@ def _check_frobenius(m: PhiNablaModule):
 # the extraction
 
 def _tame_cover_degree(m: PhiNablaModule, m_max: int) -> tuple:
-    """The cover degree e, the residue exponents and the residue read."""
+    """The cover degree e and the residue read."""
     residue = _residue(m)
-    roots, remaining = residue[2:]
-    if remaining is not None:
+    if residue.unresolved_factor is not None:
         raise NotTame("residue exponents are not all rational")
-    exponents = sorted(roots)
-    dens = [x.denominator for x in exponents]
+    dens = [x.denominator for x in residue.exponents]
     for d in dens:
         if d % m.params.p == 0:
             raise NotTame(f"exponent denominator {d} divisible by "
@@ -97,7 +94,7 @@ def _tame_cover_degree(m: PhiNablaModule, m_max: int) -> tuple:
     if e > m_max:
         raise NotTame(f"cover degree {e} exceeds m_max = {m_max}")
     assert gcd(e, m.params.p) == 1
-    return e, exponents, residue
+    return e, residue
 
 
 def _canonical_sp2(phi, N):
@@ -119,15 +116,15 @@ def wd_extract(m: PhiNablaModule, m_max: int = 24,
         raise ValueError("m_max must be >= 1")
     m._require(frobenius=True)
     _check_untruncated(m)   # before a lost term reads as a pole of t G
-    e, exponents, residue = _tame_cover_degree(m, m_max)
+    e, residue = _tame_cover_degree(m, m_max)
     _check_frobenius(m)
     pulled = kummer_pullback(m, e)
     # with e = 1 the pullback is m itself, whose residue is read already
-    residue = residue if pulled is m else None
-    fil = _log_filtration(pulled, e, residue)
-    _require_rank(pulled, e, fil.solutions, residue)
+    known = residue if pulled is m else None
+    fil = _log_filtration(pulled, e, known)
+    _require_rank(pulled, e, fil.solutions, known)
     rep = _representation(m, fil, e, frobenius_kind)
-    return rep, ExtractionTrace([str(x) for x in exponents], e, fil)
+    return rep, ExtractionTrace([str(x) for x in residue.exponents], e, fil)
 
 
 def _representation(m: PhiNablaModule, fil: UnipotentFiltration, e: int,

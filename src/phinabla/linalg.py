@@ -20,7 +20,8 @@ content, and the pivot is the first row with a non-zero entry.  ``rank``,
 ``span_basis``, ``column_space``, ``solve`` and ``mat_inv`` divide each
 pivot row by its pivot: the unique reduced row echelon form, with Fraction
 entries even for int input.  The p-adic rule divides by the pivot of
-smallest valuation; ``field_kernel`` and ``field_solve`` are its views.
+smallest valuation; ``field_kernel`` is its view, and
+``modules._reduced_solutions`` runs it for the solver's reduced basis.
 The systems it solves are mostly sparse: zero input entries count as
 absent, as in LaurentElement, and non-zero p-adic entries never carry less
 precision than a dense elimination with the same pivots gives.
@@ -160,9 +161,21 @@ def span_basis(vectors):
 
 
 def solve(A, rhs):
-    """Solutions x_j of A x_j = rhs[j], one per right-hand side column, or
-    None if one of them is inconsistent."""
-    return _solve(A, rhs, Fraction(0), _INTEGER)
+    """Solutions x_j of A x_j = rhs[j], one per right-hand side column, from
+    one elimination of [A | rhs]; None if one of them is inconsistent.
+    Unknowns without a pivot are set to 0."""
+    ncols = len(A[0]) if A else 0
+    R, pivots = _eliminate([list(row) + [b[i] for b in rhs]
+                            for i, row in enumerate(A)], ncols, _INTEGER)
+    if any(R[len(pivots):]):    # zeros are dropped: a row left is 0 = b
+        return None
+    R, out = _reduced(R, pivots), []
+    for j in range(ncols, ncols + len(rhs)):
+        x = [Fraction(0)] * ncols
+        for row, pc in zip(R, pivots):
+            x[pc] = row.get(j, Fraction(0))
+        out.append(x)
+    return out
 
 
 def _pivot_columns(vectors):
@@ -479,27 +492,6 @@ def _reduced(R, pivots):
             for row, c in zip(R, pivots)] + R[len(pivots):]
 
 
-def _solve(rows, rhs, zero, rule):
-    """Solutions x_j of (rows) x_j = rhs[j], one per right-hand side column,
-    from one elimination of [rows | rhs]; None if one of them is
-    inconsistent.  Unknowns without a pivot are set to ``zero``."""
-    ncols = len(rows[0]) if rows else 0
-    R, pivots = _eliminate([list(row) + [b[i] for b in rhs]
-                            for i, row in enumerate(rows)], ncols, rule)
-    is_zero = rule[0]
-    if any(not is_zero(x) for row in R[len(pivots):] for x in row.values()):
-        return None
-    if rule is _INTEGER:
-        R = _reduced(R, pivots)
-    out = []
-    for j in range(ncols, ncols + len(rhs)):
-        x = [zero] * ncols
-        for rr, pc in enumerate(pivots):
-            x[pc] = R[rr].get(j, zero)
-        out.append(x)
-    return out
-
-
 def field_kernel(rows, zero, one):
     """Right-kernel basis for a matrix of PadicNumber entries.
 
@@ -521,13 +513,3 @@ def field_kernel(rows, zero, one):
                 v[pc] = -row[fc]
         basis.append(v)
     return basis
-
-
-def field_solve(rows, rhs, zero):
-    """Solutions x_j of (rows) x_j = rhs[j] over PadicNumber, one per
-    right-hand side column in ``rhs``, or None if one is inconsistent.
-
-    One sparse elimination, as in ``field_kernel``, serves every column;
-    unknowns without a pivot are set to ``zero``.
-    """
-    return _solve(rows, rhs, zero, _PADIC)

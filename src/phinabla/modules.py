@@ -28,6 +28,7 @@ extraction its Phi and N too.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (DiagnosticConflict, IrregularSingularity,
                      MismatchedParams, MissingStructure, NonInvertible,
@@ -196,21 +197,18 @@ class GaugeChange:
         return GaugeChange(lmat_inverse(self.U))
 
     def apply(self, m: PhiNablaModule) -> PhiNablaModule:
-        return _gauged(m, self.U, lmat_inverse(self.U))
+        """m in the basis e'_j = sum U_ij e_i."""
+        U, U_inv = self.U, lmat_inverse(self.U)
+        A = G = None
+        if m.has_frobenius:
+            A = lmat_mul(U_inv, lmat_mul(m.A, lmat_sigma(U)))
+        if m.has_connection:
+            G = lmat_mul(U_inv, lmat_add(lmat_mul(m.G, U), lmat_ddt(U)))
+        return PhiNablaModule(m.params, m.rank, A, G, m.label)
 
     def compose(self, other: "GaugeChange") -> "GaugeChange":
         """Apply self first, then other (U_total = U_self . U_other)."""
         return GaugeChange(lmat_mul(self.U, other.U))
-
-
-def _gauged(m: PhiNablaModule, U, U_inv) -> PhiNablaModule:
-    """m in the basis e'_j = sum U_ij e_i, given U^-1."""
-    A = G = None
-    if m.has_frobenius:
-        A = lmat_mul(U_inv, lmat_mul(m.A, lmat_sigma(U)))
-    if m.has_connection:
-        G = lmat_mul(U_inv, lmat_add(lmat_mul(m.G, U), lmat_ddt(U)))
-    return PhiNablaModule(m.params, m.rank, A, G, m.label)
 
 
 def check_compatibility(m: PhiNablaModule) -> CompatibilityReport:
@@ -305,13 +303,14 @@ def _solve_nabla(m: PhiNablaModule, depth, e: int, residue=None):
     then m has passed _check_untruncated."""
     if residue is None:
         _check_untruncated(m)
-    tG, R, roots, _ = residue or _residue(m)
-    depths = [depth] * e if depth is not None else _log_depths(R, roots, e)
+        residue = _residue(m)
+    depths = [depth] * e if depth is not None else _log_depths(residue, e)
     # det(nI + R) = 0 exactly at the integers n = -lambda
-    resonances = sorted({-int(x) for x in roots if x.denominator == 1})
+    resonances = sorted({-int(x) for x in residue.exponents
+                         if x.denominator == 1})
     return [sol for rcls in range(e)
-            for sol in _solve_class(m.params, tG, R, resonances,
-                                    depths[rcls], rcls, e)]
+            for sol in _solve_class(m.params, residue.tG, residue.matrix,
+                                    resonances, depths[rcls], rcls, e)]
 
 
 def _check_untruncated(m: PhiNablaModule):
@@ -323,22 +322,15 @@ def _check_untruncated(m: PhiNablaModule):
                              "the coefficient equations")
 
 
-def _log_depths(R, roots, e):
+def _log_depths(residue, e):
     """The log depth each residue class c mod e needs (Levelt): the sum,
     over the distinct integer eigenvalues lambda of R with -lambda = c mod
-    e, of the largest Jordan block of R at lambda, capped at the rank.  That
-    block size is the least k with rank (R - lambda)^k = rank (R -
-    lambda)^(k+1)."""
-    r = len(R)
+    e, of the largest Jordan block of R at lambda, capped at the rank."""
     depths = [0] * e
-    for lam in {x for x in roots if x.denominator == 1}:
-        M = [[R[i][j] - (lam if i == j else 0) for j in range(r)]
-             for i in range(r)]
-        k, power, rk = 1, M, linalg.rank(M)
-        while rk > (nxt := linalg.rank(power := linalg.mat_mul(power, M))):
-            k, rk = k + 1, nxt
-        depths[int(-lam) % e] += k
-    return [min(d, r) for d in depths]
+    for lam, k in residue.largest_blocks.items():
+        if lam.denominator == 1:
+            depths[int(-lam) % e] += k
+    return [min(d, len(residue.matrix)) for d in depths]
 
 
 def _solve_class(params, tG, R, resonances, depth, rcls, e):
@@ -530,15 +522,15 @@ def horizontal_sections(m: PhiNablaModule, cap=None):
     return [s.section(m.params) for s in _solve_nabla(m, 1, 1)]
 
 
-def _solution_coordinates(bases, targets, params):
-    """Constants x_t with sum_k x_t[k] basis_k = t for every target t, or
-    None if one leaves the span: x_t[k] is t at the pivot of the reduced
-    basis_k (_reduced_solutions), and t - sum_k x_t[k] basis_k must vanish
-    at precision.  Vectors are flat dicts {(d, i, n): x} (_coefficients,
-    _frobenius_image)."""
+def _solution_coordinates(bases, targets, params, conflict):
+    """M_ij, the constant x_j[i] with sum_i x_j[i] basis_i = target_j, or
+    DiagnosticConflict(conflict) if a target leaves the span: x_j[i] is
+    target_j at the pivot of the reduced basis_i (_reduced_solutions), and
+    target_j - sum_i x_j[i] basis_i must vanish at precision.  Vectors are
+    flat dicts {(d, i, n): x} (_coefficients, _frobenius_image)."""
     zero = PadicNumber.zero(params)
     pivots = [max(b) for b in bases]
-    out = []
+    cols = []
     for t in targets:
         rest = dict(t)
         x = [rest.get(key, zero) for key in pivots]
@@ -547,12 +539,12 @@ def _solution_coordinates(bases, targets, params):
                 for key, y in b.items():
                     rest[key] = rest[key] - c * y if key in rest else -(c * y)
         if any(not y.is_zero() for y in rest.values()):
-            return None
-        # a zero x_t[k] also reads as rest / basis_k where basis_k has terms
-        out.append([c if not c.is_zero() else PadicNumber.zero(params, max(
+            raise DiagnosticConflict(conflict)
+        # a zero x_j[i] also reads as rest / basis_i where basis_i has terms
+        cols.append([c if not c.is_zero() else PadicNumber.zero(params, max(
             [c.abs_prec] + [rest[key].abs_prec - y.v for key, y in b.items()
                             if key in rest])) for b, c in zip(bases, x)])
-    return out
+    return [list(row) for row in zip(*cols)]
 
 
 def _coefficients(sol: LogSolution):
@@ -563,9 +555,9 @@ def _coefficients(sol: LogSolution):
 
 def _frobenius_image(m: PhiNablaModule, sol: LogSolution):
     """phi of sum_d v_d (log t)^d, A sigma(v_d) p^d at log degree d since
-    phi(log t) = p log t, formed exactly (_apply): its terms {(d, i, n): x}
-    inside the window, and whether it runs past the window, by a term
-    outside it or by a tail of A in a column where v_d has a term."""
+    phi(log t) = p log t, formed exactly (_apply): its terms {(d, i, n): x}.
+    WindowTooSmall if it runs past the window, by a term outside it or by
+    a tail of A in a column where v_d has a term."""
     params, p, terms = m.params, m.params.p, {}
     for d, vd in enumerate(sol.vec):
         scale = PadicNumber.from_rational(params, p ** d)
@@ -573,11 +565,13 @@ def _frobenius_image(m: PhiNablaModule, sol: LogSolution):
                                             x.items()} for x in vd])):
             terms.update(((d, i, n), y) for n, c in x.items()
                          if not (y := c * scale if d else c).is_zero())
-    out = {key: c for key, c in terms.items()
-           if params.window_lo <= key[2] <= params.window_hi}
-    return out, len(out) < len(terms) or any(
-        vd[j] for row in m.A for j, a in enumerate(row) if a.has_tail()
-        for vd in sol.vec)
+    if any(not params.window_lo <= n <= params.window_hi
+           for _, _, n in terms) or any(
+            vd[j] for row in m.A for j, a in enumerate(row) if a.has_tail()
+            for vd in sol.vec):
+        raise WindowTooSmall("induced Frobenius: an image runs past the "
+                             "window; its coordinates cannot be read")
+    return terms
 
 
 # -- constant part and unipotence -------------------------------------------
@@ -591,19 +585,15 @@ class ConstantSubmodule:
 
 def largest_constant_submodule(m: PhiNablaModule):
     """Span of ker(nabla) with the induced (constant) Frobenius: column j
-    is phi(b_j), None without Frobenius or sections.  phi(b_j) is read from
-    its terms inside the window, also where it runs past the window (a
-    term beyond it, or A truncated), which unipotent_filtration refuses."""
+    is phi(b_j), None without Frobenius or sections.  WindowTooSmall if
+    phi(b_j) runs past the window, as in unipotent_filtration."""
     sols = _solve_nabla(m, 1, 1)
     frob = None
     if m.has_frobenius and sols:
         frob = _solution_coordinates(
             [_coefficients(s) for s in sols],
-            [_frobenius_image(m, s)[0] for s in sols], m.params)
-        if frob is None:
-            raise DiagnosticConflict(
-                "phi does not stabilise ker(nabla) at precision")
-        frob = [list(col) for col in zip(*frob)]
+            [_frobenius_image(m, s) for s in sols], m.params,
+            "phi does not stabilise ker(nabla) at precision")
     return ConstantSubmodule([s.section(m.params) for s in sols],
                              frob, len(sols))
 
@@ -673,39 +663,60 @@ def _log_filtration(m: PhiNablaModule, e: int,
     if len(sols) != m.rank:
         return UnipotentFiltration(m, sols)
     bases = [_coefficients(s) for s in sols]
-
-    def coordinates(images, leaves):
-        """M_ij, coordinate i of image j (_solution_coordinates)."""
-        cols = _solution_coordinates(bases, images, m.params)
-        if cols is None:
-            raise DiagnosticConflict(leaves)
-        return [list(row) for row in zip(*cols)]
-
     phi = None
     if m.has_frobenius:
-        images = [_frobenius_image(m, s) for s in sols]
-        if any(past for _, past in images):
-            raise WindowTooSmall("induced Frobenius: an image runs past the "
-                                 "window; its coordinates cannot be read")
-        phi = coordinates([img for img, _ in images],
-                          "constant submodule not phi-stable at precision")
+        phi = _solution_coordinates(
+            bases, [_frobenius_image(m, s) for s in sols], m.params,
+            "constant submodule not phi-stable at precision")
     # the log derivative of sum_d v_d (log t)^d: d v_d at log degree d - 1
-    N = coordinates([{(d - 1, i, n): y for (d, i, n), x in b.items()
-                      if d and not (y := x * d).is_zero()} for b in bases],
-                    "log derivative leaves the solution span at precision")
+    N = _solution_coordinates(
+        bases, [{(d - 1, i, n): y for (d, i, n), x in b.items()
+                 if d and not (y := x * d).is_zero()} for b in bases],
+        m.params, "log derivative leaves the solution span at precision")
     return UnipotentFiltration(m, sols, phi, N)
 
 
 # -- residue exponents ------------------------------------------------------
 
 class ResidueReport:
-    def __init__(self, exponents: list, semisimple: bool, matrix: list,
+    """The residue read of a connection: t G, its residue R = (t G)|_{t=0}
+    over Q, the rational eigenvalues of R sorted, with multiplicity, and the
+    factor of det(T I - R) they leave (None when it splits over Q).  The
+    Jordan structure of R is read when asked (`largest_blocks`)."""
+
+    def __init__(self, tG: list, matrix: list, exponents: list,
                  unresolved_factor: list | None):
-        self.exponents = exponents  # recognised rational eigenvalues
-        self.semisimple = semisimple
+        self.tG = tG
         self.matrix = matrix        # residue matrix over Q (Fractions)
+        self.exponents = exponents  # recognised rational eigenvalues
         # charpoly factor without rational roots
         self.unresolved_factor = unresolved_factor
+
+    @cached_property
+    def largest_blocks(self) -> dict:
+        """_jordan_blocks of R at its rational eigenvalues, read once."""
+        return _jordan_blocks(self.matrix, self.exponents)
+
+    @property
+    def semisimple(self) -> bool:
+        """R splits over Q with 1x1 Jordan blocks."""
+        return self.unresolved_factor is None and all(
+            k == 1 for k in self.largest_blocks.values())
+
+
+def _jordan_blocks(R, eigenvalues):
+    """{lambda: the largest Jordan block of R at lambda} over the distinct
+    eigenvalues given: the least k with rank (R - lambda)^k = rank (R -
+    lambda)^(k+1)."""
+    r, out = len(R), {}
+    for lam in sorted(set(eigenvalues)):
+        M = [[R[i][j] - (lam if i == j else 0) for j in range(r)]
+             for i in range(r)]
+        k, power, rk = 1, M, linalg.rank(M)
+        while rk > (nxt := linalg.rank(power := linalg.mat_mul(power, M))):
+            k, rk = k + 1, nxt
+        out[lam] = k
+    return out
 
 
 def _rational_matrix(M, error_cls, what):
@@ -728,9 +739,9 @@ def _rational_matrix(M, error_cls, what):
     return out
 
 
-def _residue(m: PhiNablaModule):
-    """t G, its residue R = (t G)|_{t=0} over Q, and the rational roots
-    of det(T I - R) with the factor left over (see _rational_roots)."""
+def _residue(m: PhiNablaModule) -> ResidueReport:
+    """The residue read of m (ResidueReport); IrregularSingularity unless t G
+    is a power series."""
     m._require(connection=True)
     tG = [[g.shift(1) for g in row] for row in m.G]
     for row in tG:
@@ -742,23 +753,13 @@ def _residue(m: PhiNablaModule):
                 raise IrregularSingularity("negative tail in t*G")
     R = _rational_matrix([[x.coefficient(0) for x in row] for row in tG],
                          DiagnosticConflict, "residue matrix")
-    return (tG, R) + _rational_roots(linalg.charpoly(R))
+    roots, remaining = _rational_roots(linalg.charpoly(R))
+    return ResidueReport(tG, R, sorted(roots), remaining)
 
 
 def residue_exponents(m: PhiNablaModule) -> ResidueReport:
-    """Eigenvalues of the residue matrix R = (t G)|_{t=0}."""
-    _, R, roots, remaining = _residue(m)
-    # semisimple on the recognised part: product of (R - lambda) vanishes
-    if remaining is None:
-        prod = linalg.identity(m.rank)
-        for lam in set(roots):
-            shifted = [[R[i][j] - (lam if i == j else 0)
-                        for j in range(m.rank)] for i in range(m.rank)]
-            prod = linalg.mat_mul(prod, shifted)
-        semisimple = all(x == 0 for row in prod for x in row)
-    else:
-        semisimple = False
-    return ResidueReport(sorted(roots), semisimple, R, remaining)
+    """The residue read of m: the eigenvalues of R = (t G)|_{t=0}."""
+    return _residue(m)
 
 
 # -- Kummer pullback --------------------------------------------------------

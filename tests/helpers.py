@@ -94,6 +94,57 @@ def fraction_solve(A, rhs):
     return out
 
 
+def field_solve(rows, rhs, zero):
+    """Solutions x_j of (rows) x_j = rhs[j] over PadicNumber, one per
+    right-hand side column, from one sparse p-adic elimination of
+    [rows | rhs] (``linalg._eliminate``), or None if one is inconsistent;
+    unknowns without a pivot are ``zero``: the p-adic reference for
+    coordinates read off a reduced basis."""
+    ncols = len(rows[0]) if rows else 0
+    R, pivots = linalg._eliminate([list(row) + [b[i] for b in rhs]
+                                   for i, row in enumerate(rows)],
+                                  ncols, linalg._PADIC)
+    if any(not x.is_zero() for row in R[len(pivots):] for x in row.values()):
+        return None
+    out = []
+    for j in range(ncols, ncols + len(rhs)):
+        x = [zero] * ncols
+        for row, pc in zip(R, pivots):
+            x[pc] = row.get(j, zero)
+        out.append(x)
+    return out
+
+
+def product_semisimple(R, roots, remaining):
+    """Whether R is semisimple, read as the vanishing of the product of the
+    R - lambda over its distinct rational eigenvalues when they are all
+    of them: the reference for ``ResidueReport.semisimple``."""
+    if remaining is not None:
+        return False
+    r = len(R)
+    prod = linalg.identity(r)
+    for lam in set(roots):
+        prod = linalg.mat_mul(prod, [[R[i][j] - (lam if i == j else 0)
+                                      for j in range(r)] for i in range(r)])
+    return all(x == 0 for row in prod for x in row)
+
+
+def integer_log_depths(R, roots, e):
+    """The Levelt depth of each class mod e, the largest Jordan block of R
+    at each distinct integer eigenvalue read by the ranks of the powers of
+    R - lambda alone: the reference for ``modules._log_depths``."""
+    r = len(R)
+    depths = [0] * e
+    for lam in {x for x in roots if x.denominator == 1}:
+        M = [[R[i][j] - (lam if i == j else 0) for j in range(r)]
+             for i in range(r)]
+        k, power, rk = 1, M, linalg.rank(M)
+        while rk > (nxt := linalg.rank(power := linalg.mat_mul(power, M))):
+            k, rk = k + 1, nxt
+        depths[int(-lam) % e] += k
+    return [min(d, r) for d in depths]
+
+
 def fraction_completion(known, cand):
     """The candidates that raise the rank of known and the candidates
     before them, one rank at a time."""

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from phinabla import corpus, extraction, linalg, modules
-from phinabla.errors import (IrregularSingularity, NotLevelTwo, NotTame,
-                             PhinablaError, WindowTooSmall)
+from phinabla.errors import (DiagnosticConflict, IrregularSingularity,
+                             NotLevelTwo, NotTame, PhinablaError,
+                             WindowTooSmall)
 from phinabla.extraction import (key2_normal_form, log_solution_basis,
                                  wd_extract, wd_of_cohomology)
 from phinabla.modules import (GaugeChange, PhiNablaModule, _coefficients,
@@ -23,8 +24,9 @@ from phinabla.weil_deligne import (WeilDeligneRep, compatibility_family,
                                    purity_check, quasi_purity_check,
                                    trace_table)
 
-from helpers import (count_calls, laurent_coefficients, laurent_components,
-                     log_derivative, random_shear_gauge, sp2_power)
+from helpers import (count_calls, field_solve, laurent_coefficients,
+                     laurent_components, log_derivative, random_shear_gauge,
+                     sp2_power)
 
 
 P = corpus.ring()
@@ -54,8 +56,7 @@ def _connection(params, tG):
 
 
 def _residue_depths(m, e=1):
-    _, R, roots, _ = _residue(m)
-    return _log_depths(R, roots, e)
+    return _log_depths(_residue(m), e)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
@@ -283,22 +284,25 @@ def _eliminated_coordinates(basis, targets, params):
     coords = sorted({key for v in basis + targets for key in v})
     rows = [[b.get(key, zero) for b in basis] for key in coords]
     rhs = [[t.get(key, zero) for key in coords] for t in targets]
-    return linalg.field_solve(rows, rhs, zero)
+    return field_solve(rows, rhs, zero)
 
 
 def _read_coordinates(basis, targets, params):
     """_solution_coordinates on the coefficient dicts of Laurent vectors."""
     return _solution_coordinates(basis, [laurent_coefficients(t)
-                                         for t in targets], params)
+                                         for t in targets], params, "leaves")
 
 
 def _assert_same_coordinates(basis, targets, params):
     # the pivot reads are the elimination's values, none with fewer digits;
-    # the basis and targets are flat coefficient dicts
-    got = _solution_coordinates(basis, targets, params)
+    # the basis and targets are flat coefficient dicts, and column j of the
+    # read is the coordinates of target j
+    got = _solution_coordinates(basis, targets, params, "leaves")
     want = _eliminated_coordinates(basis, targets, params)
-    assert got is not None and want is not None
-    for xs, ys in zip(got, want):
+    assert want is not None
+    assert len(got) == len(basis) and all(len(row) == len(targets)
+                                          for row in got)
+    for xs, ys in zip(zip(*got), want):
         assert all(x.congruent(y) and x.abs_prec >= y.abs_prec
                    for x, y in zip(xs, ys))
 
@@ -336,17 +340,17 @@ def test_pivot_coordinates_match_the_elimination(m):
                            if d < len(b)), LaurentElement.zero(params))
                       for i in range(m.rank)) for d in range(depth)]
 
-    inside = ([_frobenius_image(pulled, s)[0] for s in fil.solutions]
+    inside = ([_frobenius_image(pulled, s) for s in fil.solutions]
               + [laurent_coefficients(v) for v in (
                   [log_derivative(b, params) for b in comps]
                   + [combination() for _ in range(3)])])
     _assert_same_coordinates(basis, inside, params)
     # the filtration's N, read on the solutions' coefficients, is the
     # reading of the Laurent log derivative, digits included
-    cols = _read_coordinates(
+    N = _read_coordinates(
         basis, [log_derivative(b, params) for b in comps], params)
     bits = lambda M: [[(x.v, x.unit, x.abs_prec) for x in row] for row in M]
-    assert bits(fil.N) == bits(zip(*cols))
+    assert bits(fil.N) == bits(N)
     # a basis element plus a monomial off the support of the basis
     support = {n for b in comps for x in b[0] for n in x.coeffs}
     n = next(n for n in range(params.window_hi, 0, -1) if n not in support)
@@ -354,7 +358,8 @@ def test_pivot_coordinates_match_the_elimination(m):
         off = [tuple(x + LaurentElement.monomial(params, n)
                      if (d, i) == (0, 0) else x for i, x in enumerate(v))
                for d, v in enumerate(b)]
-        assert _read_coordinates(basis, [off], params) is None
+        with pytest.raises(DiagnosticConflict, match="^leaves$"):
+            _read_coordinates(basis, [off], params)
         assert _eliminated_coordinates(
             basis, [laurent_coefficients(off)], params) is None
 
@@ -367,7 +372,7 @@ def test_constant_frobenius_coordinates_match_the_elimination():
     m = tensor(tensor(kt, kt), kt)
     sols = _solve_nabla(m, 1, 1)
     _assert_same_coordinates([_coefficients(s) for s in sols],
-                             [_frobenius_image(m, s)[0] for s in sols],
+                             [_frobenius_image(m, s) for s in sols],
                              m.params)
 
 

@@ -4,16 +4,19 @@
 with the same pivot rule as ``linalg`` (minimal valuation, first row in
 current order on ties) and the same reading of the input: an entry that is
 zero at precision is an exact zero.  It shares no code with ``linalg``.
-The sparse kernel must agree with it entry by entry, and never report less
-precision on a non-zero entry.
+The sparse kernel, and the same elimination run on right-hand sides
+(``helpers.field_solve``), must agree with it entry by entry, and never
+report less precision on a non-zero entry.
 """
 
 from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from phinabla.linalg import field_kernel, field_solve
+from phinabla.linalg import field_kernel
 from phinabla.padic import PadicNumber, RingParams
+
+from helpers import field_solve
 
 
 # monic quadratics irreducible mod p, for the unramified degree-2 fields

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from phinabla import cli, corpus, linalg, modules
 from phinabla.corpus import tate_abelian_datum
 from phinabla.diagnostics import (AbelianVarietyDatum, ReductionType,
-                                  reduction_type)
+                                  rank_profile, reduction_type)
 from phinabla.extraction import log_solution_basis, wd_extract
 from phinabla.errors import (DiagnosticConflict, IrregularSingularity,
                              MissingStructure, PhinablaError, WildCover,
@@ -31,10 +31,10 @@ from phinabla.oracles import ode_recurrence_solutions
 from phinabla.padic import PadicNumber, RingParams
 from phinabla.series import LaurentElement
 
-from helpers import (count_calls, dense_unit_matrix, laurent_bits,
-                     laurent_coefficients, laurent_components,
+from helpers import (count_calls, dense_unit_matrix, integer_log_depths,
+                     laurent_bits, laurent_coefficients, laurent_components,
                      laurent_frobenius_image, laurent_satisfies,
-                     random_shear_gauge)
+                     product_semisimple, random_shear_gauge)
 
 
 P = RingParams(5, 20, (32, 32))
@@ -332,15 +332,17 @@ def test_frobenius_image_past_the_window_is_refused():
         unipotent_filtration(m)
     # at window 8: G = -3/t has the section t^3, which A = 1 sends to t^15,
     # a term past the window top; G = 0 has the section 1, which A = t^9,
-    # only a tail in the window, meets
+    # only a tail in the window, meets.  The constant submodule reads phi
+    # of the same section and refuses alike
     params = RingParams(5, 20, (8, 8))
     for frobenius, connection in (([[1]], [[{-1: -3}]]),
                                   ([[{9: 1}]], [[0]])):
         m = PhiNablaModule.from_rational_matrices(
             params, frobenius=frobenius, connection=connection)
-        with pytest.raises(WindowTooSmall, match="^induced Frobenius: an "
-                           "image runs past the window"):
-            unipotent_filtration(m)
+        for read in (unipotent_filtration, largest_constant_submodule):
+            with pytest.raises(WindowTooSmall, match="^induced Frobenius: "
+                               "an image runs past the window"):
+                read(m)
 
 
 def test_sheared_h1_at_precision_1_fails_the_full_window_equations():
@@ -392,8 +394,8 @@ def test_frobenius_image_matches_the_laurent_reference(precision):
     # phi of every solution of every log basis in the sweep: where the
     # Laurent image, formed in a widened window, has no tail, the exact
     # image has its coefficients, digits included, and runs nowhere past
-    # the window; where the exact image runs past, the Laurent one has a
-    # tail
+    # the window; where the exact image is refused as running past, the
+    # Laurent one has a tail
     bits = lambda img: {key: (c.v, c.unit, c.abs_prec)
                         for key, c in img.items()}
     builders = dict(_SWEEP, h1=corpus.good_elliptic_h1,
@@ -415,7 +417,11 @@ def test_frobenius_image_matches_the_laurent_reference(precision):
                 except PhinablaError:
                     continue
                 for sol in sols:
-                    img, past = modules._frobenius_image(pulled, sol)
+                    try:
+                        img = modules._frobenius_image(pulled, sol)
+                    except WindowTooSmall:
+                        img = None
+                    past = img is None
                     ref = laurent_frobenius_image(
                         pulled, laurent_components(sol, params))
                     tail = any(x.has_tail() for v in ref for x in v)
@@ -466,10 +472,16 @@ def test_constant_submodule_not_phi_stable(frobenius, block):
     sols = sorted(modules._solve_nabla(m, None, 1),
                   key=lambda s: s.log_degree)
     bases = [modules._coefficients(s) for s in sols]
-    leaves = [s.log_degree + 1 for s in sols
-              if modules._solution_coordinates(bases, [
-                  modules._frobenius_image(m, s)[0]], P) is None]
-    assert leaves[0] == block
+
+    def leaves(s):
+        try:
+            modules._solution_coordinates(
+                bases, [modules._frobenius_image(m, s)], P, "leaves")
+        except DiagnosticConflict:
+            return True
+        return False
+
+    assert [s.log_degree + 1 for s in sols if leaves(s)][0] == block
 
 
 @pytest.mark.parametrize("name, seed", [
@@ -679,6 +691,79 @@ def test_residue_exponents_repeated():
     rr = residue_exponents(m)
     assert sorted(rr.exponents) == diag
     assert rr.semisimple and rr.unresolved_factor is None
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_jordan_reads_match_the_references(data):
+    # Jordan blocks at rational eigenvalues, with or without a pair of
+    # irrational ones (T^2 - 2), conjugated by a unimodular integer matrix:
+    # semisimple is the product reference, the Levelt depths the integer
+    # rank-of-powers reference, and both the structure drawn
+    blocks = data.draw(st.lists(
+        st.tuples(st.integers(-3, 3), st.sampled_from([1, 2, 3]),
+                  st.integers(1, 3)), min_size=1, max_size=3).filter(
+        lambda bs: sum(size for _, _, size in bs) <= 6))
+    irrational = data.draw(st.booleans())
+    diagonal = [(Fraction(a, d), i + 1 < size)
+                for a, d, size in blocks for i in range(size)]
+    r = len(diagonal) + 2 * irrational
+    J = [[Fraction(0)] * r for _ in range(r)]
+    for i, (lam, above) in enumerate(diagonal):
+        J[i][i] = lam
+        if above:
+            J[i][i + 1] = Fraction(1)
+    if irrational:
+        J[r - 2][r - 1], J[r - 1][r - 2] = Fraction(2), Fraction(1)
+    U = linalg.identity(r)
+    for i, j, c in data.draw(st.lists(st.tuples(
+            st.integers(0, r - 1), st.integers(0, r - 1),
+            st.integers(-2, 2)), max_size=4)):
+        if i != j:
+            U = linalg.mat_mul(U, [[Fraction(int(a == b) + c * (
+                (a, b) == (i, j))) for b in range(r)] for a in range(r)])
+    R = linalg.mat_mul(U, linalg.mat_mul(J, linalg.mat_inv(U)))
+    m = PhiNablaModule.from_rational_matrices(
+        P, connection=[[{-1: x} if x else 0 for x in row] for row in R])
+    rr = residue_exponents(m)
+    assert rr.matrix == R
+    assert rr.exponents == sorted(lam for lam, _ in diagonal)
+    assert (rr.unresolved_factor is not None) == irrational
+    largest = {}
+    for a, d, size in blocks:
+        lam = Fraction(a, d)
+        largest[lam] = max(largest.get(lam, 0), size)
+    assert rr.largest_blocks == largest
+    assert rr.semisimple == product_semisimple(
+        R, rr.exponents, rr.unresolved_factor)
+    assert rr.semisimple == (not irrational and set(largest.values())
+                             == {1})
+    for e in (1, 2, 3, 4):
+        assert modules._log_depths(rr, e) == integer_log_depths(
+            R, rr.exponents, e)
+
+
+@pytest.mark.parametrize("read", [
+    pytest.param(lambda: horizontal_sections(kt()), id="horizontal_sections"),
+    pytest.param(lambda: largest_constant_submodule(kt()),
+                 id="largest_constant_submodule"),
+    pytest.param(lambda: rank_profile(tate_abelian_datum(P)),
+                 id="rank_profile")])
+def test_depth_one_reads_no_jordan_structure(read, monkeypatch):
+    # the depth-1 solve needs the residue's eigenvalues, not its blocks
+    assert count_calls(monkeypatch, modules, "_jordan_blocks", read) == 0
+
+
+def test_residue_record_reads_its_jordan_structure_once(monkeypatch):
+    # the extraction reads the blocks once for its log depths; the record
+    # keeps them, so semisimple read twice (as analyze does) reads them once
+    assert count_calls(monkeypatch, modules, "_jordan_blocks",
+                       lambda: wd_extract(kt())) == 1
+    rr = residue_exponents(kt())
+    assert count_calls(monkeypatch, modules, "_jordan_blocks",
+                       lambda: (rr.semisimple, rr.semisimple)) == 1
+    assert rr.largest_blocks == {0: 2}
 
 
 # -- the resonance-driven solver --------------------------------------------

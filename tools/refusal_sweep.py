@@ -1,6 +1,6 @@
 """One sha256 digest over what the extraction, the unipotent filtration,
-the largest constant submodule and the ``wd`` and ``analyze`` commands
-return, or the refusal each raises, over a grid of small modules.
+the largest constant submodule, the residue exponents, the horizontal
+sections and the ``wd`` and ``analyze`` commands return, or the refusal each raises, over a grid of small modules.
 
 The grid is module x p x window x precision x shear:
 
@@ -11,8 +11,9 @@ The grid is module x p x window x precision x shear:
 - unsheared, and under ``helpers.random_shear_gauge`` seeds 0 .. 3 at
   lowest exponent -2 and 0.
 
-Each input runs through ``wd_extract``, ``unipotent_filtration`` and
-``largest_constant_submodule``.  At the symmetric windows, the only ones the
+Each input runs through ``wd_extract``, ``unipotent_filtration``,
+``largest_constant_submodule``, ``residue_exponents`` (its exponents,
+semisimplicity and unresolved factor) and ``horizontal_sections``.  At the symmetric windows, the only ones the
 command line can set, it is also written as JSON and run in-process through
 ``cli wd`` and ``cli analyze`` with the matching ``--precision`` and
 ``--t-window``.  A record reads every returned value as a rational with its
@@ -44,8 +45,10 @@ from helpers import random_shear_gauge
 from phinabla import cli, corpus
 from phinabla.extraction import wd_extract
 from phinabla.modules import (PhiNablaModule, direct_sum,
+                              horizontal_sections,
                               largest_constant_submodule, module_to_json,
-                              tensor, unipotent_filtration)
+                              residue_exponents, tensor,
+                              unipotent_filtration)
 from phinabla.padic import RingParams
 
 MODULES = {
@@ -117,6 +120,18 @@ def _constant(m):
             "frobenius": _matrix(cs.frobenius, _padic)}
 
 
+def _residue(m):
+    rr = residue_exponents(m)
+    factor = rr.unresolved_factor
+    return {"exponents": [str(x) for x in rr.exponents],
+            "semisimple": rr.semisimple,
+            "unresolved_factor": factor and [str(x) for x in factor]}
+
+
+def _sections(m):
+    return [[_laurent(x) for x in v] for v in horizontal_sections(m)]
+
+
 def _command(path, name, precision, window):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -153,6 +168,10 @@ def records(folder):
                _attempt(lambda: _filtration(m)))
         yield (dict(key, call="largest_constant_submodule"),
                _attempt(lambda: _constant(m)))
+        yield (dict(key, call="residue_exponents"),
+               _attempt(lambda: _residue(m)))
+        yield (dict(key, call="horizontal_sections"),
+               _attempt(lambda: _sections(m)))
         if window[0] == window[1]:
             with open(path, "w") as fh:
                 json.dump(module_to_json(m), fh)

@@ -16,11 +16,14 @@ gcd steps: each row is scaled to its primitive integer multiple, a row
 update is (p/g) row - (f/g) pivot row with g = gcd(p, f), divided by its
 content, and the pivot is the first row with a non-zero entry.  ``rank``,
 ``_pivot_columns`` and ``_completion`` read the pivot columns alone,
-``_integer_kernel`` and its view ``nullspace`` the integer rows; ``rref``,
-``span_basis``, ``column_space``, ``solve`` and ``mat_inv`` divide each
-pivot row by its pivot: the unique reduced row echelon form, with Fraction
-entries even for int input.  The p-adic rule divides by the pivot of
-smallest valuation; ``field_kernel`` is its view, and
+``_integer_kernel`` and its view ``nullspace`` the integer rows;
+``rref``, ``span_basis``, ``column_space``, ``solve`` and ``mat_inv``
+divide each pivot row by its pivot: the unique reduced row echelon form,
+with Fraction entries even for int input.  ``weil_deligne``'s Jordan
+chains pick heads with ``_pivot_columns`` and complements with
+``_integer_kernel``; their ends' pivot coordinates and Phi on the graded
+pieces come from ``_eliminate`` itself.  The p-adic rule divides by the
+pivot of smallest valuation; ``field_kernel`` is its view, and
 ``modules._reduced_solutions`` runs it for the solver's reduced basis.
 The systems it solves are mostly sparse: zero input entries count as
 absent, as in LaurentElement, and non-zero p-adic entries never carry less

@@ -220,9 +220,10 @@ class MonodromyFiltration:
 def monodromy_filtration(N) -> MonodromyFiltration:
     """The unique filtration with N M_k in M_{k-2} and
     N^k : Gr_k ~ Gr_{-k} (Deligne, Weil II 1.6): M_k is spanned by the
-    Jordan chain vectors of index <= k (``_jordan_chains``).  Its bases,
-    Fraction rref rows for k in [-s, s], are built here for the callers of
-    the filtration; trace tables and quasi-purity read the chain vectors.
+    Jordan chain vectors of index <= k (``_jordan_chains``, built one
+    block length at a time from runs v, Nv, ...).  Its bases, Fraction
+    rref rows for k in [-s, s], are built here for the callers of the
+    filtration; trace tables and quasi-purity read the chain vectors.
 
     The chains certify the result: when each ends in ker N and their d
     vectors span Q^d (``len(bases[s]) == d``), they are a Jordan basis.
@@ -243,37 +244,53 @@ def monodromy_filtration(N) -> MonodromyFiltration:
 
 def _jordan_chains(N):
     """(s, flag), flag[s + k] the chain vectors of index k: N^j v has index
-    l - 1 - 2j in the chain of head v and length l.  Heads of length l are
-    picked from the top down in K_l = ker N^l, independent of K_{l-1} and
-    of the height-l vectors of the longer chains.  N is read as sN
-    (``_scaled``) and K_l as primitive integer vectors
-    (``linalg._integer_kernel``).  ``monodromy_filtration`` spans rref
-    bases from the flag, ``_graded_phi`` reads Phi in it; each checks
-    the span.  AssertionError unless there are d vectors and each chain
-    ends in ker N."""
+    l - 1 - 2j in the chain of head v and length l.  Chains are built one
+    length at a time, longest first, in an N-stable W, at first Q^d.  Each
+    basis vector b of W is run through N (b, Nb, ... to its last non-zero
+    vector); l is the longest run.  The runs of length l whose ends are
+    independent of those before them (``_pivot_columns``, on the ends read
+    at their pivot coordinates) are the chains of length l; W becomes the
+    complement of their span, the v in W with N^j v zero at those
+    coordinates for j < l (one ``linalg._integer_kernel``, in primitive
+    integer vectors).  Runs of length 1 are chains.  N is read as sN
+    (``_scaled``).  ``monodromy_filtration`` spans rref bases from the
+    flag, ``_graded_phi`` reads Phi in it; each checks the span.
+    NotNilpotent for a run longer than d; AssertionError unless there are
+    d vectors and each chain ends in ker N."""
     d = len(N)
     _check_shape(N, "N", d, d)
     N = _scaled(N)[0]
-    kernels = [[]]                      # kernels[m] is a basis of ker N^m
-    power = linalg.identity(d, 1)
-    while len(kernels[-1]) < d:
-        power = linalg.mat_mul(N, power, zero=0)
-        kernels.append(linalg._integer_kernel(power))
-        # ker N^(m+1) = ker N^m: the chain never grows again, short of d
-        if len(kernels[-1]) == len(kernels[-2]):
-            raise NotNilpotent("monodromy filtration needs a nilpotent "
-                               "input")
-    s = max(len(kernels) - 2, 0)
-    chains, flag = [], [[] for _ in range(2 * s + 1)]
-    for length in range(len(kernels) - 1, 0, -1):
-        known = kernels[length - 1] + [chain[-length] for chain in chains]
-        for head in linalg._completion(known, kernels[length]):
-            chain = [head]
-            for _ in range(length - 1):
-                chain.append(linalg.mat_vec(N, chain[-1], zero=0))
-            chains.append(chain)
-            for j, v in enumerate(chain):
-                flag[s + length - 1 - 2 * j].append(v)
+    basis, chains = linalg.identity(d, 1), []
+    while basis:
+        runs = [[] for _ in basis]
+        for run, v in zip(runs, basis):
+            while any(v):
+                if len(run) == d:
+                    raise NotNilpotent("monodromy filtration needs a "
+                                       "nilpotent input")
+                run.append(v)
+                v = linalg.mat_vec(N, v, zero=0)
+        l = max(map(len, runs))
+        if l == 1:
+            chains += runs
+            break
+        top = [run for run in runs if len(run) == l]
+        coords = linalg._eliminate([run[-1] for run in top], d,
+                                   linalg._INTEGER)[1]
+        chains += [top[c] for c in linalg._pivot_columns(
+            [[run[-1][r] for r in coords] for run in top])]
+        if len(basis) == len(coords) * l:       # the chains fill W
+            break
+        cols = linalg.transpose(basis)
+        basis = [linalg._primitive(linalg.mat_vec(cols, c, zero=0))
+                 for c in linalg._integer_kernel(
+                     [[run[j][r] if j < len(run) else 0 for run in runs]
+                      for r in coords for j in range(l)])]
+    s = max(map(len, chains), default=1) - 1
+    flag = [[] for _ in range(2 * s + 1)]
+    for chain in chains:
+        for j, v in enumerate(chain):
+            flag[s + len(chain) - 1 - 2 * j].append(v)
     if (sum(map(len, chains)) != d
             or any(any(linalg.mat_vec(N, chain[-1], zero=0))
                    for chain in chains)):
@@ -294,29 +311,28 @@ def _graded(mat, flag):
     """[(Y_k, s_k)]: ``mat`` is Y_k / s_k, Y_k an integer matrix and s_k a
     positive integer, on V_k / V_(k-1), V_k the span of flag[0] + ... +
     flag[k] (V_-1 = 0), in the primitive integer multiples of the vectors
-    of flag[k] outside the span of those before them (one
-    ``_pivot_columns``, whose rank is the sum of the sizes of the Y_k).
-    mat is read as Z / s (``_scaled``); one fraction-free elimination of
-    [basis | images] gives every coordinate.  None unless mat keeps every
-    V_k."""
+    of flag[k] outside the span of those before them.  mat is read as
+    Z / s (``_scaled``); one fraction-free elimination of [vectors |
+    images] on the vectors' columns picks that adapted basis (its pivots,
+    as many as the sizes of the Y_k add up to) and gives every
+    coordinate.  None unless mat keeps every V_k."""
     Z, s = _scaled(mat)
     vectors = [linalg._primitive(v) for vs in flag for v in vs]
     owner = [k for k, vs in enumerate(flag) for _ in vs]
-    keep = linalg._pivot_columns(vectors)
-    basis, owner = [vectors[c] for c in keep], [owner[c] for c in keep]
-    r = len(basis)
-    R = linalg._eliminate(linalg.transpose(basis + [
-        linalg.mat_vec(Z, v, zero=0) for v in basis]), r, linalg._INTEGER)[0]
-    # an image off span(basis), or with a coordinate on a later piece
-    if any(R[r:]) or any(owner[i] > owner[j - r] for i in range(r)
-                         for j in R[i] if j >= r):
+    n = len(vectors)
+    R, pivots = linalg._eliminate(linalg.transpose(vectors + [
+        linalg.mat_vec(Z, v, zero=0) for v in vectors]), n, linalg._INTEGER)
+    r = len(pivots)
+    # an image off their span, or with a coordinate on a later piece
+    if any(R[r:]) or any(owner[pivots[i]] > owner[j - n] for i in range(r)
+                         for j in R[i] if j >= n):
         return None
     out = []
     for k in range(len(flag)):
-        rows = [i for i in range(r) if owner[i] == k]
-        L = math.lcm(*(R[i][i] for i in rows))
-        out.append(([[R[i].get(r + j, 0) * (L // R[i][i]) for j in rows]
-                     for i in rows], L * s))
+        rows = [i for i in range(r) if owner[pivots[i]] == k]
+        L = math.lcm(*(R[i][pivots[i]] for i in rows))
+        out.append(([[R[i].get(n + pivots[j], 0) * (L // R[i][pivots[i]])
+                      for j in rows] for i in rows], L * s))
     return out
 
 

@@ -13,7 +13,7 @@ from phinabla import linalg, oracles
 from phinabla.errors import NonInvertible, NotNilpotent, NotWeil
 from phinabla.weil_deligne import (FrobeniusKind, MonodromyFiltration,
                                    WeilDeligneRep, _add_traces, _graded,
-                                   _graded_phi, _weights_of,
+                                   _graded_phi, _jordan_chains, _weights_of,
                                    compatibility_family,
                                    monodromy_filtration, purity_check,
                                    quasi_purity_check, special_rep,
@@ -21,7 +21,8 @@ from phinabla.weil_deligne import (FrobeniusKind, MonodromyFiltration,
 
 from helpers import (count_calls, fraction_completion,
                      fraction_rational_roots, fraction_root_weights,
-                     fraction_solve, kron, random_nilpotent, same_space)
+                     fraction_rref, fraction_solve, kron, random_nilpotent,
+                     same_space)
 
 
 F = Fraction
@@ -49,25 +50,23 @@ def test_non_nilpotent_rejected():
         monodromy_filtration([[F(1)]])
 
 
-@pytest.mark.parametrize("N, kernels", [
-    # invertible: ker N = ker N^0 = 0
-    ([[F(2), F(1)], [F(1), F(1)]], 1),
-    # ker N = ker N^2 of dimension 1 < 2
-    ([[F(0), F(0)], [F(0), F(1)]], 2),
-    # J3 beside 1/2: dim ker N^m = 1, 2, 3, 3 stalls at m = 4, short of 4
-    ([[F(0), F(1), F(0), F(0)], [F(0), F(0), F(1), F(0)],
-      [F(0), F(0), F(0), F(0)], [F(0), F(0), F(0), F(1, 2)]], 4),
+@pytest.mark.parametrize("N", [
+    [[F(2), F(1)], [F(1), F(1)]],
+    [[F(0), F(0)], [F(0), F(1)]],
+    # J3 beside 1/2: the runs of e1, e2, e3 end, that of e4 never does
+    [[F(0), F(1), F(0), F(0)], [F(0), F(0), F(1), F(0)],
+     [F(0), F(0), F(0), F(0)], [F(0), F(0), F(0), F(1, 2)]],
 ], ids=["invertible", "diag(0,1)", "J3+corner"])
-def test_stalled_kernel_chain_is_not_nilpotent(N, kernels, monkeypatch):
-    # nilpotency is read from the kernel chain: it stops at the first
-    # ker N^(m+1) = ker N^m, after one elimination per kernel
+def test_stalled_kernel_chain_is_not_nilpotent(N, monkeypatch):
+    # nilpotency is read from the runs e, Ne, ... of the standard basis:
+    # one that passes d vectors is refused before any elimination
     def run():
         with pytest.raises(NotNilpotent,
                            match="^monodromy filtration needs a nilpotent "
                                  "input$"):
             monodromy_filtration(N)
 
-    assert count_calls(monkeypatch, linalg, "_eliminate", run) == kernels
+    assert count_calls(monkeypatch, linalg, "_eliminate", run) == 0
 
 
 def test_empty_operator_filtration():
@@ -224,6 +223,53 @@ def test_jordan_chains_match_the_convolution(N):
     assert fil.dim == len(N)
 
 
+@st.composite
+def sheared_jordan_types(draw):
+    """(sizes, N): one to eight Jordan blocks of sizes 1-4, sizes repeated
+    and J1s among them, conjugated by a unimodular integer matrix."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=8))
+    U = _unimodular_drawn(draw, sum(sizes))
+    return sizes, linalg.mat_mul(linalg.mat_inv(U),
+                                 linalg.mat_mul(_jordan(sizes), U))
+
+
+def _partition_of_ranks(N):
+    """The block sizes of a nilpotent N, largest first, read from the
+    ranks r_m of N^m by Fraction Gauss-Jordan: r_(m-1) - 2 r_m + r_(m+1)
+    blocks of size m."""
+    ranks, power = [len(N)], linalg.identity(len(N))
+    while ranks[-1]:
+        power = linalg.mat_mul(N, power)
+        ranks.append(len(fraction_rref(power)[1]))
+    ranks.append(0)
+    return [m for m in range(len(ranks) - 2, 0, -1)
+            for _ in range(ranks[m - 1] - 2 * ranks[m] + ranks[m + 1])]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sheared_jordan_types())
+def test_chains_follow_the_partition_of_the_ranks(problem):
+    # a chain of length l puts one vector at each index l - 1, l - 3, ...,
+    # 1 - l, so the flag's sizes give the chain lengths
+    sizes, N = problem
+    s, flag = _jordan_chains(N)
+    counts = [len(vs) for vs in flag] + [0, 0]
+    lengths = [l for l in range(s + 1, 0, -1)
+               for _ in range(counts[s + l - 1] - counts[s + l + 1])]
+    assert lengths == _partition_of_ranks(N) == sorted(sizes, reverse=True)
+    vectors = [v for vs in flag for v in vs]
+    assert len(fraction_rref(vectors)[1]) == len(N)
+    # N takes each vector of index k to a positive multiple of one of
+    # index k - 2, or to 0
+    for k, vs in enumerate(flag):
+        for v in vs:
+            image = linalg.mat_vec(N, v)
+            assert not any(image) or linalg._primitive(image) in [
+                linalg._primitive(w) for w in (flag[k - 2] if k > 1
+                                               else [])]
+
+
 def _changed(N, change):
     """The monodromy filtration of N with change(bases) applied."""
     fil = monodromy_filtration(N)
@@ -296,22 +342,64 @@ def test_axioms_read_the_spans_not_the_list_lengths(N, change, ok):
         N, {k: fil.basis(k) for k in range(-fil.s, fil.s + 1)})[0] is ok
 
 
-@pytest.mark.parametrize("mutant", [
+def _halves(pick, ends):
+    """The heads picked in each half of the ends on its own: the second
+    half's picks do not know the first half's."""
+    h = len(ends) // 2
+    return pick(ends[:h]) + [h + c for c in pick(ends[h:])]
+
+
+# The head pick (``linalg._pivot_columns`` on the ends of the longest
+# runs) made wrong.  The complement of the chains is read off every end,
+# so a wrong pick is not mended in the next round.
+HEAD_PICKS = pytest.mark.parametrize("mutant", [
     # too few chains: their vectors span less than Q^d
-    lambda completion: lambda known, cand: completion(known, cand)[1:],
+    lambda pick: lambda ends: pick(ends)[1:],
     # too many chains, with the same spans
-    lambda completion: lambda known, cand: list(cand),
-    lambda completion: lambda known, cand: completion(
-        known[:len(known) // 2], cand),
+    lambda pick: lambda ends: list(range(len(ends))),
+    lambda pick: lambda ends: _halves(pick, ends),
 ], ids=["first-head-dropped", "all-candidates-kept", "half-known"])
+
+
+def _sheared(M):
+    """P^-1 M P for the unimodular P of ``_unimodular(Random(0))``: the
+    standard basis is no Jordan basis, and for the Jordan types below each
+    round of the chains meets several runs of the longest length."""
+    P = _unimodular(random.Random(0), len(M))
+    return linalg.mat_mul(linalg.mat_inv(P), linalg.mat_mul(M, P))
+
+
+@HEAD_PICKS
 @pytest.mark.parametrize("blocks", [(3,), (2, 2), (4, 2, 1)],
                          ids=["J3", "J2+J2", "J4+J2+J1"])
 def test_chain_certificate_refuses_a_wrong_chain_basis(mutant, blocks,
                                                        monkeypatch):
-    monkeypatch.setattr(linalg, "_completion", mutant(linalg._completion))
+    N = _sheared(_jordan(blocks))
+    monkeypatch.setattr(linalg, "_pivot_columns",
+                        mutant(linalg._pivot_columns))
     with pytest.raises(AssertionError,
                        match="^Jordan chains do not form a basis$"):
-        monodromy_filtration(_jordan(blocks))
+        monodromy_filtration(N)
+
+
+# The complement W' of the chains (``linalg._integer_kernel``) made
+# wrong, for Jordan types with more than one length: it knows only half
+# of the conditions N^j v = 0 at the ends' pivot coordinates, or one
+# vector of it is lost.
+@pytest.mark.parametrize("mutant", [
+    lambda kernel: lambda A: kernel(A[len(A) // 2:]),
+    lambda kernel: lambda A: kernel(A)[1:],
+], ids=["half-known", "first-dropped"])
+@pytest.mark.parametrize("blocks", [(4, 2, 1), (3, 3, 1, 1), (2, 1)],
+                         ids=["J4+J2+J1", "J3+J3+J1+J1", "J2+J1"])
+def test_chain_certificate_refuses_a_wrong_complement(mutant, blocks,
+                                                      monkeypatch):
+    N = _sheared(_jordan(blocks))
+    monkeypatch.setattr(linalg, "_integer_kernel",
+                        mutant(linalg._integer_kernel))
+    with pytest.raises(AssertionError,
+                       match="^Jordan chains do not form a basis$"):
+        monodromy_filtration(N)
 
 
 def _chain_rep(blocks, q=5):
@@ -424,12 +512,7 @@ def test_relation_check_matches_the_inverse(seed):
         assert held == (kind is FrobeniusKind.GEOMETRIC and not seed % 2)
 
 
-@pytest.mark.parametrize("mutant", [
-    lambda completion: lambda known, cand: completion(known, cand)[1:],
-    lambda completion: lambda known, cand: list(cand),
-    lambda completion: lambda known, cand: completion(
-        known[:len(known) // 2], cand),
-], ids=["first-head-dropped", "all-candidates-kept", "half-known"])
+@HEAD_PICKS
 @pytest.mark.parametrize("blocks", [(3,), (2, 2), (4, 2, 1)],
                          ids=["J3", "J2+J2", "J4+J2+J1"])
 @pytest.mark.parametrize("read", [
@@ -440,8 +523,10 @@ def test_chain_certificate_guards_the_trace_path(read, mutant, blocks,
                                                  monkeypatch):
     # the graded Phi reads the chains as its basis: a wrong chain basis is
     # refused as such, never reported as an IrrationalTrace or a table
-    rep = _chain_rep(blocks)
-    monkeypatch.setattr(linalg, "_completion", mutant(linalg._completion))
+    plain = _chain_rep(blocks)
+    rep = WeilDeligneRep(plain.q, _sheared(plain.phi), _sheared(plain.N))
+    monkeypatch.setattr(linalg, "_pivot_columns",
+                        mutant(linalg._pivot_columns))
     with pytest.raises(AssertionError,
                        match="^Jordan chains do not form a basis$"):
         read(rep)
@@ -457,14 +542,13 @@ def test_dependent_chains_are_refused_before_the_trace_verdict(
     phi = [[F(mix[i // 2][j // 2] * 5 ** (i % 2)) if i % 2 == j % 2
             else F(0) for j in range(4)] for i in range(4)]
     rep = WeilDeligneRep(5, phi, _jordan((2, 2)))
-    completion, calls = linalg._completion, []
+    pick = linalg._pivot_columns
 
-    def repeated(known, cand):
-        heads = [] if calls else completion(known, cand)
-        calls.append(cand)
+    def repeated(ends):
+        heads = pick(ends)
         return heads[:1] * len(heads)
 
-    monkeypatch.setattr(linalg, "_completion", repeated)
+    monkeypatch.setattr(linalg, "_pivot_columns", repeated)
     with pytest.raises(AssertionError,
                        match="^Jordan chains do not form a basis$"):
         trace_table(rep, 4)
@@ -485,15 +569,22 @@ def _seeded_nilpotent():
 
 
 @pytest.mark.parametrize("run, eliminations", [
-    # 12 kernels, 12 chain-head choices and 12 span bases
-    pytest.param(lambda: monodromy_filtration(_jordan((12,))), 36,
+    # the chains of one length: their ends' pivot coordinates and head
+    # pick, no complement left; then 12 span bases
+    pytest.param(lambda: monodromy_filtration(_jordan((12,))), 14,
                  id="J12"),
-    # 4 kernels, 4 chain-head choices and 5 span bases
-    pytest.param(lambda: monodromy_filtration(_seeded_nilpotent()), 13,
+    # J4 + J1 + J1: pivot coordinates, head pick and complement for J4,
+    # none for the J1s; then 5 span bases
+    pytest.param(lambda: monodromy_filtration(_seeded_nilpotent()), 8,
                  id="d6"),
-    # 3 kernels, 3 chain-head choices, one adapted basis, one solve
-    pytest.param(lambda rep=_sp2_squared(): trace_table(rep, 4), 8,
+    # J3 + J1: 3 eliminations for the chains as in d6, then one for the
+    # adapted basis and every coordinate of Phi on it
+    pytest.param(lambda rep=_sp2_squared(): trace_table(rep, 4), 4,
                  id="trace-table"),
+    # eight J2, sheared: one round for their one length, not one per
+    # block; then 2 span bases
+    pytest.param(lambda N=_sheared(_jordan((2,) * 8)):
+                 monodromy_filtration(N), 4, id="8xJ2"),
     # one rank of Phi, for the singularity check: the relation is checked
     # as Phi N = q^eps N Phi, without an inverse
     pytest.param(lambda: special_rep(5), 1, id="special-rep"),

@@ -1,13 +1,14 @@
 """Wall time of the monodromy filtration and of trace tables as size grows.
 
 For each dimension d it times ``monodromy_filtration`` on the Jordan block
-J_d and on the random nilpotent ``tests/helpers.random_nilpotent`` drawn
+J_d, on the random nilpotent ``tests/helpers.random_nilpotent`` drawn
 from ``random.Random(d)`` (strictly upper triangular with entries in
-[-2, 2], conjugated by a unipotent integer shear, so dense), and
-``purity_check`` (weight 1) on the block-diagonal companion matrix of
-d // 2 Weil quadratics T^2 - aT + 5 (a^2 < 20) drawn from
-``random.Random(d)``, whose eigen-weights are all 1.  For k = 2,
-3, 4 it times ``trace_table`` (depth 6) on Sp(2)^(x k)
+[-2, 2], conjugated by a unipotent integer shear, so dense) and on the
+d // 2 blocks J_2 conjugated by the unimodular L U (as below) drawn from
+``random.Random(d)``, and ``purity_check`` (weight 1) on the
+block-diagonal companion matrix of d // 2 Weil quadratics T^2 - aT + 5
+(a^2 < 20) drawn from ``random.Random(d)``, whose eigen-weights are all
+1.  For k = 2, 3, 4 it times ``trace_table`` (depth 6) on Sp(2)^(x k)
 (``tests/helpers.sp2_power``), and ``trace_table`` and
 ``quasi_purity_check`` (weight k) on Sp(2)^(x k) conjugated by the
 unimodular L U drawn from ``random.Random(k)`` (unitriangular factors,
@@ -20,7 +21,8 @@ with d = 6, 12, 18, 24 by default.  It prints one JSON object per d and
 per k: the best of R wall times in seconds, and whether the output is
 right (J_d: one graded piece of rank 1
 at each index of d - 1, d - 3, ..., 1 - d; random: the filtration reaches
-all of V; purity: pure; trace tables: sum_k Tr(Phi^n | Gr_k) = Tr(Phi^n)
+all of V; blocks: graded pieces of rank d // 2 at 1 and -1 and none
+elsewhere; purity: pure; trace tables: sum_k Tr(Phi^n | Gr_k) = Tr(Phi^n)
 for every n, and the conjugate's table equal to the plain one;
 quasi-purity: pure).
 """
@@ -76,10 +78,9 @@ def weil_companions(d, rng):
     return WeilDeligneRep(Q, phi)
 
 
-def conjugated(rep, rng):
-    """rep in the basis of the columns of L U, L and U unitriangular with
-    entries in [-2, 2]: determinant 1, dense Phi with large entries."""
-    d = rep.dim
+def shear(d, rng):
+    """M -> P^-1 M P for P = L U, L and U unitriangular with entries in
+    [-2, 2]: determinant 1, dense images with large entries."""
     L = [[Fraction(int(i == j) if j >= i else rng.randint(-2, 2))
           for j in range(d)] for i in range(d)]
     U = linalg.transpose([[Fraction(int(i == j) if j >= i
@@ -87,8 +88,28 @@ def conjugated(rep, rng):
                            for j in range(d)] for i in range(d)])
     P = linalg.mat_mul(L, U)
     Pi = linalg.mat_inv(P)
-    conj = lambda M: linalg.mat_mul(Pi, linalg.mat_mul(M, P))
+    return lambda M: linalg.mat_mul(Pi, linalg.mat_mul(M, P))
+
+
+def conjugated(rep, rng):
+    """rep in the basis of the columns of the ``shear``'s L U."""
+    conj = shear(rep.dim, rng)
     return WeilDeligneRep(rep.q, conj(rep.phi), conj(rep.N))
+
+
+def blocks(d):
+    """The d // 2 blocks J_2, sheared by the L U drawn from
+    ``random.Random(d)``."""
+    n = d // 2 * 2
+    return shear(n, random.Random(d))(
+        [[Fraction(int(j == i + 1 and i % 2 == 0)) for j in range(n)]
+         for i in range(n)])
+
+
+def blocks_ok(fil, d):
+    return fil.s == 1 and all(fil.graded_rank(k) == (d // 2 if abs(k) == 1
+                                                     else 0)
+                              for k in range(-2, 3))
 
 
 def traces_ok(rep, table):
@@ -113,14 +134,19 @@ def main():
                                     args.repeat)
         random_s, fil_r = best_time(lambda: monodromy_filtration(N),
                                     args.repeat)
+        B = blocks(d)
+        blocks_s, fil_b = best_time(lambda: monodromy_filtration(B),
+                                    args.repeat)
         weil = weil_companions(d, random.Random(d))
         purity_s, purity = best_time(lambda: purity_check(weil, 1),
                                      args.repeat)
         print(json.dumps({"d": d, "jordan_s": round(jordan_s, 4),
                           "random_s": round(random_s, 4),
+                          "blocks_s": round(blocks_s, 4),
                           "purity_s": round(purity_s, 5),
                           "jordan_ok": jordan_ok(fil_j, d),
                           "random_ok": fil_r.rank(fil_r.s) == d,
+                          "blocks_ok": blocks_ok(fil_b, d),
                           "pure": purity.pure}))
     for k in POWERS:
         rep = sp2_power(k)

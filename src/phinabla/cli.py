@@ -20,7 +20,7 @@ from .modules import (check_compatibility, module_from_json,
                       residue_exponents, unipotent_filtration)
 from .weil_deligne import (FrobeniusKind, WeilDeligneRep,
                            compatibility_family, quasi_purity_check,
-                           _scaled, _weights_of)
+                           _weights_of)
 from .extraction import wd_extract
 from .diagnostics import (_reduction, abelian_datum_from_json,
                           excision_weight_filtration, open_curve_from_json,
@@ -165,7 +165,7 @@ def cmd_analyze(args) -> int:
                          + (str(level) if fil.unipotent else
                             "NOT_UNIPOTENT"))
     if both:
-        Y, s = _scaled(rep.phi)
+        Y, s = rep.phi_scaled
         weights = sorted(set(_weights_of(Y, rep.q, rep.frobenius_kind, s)))
         n_rank = linalg.rank(rep.N)
         report["wd"] = {"dim": rep.dim, "N_rank": n_rank,

@@ -229,7 +229,7 @@ class WeightFiltration:
 def _restricted(phi, flag):
     """phi on the graded pieces of a flag, each (Y, s) for phi = Y / s
     (``_graded``); raises unless phi keeps every subspace."""
-    pieces = _graded(phi, flag)
+    pieces = _graded(*linalg._scaled(phi), flag)
     if pieces is None:
         raise DiagnosticConflict("subspace is not phi-invariant")
     return pieces

@@ -17,12 +17,19 @@ update is (p/g) row - (f/g) pivot row with g = gcd(p, f), divided by its
 content, and the pivot is the first row with a non-zero entry.  ``rank``,
 ``_pivot_columns`` and ``_completion`` read the pivot columns alone,
 ``_integer_kernel`` and its view ``nullspace`` the integer rows;
-``rref``, ``span_basis``, ``column_space``, ``solve`` and ``mat_inv``
-divide each pivot row by its pivot: the unique reduced row echelon form,
-with Fraction entries even for int input.  ``weil_deligne``'s Jordan
-chains pick heads with ``_pivot_columns`` and complements with
-``_integer_kernel``; their ends' pivot coordinates and Phi on the graded
-pieces come from ``_eliminate`` itself.  The p-adic rule divides by the
+``solve`` and ``mat_inv`` divide each pivot row by its pivot: the unique
+reduced row echelon form, with Fraction entries even for int input.
+The rref of a span has one routine, the flag pass ``span_bases``: one
+fraction-free Gauss-Jordan pass over blocks of vectors in order, each
+vector reduced once against the pivot rows before it with ``_combine``,
+the row update ``_eliminate`` uses, giving the rref after each block;
+``span_basis``, ``rref`` and ``column_space`` are its one-block views,
+and ``weil_deligne.monodromy_filtration`` reads every M_k from one pass
+over the Jordan chains' flag.  ``weil_deligne``'s Jordan chains pick
+heads with ``_pivot_columns`` and complements with ``_integer_kernel``;
+their ends' pivot coordinates and Phi on the graded pieces come from
+``_eliminate`` itself.  ``_scaled`` reads a rational matrix as an integer
+one over the lcm of its denominators.  The p-adic rule divides by the
 pivot of smallest valuation; ``field_kernel`` is its view, and
 ``modules._reduced_solutions`` runs it for the solver's reduced basis.
 The systems it solves are mostly sparse: zero input entries count as
@@ -108,12 +115,13 @@ def mat_pow(A, k):
 
 
 def rref(A):
-    """Reduced row echelon form; returns (R, pivot column list)."""
+    """Reduced row echelon form; returns (R, pivot column list): the rows
+    of ``span_basis``, padded with zero rows to the length of A."""
     ncols = len(A[0]) if A else 0
-    R, pivots = _eliminate(A, ncols, _INTEGER)
-    zero = Fraction(0)
-    return [[row.get(c, zero) for c in range(ncols)]
-            for row in _reduced(R, pivots)], pivots
+    R = span_basis(A)
+    # in a reduced row the entries before the pivot are 0 and the pivot 1
+    pivots = [row.index(1) for row in R]
+    return R + [[Fraction(0)] * ncols for _ in A[len(R):]], pivots
 
 
 def rank(A):
@@ -158,9 +166,55 @@ def column_space(A):
 
 
 def span_basis(vectors):
-    """Reduce a spanning set to a basis (rows of the rref)."""
-    R, pivots = rref(vectors)
-    return R[:len(pivots)]
+    """Reduce a spanning set to a basis, the rows of its rref: the one-block
+    case of ``span_bases``."""
+    return span_bases([vectors])[0]
+
+
+def span_bases(blocks):
+    """The rref bases of the spans of blocks[0], blocks[0] + blocks[1], ...
+    (lists of rational vectors of one length), one per block, from one
+    fraction-free Gauss-Jordan pass in flag order.
+
+    Each vector, as its primitive integer multiple, is reduced once
+    against the pivot rows before it (``_combine``, the row update of
+    ``_eliminate``); what is left, if anything, is a new pivot row, its
+    pivot its first entry, and that column is cleared from the pivot rows
+    before it with ``_combine`` again.  After each block the pivot rows, in
+    pivot order and divided by their pivots, are the reduced row echelon
+    form of the span so far.  A row is converted to Fractions only when it
+    has changed since the last block; a block that adds no pivot row gives
+    the basis before it again.
+    """
+    rows, reduced, bases, basis = {}, {}, [], []
+    zero = Fraction(0)
+    for block in blocks:
+        grown = False
+        for v in block:
+            w = {c: x for c, x in enumerate(_primitive(v)) if x}
+            # a pivot row is zero at the other pivots, so these stay
+            for c in rows.keys() & w.keys():
+                prow = rows[c]
+                w = _combine(w, prow, prow[c], w[c])
+            if not w:
+                continue
+            c = min(w)
+            for pc, prow in rows.items():
+                f = prow.get(c)
+                if f:
+                    rows[pc] = _combine(prow, w, w[c], f)
+                    reduced.pop(pc, None)
+            rows[c], grown, ncols = w, True, len(v)
+        if grown:
+            for pc, prow in rows.items():
+                if pc not in reduced:
+                    p, row = prow[pc], [zero] * ncols
+                    for j, x in prow.items():
+                        row[j] = Fraction(x, p)
+                    reduced[pc] = row
+            basis = [reduced[c] for c in sorted(rows)]
+        bases.append(basis)
+    return bases
 
 
 def solve(A, rhs):
@@ -193,6 +247,17 @@ def _completion(known, cand):
     n = len(known)
     return [cand[c - n] for c in _pivot_columns(list(known) + list(cand))
             if c >= n]
+
+
+def _scaled(mat):
+    """(Y, s) with mat = Y / s: s the lcm of the denominators of the
+    rational matrix mat (1 when it has none), Y = s mat an integer
+    matrix."""
+    s = lcm(*{x.denominator for row in mat for x in row})
+    if s == 1:
+        return [[x.numerator for x in row] for row in mat], 1
+    return [[x.numerator * (s // x.denominator) for x in row]
+            for row in mat], s
 
 
 def _primitive(v):

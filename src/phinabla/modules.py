@@ -707,13 +707,22 @@ class ResidueReport:
 def _jordan_blocks(R, eigenvalues):
     """{lambda: the largest Jordan block of R at lambda} over the distinct
     eigenvalues given: the least k with rank (R - lambda)^k = rank (R -
-    lambda)^(k+1)."""
+    lambda)^(k+1), read over the integers as the ranks of the powers of
+    Y - s lambda, R = Y / s (``linalg._scaled``)."""
+    Y, s = linalg._scaled(R)
     r, out = len(R), {}
     for lam in sorted(set(eigenvalues)):
-        M = [[R[i][j] - (lam if i == j else 0) for j in range(r)]
+        # lambda is an eigenvalue of Y / s, so s lambda, a rational root
+        # of the monic integer det(T I - Y), is an integer
+        shift = s * lam
+        if shift.denominator != 1:
+            raise AssertionError("s lambda is not an integer")
+        shift = shift.numerator
+        M = [[Y[i][j] - (shift if i == j else 0) for j in range(r)]
              for i in range(r)]
         k, power, rk = 1, M, linalg.rank(M)
-        while rk > (nxt := linalg.rank(power := linalg.mat_mul(power, M))):
+        while rk > (nxt := linalg.rank(
+                power := linalg.mat_mul(power, M, 0))):
             k, rk = k + 1, nxt
         out[lam] = k
     return out
@@ -753,7 +762,12 @@ def _residue(m: PhiNablaModule) -> ResidueReport:
                 raise IrregularSingularity("negative tail in t*G")
     R = _rational_matrix([[x.coefficient(0) for x in row] for row in tG],
                          DiagnosticConflict, "residue matrix")
-    roots, remaining = _rational_roots(linalg.charpoly(R))
+    # det(T I - R) = sum c_i T^i / s^(n-i), c_i those of Y = s R
+    Y, s = linalg._scaled(R)
+    n = len(Y)
+    roots, remaining = _rational_roots(
+        [Fraction(c, s ** (n - i))
+         for i, c in enumerate(linalg.charpoly(Y, one=1))])
     return ResidueReport(tG, R, sorted(roots), remaining)
 
 

@@ -65,21 +65,32 @@ class WeilDeligneRep:
         self._validate()
 
     def _validate(self):
+        """Shapes first; then the checks over the integers, on Phi = Y / s,
+        N = Z / t and the inertia generator T = U / u (``linalg._scaled``),
+        read here once and kept for the readers of the rep.  Only T^n = I
+        is checked over Q: the powers of T of finite order stay small,
+        while U^n grows as u^n."""
         for name, M in (("phi", self.phi), ("N", self.N),
                         ("inertia_matrix", self.inertia_matrix)):
             if M is not None:
                 _check_shape(M, name, self.dim, self.dim)
-        if linalg.rank(self.phi) < self.dim:
+        self.phi_scaled = linalg._scaled(self.phi)
+        self.N_scaled = linalg._scaled(self.N)
+        self.inertia_scaled = (linalg._scaled(self.inertia_matrix)
+                               if self.inertia_matrix is not None else None)
+        Y, Z = self.phi_scaled[0], self.N_scaled[0]
+        if linalg.rank(Y) < self.dim:
             raise NonInvertible("Phi is singular")
-        power = self.N      # N^(2^s), 2^s >= dim, vanishes iff N^dim does
+        power = Z       # Z^(2^s), 2^s >= dim, vanishes iff Z^dim does
         for _ in range((self.dim - 1).bit_length()):
-            power = linalg.mat_mul(power, power)
+            power = linalg.mat_mul(power, power, 0)
         if any(x for row in power for x in row):
             raise NotNilpotent("N is not nilpotent")
         # Phi N Phi^-1 = q^eps N times Phi on the right: q Phi N = N Phi
-        # (geometric, eps = -1) or Phi N = q N Phi (arithmetic)
-        lhs = linalg.mat_mul(self.phi, self.N)
-        rhs = linalg.mat_mul(self.N, self.phi)
+        # (geometric, eps = -1) or Phi N = q N Phi (arithmetic), that is
+        # q Y Z = Z Y or Y Z = q Z Y, the scales s t cancelling
+        lhs = linalg.mat_mul(Y, Z, 0)
+        rhs = linalg.mat_mul(Z, Y, 0)
         if self.frobenius_kind is FrobeniusKind.GEOMETRIC:
             lhs = linalg.mat_scale(lhs, self.q)
         else:
@@ -88,11 +99,12 @@ class WeilDeligneRep:
             raise ValueError("Phi N Phi^-1 != q^eps N for the stated "
                              "convention")
         if self.inertia_matrix is not None:
-            T = self.inertia_matrix
-            if linalg.mat_pow(T, self.inertia_order) != linalg.identity(
-                    self.dim):
+            if linalg.mat_pow(self.inertia_matrix, self.inertia_order) != \
+                    linalg.identity(self.dim):
                 raise ValueError("inertia generator order mismatch")
-            if linalg.mat_mul(T, self.N) != linalg.mat_mul(self.N, T):
+            # T N = N T is U Z = Z U for T = U / u
+            U = self.inertia_scaled[0]
+            if linalg.mat_mul(U, Z, 0) != linalg.mat_mul(Z, U, 0):
                 raise ValueError("inertia does not commute with N")
 
     def __repr__(self):
@@ -221,9 +233,12 @@ def monodromy_filtration(N) -> MonodromyFiltration:
     """The unique filtration with N M_k in M_{k-2} and
     N^k : Gr_k ~ Gr_{-k} (Deligne, Weil II 1.6): M_k is spanned by the
     Jordan chain vectors of index <= k (``_jordan_chains``, built one
-    block length at a time from runs v, Nv, ...).  Its bases, Fraction
-    rref rows for k in [-s, s], are built here for the callers of the
-    filtration; trace tables and quasi-purity read the chain vectors.
+    block length at a time from runs v, Nv, ... of N read as an integer
+    matrix, ``linalg._scaled``).  Its bases, Fraction rref rows for k in
+    [-s, s], all come from one ``linalg.span_bases`` pass over the chains'
+    flag in index order, each chain vector reduced once; they are built
+    here for the callers of the filtration, while trace tables and
+    quasi-purity read the chain vectors.
 
     The chains certify the result: when each ends in ker N and their d
     vectors span Q^d (``len(bases[s]) == d``), they are a Jordan basis.
@@ -232,34 +247,33 @@ def monodromy_filtration(N) -> MonodromyFiltration:
     vectors one-to-one onto the index -k ones, so every axiom holds and s
     is the longest length - 1.
     """
-    s, flag = _jordan_chains(N)
-    bases, vectors = {}, []
-    for k, new in enumerate(flag, start=-s):
-        vectors += new
-        bases[k] = linalg.span_basis(vectors) if new else bases.get(k - 1, [])
-    if len(bases[s]) != len(N):
+    d = len(N)
+    _check_shape(N, "N", d, d)
+    s, flag = _jordan_chains(linalg._scaled(N)[0])
+    bases = dict(enumerate(linalg.span_bases(flag), start=-s))
+    if len(bases[s]) != d:
         raise AssertionError("Jordan chains do not form a basis")
-    return MonodromyFiltration(s, bases, len(N))
+    return MonodromyFiltration(s, bases, d)
 
 
 def _jordan_chains(N):
-    """(s, flag), flag[s + k] the chain vectors of index k: N^j v has index
-    l - 1 - 2j in the chain of head v and length l.  Chains are built one
-    length at a time, longest first, in an N-stable W, at first Q^d.  Each
-    basis vector b of W is run through N (b, Nb, ... to its last non-zero
-    vector); l is the longest run.  The runs of length l whose ends are
-    independent of those before them (``_pivot_columns``, on the ends read
-    at their pivot coordinates) are the chains of length l; W becomes the
-    complement of their span, the v in W with N^j v zero at those
-    coordinates for j < l (one ``linalg._integer_kernel``, in primitive
-    integer vectors).  Runs of length 1 are chains.  N is read as sN
-    (``_scaled``).  ``monodromy_filtration`` spans rref bases from the
-    flag, ``_graded_phi`` reads Phi in it; each checks the span.
-    NotNilpotent for a run longer than d; AssertionError unless there are
-    d vectors and each chain ends in ker N."""
+    """(s, flag) for an integer nilpotent N, flag[s + k] the chain vectors
+    of index k: N^j v has index l - 1 - 2j in the chain of head v and
+    length l.  Chains are built one length at a time, longest first, in an
+    N-stable W, at first Q^d.  Each basis vector b of W is run through N
+    (b, Nb, ... to its last non-zero vector); l is the longest run.  The
+    runs of length l whose ends are independent of those before them
+    (``_pivot_columns``, on the ends read at their pivot coordinates) are
+    the chains of length l; W becomes the complement of their span, the v
+    in W with N^j v zero at those coordinates for j < l (one
+    ``linalg._integer_kernel``, in primitive integer vectors).  Runs of
+    length 1 are chains.  Callers read a rational N as an integer matrix
+    (``linalg._scaled``; a rep keeps that form as ``N_scaled``).
+    ``monodromy_filtration`` takes its rref bases from the flag in one
+    ``linalg.span_bases`` pass, ``_graded_phi`` reads Phi in it; each
+    checks the span.  NotNilpotent for a run longer than d; AssertionError
+    unless there are d vectors and each chain ends in ker N."""
     d = len(N)
-    _check_shape(N, "N", d, d)
-    N = _scaled(N)[0]
     basis, chains = linalg.identity(d, 1), []
     while basis:
         runs = [[] for _ in basis]
@@ -298,25 +312,16 @@ def _jordan_chains(N):
     return s, flag
 
 
-def _scaled(mat):
-    """(Y, s) with mat = Y / s: s the lcm of the denominators of the
-    rational matrix mat (1 when it has none), Y = s mat an integer
-    matrix."""
-    s = math.lcm(*(x.denominator for row in mat for x in row))
-    return [[x.numerator * (s // x.denominator) for x in row]
-            for row in mat], s
-
-
-def _graded(mat, flag):
-    """[(Y_k, s_k)]: ``mat`` is Y_k / s_k, Y_k an integer matrix and s_k a
-    positive integer, on V_k / V_(k-1), V_k the span of flag[0] + ... +
-    flag[k] (V_-1 = 0), in the primitive integer multiples of the vectors
-    of flag[k] outside the span of those before them.  mat is read as
-    Z / s (``_scaled``); one fraction-free elimination of [vectors |
-    images] on the vectors' columns picks that adapted basis (its pivots,
-    as many as the sizes of the Y_k add up to) and gives every
-    coordinate.  None unless mat keeps every V_k."""
-    Z, s = _scaled(mat)
+def _graded(Z, s, flag):
+    """[(Y_k, s_k)]: the matrix Z / s (Z an integer matrix, s a positive
+    integer, as ``linalg._scaled`` gives) is Y_k / s_k, Y_k an integer
+    matrix and s_k a positive integer, on V_k / V_(k-1), V_k the span of
+    flag[0] + ... + flag[k] (V_-1 = 0), in the primitive integer multiples
+    of the vectors of flag[k] outside the span of those before them.  One
+    fraction-free elimination of [vectors | images] on the vectors'
+    columns picks that adapted basis (its pivots, as many as the sizes of
+    the Y_k add up to) and gives every coordinate.  None unless Z keeps
+    every V_k."""
     vectors = [linalg._primitive(v) for vs in flag for v in vs]
     owner = [k for k, vs in enumerate(flag) for _ in vs]
     n = len(vectors)
@@ -509,10 +514,10 @@ def _weights_of(M, q, kind, s=1):
 
 def purity_check(rep: WeilDeligneRep, i) -> PurityReport:
     """All Phi-eigenvalues of weight i (convention-adjusted), read from
-    the integer Berkowitz of Phi = Y / s (``_scaled``); a rep of dimension
-    0 is pure."""
+    the integer Berkowitz of Phi = Y / s (the rep's ``phi_scaled``); a rep
+    of dimension 0 is pure."""
     i = Fraction(i)
-    Y, s = _scaled(rep.phi)
+    Y, s = rep.phi_scaled
     try:
         weights = _weights_of(Y, rep.q, rep.frobenius_kind, s)
     except NotWeil as exc:
@@ -542,10 +547,12 @@ def _graded_phi(rep: WeilDeligneRep) -> list:
     """[(k, Y_k, s_k)] for the non-zero pieces Gr_k of the monodromy
     filtration, Phi being Y_k / s_k on Gr_k (``_graded``) in the index-k
     Jordan chain vectors (``_jordan_chains``), an adapted basis; no rref
-    basis is built.  AssertionError unless the chains span Q^d, checked
-    first; then IrrationalTrace if Phi does not respect the filtration."""
-    s, flag = _jordan_chains(rep.N)
-    pieces = _graded(rep.phi, flag)
+    basis is built.  Phi and N are read in the integer forms the rep keeps
+    (``phi_scaled``, ``N_scaled``).  AssertionError unless the chains span
+    Q^d, checked first; then IrrationalTrace if Phi does not respect the
+    filtration."""
+    s, flag = _jordan_chains(rep.N_scaled[0])
+    pieces = _graded(*rep.phi_scaled, flag)
     if rep.dim != (sum(len(Y) for Y, _ in pieces) if pieces is not None
                    else linalg.rank([v for vs in flag for v in vs])):
         raise AssertionError("Jordan chains do not form a basis")
@@ -572,12 +579,12 @@ def trace_table(rep: WeilDeligneRep, n_max: int) -> dict:
     the traces fix the characteristic polynomial of Phi on Gr_k (Newton's
     identities), plus inertia traces when present.  Phi on Gr_k, and the
     inertia generator, are read as Y / s over the integers (``_graded``,
-    ``_scaled``)."""
+    the rep's ``inertia_scaled``)."""
     table = {}
     for k, Y, s in _graded_phi(rep):
         _add_traces(table, k, Y, s, max(n_max, len(Y)))
     if rep.inertia_order > 1 and rep.inertia_matrix is not None:
-        Y, s = _scaled(rep.inertia_matrix)
+        Y, s = rep.inertia_scaled
         _add_traces(table, "inertia", Y, s, rep.inertia_order - 1)
     return table
 

@@ -145,6 +145,33 @@ def test_integer_kernel_is_the_primitive_fraction_kernel(problem):
     assert all(type(x) is int for v in got for x in v)
 
 
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rational_problems(), st.data())
+def test_span_bases_are_the_rref_of_each_prefix(problem, data):
+    # one flag pass over blocks of A's rows (empty blocks among them) gives
+    # after each block the reduced echelon form of the rows so far
+    A = problem[0]
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(A)), max_size=4)))
+    blocks = [A[a:b] for a, b in zip([0] + cuts, cuts + [len(A)])]
+    bases = linalg.span_bases(blocks)
+    assert len(bases) == len(blocks)
+    for b, basis in zip(cuts + [len(A)], bases):
+        R, pivots = fraction_rref(A[:b])
+        assert basis == R[:len(pivots)]
+        assert _fractions_only(basis)
+    assert linalg.span_basis(A) == bases[-1]
+
+
+@given(st.lists(st.lists(st.one_of(int_entries, fraction_entries),
+                         min_size=3, max_size=3), max_size=3))
+def test_scaled_is_an_integer_matrix_over_the_lcm(A):
+    Y, s = linalg._scaled(A)
+    assert s == math.lcm(*(F(x).denominator for row in A for x in row))
+    assert all(type(x) is int for row in Y for x in row)
+    assert [[F(y, s) for y in row] for row in Y] == A
+
+
 def test_fractions_returns_new_rows():
     A = [[F(1, 2), 3], [0, F(-2)]]
     B = linalg._fractions(A)

@@ -108,10 +108,10 @@ def test_random_nilpotents_satisfy_axioms():
         assert ok, witness
 
 @st.composite
-def rational_nilpotents(draw):
+def rational_nilpotents(draw, max_dim=6):
     """Strictly upper triangular with rational entries, conjugated by a
     unipotent upper triangular matrix with rational entries."""
-    d = draw(st.integers(1, 6))
+    d = draw(st.integers(1, max_dim))
     entries = st.one_of(st.just(F(0)), st.fractions(-3, 3,
                                                     max_denominator=7))
     N = [[draw(entries) if j > i else F(0) for j in range(d)]
@@ -137,6 +137,23 @@ def test_filtration_of_a_multiple_is_the_same(N, c):
     ok, witness = oracles.verify_monodromy_axioms(
         N, {k: fil.basis(k) for k in range(-fil.s, fil.s + 1)})
     assert ok, witness
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rational_nilpotents(max_dim=10))
+def test_filtration_bases_are_the_rref_of_each_flag_prefix(N):
+    # the one flag pass gives at each level the reduced echelon form of
+    # the chain vectors of index <= k, as the Fraction reference does
+    fil = monodromy_filtration(N)
+    s, flag = _jordan_chains(linalg._scaled(N)[0])
+    assert (fil.s, sorted(fil.bases)) == (s, list(range(-s, s + 1)))
+    prefix = []
+    for k, vectors in enumerate(flag, start=-s):
+        prefix += vectors
+        R, pivots = fraction_rref(prefix)
+        assert fil.bases[k] == R[:len(pivots)]
+        assert linalg.span_basis(prefix) == R[:len(pivots)]
 
 
 def _convolution_filtration(N):
@@ -451,8 +468,7 @@ OTHER = {FrobeniusKind.GEOMETRIC: FrobeniusKind.ARITHMETIC,
          FrobeniusKind.ARITHMETIC: FrobeniusKind.GEOMETRIC}
 
 
-@pytest.mark.parametrize("kind", list(FrobeniusKind), ids=lambda k: k.value)
-@pytest.mark.parametrize("data, error, text", [
+REFUSALS = pytest.mark.parametrize("data, error, text", [
     # a singular Phi is refused before N is read, also where Phi N = N Phi
     (lambda k: ([[F(1), F(0)], [F(0), F(0)]], None, 1, None),
      NonInvertible, "Phi is singular"),
@@ -468,8 +484,14 @@ OTHER = {FrobeniusKind.GEOMETRIC: FrobeniusKind.ARITHMETIC,
      ValueError, "inertia generator order mismatch"),
     (lambda k: (_held(k), E12, 2, FLIP),
      ValueError, "inertia does not commute with N"),
+    (lambda k: (_held(k), [[F(0), F(1)], [F(1), F(0)]], 1, None),
+     NotNilpotent, "N is not nilpotent"),
 ], ids=["singular", "singular-with-N", "other-convention", "identity-phi",
-        "order-3", "order-1", "flip"])
+        "order-3", "order-1", "flip", "not-nilpotent"])
+
+
+@pytest.mark.parametrize("kind", list(FrobeniusKind), ids=lambda k: k.value)
+@REFUSALS
 def test_validate_refuses_with_its_text(kind, data, error, text):
     phi, N, order, T = data(kind)
     with pytest.raises(error, match=f"^{re.escape(text)}$"):
@@ -477,6 +499,59 @@ def test_validate_refuses_with_its_text(kind, data, error, text):
     # the same data in a consistent form is accepted
     WeilDeligneRep(5, _held(kind), E12, 2, [[F(1), F(0)], [F(0), F(1)]],
                    kind)
+
+
+def _with_denominators(phi, N, T):
+    """(Phi, N, T) conjugated by a rational P, Phi and N then scaled by
+    3/4 and 2/9: each relation the constructor checks holds or fails as
+    before, and the entries carry denominators."""
+    P = [[F(1, 2), F(1, 3)], [F(0), F(5, 7)]]
+    Pi = linalg.mat_inv(P)
+
+    def conj(M, c=1):
+        return (None if M is None else
+                linalg.mat_scale(linalg.mat_mul(Pi, linalg.mat_mul(M, P)), c))
+
+    return conj(phi, F(3, 4)), conj(N, F(2, 9)), conj(T)
+
+
+@pytest.mark.parametrize("kind", list(FrobeniusKind), ids=lambda k: k.value)
+@REFUSALS
+def test_integer_validation_keeps_every_refusal(kind, data, error, text):
+    # the checks run on the integer forms Y = s Phi, Z = t N, U = u T (only
+    # T^n = I on T itself): over denominators each refusal keeps its class
+    # and its text
+    phi, N, order, T = data(kind)
+    phi, N, T = _with_denominators(phi, N, T)
+    assert any(x.denominator > 1 for M in (phi, N) if M for row in M
+               for x in row)
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        WeilDeligneRep(5, phi, N, order, T, kind)
+    # the same data in a consistent form is accepted, T of order 2
+    phi, N, T = _with_denominators(_held(kind), E12,
+                                   [[F(-1), F(0)], [F(0), F(-1)]])
+    assert all(any(x.denominator > 1 for row in M for x in row)
+               for M in (phi, N))
+    rep = WeilDeligneRep(5, phi, N, 2, T, kind)
+    assert rep.phi_scaled == linalg._scaled(phi)
+    assert rep.N_scaled == linalg._scaled(N)
+    assert rep.inertia_scaled == linalg._scaled(T)
+
+
+@pytest.mark.parametrize("read", [
+    lambda rep: trace_table(rep, 4),
+    lambda rep: purity_check(rep, 1),
+    lambda rep: quasi_purity_check(rep, 0),
+    lambda rep: compatibility_family([rep, rep]),
+], ids=["trace-table", "purity", "quasi-purity", "family"])
+def test_readers_use_the_integer_forms_of_the_rep(read, monkeypatch):
+    # Phi, N and the inertia generator are read into integers once, at
+    # construction; no reader of the rep scales them again
+    phi, N, T = _with_denominators(_held(FrobeniusKind.GEOMETRIC), E12,
+                                   [[F(-1), F(0)], [F(0), F(-1)]])
+    rep = WeilDeligneRep(5, phi, N, 2, T)
+    assert count_calls(monkeypatch, linalg, "_scaled",
+                       lambda: read(rep)) == 0
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -570,21 +645,22 @@ def _seeded_nilpotent():
 
 @pytest.mark.parametrize("run, eliminations", [
     # the chains of one length: their ends' pivot coordinates and head
-    # pick, no complement left; then 12 span bases
-    pytest.param(lambda: monodromy_filtration(_jordan((12,))), 14,
+    # pick, no complement left; every span basis comes from the flag pass,
+    # which runs no elimination
+    pytest.param(lambda: monodromy_filtration(_jordan((12,))), 2,
                  id="J12"),
     # J4 + J1 + J1: pivot coordinates, head pick and complement for J4,
-    # none for the J1s; then 5 span bases
-    pytest.param(lambda: monodromy_filtration(_seeded_nilpotent()), 8,
+    # none for the J1s; then the flag pass
+    pytest.param(lambda: monodromy_filtration(_seeded_nilpotent()), 3,
                  id="d6"),
     # J3 + J1: 3 eliminations for the chains as in d6, then one for the
     # adapted basis and every coordinate of Phi on it
     pytest.param(lambda rep=_sp2_squared(): trace_table(rep, 4), 4,
                  id="trace-table"),
     # eight J2, sheared: one round for their one length, not one per
-    # block; then 2 span bases
+    # block; then the flag pass
     pytest.param(lambda N=_sheared(_jordan((2,) * 8)):
-                 monodromy_filtration(N), 4, id="8xJ2"),
+                 monodromy_filtration(N), 2, id="8xJ2"),
     # one rank of Phi, for the singularity check: the relation is checked
     # as Phi N = q^eps N Phi, without an inverse
     pytest.param(lambda: special_rep(5), 1, id="special-rep"),
@@ -593,6 +669,22 @@ def test_eliminations_are_pinned(run, eliminations, monkeypatch):
     # one elimination per subspace question: a per-vector loop would
     # multiply these counts
     assert count_calls(monkeypatch, linalg, "_eliminate", run) == eliminations
+
+
+@pytest.mark.parametrize("run, combines", [
+    # the unit vectors of J12 never meet a pivot row with an entry
+    pytest.param(lambda: monodromy_filtration(_jordan((12,))), 0,
+                 id="J12"),
+    pytest.param(lambda: monodromy_filtration(_seeded_nilpotent()), 14,
+                 id="d6"),
+    pytest.param(lambda N=_sheared(_jordan((2,) * 8)):
+                 monodromy_filtration(N), 304, id="8xJ2"),
+])
+def test_row_updates_are_pinned(run, combines, monkeypatch):
+    # the chains' eliminations and one flag pass, each vector reduced once:
+    # rebuilding each level's basis from the flag prefix would re-reduce
+    # the vectors below it and raise these counts
+    assert count_calls(monkeypatch, linalg, "_combine", run) == combines
 
 
 @pytest.mark.parametrize("run", [
@@ -1211,7 +1303,7 @@ def test_graded_pieces_match_fraction_solves(problem):
     # Y_k / s_k is the matrix of Phi on Gr_k in the primitive multiples of
     # the flag's vectors; a flag Phi does not keep gives None
     phi, flag, bad = problem
-    pieces = _graded(phi, flag)
+    pieces = _graded(*linalg._scaled(phi), flag)
     primitive = [[linalg._primitive(v) for v in basis] for basis in flag]
     assert len(pieces) == len(flag)
     for k, (Y, s) in enumerate(pieces):
@@ -1221,7 +1313,7 @@ def test_graded_pieces_match_fraction_solves(problem):
         expected = _quotient_reference(phi, lower, primitive[k])
         assert [[F(y, s) for y in row] for row in Y] == expected
     if bad is not None:
-        assert _graded(bad, flag) is None
+        assert _graded(*linalg._scaled(bad), flag) is None
 
 
 @st.composite
@@ -1264,8 +1356,8 @@ def test_chain_basis_and_rref_flag_give_the_same_traces(rep):
     for k, Y, s in _graded_phi(rep):
         _add_traces(got, k, Y, s, len(Y) + 2)
     fil = monodromy_filtration(rep.N)
-    pieces = _graded(rep.phi, [fil.basis(k) for k in range(-fil.s,
-                                                            fil.s + 1)])
+    pieces = _graded(*rep.phi_scaled, [fil.basis(k) for k in range(-fil.s,
+                                                                 fil.s + 1)])
     for k, (Y, s) in enumerate(pieces, start=-fil.s):
         if Y:
             _add_traces(expected, k, Y, s, len(Y) + 2)

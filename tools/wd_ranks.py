@@ -5,7 +5,10 @@ J_d, on the random nilpotent ``tests/helpers.random_nilpotent`` drawn
 from ``random.Random(d)`` (strictly upper triangular with entries in
 [-2, 2], conjugated by a unipotent integer shear, so dense) and on the
 d // 2 blocks J_2 conjugated by the unimodular L U (as below) drawn from
-``random.Random(d)``, and ``purity_check`` (weight 1) on the
+``random.Random(d)``; ``weil_deligne._jordan_chains`` alone on the random
+nilpotent read as an integer matrix (``chains_s``: ``random_s`` less this
+is the filtration's rref bases and checks); and ``purity_check`` (weight
+1) on the
 block-diagonal companion matrix of d // 2 Weil quadratics T^2 - aT + 5
 (a^2 < 20) drawn from ``random.Random(d)``, whose eigen-weights are all
 1.  For k = 2, 3, 4 it times ``trace_table`` (depth 6) on Sp(2)^(x k)
@@ -37,9 +40,9 @@ from fractions import Fraction
 
 from helpers import random_nilpotent, sp2_power
 from phinabla import linalg
-from phinabla.weil_deligne import (WeilDeligneRep, monodromy_filtration,
-                                   purity_check, quasi_purity_check,
-                                   trace_table)
+from phinabla.weil_deligne import (WeilDeligneRep, _jordan_chains,
+                                   monodromy_filtration, purity_check,
+                                   quasi_purity_check, trace_table)
 
 DEPTH = 6
 POWERS = (2, 3, 4)
@@ -134,6 +137,8 @@ def main():
                                     args.repeat)
         random_s, fil_r = best_time(lambda: monodromy_filtration(N),
                                     args.repeat)
+        Z = linalg._scaled(N)[0]
+        chains_s, _ = best_time(lambda: _jordan_chains(Z), args.repeat)
         B = blocks(d)
         blocks_s, fil_b = best_time(lambda: monodromy_filtration(B),
                                     args.repeat)
@@ -142,6 +147,7 @@ def main():
                                      args.repeat)
         print(json.dumps({"d": d, "jordan_s": round(jordan_s, 4),
                           "random_s": round(random_s, 4),
+                          "chains_s": round(chains_s, 4),
                           "blocks_s": round(blocks_s, 4),
                           "purity_s": round(purity_s, 5),
                           "jordan_ok": jordan_ok(fil_j, d),

@@ -9,32 +9,35 @@ and a PadicNumber is always truthy (a zero at precision keeps the abs_prec
 a product must see).  ``charpoly`` divides by nothing; every determinant,
 inverse and trace table of the package is read from it.
 
-All exact elimination runs through one sparse Gauss-Jordan loop,
-``_eliminate``, parametrised by the coefficient type's rule.  The rational
-rule is fraction-free and integer-preserving, as in Bareiss (1968), with
-gcd steps: each row is scaled to its primitive integer multiple, a row
-update is (p/g) row - (f/g) pivot row with g = gcd(p, f), divided by its
-content, and the pivot is the first row with a non-zero entry.  ``rank``,
-``_pivot_columns`` and ``_completion`` read the pivot columns alone,
-``_integer_kernel`` and its view ``nullspace`` the integer rows;
-``solve`` and ``mat_inv`` divide each pivot row by its pivot: the unique
-reduced row echelon form, with Fraction entries even for int input.
-The rref of a span has one routine, the flag pass ``span_bases``: one
-fraction-free Gauss-Jordan pass over blocks of vectors in order, each
-vector reduced once against the pivot rows before it with ``_combine``,
-the row update ``_eliminate`` uses, giving the rref after each block;
-``span_basis``, ``rref`` and ``column_space`` are its one-block views,
-and ``weil_deligne.monodromy_filtration`` reads every M_k from one pass
-over the Jordan chains' flag.  ``weil_deligne``'s Jordan chains pick
-heads with ``_pivot_columns`` and complements with ``_integer_kernel``;
-their ends' pivot coordinates and Phi on the graded pieces come from
-``_eliminate`` itself.  ``_scaled`` reads a rational matrix as an integer
-one over the lcm of its denominators.  The p-adic rule divides by the
-pivot of smallest valuation; ``field_kernel`` is its view, and
-``modules._reduced_solutions`` runs it for the solver's reduced basis.
-The systems it solves are mostly sparse: zero input entries count as
-absent, as in LaurentElement, and non-zero p-adic entries never carry less
-precision than a dense elimination with the same pivots gives.
+Exact elimination has two sparse Gauss-Jordan loops, one per coefficient
+type.  Rational rows (int or Fraction entries) go through one
+fraction-free insertion step, ``_insert``, as in Bareiss (1968) with gcd
+steps: each vector, as its primitive integer multiple, is reduced against
+the pivot rows with ``_combine``, the row update (p/g) row - (f/g) pivot
+row, g = gcd(p, f), divided by its content; its first entry before
+``ncols``, if any, becomes a pivot and is cleared from the other pivot
+rows.  The pivot rows are primitive multiples of the rows of the unique
+reduced row echelon form, and every rational view reads only what that
+form fixes: ``_echelon`` runs the step over one matrix, and ``rank``,
+``_pivot_columns`` and ``_completion`` read its pivot columns,
+``_integer_kernel`` and its view ``nullspace`` ratios of pivot-row
+entries, ``solve`` and ``mat_inv`` each pivot row over its pivot (Fraction
+entries even for int input), and a non-zero remainder is only tested for.
+The flag pass ``span_bases`` inserts blocks of vectors in order, giving
+the rref after each block; ``span_basis``, ``rref`` and ``column_space``
+are its one-block views, and ``weil_deligne.monodromy_filtration`` reads
+every M_k from one pass over the Jordan chains' flag.  ``weil_deligne``'s
+Jordan chains read their ends' pivot coordinates with ``_echelon``, pick
+heads with ``_pivot_columns`` and complements with ``_integer_kernel``,
+and ``_graded`` reads Phi on the graded pieces from one ``_echelon``.
+``_scaled`` reads a rational matrix as an integer one over the lcm of its
+denominators.  PadicNumber rows go through ``_eliminate``, which pivots
+each column on the entry of smallest valuation and divides by it;
+``field_kernel`` is its view, and ``modules._reduced_solutions`` runs it
+for the solver's reduced basis.  The systems it solves are mostly sparse:
+zero input entries count as absent, as in LaurentElement, and non-zero
+p-adic entries never carry less precision than a dense elimination with
+the same pivots gives.
 
 Polynomials are integer coefficient lists and every remainder sequence
 (gcds, square-free parts, Sturm chains, the rational roots of
@@ -46,7 +49,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import methodcaller, not_
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +129,7 @@ def rref(A):
 def rank(A):
     if not A or not A[0]:
         return 0
-    return len(_eliminate(A, len(A[0]), _INTEGER)[1])
+    return len(_echelon(A, len(A[0]))[0])
 
 
 def nullspace(A):
@@ -139,16 +141,16 @@ def nullspace(A):
 
 def _integer_kernel(A):
     """The primitive integer multiples of the ``nullspace`` vectors, read
-    off the fraction-free rows of one elimination: for a free column, L
+    off the fraction-free pivot rows of one ``_echelon``: for a free column, L
     there and -x (L // p) at the pivot column of each row with pivot p and
     entry x in it, L the lcm of those p, then divided by the gcd."""
     if not A:
         return []
     ncols = len(A[0])
-    R, pivots = _eliminate(A, ncols, _INTEGER)
+    R = _echelon(A, ncols)[0]
     basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        rows = [(pc, row[pc], row[fc]) for row, pc in zip(R, pivots)
+    for fc in sorted(set(range(ncols)) - R.keys()):
+        rows = [(pc, row[pc], row[fc]) for pc, row in R.items()
                 if fc in row]
         L = lcm(*(p for _, p, _ in rows))
         v = [0] * ncols
@@ -174,44 +176,26 @@ def span_basis(vectors):
 def span_bases(blocks):
     """The rref bases of the spans of blocks[0], blocks[0] + blocks[1], ...
     (lists of rational vectors of one length), one per block, from one
-    fraction-free Gauss-Jordan pass in flag order.
-
-    Each vector, as its primitive integer multiple, is reduced once
-    against the pivot rows before it (``_combine``, the row update of
-    ``_eliminate``); what is left, if anything, is a new pivot row, its
-    pivot its first entry, and that column is cleared from the pivot rows
-    before it with ``_combine`` again.  After each block the pivot rows, in
-    pivot order and divided by their pivots, are the reduced row echelon
-    form of the span so far.  A row is converted to Fractions only when it
-    has changed since the last block; a block that adds no pivot row gives
-    the basis before it again.
+    fraction-free Gauss-Jordan pass in flag order: each block is inserted
+    (``_insert``) into the pivot rows of the blocks before it, so each
+    vector is reduced once.  After each block the pivot rows, in pivot
+    order and divided by their pivots, are the reduced row echelon form of
+    the span so far.  Only the rows the block added or changed are
+    converted to Fractions; a block that adds no pivot row gives the basis
+    before it again.
     """
     rows, reduced, bases, basis = {}, {}, [], []
     zero = Fraction(0)
     for block in blocks:
-        grown = False
-        for v in block:
-            w = {c: x for c, x in enumerate(_primitive(v)) if x}
-            # a pivot row is zero at the other pivots, so these stay
-            for c in rows.keys() & w.keys():
-                prow = rows[c]
-                w = _combine(w, prow, prow[c], w[c])
-            if not w:
-                continue
-            c = min(w)
-            for pc, prow in rows.items():
-                f = prow.get(c)
-                if f:
-                    rows[pc] = _combine(prow, w, w[c], f)
-                    reduced.pop(pc, None)
-            rows[c], grown, ncols = w, True, len(v)
-        if grown:
-            for pc, prow in rows.items():
-                if pc not in reduced:
-                    p, row = prow[pc], [zero] * ncols
-                    for j, x in prow.items():
-                        row[j] = Fraction(x, p)
-                    reduced[pc] = row
+        ncols = len(block[0]) if block else 0
+        touched = _insert(rows, block, ncols)[0]
+        for pc in touched:
+            prow, row = rows[pc], [zero] * ncols
+            p = prow[pc]
+            for j, x in prow.items():
+                row[j] = Fraction(x, p)
+            reduced[pc] = row
+        if touched:
             basis = [reduced[c] for c in sorted(rows)]
         bases.append(basis)
     return bases
@@ -222,23 +206,24 @@ def solve(A, rhs):
     one elimination of [A | rhs]; None if one of them is inconsistent.
     Unknowns without a pivot are set to 0."""
     ncols = len(A[0]) if A else 0
-    R, pivots = _eliminate([list(row) + [b[i] for b in rhs]
-                            for i, row in enumerate(A)], ncols, _INTEGER)
-    if any(R[len(pivots):]):    # zeros are dropped: a row left is 0 = b
+    R, rest = _echelon([list(row) + [b[i] for b in rhs]
+                        for i, row in enumerate(A)], ncols)
+    if rest:                    # a remainder left is 0 = b
         return None
-    R, out = _reduced(R, pivots), []
+    out = []
     for j in range(ncols, ncols + len(rhs)):
         x = [Fraction(0)] * ncols
-        for row, pc in zip(R, pivots):
-            x[pc] = row.get(j, Fraction(0))
+        for pc, row in R.items():
+            x[pc] = Fraction(row.get(j, 0), row[pc])
         out.append(x)
     return out
 
 
 def _pivot_columns(vectors):
     """Pivot columns of the matrix with columns ``vectors``: the positions
-    of the vectors outside the span of the ones before them."""
-    return _eliminate(transpose(vectors), len(vectors), _INTEGER)[1]
+    of the vectors outside the span of the ones before them (one
+    ``_echelon`` of its rows)."""
+    return sorted(_echelon(transpose(vectors), len(vectors))[0])
 
 
 def _completion(known, cand):
@@ -445,16 +430,6 @@ def _rational_roots(coeffs):
 # ---------------------------------------------------------------------------
 # exact elimination
 
-# (zero test, inverse, pivot key) of a coefficient type.  PadicNumber takes
-# the smallest valuation, the p-adically largest pivot, so that a division
-# loses the fewest digits.  _INTEGER, the rational rule, has no inverse: it
-# eliminates fraction-free over integer rows and takes the first row with a
-# non-zero entry.
-_INTEGER = (not_, None, None)
-_PADIC = (methodcaller("is_zero"), methodcaller("inverse"),
-          methodcaller("valuation"))
-
-
 def _fractions(A):
     """Fresh row lists of Fractions; Fraction entries are kept as they are
     (immutable, so sharing them is safe), others converted."""
@@ -462,79 +437,51 @@ def _fractions(A):
             for row in A]
 
 
-def _eliminate(rows, ncols, rule):
-    """Sparse Gauss-Jordan elimination on the first ``ncols`` columns, the
-    one elimination loop of the package.
+def _echelon(vectors, ncols):
+    """(rows, rest): the fraction-free Gauss-Jordan elimination of rational
+    ``vectors`` on their first ``ncols`` entries, one ``_insert`` into no
+    pivot rows.  ``rows`` maps each pivot column to its pivot row, a
+    primitive integer dict; ``rest`` is whether a non-zero remainder, a
+    vector of the span zero on those entries, was dropped."""
+    rows = {}
+    return rows, _insert(rows, vectors, ncols)[1]
 
-    ``rule`` is the coefficient type's (zero test, inverse, pivot key).
-    Rows are compacted to ``{col: element}`` dicts; input entries that pass
-    the zero test count as absent.  The pivot in each column has the
-    smallest key, the first row in current order winning ties; without a
-    key it is the first row with a non-zero entry.  Returns the reduced
-    rows (pivot rows first, in pivot order) and the pivot columns.
 
-    Over a field the pivot row is divided by its pivot and f times it
-    subtracted from a row with entry f.  An entry that cancels to zero
-    stays (a p-adic one with its precision bound, so later updates cannot
-    claim digits the inputs do not determine); it is never a pivot.  The
-    eliminated entry in a pivot column is zero by construction and is
-    removed.
+def _insert(rows, vectors, ncols):
+    """Insert rational vectors into the pivot rows ``rows`` ({pivot column:
+    integer row dict}, zeros dropped), the one rational elimination step.
 
-    Without an inverse (``_INTEGER``) the rows are rational (int or
-    Fraction entries), each scaled to its primitive integer multiple, and
-    a row with entry f becomes (p/g) row - (f/g) pivot row, g = gcd(p, f),
-    divided by its content; zeros are dropped.  A pivot row keeps its pivot
-    p; divided by it (``_reduced``) the pivot rows are the reduced row
-    echelon form, unique whatever the pivot rule.
+    Each vector, as its primitive integer multiple, is reduced with
+    ``_combine`` against the pivot row of each pivot where it has an entry;
+    a pivot row is zero at the other pivots, so these entries are all it
+    meets.  The first entry before ``ncols`` of what is left becomes a
+    pivot, and its column is cleared from the other pivot rows with
+    ``_combine`` again; a non-zero remainder with no entry there is
+    dropped.  When none was dropped, the pivot rows are primitive multiples
+    of the rows of the reduced row echelon form, unique whatever the order
+    of insertion.  Returns the pivot columns of the rows added or changed,
+    and whether a non-zero remainder was dropped.
     """
-    is_zero, inverse, key = rule
-    if inverse is None:
-        R = [{c: x for c, x in enumerate(_primitive(row)) if x}
-             for row in rows]
-    else:
-        R = [{c: x for c, x in enumerate(row) if not is_zero(x)}
-             for row in rows]
-    nrows = len(R)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        best = None
-        for i in range(r, nrows):
-            x = R[i].get(c)
-            if x is None or is_zero(x):
-                continue
-            if key is None:
-                best = i
-                break
-            k = key(x)
-            if best is None or k < best_key:
-                best, best_key = i, k
-        if best is None:
+    touched, rest = set(), False
+    for v in vectors:
+        w = {c: x for c, x in enumerate(_primitive(v)) if x}
+        for c in rows.keys() & w.keys():
+            prow = rows[c]
+            w = _combine(w, prow, prow[c], w[c])
+        if not w:
             continue
-        R[r], R[best] = R[best], R[r]
-        if inverse is None:
-            p = R[r][c]
-        else:
-            inv = inverse(R[r][c])
-            R[r] = {j: x * inv for j, x in R[r].items()}
-        prow = R[r]
-        for i, row in enumerate(R):
-            f = row.get(c)
-            if i == r or f is None or is_zero(f):
-                continue
-            if inverse is None:
-                R[i] = _combine(row, prow, p, f)
-                continue
-            del row[c]
-            for j, y in prow.items():
-                if j != c:
-                    x = row.get(j)
-                    row[j] = -(f * y) if x is None else x - f * y
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return R, pivots
+        c = min(w)
+        if c >= ncols:
+            rest = True
+            continue
+        for pc, prow in rows.items():
+            f = prow.get(c)
+            if f:
+                rows[pc] = _combine(prow, w, w[c], f)
+                touched.add(pc)
+        rows[c] = w
+        touched.add(c)
+    return touched, rest
 
 
 def _combine(row, prow, p, f):
@@ -553,15 +500,59 @@ def _combine(row, prow, p, f):
     return {j: x // g for j, x in out.items()} if g > 1 else out
 
 
-def _reduced(R, pivots):
-    """Integer pivot rows divided by their pivots, as Fraction dicts: the
-    reduced row echelon form.  The other rows are kept as they are."""
-    return [{j: Fraction(x, row[c]) for j, x in row.items()}
-            for row, c in zip(R, pivots)] + R[len(pivots):]
+def _eliminate(rows, ncols):
+    """Sparse Gauss-Jordan elimination of PadicNumber rows on the first
+    ``ncols`` columns.
+
+    Rows are compacted to ``{col: element}`` dicts; input entries zero at
+    precision count as absent.  The pivot in each column has the smallest
+    valuation, the p-adically largest, so that a division loses the fewest
+    digits; the first row in current order wins ties.  The pivot row is
+    divided by its pivot and f times it subtracted from a row with entry
+    f.  An entry that cancels to zero stays, with its precision bound, so
+    later updates cannot claim digits the inputs do not determine; it is
+    never a pivot.  The eliminated entry in a pivot column is zero by
+    construction and is removed.  Returns the reduced rows (pivot rows
+    first, in pivot order) and the pivot columns.
+    """
+    R = [{c: x for c, x in enumerate(row) if not x.is_zero()}
+         for row in rows]
+    nrows = len(R)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        best = None
+        for i in range(r, nrows):
+            x = R[i].get(c)
+            if x is None or x.is_zero():
+                continue
+            k = x.valuation()
+            if best is None or k < best_key:
+                best, best_key = i, k
+        if best is None:
+            continue
+        R[r], R[best] = R[best], R[r]
+        inv = R[r][c].inverse()
+        prow = R[r] = {j: x * inv for j, x in R[r].items()}
+        for i, row in enumerate(R):
+            f = row.get(c)
+            if i == r or f is None or f.is_zero():
+                continue
+            del row[c]
+            for j, y in prow.items():
+                if j != c:
+                    x = row.get(j)
+                    row[j] = -(f * y) if x is None else x - f * y
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return R, pivots
 
 
 def field_kernel(rows, zero, one):
-    """Right-kernel basis for a matrix of PadicNumber entries.
+    """Right-kernel basis for a matrix of PadicNumber entries, the view of
+    the p-adic loop ``_eliminate``.
 
     Pivots have minimal valuation.  Elimination is sparse: zero-at-precision
     input entries count as absent, as in LaurentElement, and only the
@@ -571,7 +562,7 @@ def field_kernel(rows, zero, one):
     precision a dense elimination with the same pivots gives.
     """
     ncols = len(rows[0]) if rows else 0
-    R, pivots = _eliminate(rows, ncols, _PADIC)
+    R, pivots = _eliminate(rows, ncols)
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
         v = [zero] * ncols

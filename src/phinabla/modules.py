@@ -34,7 +34,7 @@ from .errors import (DiagnosticConflict, IrregularSingularity,
                      MismatchedParams, MissingStructure, NonInvertible,
                      WildCover, WindowTooSmall)
 from . import linalg
-from .linalg import _PADIC, _eliminate, _rational_roots, field_kernel
+from .linalg import _eliminate, _rational_roots, field_kernel
 from .padic import PadicNumber, RingParams
 from .series import LaurentElement
 
@@ -450,7 +450,7 @@ def _reduced_solutions(family, tG, params, depth, rcls, zero, one):
     for row, mem in zip(rows, family):
         for key, x in mem.items():
             row[col[key]] = x
-    reduced, pivots = _eliminate(rows, len(coords), _PADIC)
+    reduced, pivots = _eliminate(rows, len(coords))
     out = []
     for row, pc in reversed(list(zip(reduced, pivots))):
         row[pc] = one

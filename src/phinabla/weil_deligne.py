@@ -261,9 +261,10 @@ def _jordan_chains(N):
     of index k: N^j v has index l - 1 - 2j in the chain of head v and
     length l.  Chains are built one length at a time, longest first, in an
     N-stable W, at first Q^d.  Each basis vector b of W is run through N
-    (b, Nb, ... to its last non-zero vector); l is the longest run.  The
-    runs of length l whose ends are independent of those before them
-    (``_pivot_columns``, on the ends read at their pivot coordinates) are
+    (b, Nb, ... to its last non-zero vector; at first b = e_j, and N e_j
+    is read as column j of N); l is the longest run.  The runs of length
+    l whose ends are independent of those before them (``_pivot_columns``,
+    on the ends read at their pivot coordinates, one ``linalg._echelon``) are
     the chains of length l; W becomes the complement of their span, the v
     in W with N^j v zero at those coordinates for j < l (one
     ``linalg._integer_kernel``, in primitive integer vectors).  Runs of
@@ -274,10 +275,10 @@ def _jordan_chains(N):
     checks the span.  NotNilpotent for a run longer than d; AssertionError
     unless there are d vectors and each chain ends in ker N."""
     d = len(N)
-    basis, chains = linalg.identity(d, 1), []
+    basis, images, chains = linalg.identity(d, 1), linalg.transpose(N), []
     while basis:
-        runs = [[] for _ in basis]
-        for run, v in zip(runs, basis):
+        runs = [[b] for b in basis]
+        for run, v in zip(runs, images):
             while any(v):
                 if len(run) == d:
                     raise NotNilpotent("monodromy filtration needs a "
@@ -289,8 +290,7 @@ def _jordan_chains(N):
             chains += runs
             break
         top = [run for run in runs if len(run) == l]
-        coords = linalg._eliminate([run[-1] for run in top], d,
-                                   linalg._INTEGER)[1]
+        coords = sorted(linalg._echelon([run[-1] for run in top], d)[0])
         chains += [top[c] for c in linalg._pivot_columns(
             [[run[-1][r] for r in coords] for run in top])]
         if len(basis) == len(coords) * l:       # the chains fill W
@@ -300,6 +300,7 @@ def _jordan_chains(N):
                  for c in linalg._integer_kernel(
                      [[run[j][r] if j < len(run) else 0 for run in runs]
                       for r in coords for j in range(l)])]
+        images = [linalg.mat_vec(N, b, zero=0) for b in basis]
     s = max(map(len, chains), default=1) - 1
     flag = [[] for _ in range(2 * s + 1)]
     for chain in chains:
@@ -318,19 +319,21 @@ def _graded(Z, s, flag):
     matrix and s_k a positive integer, on V_k / V_(k-1), V_k the span of
     flag[0] + ... + flag[k] (V_-1 = 0), in the primitive integer multiples
     of the vectors of flag[k] outside the span of those before them.  One
-    fraction-free elimination of [vectors | images] on the vectors'
-    columns picks that adapted basis (its pivots, as many as the sizes of
-    the Y_k add up to) and gives every coordinate.  None unless Z keeps
-    every V_k."""
+    ``linalg._echelon`` of [vectors | images] on the vectors' columns, the
+    rational insertion step, picks that adapted basis (its pivots, as many
+    as the sizes of the Y_k add up to) and gives every coordinate as a
+    ratio of pivot-row entries.  None unless Z keeps every V_k: a
+    remainder left is an image off the span."""
     vectors = [linalg._primitive(v) for vs in flag for v in vs]
     owner = [k for k, vs in enumerate(flag) for _ in vs]
     n = len(vectors)
-    R, pivots = linalg._eliminate(linalg.transpose(vectors + [
-        linalg.mat_vec(Z, v, zero=0) for v in vectors]), n, linalg._INTEGER)
-    r = len(pivots)
+    rows, rest = linalg._echelon(linalg.transpose(vectors + [
+        linalg.mat_vec(Z, v, zero=0) for v in vectors]), n)
+    pivots = sorted(rows)
+    R, r = [rows[c] for c in pivots], len(pivots)
     # an image off their span, or with a coordinate on a later piece
-    if any(R[r:]) or any(owner[pivots[i]] > owner[j - n] for i in range(r)
-                         for j in R[i] if j >= n):
+    if rest or any(owner[pivots[i]] > owner[j - n] for i in range(r)
+                   for j in R[i] if j >= n):
         return None
     out = []
     for k in range(len(flag)):

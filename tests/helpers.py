@@ -102,8 +102,7 @@ def field_solve(rows, rhs, zero):
     coordinates read off a reduced basis."""
     ncols = len(rows[0]) if rows else 0
     R, pivots = linalg._eliminate([list(row) + [b[i] for b in rhs]
-                                   for i, row in enumerate(rows)],
-                                  ncols, linalg._PADIC)
+                                   for i, row in enumerate(rows)], ncols)
     if any(not x.is_zero() for row in R[len(pivots):] for x in row.values()):
         return None
     out = []

@@ -100,8 +100,8 @@ def _fractions_only(obj):
           suppress_health_check=[HealthCheck.too_slow])
 @given(rational_problems())
 def test_fraction_free_views_match_fraction_gauss_jordan(problem):
-    # the integer rule gives the unique reduced echelon form: every view
-    # equals the Fraction reference entry for entry, as Fractions
+    # the rational insertion step gives the unique reduced echelon form:
+    # every view equals the Fraction reference entry for entry, as Fractions
     A, rhs = problem
     R, pivots = fraction_rref(A)
     k = min(len(A), len(A[0]))
@@ -125,6 +125,10 @@ def test_fraction_free_views_match_fraction_gauss_jordan(problem):
     assert linalg.rank(A) == len(pivots)
     assert linalg._completion(A[:half], A[half:]) == \
         fraction_completion(A[:half], A[half:])
+    # the rows of A as the columns: the indices where the rank grows
+    ranks = [len(fraction_rref(A[:i])[1]) for i in range(len(A) + 1)]
+    assert linalg._pivot_columns(A) == [
+        i for i in range(len(A)) if ranks[i + 1] > ranks[i]]
 
 
 @settings(max_examples=200, deadline=None,

@@ -66,7 +66,7 @@ def test_stalled_kernel_chain_is_not_nilpotent(N, monkeypatch):
                                  "input$"):
             monodromy_filtration(N)
 
-    assert count_calls(monkeypatch, linalg, "_eliminate", run) == 0
+    assert _eliminations(monkeypatch, run) == (0, 0)
 
 
 def test_empty_operator_filtration():
@@ -643,32 +643,41 @@ def _seeded_nilpotent():
             for i in range(6)]
 
 
-@pytest.mark.parametrize("run, eliminations", [
+def _eliminations(monkeypatch, run):
+    """(rational eliminations, flag passes) of run(): calls of
+    ``linalg._echelon``, each one matrix, and of ``linalg.span_bases``,
+    which inserts its blocks without it."""
+    passes = []
+    calls = count_calls(monkeypatch, linalg, "_echelon", lambda: passes.append(
+        count_calls(monkeypatch, linalg, "span_bases", run)))
+    return calls, passes[0]
+
+
+@pytest.mark.parametrize("run, eliminations, passes", [
     # the chains of one length: their ends' pivot coordinates and head
-    # pick, no complement left; every span basis comes from the flag pass,
-    # which runs no elimination
-    pytest.param(lambda: monodromy_filtration(_jordan((12,))), 2,
+    # pick, no complement left; every span basis comes from the flag pass
+    pytest.param(lambda: monodromy_filtration(_jordan((12,))), 2, 1,
                  id="J12"),
     # J4 + J1 + J1: pivot coordinates, head pick and complement for J4,
     # none for the J1s; then the flag pass
-    pytest.param(lambda: monodromy_filtration(_seeded_nilpotent()), 3,
+    pytest.param(lambda: monodromy_filtration(_seeded_nilpotent()), 3, 1,
                  id="d6"),
     # J3 + J1: 3 eliminations for the chains as in d6, then one for the
-    # adapted basis and every coordinate of Phi on it
-    pytest.param(lambda rep=_sp2_squared(): trace_table(rep, 4), 4,
+    # adapted basis and every coordinate of Phi on it; no flag pass
+    pytest.param(lambda rep=_sp2_squared(): trace_table(rep, 4), 4, 0,
                  id="trace-table"),
     # eight J2, sheared: one round for their one length, not one per
     # block; then the flag pass
     pytest.param(lambda N=_sheared(_jordan((2,) * 8)):
-                 monodromy_filtration(N), 2, id="8xJ2"),
+                 monodromy_filtration(N), 2, 1, id="8xJ2"),
     # one rank of Phi, for the singularity check: the relation is checked
     # as Phi N = q^eps N Phi, without an inverse
-    pytest.param(lambda: special_rep(5), 1, id="special-rep"),
+    pytest.param(lambda: special_rep(5), 1, 0, id="special-rep"),
 ])
-def test_eliminations_are_pinned(run, eliminations, monkeypatch):
+def test_eliminations_are_pinned(run, eliminations, passes, monkeypatch):
     # one elimination per subspace question: a per-vector loop would
     # multiply these counts
-    assert count_calls(monkeypatch, linalg, "_eliminate", run) == eliminations
+    assert _eliminations(monkeypatch, run) == (eliminations, passes)
 
 
 @pytest.mark.parametrize("run, combines", [

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import __version__, linalg
 from .errors import PhinablaError
 from .padic import RingParams
-from .modules import (check_compatibility, module_from_json,
-                      residue_exponents, unipotent_filtration)
+from .modules import (_ring_from_json, check_compatibility,
+                      module_from_json, residue_exponents,
+                      unipotent_filtration)
 from .weil_deligne import (FrobeniusKind, WeilDeligneRep,
                            compatibility_family, quasi_purity_check,
                            _weights_of)
@@ -102,11 +104,10 @@ def _load_json(args):
 
 
 def _params_from(obj, args):
-    pr = obj["params"]
-    modulus = pr.get("modulus")
-    return RingParams(pr["p"], args.precision,
-                      (args.t_window, args.t_window), pr.get("a", 1),
-                      tuple(modulus) if modulus else None)
+    """The file's ring, checked whole, at the flags' precision and window."""
+    ring = _ring_from_json(obj["params"])
+    return RingParams(ring.p, args.precision, (args.t_window, args.t_window),
+                      ring.a, ring.modulus)
 
 
 def _banner(args, params=None):
@@ -122,10 +123,12 @@ def _banner(args, params=None):
 
 
 def _emit(args, text_lines, json_obj):
-    if args.as_json:
-        print(json.dumps(json_obj, sort_keys=True, indent=2))
-    else:
-        print("\n".join(text_lines))
+    try:
+        print(json.dumps(json_obj, sort_keys=True, indent=2) if args.as_json
+              else "\n".join(text_lines), flush=True)
+    except BrokenPipeError:
+        # reader gone: keep the exit code; the flush at exit writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_analyze(args) -> int:
@@ -146,15 +149,15 @@ def cmd_analyze(args) -> int:
                      + ("OK (residual = 0)" if comp.compatible else
                         f"FAIL (min residual valuation "
                         f"{comp.max_residual_valuation})"))
+        rep, trace = wd_extract(m, args.mmax, _kind(args))
     if m.has_connection:
-        rr = residue_exponents(m)
+        # the extraction has read the residue of m
+        rr = trace.residue if both else residue_exponents(m)
         report["residue_exponents"] = [str(x) for x in rr.exponents]
         report["residue_semisimple"] = rr.semisimple
         lines.append("residue exponents: "
                      + ", ".join(str(x) for x in rr.exponents)
                      + f" (semisimple: {'yes' if rr.semisimple else 'no'})")
-        if both:
-            rep, trace = wd_extract(m, args.mmax, _kind(args))
         if all(x.denominator == 1 for x in rr.exponents):
             # cover degree 1: the extraction has read the filtration of m
             fil = trace.filtration if both else unipotent_filtration(m)
@@ -192,7 +195,8 @@ def cmd_wd(args) -> int:
     out = rep.to_json()
     lines = _banner(args, params)
     lines.append(f"input: {m.label or args.path}")
-    lines.append(f"exponents: {', '.join(trace.exponents) or '(none)'}")
+    lines.append("exponents: " + (", ".join(
+        str(x) for x in trace.residue.exponents) or "(none)"))
     lines.append(f"cover degree e = {trace.cover_degree}")
     lines.append(f"log degrees: {trace.log_degrees}")
     lines.append(f"residue classes: {trace.residue_classes}")

@@ -214,16 +214,15 @@ class WeightFiltration:
     """W_-2 = D^t, W_-1 = D^f, W_0 = D(A); homological convention
     (graded weights -2, -1, 0), geometric mirror printed alongside."""
 
+    convention = "homological (geometric mirror: w and -w agree)"
+
     def __init__(self, ranks: dict, graded: list, sections: list,
-                 torus_coordinates: list,
-                 convention: str = "homological (geometric mirror: "
-                                   "w and -w agree)"):
+                 torus_coordinates: list):
         self.ranks = ranks
         self.graded = graded
         self.sections = sections        # basis of D^f as horizontal sections
         # D^t in D^f coordinates (Fraction vectors)
         self.torus_coordinates = torus_coordinates
-        self.convention = convention
 
 
 def _restricted(phi, flag):
@@ -346,15 +345,15 @@ class OpenCurveDatum:
 
 
 class ExcisionReport:
+    convention = "cohomological, geometric weights"
+
     def __init__(self, gr1_rank: int, gr2_rank: int, gr1_report: object,
-                 gr2_weights: list, ok: bool,
-                 convention: str = "cohomological, geometric weights"):
+                 gr2_weights: list, ok: bool):
         self.gr1_rank = gr1_rank
         self.gr2_rank = gr2_rank
         self.gr1_report = gr1_report    # PurityReport (quasi-purity at 1)
         self.gr2_weights = gr2_weights
         self.ok = ok
-        self.convention = convention
 
 
 def excision_weight_filtration(c: OpenCurveDatum, m_max: int = 24

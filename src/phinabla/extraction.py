@@ -13,7 +13,7 @@ of the largest Jordan blocks of R at its eigenvalues in that class
 (Levelt), capped at the rank.  Phi and N are read once, as solution
 coordinates, by the unipotent filtration of the pullback
 (`modules._log_filtration`); the extraction recognises them over Q, and
-the ExtractionTrace keeps that filtration for callers to reuse.  The
+the ExtractionTrace keeps that filtration and the input's residue record.  The
 level-2 normal form is the filtration's gauge at e = 1, its first block
 rotated, with its constants read off N.
 """
@@ -26,21 +26,21 @@ from math import gcd, lcm
 from . import linalg
 from .errors import (NonConstantFrobenius, NotLevelTwo, NotTame,
                      WindowTooSmall)
-from .modules import (GaugeChange, PhiNablaModule, UnipotentFiltration,
-                      _check_untruncated, _log_depths, _log_filtration,
-                      _rational_matrix, _residue, kummer_pullback,
-                      lmat_identity, unipotent_filtration)
+from .modules import (GaugeChange, PhiNablaModule, ResidueReport,
+                      UnipotentFiltration, _check_untruncated, _log_depths,
+                      _log_filtration, _rational_matrix, _residue,
+                      kummer_pullback, lmat_identity, unipotent_filtration)
 from .series import LaurentElement
 from .weil_deligne import FrobeniusKind, WeilDeligneRep
 
 
 class ExtractionTrace:
-    """Human-readable derivation record surfaced by the CLI, with the
-    unipotent filtration of the pullback the extraction read."""
+    """Derivation record surfaced by the CLI: the input's residue record and
+    the unipotent filtration of the pullback the extraction read."""
 
-    def __init__(self, exponents: list, cover_degree: int,
+    def __init__(self, residue: ResidueReport, cover_degree: int,
                  filtration: UnipotentFiltration):
-        self.exponents = exponents
+        self.residue = residue  # of the input, not of the pullback
         self.cover_degree = cover_degree
         self.filtration = filtration
         self.solutions = filtration.solutions  # of the pulled-back module
@@ -124,7 +124,7 @@ def wd_extract(m: PhiNablaModule, m_max: int = 24,
     fil = _log_filtration(pulled, e, known)
     _require_rank(pulled, e, fil.solutions, known)
     rep = _representation(m, fil, e, frobenius_kind)
-    return rep, ExtractionTrace([str(x) for x in residue.exponents], e, fil)
+    return rep, ExtractionTrace(residue, e, fil)
 
 
 def _representation(m: PhiNablaModule, fil: UnipotentFiltration, e: int,

@@ -24,8 +24,8 @@ form fixes: ``_echelon`` runs the step over one matrix, and ``rank``,
 entries, ``solve`` and ``mat_inv`` each pivot row over its pivot (Fraction
 entries even for int input), and a non-zero remainder is only tested for.
 The flag pass ``span_bases`` inserts blocks of vectors in order, giving
-the rref after each block; ``span_basis``, ``rref`` and ``column_space``
-are its one-block views, and ``weil_deligne.monodromy_filtration`` reads
+the rref after each block; ``span_basis`` and ``column_space`` are its
+one-block views, and ``weil_deligne.monodromy_filtration`` reads
 every M_k from one pass over the Jordan chains' flag.  ``weil_deligne``'s
 Jordan chains read their ends' pivot coordinates with ``_echelon``, pick
 heads with ``_pivot_columns`` and complements with ``_integer_kernel``,
@@ -114,16 +114,6 @@ def mat_pow(A, k):
         if k:
             base = mat_mul(base, base)
     return identity(len(A)) if out is None else out
-
-
-def rref(A):
-    """Reduced row echelon form; returns (R, pivot column list): the rows
-    of ``span_basis``, padded with zero rows to the length of A."""
-    ncols = len(A[0]) if A else 0
-    R = span_basis(A)
-    # in a reduced row the entries before the pivot are 0 and the pivot 1
-    pivots = [row.index(1) for row in R]
-    return R + [[Fraction(0)] * ncols for _ in A[len(R):]], pivots
 
 
 def rank(A):

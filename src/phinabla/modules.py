@@ -825,22 +825,28 @@ def module_to_json(m: PhiNablaModule) -> dict:
     return obj
 
 
+def _ring_from_json(pr) -> RingParams:
+    """The ring of a JSON "params" object; its ring_mode must be "laurent"."""
+    if not isinstance(pr, dict):
+        raise TypeError('"params" must be a JSON object')
+    if pr.get("ring_mode", "laurent") != "laurent":
+        raise ValueError(f'params.ring_mode = {pr["ring_mode"]!r}: only '
+                         '"laurent" (the Laurent window model) is supported')
+    return RingParams(pr["p"], pr.get("precision", 20),
+                      tuple(pr.get("t_window", (32, 32))), pr.get("a", 1),
+                      tuple(pr["modulus"]) if pr.get("modulus") else None)
+
+
 def module_from_json(obj: dict, params: RingParams | None = None
                      ) -> PhiNablaModule:
     """The module of ``obj``, over ``params`` when given, else over the
-    ring of ``obj["params"]``; a ``ring_mode`` there must be "laurent"."""
+    ring of ``obj["params"]``, which is read and checked whenever there."""
     rank = obj["rank"]
     if type(rank) is not int:
         raise TypeError(f'"rank" = {rank!r} is not an integer')
-    pr = obj["params"] if params is None else obj.get("params")
-    if isinstance(pr, dict) and pr.get("ring_mode", "laurent") != "laurent":
-        raise ValueError(f'params.ring_mode = {pr["ring_mode"]!r}: only '
-                         '"laurent" (the Laurent window model) is supported')
-    if params is None:
-        params = RingParams(pr["p"], pr.get("precision", 20),
-                            tuple(pr.get("t_window", (32, 32))),
-                            pr.get("a", 1),
-                            tuple(pr["modulus"]) if pr.get("modulus") else None)
+    if params is None or "params" in obj:
+        ring = _ring_from_json(obj["params"])
+        params = params or ring
     conv = lambda M: [[LaurentElement.from_json(params, x) for x in row]
                       for row in M]
     A = conv(obj["frobenius"]) if "frobenius" in obj else None

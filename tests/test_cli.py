@@ -217,6 +217,27 @@ def test_non_integer_json_value_is_input_error(capsys, tmp_path, stem, path,
     assert json.loads(err) == {"error": "input", "detail": detail}
 
 
+@pytest.mark.parametrize("sub, stem, where", [
+    ("analyze", "kummer_tate", ()), ("wd", "kummer_tate", ()),
+    ("reduction", "tate_abelian", ("module",)),
+    ("excision", "open_tate_curve", ("h1_compact",))])
+@pytest.mark.parametrize("key", ["precision", "t_window"])
+@pytest.mark.parametrize("value", [2.0, "x", [1.5, 3]],
+                         ids=["float", "string", "float-pair"])
+def test_file_ring_is_checked_as_the_library_checks_it(capsys, tmp_path, sub,
+                                                       stem, where, key,
+                                                       value):
+    # the flags set precision and window, but a file that module_from_json
+    # refuses is refused here too
+    obj = json.loads((CORPUS / f"{stem}.json").read_text())
+    _set(where + ("params", key), value)(obj)
+    bad = tmp_path / f"{stem}.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, sub, str(bad))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "input"
+
+
 @pytest.mark.parametrize("mode", ["power_series", "bogus"])
 def test_ring_mode_other_than_laurent_is_input_error(capsys, tmp_path, mode):
     obj = json.loads((CORPUS / "constant_trivial.json").read_text())
@@ -495,14 +516,14 @@ def test_one_value_mutation_exits_0_2_or_3(tmp_path_factory, mutation):
     assert code in (0, 2, 3), mutation
 
 
-def _fresh_interpreter(*argv):
+def _fresh_interpreter(*argv, stdout=subprocess.PIPE):
     """Run python with src/ on PYTHONPATH from the repository root."""
     src = str(CORPUS.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run([sys.executable, *argv], cwd=CORPUS.parent,
-                          env=env, capture_output=True, text=True,
-                          timeout=120)
+                          env=env, stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, timeout=120)
 
 
 def test_cli_never_imports_sympy():
@@ -536,6 +557,21 @@ def test_large_prime_is_read_quickly(tmp_path):
     done = _fresh_interpreter("-m", "phinabla.cli", "analyze", str(path))
     assert done.returncode in (0, 2, 3), done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "corpus/kummer_tate.json"],
+    ["--json", "wd", "corpus/kummer_tate.json"]], ids=["analyze", "wd-json"])
+def test_closed_stdout_exits_cleanly(argv):
+    # stdout a pipe whose reader has gone, as in `phinabla ... | head -0`:
+    # the command keeps its exit code and prints no traceback
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _fresh_interpreter("-m", "phinabla.cli", *argv, stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == 0 and done.stderr == ""
 
 
 def test_unknown_subcommand_exits_two(capsys):

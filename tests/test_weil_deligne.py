@@ -702,9 +702,11 @@ def test_row_updates_are_pinned(run, combines, monkeypatch):
     lambda rep: compatibility_family([rep, rep]),
 ], ids=["trace-table", "quasi-purity", "family"])
 def test_graded_phi_builds_no_rref_basis(run, monkeypatch):
-    # Phi on Gr_k is read in the Jordan chains: no span_basis, no rref
+    # Phi on Gr_k is read in the Jordan chains: span_bases, the one
+    # builder of rref bases, is never called
     rep = _sp2_squared()
-    assert count_calls(monkeypatch, linalg, "rref", lambda: run(rep)) == 0
+    assert count_calls(monkeypatch, linalg, "span_bases",
+                       lambda: run(rep)) == 0
 
 
 # -- weights ----------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: analyze | wd | reduction | excision | compat | selftest.
-Exit codes: 0 ok, 2 input/parse error, 3 domain error; domain errors also
-emit a machine-readable JSON object on stderr.  Output is deterministic:
-no timestamps, sorted keys, fixed ordering.
+Exit codes: 0 ok, 1 a failed selftest check, 2 input/parse error, 3 domain
+error; domain errors also emit a machine-readable JSON object on stderr.
+Output is deterministic: no timestamps, sorted keys, fixed ordering.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from fractions import Fraction
 from . import __version__, linalg
 from .errors import PhinablaError
 from .padic import RingParams
-from .modules import (_ring_from_json, check_compatibility,
-                      module_from_json, residue_exponents,
-                      unipotent_filtration)
+from .modules import (_check_untruncated, _log_filtration, _ring_from_json,
+                      check_compatibility, module_from_json,
+                      residue_exponents)
 from .weil_deligne import (FrobeniusKind, WeilDeligneRep,
                            compatibility_family, quasi_purity_check,
                            _weights_of)
@@ -160,7 +160,11 @@ def cmd_analyze(args) -> int:
                      + f" (semisimple: {'yes' if rr.semisimple else 'no'})")
         if all(x.denominator == 1 for x in rr.exponents):
             # cover degree 1: the extraction has read the filtration of m
-            fil = trace.filtration if both else unipotent_filtration(m)
+            if both:
+                fil = trace.filtration
+            else:   # unipotent_filtration(m), given the residue read above
+                _check_untruncated(m)
+                fil = _log_filtration(m, 1, rr)
             level = fil.level if fil.unipotent else None
             report["unipotent"] = fil.unipotent
             report["unipotence_level"] = level

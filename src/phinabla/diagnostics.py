@@ -23,7 +23,7 @@ from .modules import (PhiNablaModule, UnipotentFiltration, _rational_matrix,
                       unipotent_filtration)
 from .padic import PadicNumber
 from .series import LaurentElement
-from .weil_deligne import (FrobeniusKind, WeilDeligneRep,
+from .weil_deligne import (FrobeniusKind, GradedReport, WeilDeligneRep,
                            compatibility_family, monodromy_filtration,
                            quasi_purity_check, _graded, _json_matrix,
                            _weights_of)
@@ -202,14 +202,6 @@ def reduction_type(datum: AbelianVarietyDatum) -> ReductionType:
 # ---------------------------------------------------------------------------
 # semistable weight filtration on D(A)
 
-class WeightGraded:
-    def __init__(self, index: int, rank: int, weights: list, pure: bool):
-        self.index = index      # -2, -1, 0
-        self.rank = rank
-        self.weights = weights  # geometric-convention weights found
-        self.pure = pure
-
-
 class WeightFiltration:
     """W_-2 = D^t, W_-1 = D^f, W_0 = D(A); homological convention
     (graded weights -2, -1, 0), geometric mirror printed alongside."""
@@ -274,7 +266,7 @@ def _weight_filtration(datum: AbelianVarietyDatum,
             raise PurityFailure(
                 f"Gr_{index} has weights {weights}, expected {index}",
                 eigenvalue=weights)
-        return WeightGraded(index, len(mat), weights, True)
+        return GradedReport(index, len(mat), weights, Fraction(index), True)
 
     graded = [report(k, Y, s) for k, (Y, s) in ((-2, restr), (-1, quot))
               if Y]

@@ -42,10 +42,10 @@ class ExtractionTrace:
                  filtration: UnipotentFiltration):
         self.residue = residue  # of the input, not of the pullback
         self.cover_degree = cover_degree
-        self.filtration = filtration
-        self.solutions = filtration.solutions  # of the pulled-back module
-        self.log_degrees = [s.log_degree for s in self.solutions]
-        self.residue_classes = [s.residue_class for s in self.solutions]
+        self.filtration = filtration  # of the pulled-back module
+        sols = filtration.solutions
+        self.log_degrees = [s.log_degree for s in sols]
+        self.residue_classes = [s.residue_class for s in sols]
 
 
 def log_solution_basis(m: PhiNablaModule, e: int = 1

@@ -12,7 +12,9 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from phinabla import modules
 from phinabla.cli import main
+from helpers import count_calls
 
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
@@ -295,6 +297,46 @@ def test_analyze_refuses_a_truncated_frobenius_as_wd_does(capsys, tmp_path):
         assert json.loads(err) == {
             "error": "WindowTooSmall",
             "detail": "Frobenius matrix truncated; cannot trust its image"}
+
+
+def test_analyze_without_frobenius_reads_its_residue_once(capsys, tmp_path,
+                                                         monkeypatch):
+    # the report's residue record is handed to the filtration, so the
+    # residue and R's Jordan structure are each read once
+    obj = json.loads((CORPUS / "kummer_tate.json").read_text())
+    del obj["frobenius"]
+    path = tmp_path / "kt_connection_only.json"
+    path.write_text(json.dumps(obj))
+    codes = []
+
+    def analyze():
+        codes.append(main(["analyze", str(path)]))
+
+    assert count_calls(monkeypatch, modules, "_residue", analyze) == 1
+    assert count_calls(monkeypatch, modules, "_jordan_blocks", analyze) == 1
+    out = capsys.readouterr().out
+    assert codes == [0, 0]
+    assert "residue exponents: 0, 0 (semisimple: no)" in out
+    assert "unipotence level: 2" in out
+
+
+@pytest.mark.parametrize("terms, error, detail", [
+    ([[32, "1"]], "WindowTooSmall",
+     "connection matrix truncated; cannot trust the coefficient equations"),
+    # the residue is read first, so its refusal comes first
+    ([[32, "1"], [-2, "1"]], "IrregularSingularity",
+     "connection has a pole of order > 1 at t = 0"),
+], ids=["truncated", "irregular-and-truncated"])
+def test_analyze_without_frobenius_keeps_its_refusal_order(
+        capsys, tmp_path, terms, error, detail):
+    obj = json.loads((CORPUS / "kummer_tate.json").read_text())
+    del obj["frobenius"]
+    obj["connection"][0][1]["terms"] += terms
+    path = tmp_path / "kt_connection_only.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": error, "detail": detail}
 
 
 def test_inertia_order_without_matrix_is_compared(capsys, tmp_path):

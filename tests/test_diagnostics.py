@@ -20,7 +20,7 @@ from phinabla.errors import (DiagnosticConflict, InconsistentRanks,
 from phinabla.extraction import wd_extract
 from phinabla.modules import PhiNablaModule, dual, tensor
 from phinabla.series import LaurentElement
-from phinabla.weil_deligne import WeilDeligneRep, special_rep
+from phinabla.weil_deligne import GradedReport, WeilDeligneRep, special_rep
 
 from helpers import count_calls, same_space
 
@@ -101,8 +101,11 @@ def test_reduction_verdicts():
 def test_tate_weight_filtration():
     wf = semistable_weight_filtration(corpus.tate_abelian_datum(P))
     assert wf.ranks == {-2: 1, -1: 1, 0: 2}
-    graded = {g.index: (g.rank, g.weights) for g in wf.graded}
-    assert graded == {-2: (1, [F(-2)]), 0: (1, [F(0)])}
+    # the pieces are weil_deligne's graded reports, as in a purity check
+    assert all(type(g) is GradedReport for g in wf.graded)
+    assert [(g.index, g.rank, g.weights, g.expected, g.pure, g.failure)
+            for g in wf.graded] == [(-2, 1, [F(-2)], -2, True, None),
+                                    (0, 1, [F(0)], 0, True, None)]
 
 
 def test_good_weight_filtration():

@@ -1,7 +1,12 @@
 """Extraction: log solutions, normal form, WD functor properties."""
 
+import json
+import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -31,6 +36,7 @@ from helpers import (count_calls, field_solve, laurent_coefficients,
 
 P = corpus.ring()
 F = Fraction
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_log_solution_basis_of_kt():
@@ -530,9 +536,55 @@ def test_normal_form_scrambled_kt():
     assert gauged.G[1][1].is_zero()
 
 
+def test_normal_form_rotates_the_image_of_c_first(monkeypatch):
+    # trivial + KT: k1 = 2 horizontal solutions, k2 = 1 at level 2, and C
+    # of rank 1 < k1, so the first block is rotated to put C's image first
+    m = direct_sum(corpus.constant_trivial(P), corpus.kummer_tate(P))
+    nfs = []
+    assert count_calls(monkeypatch, linalg, "column_space",
+                       lambda: nfs.append(key2_normal_form(m))) == 1
+    nf, = nfs
+    assert (nf.e_block, nf.f_block, nf.g_block) == ([0], [1], [2])
+    assert nf.constants == [[F(1)], [F(0)]]
+    gauged = nf.gauge.apply(m)
+    tG = [[g.shift(1) for g in row] for row in gauged.G]
+    assert all(x.is_constant() for M in (tG, gauged.A) for row in M
+               for x in row)
+    for j in nf.e_block + nf.f_block:
+        assert all(tG[i][j].is_zero() for i in range(m.rank))
+    for k, j in enumerate(nf.g_block):
+        assert [tG[i][j].coefficient(0).to_fraction()
+                for i in range(m.rank)] == [
+            nf.constants[i][k] if i in nf.e_block else 0
+            for i in range(m.rank)]
+
+
 def test_normal_form_rejects_level_three():
     # rank 3 with a full principal nilpotent residue: level 3
     m = PhiNablaModule.from_rational_matrices(
         P, connection=[[0, {-1: 1}, 0], [0, 0, {-1: 1}], [0, 0, 0]])
     with pytest.raises(NotLevelTwo):
         key2_normal_form(m)
+
+
+# What tools/extract_digest.py prints.  A change that alters what the
+# extraction or the unipotent filtration returns on purpose updates these
+# and says why.
+DIGESTS = {
+    "values_sha256":
+        "7e4508b5405177d580d5c1dfaa0f2d5e1bdecc5d35ea5db2221b51c5bc327a04",
+    "precisions_sha256":
+        "b5730350ba23e0ab18a698244fc5f5419bd2de441344ab886efcd6e93687e85c",
+    "shape_sha256":
+        "08127b3fc21ea5cb6b7daa2f497e2e61ee3db577e35f96859d009a4d8791d480",
+}
+
+
+def test_extract_digests_are_unchanged():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "bench")]))
+    run = subprocess.run([sys.executable, "tools/extract_digest.py"],
+                         cwd=ROOT, env=env, capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == DIGESTS

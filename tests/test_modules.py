@@ -16,8 +16,8 @@ from phinabla.diagnostics import (AbelianVarietyDatum, ReductionType,
                                   rank_profile, reduction_type)
 from phinabla.extraction import log_solution_basis, wd_extract
 from phinabla.errors import (DiagnosticConflict, IrregularSingularity,
-                             MissingStructure, PhinablaError, WildCover,
-                             WindowTooSmall)
+                             MissingStructure, NonInvertible, PhinablaError,
+                             WildCover, WindowTooSmall)
 from phinabla.modules import (GaugeChange, PhiNablaModule,
                               check_compatibility,
                               direct_sum, dual, horizontal_sections,
@@ -38,6 +38,7 @@ from helpers import (count_calls, dense_unit_matrix, integer_log_depths,
 
 
 P = RingParams(5, 20, (32, 32))
+CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
 
 def kt():
@@ -652,6 +653,23 @@ def test_second_order_pole_is_irregular():
         residue_exponents(m)
 
 
+def test_negative_tail_is_irregular():
+    # t^-40 leaves the window (32, 32): no term is left, only its tail
+    m = PhiNablaModule(P, 1, None, [[LaurentElement.monomial(P, -40)]])
+    with pytest.raises(IrregularSingularity, match=r"negative tail in t\*G"):
+        residue_exponents(m)
+
+
+def test_kummer_pullback_needs_a_positive_degree():
+    with pytest.raises(ValueError, match="cover degree must be positive"):
+        kummer_pullback(kt(), 0)
+
+
+def test_lmat_inverse_refuses_a_zero_determinant():
+    with pytest.raises(NonInvertible, match="not a unit"):
+        lmat_inverse([[LaurentElement.zero(P)]])
+
+
 def test_kummer_pullback_scales_exponents():
     m = PhiNablaModule.from_rational_matrices(
         P, frobenius=[[{2: 1}]], connection=[[{-1: Fraction(1, 2)}]])
@@ -680,6 +698,65 @@ def test_json_roundtrip():
     for i in range(2):
         for j in range(2):
             assert back.A[i][j].congruent(m.A[i][j].rebase(back.params))
+
+
+def _entries_json(M):
+    return [[x.to_json() for x in row] for row in M]
+
+
+def _datum_json(datum):
+    obj = {"module": module_to_json(datum.module)}
+    if datum.pairing is not None:
+        obj["pairing"] = _entries_json(datum.pairing)
+    return obj
+
+
+def _curve_json(curve):
+    return {"h1_compact": module_to_json(curve.h1_compact),
+            "h0_boundary_twisted": module_to_json(curve.h0_boundary_twisted),
+            "h2_compact": module_to_json(curve.h2_compact),
+            "boundary_map": _entries_json(curve.boundary_map)}
+
+
+CORPUS_BUILDERS = {
+    "kummer_tate": lambda: module_to_json(corpus.kummer_tate()),
+    "constant_trivial": lambda: module_to_json(corpus.constant_trivial()),
+    "good_elliptic_h1": lambda: module_to_json(corpus.good_elliptic_h1()),
+    "half_twist": lambda: module_to_json(corpus.half_twist()),
+    "wild": lambda: module_to_json(corpus.wild_module()),
+    "tate_abelian": lambda: _datum_json(corpus.tate_abelian_datum()),
+    "good_elliptic": lambda: _datum_json(corpus.good_elliptic_datum()),
+    "bad_reduction": lambda: _datum_json(corpus.bad_reduction_datum()),
+    "open_tate_curve": lambda: _curve_json(corpus.open_tate_curve()),
+    "proper_tate_curve": lambda: _curve_json(corpus.proper_tate_curve()),
+    "family_tate": lambda: {"members": [rep.to_json()
+                                        for rep in corpus.family_tate()]},
+}
+
+
+def _without_ring_mode(node):
+    """node with "ring_mode" dropped from every "params" object in it."""
+    if isinstance(node, list):
+        return [_without_ring_mode(x) for x in node]
+    if not isinstance(node, dict):
+        return node
+    out = {k: _without_ring_mode(v) for k, v in node.items()}
+    if isinstance(out.get("params"), dict):
+        out["params"].pop("ring_mode", None)
+    return out
+
+
+def test_every_corpus_file_has_a_builder():
+    assert sorted(p.stem for p in CORPUS.glob("*.json")) \
+        == sorted(CORPUS_BUILDERS)
+
+
+@pytest.mark.parametrize("stem", sorted(CORPUS_BUILDERS))
+def test_corpus_file_equals_its_builder(stem):
+    # the files write params.ring_mode, which module_to_json leaves out
+    on_disk = json.loads((CORPUS / f"{stem}.json").read_text())
+    built = json.loads(json.dumps(CORPUS_BUILDERS[stem]()))
+    assert _without_ring_mode(on_disk) == built
 
 
 def test_residue_exponents_repeated():

@@ -173,7 +173,7 @@ def cmd_analyze(args) -> int:
                             "NOT_UNIPOTENT"))
     if both:
         Y, s = rep.phi_scaled
-        weights = sorted(set(_weights_of(Y, rep.q, rep.frobenius_kind, s)))
+        weights = _weights_of(Y, rep.q, rep.frobenius_kind, s)
         n_rank = linalg.rank(rep.N)
         report["wd"] = {"dim": rep.dim, "N_rank": n_rank,
                         "inertia_order": rep.inertia_order,
@@ -246,7 +246,8 @@ def cmd_excision(args) -> int:
                             if rep.gr1_report else True)},
             {"index": 2, "rank": rep.gr2_rank,
              "weights": [str(w) for w in rep.gr2_weights],
-             "pure": rep.gr2_rank == 0 or rep.gr2_weights == [Fraction(2)]},
+             # an impure Gr_2 raised PurityFailure in the filtration
+             "pure": True},
         ],
         "version": __version__,
     }

@@ -65,8 +65,8 @@ class AbelianVarietyDatum:
         m = self.module
         md = self.dual
         P = self.pairing
-        det = lmat_det(P)
-        if det is None or not det.is_unit():
+        # a 0 x 0 P pairs two rank-0 modules perfectly
+        if len(P) != m.rank or P and not lmat_det(P).is_unit():
             raise MissingPairing("pairing is not perfect at precision")
         q = m.params.q
         if m.has_frobenius and md.has_frobenius:
@@ -372,12 +372,11 @@ def excision_weight_filtration(c: OpenCurveDatum, m_max: int = 24
             Y, s = _restricted(A0, [ker])[0]
             gr2_weights = _weights_of(Y, h1.params.q,
                                       FrobeniusKind.GEOMETRIC, s)
-    ok = (gr1 is None or gr1.pure) and \
-        (gr2_rank == 0 or gr2_weights == [Fraction(2)])
     if gr2_rank and gr2_weights != [Fraction(2)]:
         raise PurityFailure(f"Gr_2 weights {gr2_weights}, expected 2",
                             eigenvalue=gr2_weights)
-    return ExcisionReport(h1.rank, gr2_rank, gr1, gr2_weights, ok)
+    return ExcisionReport(h1.rank, gr2_rank, gr1, gr2_weights,
+                          gr1 is None or gr1.pure)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ are its log-depth-1 case): linear algebra only where det(nI + R) = 0, one
 back substitution at every other exponent of the window.  Each residue
 class is solved at the log depth the pulled-back residue R allows: the sum
 of the largest Jordan blocks of R at its eigenvalues in that class
-(Levelt), capped at the rank.  Phi and N are read once, as solution
-coordinates, by the unipotent filtration of the pullback
-(`modules._log_filtration`); the extraction recognises them over Q, and
-the ExtractionTrace keeps that filtration and the input's residue record.  The
-level-2 normal form is the filtration's gauge at e = 1, its first block
-rotated, with its constants read off N.
+(Levelt).  Phi and N are read once, as solution coordinates, by the
+unipotent filtration of the pullback (`modules._log_filtration`); the
+extraction recognises them over Q, and the ExtractionTrace keeps that
+filtration and the input's residue record.  The level-2 normal form is
+the filtration's gauge at e = 1, its first block rotated, with its
+constants read off N.
 """
 
 from __future__ import annotations

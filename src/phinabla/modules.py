@@ -92,8 +92,10 @@ def lmat_inverse(A):
     """adj A / det A, exact when det A has a terminating inverse.  The
     adjugate is (-1)^(n-1) sum_{k=1}^n c_k A^(k-1) (Cayley-Hamilton)."""
     n = len(A)
-    chi, det, W = _charpoly(A) if A else (None, None, None)
-    if det is None or not det.is_unit():
+    if not n:
+        return []
+    chi, det, W = _charpoly(A)
+    if not det.is_unit():
         raise NonInvertible("matrix determinant is not a unit at precision")
     adj = lmat_identity(W[0][0].params, n)  # Horner from c_n = 1 down
     for c in chi[n - 1:0:-1]:
@@ -325,12 +327,12 @@ def _check_untruncated(m: PhiNablaModule):
 def _log_depths(residue, e):
     """The log depth each residue class c mod e needs (Levelt): the sum,
     over the distinct integer eigenvalues lambda of R with -lambda = c mod
-    e, of the largest Jordan block of R at lambda, capped at the rank."""
+    e, of the largest Jordan block of R at lambda."""
     depths = [0] * e
     for lam, k in residue.largest_blocks.items():
         if lam.denominator == 1:
             depths[int(-lam) % e] += k
-    return [min(d, len(residue.matrix)) for d in depths]
+    return depths
 
 
 def _solve_class(params, tG, R, resonances, depth, rcls, e):
@@ -657,7 +659,6 @@ def _log_filtration(m: PhiNablaModule, e: int,
     _residue(m) when the caller has read it (see _solve_nabla); Phi and N
     are read when there are rank solutions.  WindowTooSmall if an image
     runs past the window, DiagnosticConflict if one leaves the span."""
-    m._require(connection=True)
     sols = sorted(_solve_nabla(m, None, e, residue),
                   key=lambda s: (s.log_degree, s.residue_class))
     if len(sols) != m.rank:

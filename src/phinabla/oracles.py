@@ -364,8 +364,7 @@ def _interpolate(points):
         for j, (xj, _yj) in enumerate(points):
             if j == i:
                 continue
-            basis = ([Fraction(0)] + basis[:]) if False else _polymul(
-                basis, [-xj, Fraction(1)])
+            basis = _polymul(basis, [-xj, Fraction(1)])
             denom *= xi - xj
         scale = yi / denom
         for k, c in enumerate(basis):

@@ -281,10 +281,7 @@ class PadicNumber:
                    params.N if abs_prec is None else abs_prec, is_zero=True)
 
     @classmethod
-    def from_rational(cls, params: RingParams, value, rel_prec=None):
-        N = params.N if rel_prec is None else rel_prec
-        if N < 1:
-            raise ValueError(f"relative precision {N} must be >= 1")
+    def from_rational(cls, params: RingParams, value):
         if type(value) is int:
             num, den = value, 1
         else:
@@ -293,16 +290,14 @@ class PadicNumber:
         if num == 0:
             # an exact zero: known to arbitrary precision; cap generously
             return cls.zero(params, abs_prec=10 ** 9)
-        p = params.p
+        p, N = params.p, params.N
         if den % p == 0:
-            vd = _padic_val(den, p)
-            den //= p ** vd
-            v = -vd + (_padic_val(num, p) if num % p == 0 else 0)
+            # num/den is reduced, so p does not divide num
+            v = -_padic_val(den, p)
+            den //= p ** -v
         else:
             v = _padic_val(num, p) if num % p == 0 else 0
-        num //= p ** max(0, v)
-        if v < 0 and num % p == 0:
-            raise ValueError("unreduced fraction")
+            num //= p ** v
         pk = p ** N
         u = num % pk if den == 1 else (num * pow(den, -1, pk)) % pk
         if params.a > 1:
@@ -310,14 +305,11 @@ class PadicNumber:
         return cls(params, v, u, v + N)
 
     @classmethod
-    def from_poly(cls, params: RingParams, coeffs, rel_prec=None):
+    def from_poly(cls, params: RingParams, coeffs):
         """Element of the unramified extension from rational coordinates."""
         if params.a == 1:
-            return cls.from_rational(params, coeffs[0], rel_prec)
-        N = params.N if rel_prec is None else rel_prec
-        if N < 1:
-            raise ValueError(f"relative precision {N} must be >= 1")
-        p = params.p
+            return cls.from_rational(params, coeffs[0])
+        p, N = params.p, params.N
         fracs = [Fraction(c) for c in coeffs]
         if all(c == 0 for c in fracs):
             return cls.zero(params, abs_prec=10 ** 9)

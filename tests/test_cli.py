@@ -96,6 +96,20 @@ def test_reduction_ranks_in_json(capsys):
     assert obj["ranks"] == {"n": 1, "mu": 1, "alpha": 0, "lambda": 0}
 
 
+def test_reduction_without_pairing_has_no_ranks(capsys, tmp_path):
+    # the Tate datum has a horizontal section, so its profile needs the pairing
+    obj = json.loads((CORPUS / "tate_abelian.json").read_text())
+    del obj["pairing"]
+    path = tmp_path / "tate_no_pairing.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "reduction", str(path))
+    assert code == 0
+    assert "verdict: SEMISTABLE_NOT_GOOD" in out
+    assert "ranks: unavailable (no pairing)" in out
+    code, out, _ = run(capsys, "--json", "reduction", str(path))
+    assert code == 0 and "ranks" not in json.loads(out)
+
+
 def test_excision_open_curve(capsys):
     code, out, _ = run(capsys, "excision",
                        str(CORPUS / "open_tate_curve.json"))
@@ -126,6 +140,15 @@ def test_compat_mismatch(capsys, tmp_path):
     code, out, _ = run(capsys, "compat", str(bad))
     assert code == 0
     assert "INCOMPATIBLE" in out
+
+
+def test_compat_members_must_be_a_list(capsys, tmp_path):
+    bad = tmp_path / "bad_family.json"
+    bad.write_text(json.dumps({"members": {}}))
+    code, out, err = run(capsys, "compat", str(bad))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "input",
+                               "detail": '"members" must be a list'}
 
 
 def _set(path, value):
@@ -282,6 +305,23 @@ def test_analyze_rank_zero_has_no_weights(capsys, tmp_path):
     assert report["unipotent"] is True and report["unipotence_level"] == 0
     assert report["wd"]["dim"] == 0 and report["wd"]["phi_weights"] == []
     assert report["quasi_pure"] is True
+
+
+def test_analyze_reads_a_module_that_is_not_unipotent(capsys, tmp_path):
+    # t G = t without a Frobenius: its only solution is the power series
+    # exp(-t), so there is no log basis
+    obj = json.loads((CORPUS / "constant_trivial.json").read_text())
+    del obj["frobenius"]
+    obj["connection"] = [[{"terms": [[0, "1"]]}]]
+    path = tmp_path / "exp_t.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 0 and err == ""
+    assert "unipotence level: NOT_UNIPOTENT" in out
+    code, out, err = run(capsys, "--json", "analyze", str(path))
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["unipotent"] is False and report["unipotence_level"] is None
 
 
 def test_analyze_refuses_a_truncated_frobenius_as_wd_does(capsys, tmp_path):

@@ -50,6 +50,8 @@ def test_missing_pairing_raises():
     m = corpus.tate_abelian_datum(P).module
     with pytest.raises(MissingPairing):
         rank_profile(AbelianVarietyDatum(m))
+    with pytest.raises(MissingPairing, match="W_-2 requires the Weil"):
+        semistable_weight_filtration(AbelianVarietyDatum(m))
 
 
 def test_odd_rank_rejected():
@@ -69,12 +71,20 @@ def test_rank_identities():
         assert rk_f == prof.mu + 2 * prof.alpha
 
 
-def test_profile_agrees_with_dual_datum():
+def test_profile_agrees_with_dual_datum(monkeypatch):
     d = corpus.tate_abelian_datum(P)
-    # the dual abelian variety of the Tate curve is itself; use the
-    # module-dual twisted back as a stand-in check of the invariance claim
-    prof = rank_profile(d)
-    assert prof == rank_profile(corpus.tate_abelian_datum(P))
+    # the dual abelian variety of the Tate curve is itself: given as a
+    # module of its own, it is solved on its own and gives the same profile
+    copy = corpus.tate_abelian_datum(P).module
+    separate = AbelianVarietyDatum(d.module, copy, d.pairing)
+    profiles = []
+    for datum, solves in ((d, 1), (separate, 2)):
+        assert count_calls(monkeypatch, modules, "_solve_class",
+                           lambda: profiles.append(rank_profile(datum))) \
+            == solves
+    assert profiles[0] == profiles[1]
+    assert (profiles[0].n, profiles[0].mu, profiles[0].alpha,
+            profiles[0].lam) == (1, 1, 0, 0)
 
 
 def test_pairing_axioms_are_enforced():
@@ -83,6 +93,21 @@ def test_pairing_axioms_are_enforced():
                    [LaurentElement.zero(P), LaurentElement.one(P)]]
     with pytest.raises(MissingPairing):
         AbelianVarietyDatum(m, pairing=bad_pairing)
+    # a pairing of another size is not perfect, the empty one included
+    with pytest.raises(MissingPairing, match="not perfect"):
+        AbelianVarietyDatum(m, pairing=[])
+    with pytest.raises(MissingPairing, match="not perfect"):
+        AbelianVarietyDatum(m, pairing=[[LaurentElement.one(P)]])
+
+
+def test_rank_zero_datum_is_good():
+    # the empty pairing of a rank-0 module is perfect; it was refused
+    m = PhiNablaModule(P, 0, [], [], "")
+    datum = AbelianVarietyDatum(m, pairing=[])
+    assert reduction_type(datum) is ReductionType.GOOD
+    prof = rank_profile(datum)
+    assert (prof.n, prof.mu, prof.alpha, prof.lam) == (0, 0, 0, 0)
+    assert semistable_weight_filtration(datum).ranks == {-2: 0, -1: 0, 0: 0}
 
 
 # -- reduction types --------------------------------------------------------
@@ -295,6 +320,30 @@ def test_non_equivariant_boundary_rejected():
                            oc.h2_compact, bad)
     with pytest.raises(NotEquivariant):
         excision_weight_filtration(datum)
+
+
+def test_gr2_of_weight_four_is_impure():
+    # H^0(D)(-1) with Frobenius p^2 and a zero boundary map: all of it is
+    # Gr_2, of weight 4
+    oc = corpus.open_tate_curve(P)
+    h0 = PhiNablaModule.from_rational_matrices(
+        P, frobenius=[[25]], connection=[[0]])
+    datum = OpenCurveDatum(oc.h1_compact, h0, oc.h2_compact,
+                           [[LaurentElement.zero(P)]])
+    with pytest.raises(PurityFailure, match="Gr_2 weights .*, expected 2"):
+        excision_weight_filtration(datum)
+
+
+def test_boundary_into_rank_zero_h2_keeps_all_of_h0():
+    # H^2 of rank 0: the boundary map is empty and Gr_2 is all of H^0(D)(-1)
+    oc = corpus.open_tate_curve(P)
+    h0 = PhiNablaModule.from_rational_matrices(
+        P, frobenius=[[5]], connection=[[0]])
+    datum = OpenCurveDatum(oc.h1_compact, h0, PhiNablaModule(P, 0, [], [], ""),
+                           [])
+    rep = excision_weight_filtration(datum)
+    assert rep.ok
+    assert (rep.gr1_rank, rep.gr2_rank, rep.gr2_weights) == (2, 1, [F(2)])
 
 
 # -- ell-independence -------------------------------------------------------

@@ -254,6 +254,20 @@ def test_mmax_cutoff():
         wd_extract(m, m_max=1)
 
 
+@pytest.mark.parametrize("connection, detail", [
+    ([[0, {-1: 2}], [{-1: 1}, 0]],
+     "residue exponents are not all rational"),
+    ([[{-1: Fraction(1, 2)}, 0], [0, {-1: Fraction(1, 3)}]],
+     "cover degree 6 exceeds m_max = 5"),
+], ids=["irrational-exponents", "cover-degree-past-m_max"])
+def test_untame_residue_is_refused(connection, detail):
+    # residue eigenvalues +-sqrt 2; exponents 1/2 and 1/3 each within m_max
+    m = PhiNablaModule.from_rational_matrices(
+        P, frobenius=[[1, 0], [0, 1]], connection=connection)
+    with pytest.raises(NotTame, match=detail):
+        wd_extract(m, m_max=5)
+
+
 @pytest.mark.parametrize("m_max", [0, -1])
 def test_mmax_below_one_is_refused(m_max):
     with pytest.raises(ValueError, match="m_max must be >= 1"):
@@ -564,6 +578,13 @@ def test_normal_form_rejects_level_three():
     m = PhiNablaModule.from_rational_matrices(
         P, connection=[[0, {-1: 1}, 0], [0, 0, {-1: 1}], [0, 0, 0]])
     with pytest.raises(NotLevelTwo):
+        key2_normal_form(m)
+
+
+def test_normal_form_rejects_a_module_that_is_not_unipotent():
+    # t G = t: the only formal solution is exp(-t), not a log polynomial
+    m = PhiNablaModule.from_rational_matrices(P, connection=[[1]])
+    with pytest.raises(NotLevelTwo, match="module is not unipotent"):
         key2_normal_form(m)
 
 

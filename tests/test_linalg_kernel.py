@@ -109,7 +109,9 @@ def systems(draw):
             return zero
         scale = Fraction(p) ** draw(st.integers(-2, 3))
         rel = draw(st.sampled_from([None, N - 3, N // 2]))
-        return PadicNumber.from_poly(params, [c * scale for c in coords], rel)
+        x = PadicNumber.from_poly(params, [c * scale for c in coords])
+        # adding O(p^(v + rel)) cuts x to relative precision rel
+        return x if rel is None else x + PadicNumber.zero(params, x.v + rel)
 
     nrows = draw(st.integers(1, 6))
     ncols = draw(st.integers(1, 6))
@@ -198,7 +200,7 @@ def test_cancelled_entry_keeps_its_precision():
     params = ring(5, 20, 1)
     zero = PadicNumber.zero(params)
     one = PadicNumber.from_rational(params, 1)
-    coarse_one = PadicNumber.from_rational(params, 1, rel_prec=3)
+    coarse_one = PadicNumber(params, 0, 1, 3)
     # eliminating column 0 leaves O(5^3) at (1, 2); the column-1 step must
     # carry that bound into (2, 2) instead of trusting 5^4 there
     rows = [[one, zero, one],

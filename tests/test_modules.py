@@ -670,6 +670,15 @@ def test_lmat_inverse_refuses_a_zero_determinant():
         lmat_inverse([[LaurentElement.zero(P)]])
 
 
+def test_rank_zero_matrices_are_invertible():
+    # the 0 x 0 matrix is its own inverse: dual and gauge changes of a
+    # rank-0 module raised NonInvertible
+    m = PhiNablaModule(P, 0, [], [], "")
+    assert lmat_inverse([]) == []
+    assert dual(m).rank == 0
+    assert GaugeChange([]).apply(m).rank == 0
+
+
 def test_kummer_pullback_scales_exponents():
     m = PhiNablaModule.from_rational_matrices(
         P, frobenius=[[{2: 1}]], connection=[[{-1: Fraction(1, 2)}]])

@@ -264,11 +264,14 @@ def test_instances_are_immutable_and_unhashable():
 @pytest.mark.parametrize("params", [P5, RingParams(5, 20, (32, 32), a=2,
                                                    modulus=(2, 0, 1))])
 def test_relative_precision_below_one_is_refused(params, rel_prec):
-    # rel_prec = 0 gave a non-zero element with unit 0 and abs_prec 0, and
-    # rel_prec = -2 a float unit
-    for value in (Fraction(1, 5), 25, 0):
-        with pytest.raises(ValueError):
-            PadicNumber.from_rational(params, value, rel_prec)
-        with pytest.raises(ValueError):
-            PadicNumber.from_poly(params, [value, 1], rel_prec)
-    assert PadicNumber.from_rational(params, 3, 1).rel_prec == 1
+    # an element takes its relative precision from its ring's N, which the
+    # ring refuses below 1 (a relative precision of 0 gave a non-zero
+    # element with unit 0 and abs_prec 0, and -2 a float unit)
+    with pytest.raises(ValueError, match="precision N must be >= 1"):
+        RingParams(params.p, rel_prec, params.t_window, params.a,
+                   params.modulus)
+    coarse = RingParams(params.p, 1, params.t_window, params.a,
+                        params.modulus)
+    for value in (Fraction(1, 5), 25, 3):
+        assert PadicNumber.from_rational(coarse, value).rel_prec == 1
+        assert PadicNumber.from_poly(coarse, [value, 1]).rel_prec == 1

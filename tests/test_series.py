@@ -245,9 +245,13 @@ def _laurent_matrices(draw):
                         modulus={2: (1, 1, 1), 3: (1, 0, 1),
                                  5: (2, 0, 1)}[p] if a == 2 else None)
     lo, hi = params.window_lo, params.window_hi
+
+    def cut(x, prec):   # x + O(p^(v + prec)): relative precision prec
+        return x + PadicNumber.zero(params, x.v + prec)
+
     coeff = st.builds(
-        lambda num, den, k, prec: PadicNumber.from_rational(
-            params, Fraction(num, den) * Fraction(p) ** k, prec),
+        lambda num, den, k, prec: cut(PadicNumber.from_rational(
+            params, Fraction(num, den) * Fraction(p) ** k), prec),
         st.integers(-9, 9).filter(bool), st.integers(1, 9),
         st.integers(-1, 2), st.integers(1, 8))
     zero = LaurentElement.zero(params)

@@ -242,8 +242,7 @@ def cmd_excision(args) -> int:
         "convention": rep.convention,
         "graded": [
             {"index": 1, "rank": rep.gr1_rank,
-             "quasi_pure": (rep.gr1_report.pure
-                            if rep.gr1_report else True)},
+             "quasi_pure": rep.ok},
             {"index": 2, "rank": rep.gr2_rank,
              "weights": [str(w) for w in rep.gr2_weights],
              # an impure Gr_2 raised PurityFailure in the filtration
@@ -253,8 +252,7 @@ def cmd_excision(args) -> int:
     }
     lines = _banner(args, params)
     lines.append(f"Gr_1: rank {rep.gr1_rank}, quasi-pure of weight 1: "
-                 + ("PASS" if rep.gr1_report is None or rep.gr1_report.pure
-                    else "FAIL"))
+                 + ("PASS" if rep.ok else "FAIL"))
     lines.append(f"Gr_2: rank {rep.gr2_rank}"
                  + (f", weights {{{', '.join(str(w) for w in rep.gr2_weights)}}}"
                     if rep.gr2_rank else " (empty)"))

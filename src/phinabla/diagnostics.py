@@ -182,9 +182,6 @@ def _reduction(datum: AbelianVarietyDatum) -> _Reduction:
     profile, torus = None, []
     if datum.pairing is not None or len(sections) == 0:
         profile, torus = _rank_profile(datum, sections)
-        if verdict is ReductionType.GOOD and not (profile.mu == 0
-                                                  and profile.lam == 0):
-            raise DiagnosticConflict("GOOD but mu or lambda nonzero")
         if verdict is ReductionType.SEMISTABLE_NOT_GOOD and \
                 profile.lam != 0:
             raise DiagnosticConflict("semistable but lambda nonzero")
@@ -292,7 +289,7 @@ def wd_weight_filtration_flags(datum: AbelianVarietyDatum):
     coords = linalg.identity(rep.dim)[:len(wf.sections)]
     flags = {
         -2: linalg.span_basis(linalg.mat_mul(wf.torus_coordinates, coords)),
-        -1: linalg.span_basis(coords),
+        -1: coords,
         0: linalg.identity(rep.dim),
     }
     fil = monodromy_filtration(rep.N)

@@ -33,11 +33,12 @@ and ``_graded`` reads Phi on the graded pieces from one ``_echelon``.
 ``_scaled`` reads a rational matrix as an integer one over the lcm of its
 denominators.  PadicNumber rows go through ``_eliminate``, which pivots
 each column on the entry of smallest valuation and divides by it;
-``field_kernel`` is its view, and ``modules._reduced_solutions`` runs it
-for the solver's reduced basis.  The systems it solves are mostly sparse:
-zero input entries count as absent, as in LaurentElement, and non-zero
-p-adic entries never carry less precision than a dense elimination with
-the same pivots gives.
+``field_kernel`` is its view, and ``modules._solve_class`` runs it once
+on [tails | coordinates] at the window top, reading the solutions whose
+tails vanish and their reduced basis from the same elimination.  The
+systems it solves are mostly sparse: zero input entries count as absent,
+as in LaurentElement, and non-zero p-adic entries never carry less
+precision than a dense elimination with the same pivots gives.
 
 Polynomials are integer coefficient lists and every remainder sequence
 (gcds, square-free parts, Sturm chains, the rational roots of

@@ -346,7 +346,13 @@ def _solve_class(params, tG, R, resonances, depth, rcls, e):
     live members]: new parameters and consistency at a resonance, a back
     substitution elsewhere.  At the window top the live combinations must
     vanish beyond it; those that cannot are followed as far again, and
-    WindowTooSmall names the window that holds one that ends there."""
+    WindowTooSmall names the window that holds one that ends there.  The
+    vanishing ones come as the reduced basis of their span, unknowns
+    ordered by (d, j, n), which _solution_coordinates relies on: each
+    solution is 1 at its pivot, its largest coordinate with a term, where
+    no other solution has a term, and they come in the order of that
+    coordinate.  Each is checked against the full-window equations on its
+    coefficients (_solves)."""
     r, hi = len(tG), params.window_hi
     res = [n for n in resonances
            if n >= params.window_lo and (n - rcls) % e == 0]
@@ -400,17 +406,32 @@ def _solve_class(params, tG, R, resonances, depth, rcls, e):
                 out.append(new)
         return out
 
-    def vanishing(family, n):     # the combinations zero from block n on
-        tails = [[rhs(mem, m) for m in range(n, n - e + s + 1, e)]
-                 for mem in family]
-        heads = [b for b, tail in enumerate(tails) if any(tail)]
-        rows = [[tails[b][t].get(key, zero) for b in heads]
-                for t, key in sorted({(t, key) for b in heads
-                                      for t, h in enumerate(tails[b])
-                                      for key in h})]
-        return [mem for b, mem in enumerate(family) if b not in heads] + [
-            new for v in (field_kernel(rows, zero, one) if heads else [])
-            if (new := _combine([family[b] for b in heads], v))]
+    def vanishing(family, n):
+        """The reduced basis, as {(idx, m): x} dicts, of the combinations
+        zero from block n on: one elimination of the rows [tails |
+        coordinates], tail columns first and coordinates descending; the
+        rows whose pivot is a coordinate, that pivot set to one."""
+        tails = [{(t, key): x for t, m in enumerate(range(n, n - e + s + 1, e))
+                  for key, x in rhs(mem, m).items()} for mem in family]
+        tcol = {key: c for c, key in enumerate(
+            sorted({key for tail in tails for key in tail}))}
+        width = len(tcol)
+        coords = sorted({key for mem in family for key in mem}, reverse=True)
+        col = {key: c for c, key in enumerate(coords, width)}
+        rows = [[zero] * (width + len(coords)) for _ in family]
+        for row, tail, mem in zip(rows, tails, family):
+            for key, x in tail.items():
+                row[tcol[key]] = x
+            for key, x in mem.items():
+                row[col[key]] = x
+        reduced, pivots = _eliminate(rows, width + len(coords))
+        basis = []
+        for row, pc in zip(reduced, pivots):
+            if pc >= width:
+                row[pc] = one
+                basis.append({coords[c - width]: x for c, x in row.items()
+                              if c >= width and not x.is_zero()})
+        return basis
 
     family, n, last = [], res[0], max(x for x in res if x <= hi)
     while n <= hi and (n <= last or live(family, n)):
@@ -423,11 +444,20 @@ def _solve_class(params, tG, R, resonances, depth, rcls, e):
             n += e
         ended = vanishing(family, n)
         if len(ended) > len(kept):
-            top = max(m for mem in ended for _, m in mem)
+            top = max(m for sol in ended for _, m in sol)
             raise WindowTooSmall(f"a solution runs to t^{top}, past the "
                                  f"window top t^{hi}; --t-window {top} "
                                  "holds it")
-    return _reduced_solutions(kept, tG, params, depth, rcls, zero, one)
+    out = []
+    for sol in reversed(kept):
+        vec = [[{} for _ in range(r)] for _ in range(depth)]
+        for (idx, m), x in sol.items():
+            vec[idx // r][idx % r][m] = x
+        if not _solves(tG, vec, params):
+            raise WindowTooSmall("candidate solution fails the "
+                                 "full-window equations")
+        out.append(LogSolution(vec, rcls))
+    return out
 
 
 def _combine(members, coeffs):
@@ -437,35 +467,6 @@ def _combine(members, coeffs):
         for key, x in mem.items():
             out[key] = out[key] + x * c if key in out else x * c
     return {key: x for key, x in out.items() if not x.is_zero()}
-
-
-def _reduced_solutions(family, tG, params, depth, rcls, zero, one):
-    """The reduced basis of the family's span, unknowns ordered by (d, j, n),
-    which _solution_coordinates relies on: each solution is 1 at its pivot,
-    its largest coordinate with a term, where no other solution has a term,
-    and they come in the order of that coordinate.  Each is checked
-    against the full-window equations on its coefficients (_solves)."""
-    r = len(tG)
-    coords = sorted({key for mem in family for key in mem}, reverse=True)
-    col = {key: c for c, key in enumerate(coords)}
-    rows = [[zero] * len(coords) for _ in family]
-    for row, mem in zip(rows, family):
-        for key, x in mem.items():
-            row[col[key]] = x
-    reduced, pivots = _eliminate(rows, len(coords))
-    out = []
-    for row, pc in reversed(list(zip(reduced, pivots))):
-        row[pc] = one
-        vec = [[{} for _ in range(r)] for _ in range(depth)]
-        for c, x in row.items():
-            if not x.is_zero():
-                idx, n = coords[c]
-                vec[idx // r][idx % r][n] = x
-        if not _solves(tG, vec, params):
-            raise WindowTooSmall("candidate solution fails the "
-                                 "full-window equations")
-        out.append(LogSolution(vec, rcls))
-    return out
 
 
 def _solves(tG, vec, params):
@@ -527,7 +528,7 @@ def horizontal_sections(m: PhiNablaModule, cap=None):
 def _solution_coordinates(bases, targets, params, conflict):
     """M_ij, the constant x_j[i] with sum_i x_j[i] basis_i = target_j, or
     DiagnosticConflict(conflict) if a target leaves the span: x_j[i] is
-    target_j at the pivot of the reduced basis_i (_reduced_solutions), and
+    target_j at the pivot of the reduced basis_i (_solve_class), and
     target_j - sum_i x_j[i] basis_i must vanish at precision.  Vectors are
     flat dicts {(d, i, n): x} (_coefficients, _frobenius_image)."""
     zero = PadicNumber.zero(params)

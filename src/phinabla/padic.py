@@ -90,6 +90,10 @@ class RingParams(namedtuple(
             raise ValueError("modulus only makes sense for a > 1")
         return super().__new__(cls, p, N, t_window, a, modulus)
 
+    def _replace(self, **changes):
+        """A copy with fields changed, checked as the constructor checks."""
+        return RingParams(*super()._replace(**changes))
+
     @property
     def q(self) -> int:
         return self.p ** self.a
@@ -527,12 +531,8 @@ class PadicNumber:
             s0, s1 = s1, s0 - q * s1
         if s1 == 0 or abs(s1) > bound * 4 or s1 % p == 0:
             raise ValueError("no small rational representative")
-        frac = Fraction(r1, s1)
-        # verify: frac must reduce back to u mod p^k
-        den = frac.denominator
-        if den % p == 0 or (frac.numerator * pow(den, -1, m) - u) % m:
-            raise ValueError("rational reconstruction failed")
-        return frac * Fraction(p) ** self.v
+        # r1 = s1 u mod p^k throughout, and p does not divide s1
+        return Fraction(r1, s1) * Fraction(p) ** self.v
 
     def __repr__(self):
         if self.is_zero_at_precision:

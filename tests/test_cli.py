@@ -125,6 +125,25 @@ def test_excision_proper_curve(capsys):
     assert "Gr_2: rank 0 (empty)" in out
 
 
+def test_excision_with_impure_gr1_fails(capsys, tmp_path):
+    # the rank-2 trivial module as H^1: its Frobenius weights are 0, not 1
+    obj = json.loads((CORPUS / "open_tate_curve.json").read_text())
+    h1 = obj["h1_compact"]
+    h1["frobenius"] = [[{"terms": [[0, "1"]] if i == j else []}
+                        for j in range(2)] for i in range(2)]
+    h1["connection"] = [[{"terms": []} for _ in range(2)] for _ in range(2)]
+    path = tmp_path / "open_trivial_h1.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "excision", str(path))
+    assert code == 0
+    assert "Gr_1: rank 2, quasi-pure of weight 1: FAIL" in out
+    assert "verdict: FAIL" in out
+    code, out, _ = run(capsys, "--json", "excision", str(path))
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "FAIL"
+    assert report["graded"][0]["quasi_pure"] is False
+
+
 def test_compat_family(capsys):
     code, out, _ = run(capsys, "compat", str(CORPUS / "family_tate.json"))
     assert code == 0
@@ -577,6 +596,7 @@ def corpus_mutations(draw):
 @example(("reduction", "good_elliptic", ("pairing", 1, 0), DROP))
 @example(("excision", "open_tate_curve", ("boundary_map", 0), []))
 @example(("excision", "open_tate_curve", ("boundary_map", 0, 1), DROP))
+@example(("analyze", "kummer_tate", ("params", "a"), 0))
 def test_one_value_mutation_exits_0_2_or_3(tmp_path_factory, mutation):
     sub, stem, path, value = mutation
     obj = json.loads((CORPUS / f"{stem}.json").read_text())

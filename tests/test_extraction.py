@@ -452,6 +452,17 @@ def test_trace_tables_are_invariant_under_random_shear_gauges(which, seed):
     assert trace_table(wd_extract(g.apply(m))[0], 6) == expected
 
 
+def test_residue_that_fails_recognition_is_refused():
+    # at precision 4 an entry of this gauge's residue has no small
+    # rational representative
+    params = RingParams(5, 4, (32, 32))
+    m = direct_sum(corpus.half_twist(params), corpus.kummer_tate(params))
+    g = random_shear_gauge(random.Random(1), params, 3, lowest=0)
+    with pytest.raises(DiagnosticConflict, match="residue matrix fails "
+                       "rational recognition at precision"):
+        wd_extract(g.apply(m))
+
+
 def test_rank_eight_tensor_cube_of_kt():
     kt = corpus.kummer_tate(P)
     rep, _ = wd_extract(tensor(kt, tensor(kt, kt)))

@@ -139,6 +139,14 @@ def test_ring_params_are_immutable_values():
         RingParams(4, 20)
 
 
+def test_ring_params_replace_is_checked():
+    a = RingParams(5, 20)
+    assert a._replace(t_window=(4, 8)) == RingParams(5, 20, (4, 8))
+    with pytest.raises(ValueError,
+                       match="coefficient precision N must be >= 1"):
+        a._replace(N=0)
+
+
 @pytest.mark.parametrize("args, kwargs, name", [
     ((True, 20), {}, "p = True"),
     ((5, True), {}, "N = True"),
@@ -248,6 +256,12 @@ def test_from_rational_round_trips_small_heights(p, N, a, data):
     x = Fraction(data.draw(st.integers(-h, h)),
                  data.draw(st.integers(1, max(h, 1))))
     assert PadicNumber.from_rational(_params(p, N, a), x).to_fraction() == x
+
+
+def test_to_fraction_refuses_a_denominator_divisible_by_p():
+    # 6 = 5 / -20 mod 5^3: the only small candidate has p in its denominator
+    with pytest.raises(ValueError, match="no small rational representative"):
+        PadicNumber(RingParams(5, 3), 0, 6, 3).to_fraction()
 
 
 def test_instances_are_immutable_and_unhashable():

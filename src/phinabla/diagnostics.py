@@ -108,7 +108,7 @@ class RankProfile:
 
 def _fixed_part_kernel(datum: AbelianVarietyDatum, sections, dual_sections):
     """Constant combinations of `sections` pairing to zero with every dual
-    section: coordinates of D^t inside D^f."""
+    section: coordinates of D^t inside D^f, as dense rows."""
     params = datum.module.params
     zero = PadicNumber.zero(params)
     one = PadicNumber.from_rational(params, 1)
@@ -121,7 +121,8 @@ def _fixed_part_kernel(datum: AbelianVarietyDatum, sections, dual_sections):
             rows.append([v.coefficient(e) for v in pairings])
     if not rows:
         rows = [[zero] * len(sections)]
-    return field_kernel(rows, zero, one)
+    return [[v.get(c, zero) for c in range(len(sections))]
+            for v in field_kernel(rows, one)]
 
 
 def _rank_profile(datum: AbelianVarietyDatum, sections):
@@ -234,8 +235,6 @@ def _weight_filtration(datum: AbelianVarietyDatum,
     if red.verdict is ReductionType.NOT_SEMISTABLE:
         raise DiagnosticConflict("weight filtration needs semistability")
     m = datum.module
-    if m.rank == 0:
-        return WeightFiltration({-2: 0, -1: 0, 0: 0}, [], [], [])
     q = m.params.q
     sections = red.sections
     rk_f = len(sections)

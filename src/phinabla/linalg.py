@@ -31,10 +31,13 @@ Jordan chains read their ends' pivot coordinates with ``_echelon``, pick
 heads with ``_pivot_columns`` and complements with ``_integer_kernel``,
 and ``_graded`` reads Phi on the graded pieces from one ``_echelon``.
 ``_scaled`` reads a rational matrix as an integer one over the lcm of its
-denominators.  PadicNumber rows go through ``_eliminate``, which pivots
-each column on the entry of smallest valuation and divides by it;
-``field_kernel`` is its view, and ``modules._solve_class`` runs it once
-on [tails | coordinates] at the window top, reading the solutions whose
+denominators.  PadicNumber rows go through ``_eliminate``, which takes
+them as ``{col: element}`` dicts, pivots each column on the entry of
+smallest valuation and divides by it.  ``field_kernel`` is its view on a
+dense matrix and returns each kernel vector in the same sparse form: the
+entries the elimination fixes, an absent entry being an exact zero.
+``modules._solve_class`` runs ``_eliminate`` once on its dict rows
+[tails | coordinates] at the window top, reading the solutions whose
 tails vanish and their reduced basis from the same elimination.  The
 systems it solves are mostly sparse: zero input entries count as absent,
 as in LaurentElement, and non-zero p-adic entries never carry less
@@ -492,22 +495,20 @@ def _combine(row, prow, p, f):
 
 
 def _eliminate(rows, ncols):
-    """Sparse Gauss-Jordan elimination of PadicNumber rows on the first
-    ``ncols`` columns.
+    """Sparse Gauss-Jordan elimination of PadicNumber rows, given as
+    ``{col: element}`` dicts, on the columns below ``ncols``.
 
-    Rows are compacted to ``{col: element}`` dicts; input entries zero at
-    precision count as absent.  The pivot in each column has the smallest
-    valuation, the p-adically largest, so that a division loses the fewest
-    digits; the first row in current order wins ties.  The pivot row is
-    divided by its pivot and f times it subtracted from a row with entry
-    f.  An entry that cancels to zero stays, with its precision bound, so
-    later updates cannot claim digits the inputs do not determine; it is
-    never a pivot.  The eliminated entry in a pivot column is zero by
-    construction and is removed.  Returns the reduced rows (pivot rows
-    first, in pivot order) and the pivot columns.
+    Input entries zero at precision count as absent.  The pivot in each
+    column has the smallest valuation, the p-adically largest, so that a
+    division loses the fewest digits; the first row in current order wins
+    ties.  The pivot row is divided by its pivot and f times it subtracted
+    from a row with entry f.  An entry that cancels to zero stays, with
+    its precision bound, so later updates cannot claim digits the inputs
+    do not determine; it is never a pivot.  The eliminated entry in a
+    pivot column is zero by construction and is removed.  Returns the
+    reduced rows (pivot rows first, in pivot order) and the pivot columns.
     """
-    R = [{c: x for c, x in enumerate(row) if not x.is_zero()}
-         for row in rows]
+    R = [{c: x for c, x in row.items() if not x.is_zero()} for row in rows]
     nrows = len(R)
     pivots = []
     r = 0
@@ -541,23 +542,24 @@ def _eliminate(rows, ncols):
     return R, pivots
 
 
-def field_kernel(rows, zero, one):
+def field_kernel(rows, one):
     """Right-kernel basis for a matrix of PadicNumber entries, the view of
     the p-adic loop ``_eliminate``.
 
-    Pivots have minimal valuation.  Elimination is sparse: zero-at-precision
-    input entries count as absent, as in LaurentElement, and only the
-    entries a row operation reaches are stored and updated.  Absent entries
-    of a basis vector are returned as ``zero``.  Since no entry is ever
-    combined with a zero placeholder, non-zero entries carry at least the
-    precision a dense elimination with the same pivots gives.
+    Pivots have minimal valuation.  Elimination is sparse: the dense rows
+    are compacted once, zero-at-precision entries counting as absent, as
+    in LaurentElement, and only the entries a row operation reaches are
+    stored and updated.  Each basis vector is a ``{col: x}`` dict:
+    ``one`` at its free column and minus that column's entry in each pivot
+    row holding it; an absent entry is an exact zero.  Non-zero entries
+    carry at least the precision a dense elimination with the same pivots
+    gives.
     """
     ncols = len(rows[0]) if rows else 0
-    R, pivots = _eliminate(rows, ncols)
+    R, pivots = _eliminate([dict(enumerate(row)) for row in rows], ncols)
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
-        v = [zero] * ncols
-        v[fc] = one
+        v = {fc: one}
         for row, pc in zip(R, pivots):
             if fc in row:
                 v[pc] = -row[fc]

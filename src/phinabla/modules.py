@@ -397,11 +397,12 @@ def _solve_class(params, tG, R, resonances, depth, rcls, e):
                 for b, (_, h) in enumerate(heads):
                     row[size + b] = -h.get(d * r + i, zero)
         out = [mem for mem in family if all(mem is not x for x, _ in heads)]
-        for v in field_kernel(rows, zero, one):
-            new = _combine([x for x, _ in heads], v[size:])
+        for v in field_kernel(rows, one):
+            new = _combine((heads[c - size][0], x)
+                           for c, x in v.items() if c >= size)
             if fresh or new:
-                new.update(((idx, n), x) for idx, x in enumerate(v[:size])
-                           if not x.is_zero())
+                new.update(((c, n), x) for c, x in v.items()
+                           if c < size and not x.is_zero())
             if new:
                 out.append(new)
         return out
@@ -418,12 +419,9 @@ def _solve_class(params, tG, R, resonances, depth, rcls, e):
         width = len(tcol)
         coords = sorted({key for mem in family for key in mem}, reverse=True)
         col = {key: c for c, key in enumerate(coords, width)}
-        rows = [[zero] * (width + len(coords)) for _ in family]
-        for row, tail, mem in zip(rows, tails, family):
-            for key, x in tail.items():
-                row[tcol[key]] = x
-            for key, x in mem.items():
-                row[col[key]] = x
+        rows = [{tcol[key]: x for key, x in tail.items()}
+                | {col[key]: x for key, x in mem.items()}
+                for tail, mem in zip(tails, family)]
         reduced, pivots = _eliminate(rows, width + len(coords))
         basis = []
         for row, pc in zip(reduced, pivots):
@@ -460,10 +458,10 @@ def _solve_class(params, tG, R, resonances, depth, rcls, e):
     return out
 
 
-def _combine(members, coeffs):
-    """sum_b coeffs[b] members[b], zero entries dropped."""
+def _combine(terms):
+    """sum c mem over the (mem, c) pairs, zero entries dropped."""
     out = {}
-    for mem, c in zip(members, coeffs):
+    for mem, c in terms:
         for key, x in mem.items():
             out[key] = out[key] + x * c if key in out else x * c
     return {key: x for key, x in out.items() if not x.is_zero()}
@@ -716,10 +714,7 @@ def _jordan_blocks(R, eigenvalues):
     for lam in sorted(set(eigenvalues)):
         # lambda is an eigenvalue of Y / s, so s lambda, a rational root
         # of the monic integer det(T I - Y), is an integer
-        shift = s * lam
-        if shift.denominator != 1:
-            raise AssertionError("s lambda is not an integer")
-        shift = shift.numerator
+        shift = (s * lam).numerator
         M = [[Y[i][j] - (shift if i == j else 0) for j in range(r)]
              for i in range(r)]
         k, power, rk = 1, M, linalg.rank(M)

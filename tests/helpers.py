@@ -101,8 +101,9 @@ def field_solve(rows, rhs, zero):
     unknowns without a pivot are ``zero``: the p-adic reference for
     coordinates read off a reduced basis."""
     ncols = len(rows[0]) if rows else 0
-    R, pivots = linalg._eliminate([list(row) + [b[i] for b in rhs]
-                                   for i, row in enumerate(rows)], ncols)
+    R, pivots = linalg._eliminate(
+        [dict(enumerate(list(row) + [b[i] for b in rhs]))
+         for i, row in enumerate(rows)], ncols)
     if any(not x.is_zero() for row in R[len(pivots):] for x in row.values()):
         return None
     out = []

@@ -597,6 +597,9 @@ def corpus_mutations(draw):
 @example(("excision", "open_tate_curve", ("boundary_map", 0), []))
 @example(("excision", "open_tate_curve", ("boundary_map", 0, 1), DROP))
 @example(("analyze", "kummer_tate", ("params", "a"), 0))
+@example(("analyze", "kummer_tate", ("params", "a"), 2))
+@example(("analyze", "kummer_tate", ("connection", 0, 1), DROP))
+@example(("excision", "open_tate_curve", ("h2_compact", "params"), "x"))
 def test_one_value_mutation_exits_0_2_or_3(tmp_path_factory, mutation):
     sub, stem, path, value = mutation
     obj = json.loads((CORPUS / f"{stem}.json").read_text())

@@ -100,6 +100,18 @@ def test_pairing_axioms_are_enforced():
         AbelianVarietyDatum(m, pairing=[[LaurentElement.one(P)]])
 
 
+def test_pairing_off_the_connection_is_refused():
+    # the Tate pairing against a Frobenius-free dual whose connection is
+    # G + 1: d/dt P = G^T P + P G, so the right side is off by P
+    datum = corpus.tate_abelian_datum(P)
+    m, one = datum.module, LaurentElement.one(P)
+    G = [[x + one if i == j else x for j, x in enumerate(row)]
+         for i, row in enumerate(m.G)]
+    with pytest.raises(MissingPairing, match="pairing is not horizontal"):
+        AbelianVarietyDatum(m, dual_module=PhiNablaModule(P, 2, None, G),
+                            pairing=datum.pairing)
+
+
 def test_rank_zero_datum_is_good():
     # the empty pairing of a rank-0 module is perfect; it was refused
     m = PhiNablaModule(P, 0, [], [], "")
@@ -131,6 +143,12 @@ def test_tate_weight_filtration():
     assert [(g.index, g.rank, g.weights, g.expected, g.pure, g.failure)
             for g in wf.graded] == [(-2, 1, [F(-2)], -2, True, None),
                                     (0, 1, [F(0)], 0, True, None)]
+
+
+def test_weight_filtration_needs_semistability():
+    with pytest.raises(DiagnosticConflict,
+                       match="weight filtration needs semistability"):
+        semistable_weight_filtration(corpus.bad_reduction_datum(P))
 
 
 def test_good_weight_filtration():
@@ -319,6 +337,19 @@ def test_non_equivariant_boundary_rejected():
     datum = OpenCurveDatum(oc.h1_compact, oc.h0_boundary_twisted,
                            oc.h2_compact, bad)
     with pytest.raises(NotEquivariant):
+        excision_weight_filtration(datum)
+
+
+def test_boundary_map_off_the_connection_rejected():
+    # H^2 with connection 1/t: the boundary map commutes with phi but
+    # d/dt F + G F = F / t is not F G = 0
+    oc = corpus.open_tate_curve(P)
+    h2 = PhiNablaModule.from_rational_matrices(
+        P, frobenius=[[5]], connection=[[{-1: 1}]])
+    datum = OpenCurveDatum(oc.h1_compact, oc.h0_boundary_twisted, h2,
+                           oc.boundary_map)
+    with pytest.raises(NotEquivariant,
+                       match="boundary map is not nabla-equivariant"):
         excision_weight_filtration(datum)
 
 

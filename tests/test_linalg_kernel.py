@@ -77,8 +77,8 @@ def dense_solve(rows, rhs, ncols, zero):
 def assert_vectors_agree(got, ref):
     """Entries congruent; no non-zero reference entry is more precise.
 
-    Zero entries are only compared by congruence: the sparse kernel returns
-    the caller's ``zero`` for them, while the dense loop's placeholder
+    Zero entries are only compared by congruence: an entry the sparse
+    kernel leaves out is an exact zero, while the dense loop's placeholder
     products give zeros of arbitrary bound.
     """
     assert len(got) == len(ref)
@@ -141,7 +141,8 @@ SETTINGS = settings(max_examples=300, deadline=None,
 @given(systems())
 def test_kernel_matches_dense_reference(system):
     rows, _rhs, ncols, zero, one = system
-    got = field_kernel(rows, zero, one)
+    got = [[v.get(c, zero) for c in range(ncols)]
+           for v in field_kernel(rows, one)]
     ref = dense_kernel(rows, ncols, zero, one)
     assert len(got) == len(ref)
     for g, e in zip(got, ref):
@@ -206,5 +207,25 @@ def test_cancelled_entry_keeps_its_precision():
     rows = [[one, zero, one],
             [one, one, coarse_one],
             [zero, one, PadicNumber.from_rational(params, 5 ** 4)]]
-    got = field_kernel(rows, zero, one)
+    got = field_kernel(rows, one)
     assert len(got) == len(dense_kernel(rows, 3, zero, one)) == 1
+    # pivots 0 and 1, free column 2, which row 0 holds as 1 and row 1 as
+    # the cancelled O(5^3): the vector holds those three entries, the
+    # cancelled one with its bound
+    (v,) = got
+    assert sorted(v) == [0, 1, 2]
+    assert v[2] is one and v[0].congruent(-one)
+    assert v[1].is_zero() and v[1].abs_prec == 3
+
+
+def test_kernel_vector_holds_only_the_entries_it_fixes():
+    # a vector's keys are its free column and the pivot columns of the
+    # rows holding that column; every other entry is an exact zero
+    params = ring(5, 20, 1)
+    zero = PadicNumber.zero(params)
+    one = PadicNumber.from_rational(params, 1)
+    two = PadicNumber.from_rational(params, 2)
+    assert [sorted(v) for v in field_kernel(
+        [[one, zero, two], [zero, one, zero]], one)] == [[0, 2]]
+    assert [sorted(v) for v in field_kernel(
+        [[one, zero, zero], [zero, zero, one]], one)] == [[1]]

@@ -357,6 +357,39 @@ def test_sheared_h1_at_precision_1_fails_the_full_window_equations():
         wd_extract(m)
 
 
+def test_sheared_h1_at_precision_1_and_window_8_keeps_its_sections():
+    # two sections at precision >= 2; at one digit the solver finds both
+    # or refuses, and never answers that there are none
+    for precision in (2, 1):
+        params = RingParams(3, precision, (8, 8))
+        m = random_shear_gauge(random.Random(0), params, 2, lowest=0).apply(
+            corpus.good_elliptic_h1(params))
+        try:
+            sections = horizontal_sections(m)
+        except PhinablaError:
+            assert precision == 1
+            continue
+        assert len(sections) == 2
+
+
+@pytest.mark.parametrize("window", [(32, 32), (12, 12), (2, 16)])
+def test_sections_are_the_log_degree_0_solutions_digit_for_digit(window):
+    # kt (x) kt under shear seed 1 at p = 3: the horizontal sections and
+    # the log-degree-0 solutions of the full log solve agree in every
+    # digit and bound; a kernel entry known only to p^N standing in for
+    # an exact zero costs the sections two digits here
+    params = RingParams(3, 20, window)
+    kt2 = tensor(corpus.kummer_tate(params), corpus.kummer_tate(params))
+    m = random_shear_gauge(random.Random(1), params, 4, lowest=0).apply(kt2)
+    want = [s.section(params) for s in modules._solve_nabla(m, None, 1)
+            if not s.log_degree]
+
+    def bits(sections):
+        return [[laurent_bits(x) for x in v] for v in sections]
+
+    assert want and bits(horizontal_sections(m)) == bits(want)
+
+
 @pytest.mark.parametrize("precision", [1, 2, 4])
 def test_solution_check_matches_the_laurent_reference(precision,
                                                       monkeypatch):

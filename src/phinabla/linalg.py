@@ -508,7 +508,8 @@ def _eliminate(rows, ncols):
     pivot column is zero by construction and is removed.  Returns the
     reduced rows (pivot rows first, in pivot order) and the pivot columns.
     """
-    R = [{c: x for c, x in row.items() if not x.is_zero()} for row in rows]
+    R = [{c: x for c, x in row.items() if not x.is_zero_at_precision}
+         for row in rows]
     nrows = len(R)
     pivots = []
     r = 0
@@ -516,9 +517,9 @@ def _eliminate(rows, ncols):
         best = None
         for i in range(r, nrows):
             x = R[i].get(c)
-            if x is None or x.is_zero():
+            if x is None or x.is_zero_at_precision:
                 continue
-            k = x.valuation()
+            k = x.v
             if best is None or k < best_key:
                 best, best_key = i, k
         if best is None:
@@ -528,7 +529,7 @@ def _eliminate(rows, ncols):
         prow = R[r] = {j: x * inv for j, x in R[r].items()}
         for i, row in enumerate(R):
             f = row.get(c)
-            if i == r or f is None or f.is_zero():
+            if i == r or f is None or f.is_zero_at_precision:
                 continue
             del row[c]
             for j, y in prow.items():

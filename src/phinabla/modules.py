@@ -379,21 +379,26 @@ def _solve_class(params, tG, R, resonances, depth, rcls, e):
     def live(family, n):
         return any(m + s >= n for mem in family for _, m in mem)
 
+    # d + 1, beside the diagonal of L_n, once per solve
+    ups = [PadicNumber.from_rational(params, d) for d in range(1, depth)]
+
     def step(family, n, fresh=True):
         heads = [(mem, h) for mem in family for h in (rhs(mem, n),) if h]
         if not heads and n not in res:
             return family
+        # nI + R, converted once and shared by the depth copies
+        block = [[(j, PadicNumber.from_rational(
+                      params, R[i][j] + (n if i == j else 0)))
+                  for j in range(r) if R[i][j] or (i == j and n)]
+                 for i in range(r)]
         rows = [[zero] * (size + len(heads)) for _ in range(size)]
         for d in range(depth):
             for i in range(r):
                 row = rows[d * r + i]
-                for j in range(r):
-                    if R[i][j] or (i == j and n):
-                        row[d * r + j] = PadicNumber.from_rational(
-                            params, R[i][j] + (n if i == j else 0))
+                for j, x in block[i]:
+                    row[d * r + j] = x
                 if d + 1 < depth:
-                    row[(d + 1) * r + i] = PadicNumber.from_rational(
-                        params, d + 1)
+                    row[(d + 1) * r + i] = ups[d]
                 for b, (_, h) in enumerate(heads):
                     row[size + b] = -h.get(d * r + i, zero)
         out = [mem for mem in family if all(mem is not x for x, _ in heads)]
@@ -472,15 +477,16 @@ def _solves(tG, vec, params):
     D v_d + tG v_d + (d+1) v_{d+1} = 0 in the window, with the verdict of
     LaurentElement arithmetic: as a LaurentElement does, a coefficient
     zero at precision is dropped, bound and all, from tG v_d (_apply), D
-    v_i, (d+1) v_{d+1,i} and each sum these join.  Dropping acts per
-    exponent, as the window does, so the window is read once, at the end."""
+    v_i, (d+1) v_{d+1,i} and each sum these join (_add_into).  Dropping
+    acts per exponent, as the window does, so the window is read once, at
+    the end."""
     lo, hi = params.window_lo, params.window_hi
     for d, vd in enumerate(vec):
         for i, acc in enumerate(_apply(tG, vd)):
-            acc = _plus(acc, {n: c * n for n, c in vd[i].items() if n})
+            _add_into(acc, ((n, c * n) for n, c in vd[i].items() if n))
             if d + 1 < len(vec):
-                acc = _plus(acc, {n: c * (d + 1)
-                                  for n, c in vec[d + 1][i].items()})
+                _add_into(acc, ((n, c * (d + 1))
+                                for n, c in vec[d + 1][i].items()))
             if any(lo <= n <= hi for n in acc):
                 return False
     return True
@@ -489,7 +495,8 @@ def _solves(tG, vec, params):
 def _apply(M, v):
     """M v on coefficient dicts v_j = {n: x}, with no window: as in
     LaurentElement arithmetic, a coefficient zero at precision is dropped
-    from each product M_ij v_j (j ascending) and each partial sum."""
+    from each product M_ij v_j (j ascending) and each partial sum
+    (_add_into)."""
     nz = [(j, x) for j, x in enumerate(v) if x]
     out = []
     for row in M:
@@ -500,20 +507,21 @@ def _apply(M, v):
                 for e2, c2 in x.items():
                     e = e1 + e2
                     prod[e] = prod[e] + c1 * c2 if e in prod else c1 * c2
-            acc = _plus(acc, prod)
+            _add_into(acc, prod.items())
         out.append(acc)
     return out
 
 
-def _plus(a, b):
-    """a + b on {n: x} without zeros at precision, b's dropped first."""
-    if not b:
-        return a
-    out = dict(a)
-    for n, x in b.items():
-        if not x.is_zero():
-            out[n] = out[n] + x if n in out else x
-    return {n: x for n, x in out.items() if not x.is_zero()}
+def _add_into(acc, terms):
+    """acc += terms on {n: x} without zeros at precision, in place: a
+    term zero at precision is skipped, and an entry whose sum is zero at
+    precision is deleted."""
+    for n, x in terms:
+        if not x.is_zero_at_precision:
+            if n in acc and (x := acc[n] + x).is_zero_at_precision:
+                del acc[n]
+            else:
+                acc[n] = x
 
 
 def horizontal_sections(m: PhiNablaModule, cap=None):

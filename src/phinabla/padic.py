@@ -263,16 +263,11 @@ class PadicNumber:
 
     __slots__ = ("params", "v", "unit", "abs_prec", "is_zero_at_precision")
 
-    def __init__(self, params: RingParams, v, unit, abs_prec: int,
-                 is_zero: bool = False):
-        # the slot descriptors, since __setattr__ refuses every write
-        _SET_PARAMS(self, params)
-        _SET_ABS_PREC(self, abs_prec)
-        _SET_ZERO(self, is_zero)
+    def __new__(cls, params: RingParams, v, unit, abs_prec: int,
+                is_zero: bool = False):
         if is_zero:
             v = unit = None
-        _SET_V(self, v)
-        _SET_UNIT(self, unit)
+        return _make(params, v, unit, abs_prec, is_zero)
 
     def __setattr__(self, *a):
         raise AttributeError("PadicNumber is immutable")
@@ -281,19 +276,20 @@ class PadicNumber:
 
     @classmethod
     def zero(cls, params: RingParams, abs_prec: int | None = None):
-        return cls(params, None, None,
-                   params.N if abs_prec is None else abs_prec, is_zero=True)
+        return _make(params, None, None,
+                     params.N if abs_prec is None else abs_prec, True)
 
     @classmethod
     def from_rational(cls, params: RingParams, value):
         if type(value) is int:
             num, den = value, 1
         else:
-            value = Fraction(value)
+            if type(value) is not Fraction:
+                value = Fraction(value)
             num, den = value.numerator, value.denominator
         if num == 0:
             # an exact zero: known to arbitrary precision; cap generously
-            return cls.zero(params, abs_prec=10 ** 9)
+            return _make(params, None, None, 10 ** 9, True)
         p, N = params.p, params.N
         if den % p == 0:
             # num/den is reduced, so p does not divide num
@@ -306,7 +302,7 @@ class PadicNumber:
         u = num % pk if den == 1 else (num * pow(den, -1, pk)) % pk
         if params.a > 1:
             u = (u,) + (0,) * (params.a - 1)
-        return cls(params, v, u, v + N)
+        return _make(params, v, u, v + N)
 
     @classmethod
     def from_poly(cls, params: RingParams, coeffs):
@@ -342,8 +338,7 @@ class PadicNumber:
         return self.v
 
     def _check(self, other):
-        if self.params is other.params:
-            return
+        """Arithmetic's check on operands over different params objects."""
         if self.params.p != other.params.p or self.params.a != other.params.a \
                 or self.params.modulus != other.params.modulus:
             raise MismatchedParams("coefficient fields differ")
@@ -352,21 +347,22 @@ class PadicNumber:
 
     def __add__(self, other, sign=1):
         """self + other; __sub__ passes sign = -1 for self - other."""
-        if not isinstance(other, PadicNumber):
+        if type(other) is not PadicNumber:
             other = PadicNumber.from_rational(self.params, other)
         params = self.params
-        self._check(other)
+        if other.params is not params:
+            self._check(other)
         A = min(self.abs_prec, other.abs_prec)
         if self.is_zero_at_precision:
             if other.is_zero_at_precision:
-                return PadicNumber.zero(params, A)
+                return _make(params, None, None, A, True)
             return (other if sign == 1 else -other)._truncate_abs(A)
         if other.is_zero_at_precision:
             return self._truncate_abs(A)
         vmin = min(self.v, other.v)
         k = A - vmin
         if k <= 0:
-            return PadicNumber.zero(params, A)
+            return _make(params, None, None, A, True)
         p = params.p
         pk = p ** k
         s1 = p ** (self.v - vmin)
@@ -392,20 +388,21 @@ class PadicNumber:
         else:
             shift = min(_padic_val(c, p) if c else k for c in unit)
         if shift >= k:
-            return cls.zero(params, abs_prec)
+            return _make(params, None, None, abs_prec, True)
         if shift:
             d = p ** shift
             unit = unit // d if params.a == 1 else tuple(c // d for c in unit)
-        return cls(params, v + shift, unit, abs_prec)
+        return _make(params, v + shift, unit, abs_prec)
 
     def _truncate_abs(self, abs_prec):
         if self.is_zero_at_precision:
-            return PadicNumber.zero(self.params, min(self.abs_prec, abs_prec))
+            return _make(self.params, None, None,
+                         min(self.abs_prec, abs_prec), True)
         if abs_prec >= self.abs_prec:
             return self
         k = abs_prec - self.v
         if k <= 0:
-            return PadicNumber.zero(self.params, abs_prec)
+            return _make(self.params, None, None, abs_prec, True)
         pk = self.params.p ** k
         unit = self.unit % pk if self.params.a == 1 else tuple(
             c % pk for c in self.unit)
@@ -417,17 +414,18 @@ class PadicNumber:
         pk = self.params.p ** (self.abs_prec - self.v)
         unit = (-self.unit) % pk if self.params.a == 1 else tuple(
             (-c) % pk for c in self.unit)
-        return PadicNumber(self.params, self.v, unit, self.abs_prec)
+        return _make(self.params, self.v, unit, self.abs_prec)
 
     def __mul__(self, other):
-        if not isinstance(other, PadicNumber):
+        if type(other) is not PadicNumber:
             other = PadicNumber.from_rational(self.params, other)
         params = self.params
-        self._check(other)
+        if other.params is not params:
+            self._check(other)
         if self.is_zero_at_precision or other.is_zero_at_precision:
             A1 = self.abs_prec if self.is_zero_at_precision else self.v
             A2 = other.abs_prec if other.is_zero_at_precision else other.v
-            return PadicNumber.zero(params, min(A1 + A2, 10 ** 9))
+            return _make(params, None, None, min(A1 + A2, 10 ** 9), True)
         k = min(self.abs_prec - self.v, other.abs_prec - other.v)
         v = self.v + other.v
         pk = params.p ** k
@@ -436,7 +434,7 @@ class PadicNumber:
             unit = self.unit * other.unit % pk
         else:
             unit = _poly_mul(self.unit, other.unit, params.modulus, pk)
-        return PadicNumber(params, v, unit, v + k)
+        return _make(params, v, unit, v + k)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -453,7 +451,7 @@ class PadicNumber:
             unit = pow(self.unit, -1, pk)
         else:
             unit = _poly_inv(self.unit, self.params.modulus, p, k)
-        return PadicNumber(self.params, -self.v, unit, -self.v + k)
+        return _make(self.params, -self.v, unit, -self.v + k)
 
     def __truediv__(self, other):
         if not isinstance(other, PadicNumber):
@@ -532,7 +530,9 @@ class PadicNumber:
         if s1 == 0 or abs(s1) > bound * 4 or s1 % p == 0:
             raise ValueError("no small rational representative")
         # r1 = s1 u mod p^k throughout, and p does not divide s1
-        return Fraction(r1, s1) * Fraction(p) ** self.v
+        v = self.v
+        return (Fraction(r1 * p ** v, s1) if v >= 0
+                else Fraction(r1, s1 * p ** -v))
 
     def __repr__(self):
         if self.is_zero_at_precision:
@@ -543,6 +543,21 @@ class PadicNumber:
             return f"p^{self.v}*{self.unit} + O(p^{self.abs_prec})"
 
 
-# in __slots__ order
-_SET_PARAMS, _SET_V, _SET_UNIT, _SET_ABS_PREC, _SET_ZERO = (
-    getattr(PadicNumber, name).__set__ for name in PadicNumber.__slots__)
+class _Parts:
+    """PadicNumber's slots, writable: _make fills them, then makes the
+    instance a PadicNumber, which the identical layout allows."""
+
+    __slots__ = PadicNumber.__slots__
+
+
+def _make(params, v, unit, abs_prec, is_zero=False):
+    """The one constructor (PadicNumber's __setattr__ refuses every
+    write); a zero takes v = unit = None."""
+    x = _Parts()
+    x.params = params
+    x.v = v
+    x.unit = unit
+    x.abs_prec = abs_prec
+    x.is_zero_at_precision = is_zero
+    x.__class__ = PadicNumber
+    return x

@@ -82,7 +82,8 @@ class LaurentElement:
         return self.tail_pos or self.tail_neg
 
     def coefficient(self, e: int) -> PadicNumber:
-        return self.coeffs.get(e, PadicNumber.zero(self.params))
+        c = self.coeffs.get(e)
+        return PadicNumber.zero(self.params) if c is None else c
 
     def min_exponent(self):
         return min(self.coeffs) if self.coeffs else None

@@ -323,6 +323,19 @@ def test_frobenius_images_build_no_laurent_series(read, monkeypatch):
     assert count_calls(monkeypatch, LaurentElement, "sigma", read) == 0
 
 
+def test_solver_converts_ni_plus_r_once_per_step(monkeypatch):
+    # R of kt (x) kt is nilpotent with 4 non-zero entries and tG = R is
+    # constant, so the one class is solved at depth 3 by one step, at the
+    # resonance n = 0: 4 conversions of nI + R there, shared by the three
+    # depth copies, and d + 1 for d = 0, 1 once per solve; the other 21
+    # are the rest of the extraction.  A conversion per depth copy made 41
+    m = tensor(kt(), kt())
+    assert count_calls(monkeypatch, modules, "_solve_class",
+                       lambda: wd_extract(m)) == 1
+    assert count_calls(monkeypatch, PadicNumber, "from_rational",
+                       lambda: wd_extract(m)) == 27
+
+
 def test_frobenius_image_past_the_window_is_refused():
     # h1 under shear seed 23: A is truncated, and phi of a solution runs
     # past the window

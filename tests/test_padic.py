@@ -264,6 +264,54 @@ def test_to_fraction_refuses_a_denominator_divisible_by_p():
         PadicNumber(RingParams(5, 3), 0, 6, 3).to_fraction()
 
 
+# units mod p^k whose box holds a pair the Euclid loop stops short of,
+# refused at every valuation: (5, 3) holds 3 / 16 at u = 8 (the loop's
+# first remainder <= B is (5, -15), whose cofactor p divides)
+_TO_FRACTION_MISSES = {
+    (5, 3): {8, 13, 33, 37, 88, 92, 112, 117},
+    (5, 4): {41, 107, 143, 214, 411, 482, 518, 584},
+}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_to_fraction_keeps_its_box_on_every_unit(p, k):
+    # every unit u mod m = p^k at valuations -1, 0, 1, against a brute
+    # force of to_fraction's box: |r| <= B, 0 < |s| <= 4 B, p not dividing
+    # s, r = s u mod m, with B = isqrt(m) // 2 (1 where that is 0, m = 3).
+    # B < m / 2, so for each s only the residue of s u nearest 0 can be r
+    m = p ** k
+    B = max(isqrt(m) // 2, 1)
+    params = RingParams(p, k)
+    missed = set()
+    for u in range(1, m):
+        if u % p == 0:
+            continue
+        box = {Fraction(r, s) for s in range(-4 * B, 4 * B + 1) if s % p
+               for r in [(s * u + m // 2) % m - m // 2] if abs(r) <= B}
+        for v in (-1, 0, 1):
+            x = PadicNumber(params, v, u, v + k)
+            if not box:
+                with pytest.raises(ValueError, match="no small rational"):
+                    x.to_fraction()
+                continue
+            try:
+                y = x.to_fraction()
+            except ValueError:
+                missed.add((u, v))
+                continue
+            # the value is r / s scaled by p^v, (r, s) a pair of the box
+            assert _vp(y, p) == v, (u, v, y)
+            w = y / Fraction(p) ** v
+            assert w in box, (u, v, y)
+            assert abs(w.numerator) <= B and w.denominator <= 4 * B
+            assert w.denominator % p
+            assert PadicNumber.from_rational(params, y) == x
+    # a non-empty box is answered, bar the pinned misses
+    assert missed == {(u, v) for u in _TO_FRACTION_MISSES.get((p, k), ())
+                      for v in (-1, 0, 1)}
+
+
 def test_instances_are_immutable_and_unhashable():
     x = PadicNumber.from_rational(P5, Fraction(3, 7))
     for name in PadicNumber.__slots__:

@@ -10,7 +10,7 @@ from phinabla.errors import NonInvertible, WindowTooSmall
 from phinabla.padic import PadicNumber, RingParams
 from phinabla.series import LaurentElement
 
-from helpers import dense_lmat_mul, laurent_bits as _bits
+from helpers import count_calls, dense_lmat_mul, laurent_bits as _bits
 
 
 P = RingParams(5, 20, (16, 16))
@@ -141,6 +141,18 @@ def test_D_operator():
 def test_D_equals_t_ddt():
     x = L((2, 1), (-3, Fraction(4, 7)))
     assert x.D().congruent(x.d_dt().shift(1))
+
+
+def test_coefficient_builds_a_zero_only_for_an_absent_exponent(
+        monkeypatch):
+    x = L((0, 1), (3, Fraction(2, 7)))
+    got = []
+    assert count_calls(monkeypatch, PadicNumber, "zero",
+                       lambda: got.append(x.coefficient(3))) == 0
+    assert got[0] is x.coeffs[3]
+    assert count_calls(monkeypatch, PadicNumber, "zero",
+                       lambda: got.append(x.coefficient(2))) == 1
+    assert got[1].is_zero_at_precision and got[1].abs_prec == P.N
 
 
 def test_json_roundtrip():

@@ -17,9 +17,9 @@ from fractions import Fraction
 from . import __version__, linalg
 from .errors import PhinablaError
 from .padic import RingParams
-from .modules import (_check_untruncated, _log_filtration, _ring_from_json,
-                      check_compatibility, module_from_json,
-                      residue_exponents)
+from .modules import (_ring_from_json, check_compatibility,
+                      module_from_json, residue_exponents,
+                      unipotent_filtration)
 from .weil_deligne import (FrobeniusKind, WeilDeligneRep,
                            compatibility_family, quasi_purity_check,
                            _weights_of)
@@ -151,8 +151,7 @@ def cmd_analyze(args) -> int:
                         f"{comp.max_residual_valuation})"))
         rep, trace = wd_extract(m, args.mmax, _kind(args))
     if m.has_connection:
-        # the extraction has read the residue of m
-        rr = trace.residue if both else residue_exponents(m)
+        rr = residue_exponents(m)
         report["residue_exponents"] = [str(x) for x in rr.exponents]
         report["residue_semisimple"] = rr.semisimple
         lines.append("residue exponents: "
@@ -160,11 +159,7 @@ def cmd_analyze(args) -> int:
                      + f" (semisimple: {'yes' if rr.semisimple else 'no'})")
         if all(x.denominator == 1 for x in rr.exponents):
             # cover degree 1: the extraction has read the filtration of m
-            if both:
-                fil = trace.filtration
-            else:   # unipotent_filtration(m), given the residue read above
-                _check_untruncated(m)
-                fil = _log_filtration(m, 1, rr)
+            fil = trace.filtration if both else unipotent_filtration(m)
             level = fil.level if fil.unipotent else None
             report["unipotent"] = fil.unipotent
             report["unipotence_level"] = level
@@ -200,7 +195,7 @@ def cmd_wd(args) -> int:
     lines = _banner(args, params)
     lines.append(f"input: {m.label or args.path}")
     lines.append("exponents: " + (", ".join(
-        str(x) for x in trace.residue.exponents) or "(none)"))
+        str(x) for x in residue_exponents(m).exponents) or "(none)"))
     lines.append(f"cover degree e = {trace.cover_degree}")
     lines.append(f"log degrees: {trace.log_degrees}")
     lines.append(f"residue classes: {trace.residue_classes}")

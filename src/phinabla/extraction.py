@@ -13,7 +13,7 @@ of the largest Jordan blocks of R at its eigenvalues in that class
 (Levelt).  Phi and N are read once, as solution coordinates, by the
 unipotent filtration of the pullback (`modules._log_filtration`); the
 extraction recognises them over Q, and the ExtractionTrace keeps that
-filtration and the input's residue record.  The level-2 normal form is
+filtration.  The level-2 normal form is
 the filtration's gauge at e = 1, its first block rotated, with its
 constants read off N.
 """
@@ -26,21 +26,19 @@ from math import lcm
 from . import linalg
 from .errors import (NonConstantFrobenius, NotLevelTwo, NotTame,
                      WindowTooSmall)
-from .modules import (GaugeChange, PhiNablaModule, ResidueReport,
-                      UnipotentFiltration, _check_untruncated, _log_depths,
-                      _log_filtration, _rational_matrix, _residue,
-                      kummer_pullback, lmat_identity, unipotent_filtration)
+from .modules import (GaugeChange, PhiNablaModule, UnipotentFiltration,
+                      _check_untruncated, _log_depths, _log_filtration,
+                      _rational_matrix, kummer_pullback, lmat_identity,
+                      unipotent_filtration)
 from .series import LaurentElement
 from .weil_deligne import FrobeniusKind, WeilDeligneRep
 
 
 class ExtractionTrace:
-    """Derivation record surfaced by the CLI: the input's residue record and
-    the unipotent filtration of the pullback the extraction read."""
+    """Derivation record surfaced by the CLI: the cover degree and the
+    unipotent filtration of the pullback the extraction read."""
 
-    def __init__(self, residue: ResidueReport, cover_degree: int,
-                 filtration: UnipotentFiltration):
-        self.residue = residue  # of the input, not of the pullback
+    def __init__(self, cover_degree: int, filtration: UnipotentFiltration):
         self.cover_degree = cover_degree
         self.filtration = filtration  # of the pulled-back module
         sols = filtration.solutions
@@ -60,10 +58,10 @@ def log_solution_basis(m: PhiNablaModule, e: int = 1
     return fil
 
 
-def _require_rank(m: PhiNablaModule, e: int, sols, residue=None):
+def _require_rank(m: PhiNablaModule, e: int, sols):
     """WindowTooSmall unless the solve found rank m log solutions."""
     if len(sols) != m.rank:
-        depths = "/".join(map(str, _log_depths(residue or _residue(m), e)))
+        depths = "/".join(map(str, _log_depths(m.residue, e)))
         raise WindowTooSmall(f"found {len(sols)} log solutions at log depth "
                              f"{depths}, expected {m.rank}")
 
@@ -78,9 +76,9 @@ def _check_frobenius(m: PhiNablaModule):
 # ---------------------------------------------------------------------------
 # the extraction
 
-def _tame_cover_degree(m: PhiNablaModule, m_max: int) -> tuple:
-    """The cover degree e and the residue read."""
-    residue = _residue(m)
+def _tame_cover_degree(m: PhiNablaModule, m_max: int) -> int:
+    """The cover degree e: the lcm of the residue exponents' denominators."""
+    residue = m.residue
     if residue.unresolved_factor is not None:
         raise NotTame("residue exponents are not all rational")
     dens = [x.denominator for x in residue.exponents]
@@ -93,7 +91,7 @@ def _tame_cover_degree(m: PhiNablaModule, m_max: int) -> tuple:
     e = lcm(*dens) if dens else 1
     if e > m_max:
         raise NotTame(f"cover degree {e} exceeds m_max = {m_max}")
-    return e, residue
+    return e
 
 
 def _canonical_sp2(phi, N):
@@ -115,15 +113,13 @@ def wd_extract(m: PhiNablaModule, m_max: int = 24,
         raise ValueError("m_max must be >= 1")
     m._require(frobenius=True)
     _check_untruncated(m)   # before a lost term reads as a pole of t G
-    e, residue = _tame_cover_degree(m, m_max)
+    e = _tame_cover_degree(m, m_max)
     _check_frobenius(m)
-    pulled = kummer_pullback(m, e)
-    # with e = 1 the pullback is m itself, whose residue is read already
-    known = residue if pulled is m else None
-    fil = _log_filtration(pulled, e, known)
-    _require_rank(pulled, e, fil.solutions, known)
+    pulled = kummer_pullback(m, e)  # m itself at e = 1
+    fil = _log_filtration(pulled, e)
+    _require_rank(pulled, e, fil.solutions)
     rep = _representation(m, fil, e, frobenius_kind)
-    return rep, ExtractionTrace(residue, e, fil)
+    return rep, ExtractionTrace(e, fil)
 
 
 def _representation(m: PhiNablaModule, fil: UnipotentFiltration, e: int,

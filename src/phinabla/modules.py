@@ -114,7 +114,9 @@ def kronecker(A, B):
 # ---------------------------------------------------------------------------
 
 class PhiNablaModule:
-    """Finite free module with optional Frobenius and connection matrices."""
+    """Finite free module with optional Frobenius and connection matrices.
+    A and G are not changed after construction, so the residue record
+    read from G is read once and kept (`residue`)."""
 
     def __init__(self, params: RingParams, rank: int,
                  frobenius=None, connection=None, label: str = ""):
@@ -135,6 +137,11 @@ class PhiNablaModule:
     @property
     def has_connection(self):
         return self.G is not None
+
+    @cached_property
+    def residue(self) -> ResidueReport:
+        """_residue of this module, read once."""
+        return _residue(self)
 
     # -- constructors -------------------------------------------------------
 
@@ -298,14 +305,12 @@ class LogSolution:
         return tuple(LaurentElement(params, x) for x in self.vec[0])
 
 
-def _solve_nabla(m: PhiNablaModule, depth, e: int, residue=None):
+def _solve_nabla(m: PhiNablaModule, depth, e: int):
     """Log solutions supported in the window, solved per residue class mod
     e at log depth `depth`, or with None at the depth _log_depths gives
-    each class.  `residue` is _residue(m) when the caller has read it, and
-    then m has passed _check_untruncated."""
-    if residue is None:
-        _check_untruncated(m)
-        residue = _residue(m)
+    each class."""
+    _check_untruncated(m)
+    residue = m.residue
     depths = [depth] * e if depth is not None else _log_depths(residue, e)
     # det(nI + R) = 0 exactly at the integers n = -lambda
     resonances = sorted({-int(x) for x in residue.exponents
@@ -569,7 +574,7 @@ def _frobenius_image(m: PhiNablaModule, sol: LogSolution):
     a tail of A in a column where v_d has a term."""
     params, p, terms = m.params, m.params.p, {}
     for d, vd in enumerate(sol.vec):
-        scale = PadicNumber.from_rational(params, p ** d)
+        scale = PadicNumber.from_rational(params, p ** d) if d else None
         for i, x in enumerate(_apply(m.A, [{p * n: c.sigma() for n, c in
                                             x.items()} for x in vd])):
             terms.update(((d, i, n), y) for n, c in x.items()
@@ -660,13 +665,12 @@ def unipotent_filtration(m: PhiNablaModule) -> UnipotentFiltration:
     return _log_filtration(m, 1)
 
 
-def _log_filtration(m: PhiNablaModule, e: int,
-                    residue=None) -> UnipotentFiltration:
-    """The filtration read off the log solutions at cover degree e, given
-    _residue(m) when the caller has read it (see _solve_nabla); Phi and N
-    are read when there are rank solutions.  WindowTooSmall if an image
-    runs past the window, DiagnosticConflict if one leaves the span."""
-    sols = sorted(_solve_nabla(m, None, e, residue),
+def _log_filtration(m: PhiNablaModule, e: int) -> UnipotentFiltration:
+    """The filtration read off the log solutions at cover degree e; Phi
+    and N are read when there are rank solutions.  WindowTooSmall if an
+    image runs past the window, DiagnosticConflict if one leaves the
+    span."""
+    sols = sorted(_solve_nabla(m, None, e),
                   key=lambda s: (s.log_degree, s.residue_class))
     if len(sols) != m.rank:
         return UnipotentFiltration(m, sols)
@@ -778,7 +782,7 @@ def _residue(m: PhiNablaModule) -> ResidueReport:
 
 def residue_exponents(m: PhiNablaModule) -> ResidueReport:
     """The residue read of m: the eigenvalues of R = (t G)|_{t=0}."""
-    return _residue(m)
+    return m.residue
 
 
 # -- Kummer pullback --------------------------------------------------------

@@ -395,9 +395,7 @@ class PadicNumber:
         return _make(params, v + shift, unit, abs_prec)
 
     def _truncate_abs(self, abs_prec):
-        if self.is_zero_at_precision:
-            return _make(self.params, None, None,
-                         min(self.abs_prec, abs_prec), True)
+        """self, non-zero at precision, truncated to abs_prec."""
         if abs_prec >= self.abs_prec:
             return self
         k = abs_prec - self.v

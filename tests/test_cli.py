@@ -360,8 +360,9 @@ def test_analyze_refuses_a_truncated_frobenius_as_wd_does(capsys, tmp_path):
 
 def test_analyze_without_frobenius_reads_its_residue_once(capsys, tmp_path,
                                                          monkeypatch):
-    # the report's residue record is handed to the filtration, so the
-    # residue and R's Jordan structure are each read once
+    # the module keeps the residue record the report read, and the
+    # filtration's solve reads it there, so the residue and R's Jordan
+    # structure are each read once
     obj = json.loads((CORPUS / "kummer_tate.json").read_text())
     del obj["frobenius"]
     path = tmp_path / "kt_connection_only.json"

@@ -12,7 +12,7 @@ import pathlib
 
 import pytest
 
-from phinabla import extraction, modules
+from phinabla import modules
 from phinabla.cli import main
 
 
@@ -39,10 +39,11 @@ def test_cli_matches_golden(cid, capsys, monkeypatch):
 
 
 # (_residue, _jordan_blocks) calls: one residue record per module, the
-# input and, at cover degree 2, its pullback.  analyze reads the record of
-# its input from the extraction, and R's Jordan structure once per record
-# it asks of it: the input's semisimplicity and, through the log depths,
-# the pullback's.  The wild refusals stop before any Jordan structure.
+# input and, at cover degree 2, its pullback.  analyze reads the record
+# the extraction read, kept by its input, and R's Jordan structure once
+# per record it asks of it: the input's semisimplicity and, through the
+# log depths, the pullback's.  The wild refusals stop before any Jordan
+# structure.
 STAGES = {"half_twist": {"analyze": (2, 2), "wd": (2, 1)},
           "wild": {"analyze": (1, 0), "wd": (1, 0)}}
 
@@ -52,12 +53,11 @@ STAGES = {"half_twist": {"analyze": (2, 2), "wd": (2, 1)},
 def test_golden_call_reads_each_residue_once(cid, capsys, monkeypatch):
     sub, stem, mode = cid.split(".")
     counts = {"_residue": 0, "_jordan_blocks": 0}
-    for module, name in ((modules, "_residue"), (extraction, "_residue"),
-                         (modules, "_jordan_blocks")):
-        def counted(*args, fn=getattr(module, name), name=name):
+    for name in counts:
+        def counted(*args, fn=getattr(modules, name), name=name):
             counts[name] += 1
             return fn(*args)
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(modules, name, counted)
     monkeypatch.chdir(ROOT)
     assert main(MODES[mode] + [sub, f"corpus/{stem}.json"]) == CODES[cid]
     capsys.readouterr()

@@ -281,6 +281,14 @@ def test_analyze_reads_frobenius_once_per_solution(monkeypatch, capsys):
         == 2
 
 
+def test_two_answers_on_one_datum_read_its_residue_once(monkeypatch):
+    # the verdict and the weight filtration each solve the datum's module;
+    # the module keeps the residue record the first solve read
+    d = corpus.tate_abelian_datum(P)
+    assert count_calls(monkeypatch, modules, "_residue", lambda: (
+        reduction_type(d), semistable_weight_filtration(d))) == 1
+
+
 def test_frobenius_on_d_f_is_read_once(monkeypatch):
     # one image per log solution, in the filtration; phi on D^f is its
     # first diagonal block, not a second pass over the sections

@@ -327,13 +327,15 @@ def test_solver_converts_ni_plus_r_once_per_step(monkeypatch):
     # R of kt (x) kt is nilpotent with 4 non-zero entries and tG = R is
     # constant, so the one class is solved at depth 3 by one step, at the
     # resonance n = 0: 4 conversions of nI + R there, shared by the three
-    # depth copies, and d + 1 for d = 0, 1 once per solve; the other 21
-    # are the rest of the extraction.  A conversion per depth copy made 41
+    # depth copies, and d + 1 for d = 0, 1 once per solve; the other 17
+    # are the rest of the extraction, among them p^d for d = 1, 2 in the
+    # Frobenius image of each of the 4 solutions (p^0 is not converted).
+    # A conversion per depth copy made 41
     m = tensor(kt(), kt())
     assert count_calls(monkeypatch, modules, "_solve_class",
                        lambda: wd_extract(m)) == 1
     assert count_calls(monkeypatch, PadicNumber, "from_rational",
-                       lambda: wd_extract(m)) == 27
+                       lambda: wd_extract(m)) == 23
 
 
 def test_frobenius_image_past_the_window_is_refused():
@@ -680,9 +682,11 @@ def test_not_unipotent():
 
 
 def test_residue_exponents_kt():
-    rr = residue_exponents(kt())
+    m = kt()
+    rr = residue_exponents(m)
     assert rr.exponents == [0, 0]
     assert not rr.semisimple  # the residue is E_12, nilpotent nonzero
+    assert residue_exponents(m) is rr  # the module keeps its record
 
 
 def test_residue_exponents_half():
@@ -896,6 +900,14 @@ def test_residue_record_reads_its_jordan_structure_once(monkeypatch):
     assert count_calls(monkeypatch, modules, "_jordan_blocks",
                        lambda: (rr.semisimple, rr.semisimple)) == 1
     assert rr.largest_blocks == {0: 2}
+
+
+def test_two_readers_of_one_module_read_its_residue_once(monkeypatch):
+    # the record is kept by the module, not handed from one reader to the
+    # next: the depth-1 solve and the filtration's solve share it
+    m = kt()
+    assert count_calls(monkeypatch, modules, "_residue", lambda: (
+        largest_constant_submodule(m), unipotent_filtration(m))) == 1
 
 
 # -- the resonance-driven solver --------------------------------------------
